@@ -8,6 +8,7 @@ Everything except wall-clock timings is determined by the seeds.
 
 from __future__ import annotations
 
+import functools
 import random
 import resource
 import time
@@ -16,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import maxsat
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions, SOLVED as PLAN_SOLVED
@@ -212,7 +214,7 @@ def _run_planner(forest, table, library, db, s, settings: BenchSettings) -> ArmR
         l_max=settings.l_max,
         sweep=settings.sweep_makespan,
         timeout=settings.timeout,
-        backend=settings.backend,
+        solver=functools.partial(maxsat.solve, backend=settings.backend),
     )
     dt = time.perf_counter() - t0
     if outcome.status == PLAN_SOLVED:

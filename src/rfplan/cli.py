@@ -6,12 +6,10 @@ Defaults can come from a JSON config file (--config); explicit flags win.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import shlex
-import subprocess
 import sys
-import tempfile
 import time
 
 import click
@@ -20,6 +18,7 @@ import numpy as np
 from . import __version__
 from . import baselines
 from . import encoder
+from . import maxsat
 from .bench import (
     BenchError,
     BenchSettings,
@@ -35,16 +34,7 @@ from .discretize import (
     state_proba,
     to_state,
 )
-from .encoder import (
-    DEFAULT_SCALE,
-    PlanAttempt,
-    PlanningError,
-    PlanOutcome,
-    build_sas,
-    check_plan,
-    decode,
-    encode,
-)
+from .encoder import DEFAULT_SCALE, NoGoalsError, PlanningError, build_sas, encode
 from .forest import (
     ModelError,
     TrainParams,
@@ -54,8 +44,7 @@ from .forest import (
     train_forest,
 )
 from .knn import SimilarityWeights
-from .maxsat import BackendError
-from .maxsat.io import WcnfError, wcnf_write
+from .maxsat import BackendError, WcnfError, wcnf_write
 from .offline import (
     AUTO,
     SearchError,
@@ -307,7 +296,7 @@ def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True, default=_jsonable))
 
 
-def _plan_payload(outcome: PlanOutcome, forest, table, target) -> dict:
+def _plan_payload(outcome: encoder.PlanOutcome, forest, table, target) -> dict:
     doc = {
         "status": outcome.status,
         "initial": list(outcome.s_init),
@@ -331,7 +320,7 @@ def _plan_payload(outcome: PlanOutcome, forest, table, target) -> dict:
     return doc
 
 
-def _render_plan(outcome: PlanOutcome, forest, table, target) -> None:
+def _render_plan(outcome: encoder.PlanOutcome, forest, table, target) -> None:
     p0 = state_proba(forest, table, outcome.s_init, target)
     click.echo(f"initial state {outcome.s_init}  p(target)={p0:.4f}")
     for a in outcome.attempts:
@@ -540,111 +529,6 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha_text, delta, node
 # plan
 
 
-def _parse_solver_output(text: str, nvars: int):
-    """Parse s/o/v lines from a Max-SAT solver; returns (kind, cost, assignment)."""
-    status_line = None
-    cost = None
-    vtokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("s ") or line == "s":
-            status_line = line[2:].strip()
-        elif line.startswith("o "):
-            tok = line[2:].split()
-            if tok:
-                try:
-                    cost = int(tok[0])
-                except ValueError:
-                    raise CliError(f"bad objective line from solver: {raw!r}") from None
-        elif line.startswith("v "):
-            vtokens.extend(line[2:].split())
-    if status_line is None:
-        raise CliError("external solver printed no status (`s ...`) line")
-    if "UNSATISFIABLE" in status_line:
-        return "unsat", None, None
-    if "OPTIMUM" not in status_line and "SATISFIABLE" not in status_line:
-        return "unknown", cost, None
-    if not vtokens:
-        raise CliError("external solver reported a model but printed no `v` line")
-    assignment = [False] * (nvars + 1)
-    if len(vtokens) == 1 and set(vtokens[0]) <= {"0", "1"} and len(vtokens[0]) >= nvars:
-        for v, ch in enumerate(vtokens[0][:nvars], start=1):
-            assignment[v] = ch == "1"
-    else:
-        for tok in vtokens:
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise CliError(f"bad literal {tok!r} in solver model") from None
-            if lit == 0:
-                continue
-            var = abs(lit)
-            if var > nvars:
-                raise CliError(f"solver model names variable {var}, instance has {nvars}")
-            assignment[var] = lit > 0
-    return "sat", cost, tuple(assignment)
-
-
-def _external_plan(forest, table, library, db, s_init, k, l_max, sweep, scale, cmd):
-    sim = SimilarityWeights.from_forest(forest)
-    try:
-        sas = build_sas(s_init, db, k, sim, table, library, forest=forest)
-    except PlanningError as exc:
-        if "no goal states" in str(exc):
-            return PlanOutcome(status=encoder.UNSOLVABLE, plan=None, s_init=s_init,
-                               goals=(), attempts=())
-        raise
-    if s_init in sas.goals:
-        return PlanOutcome(status=encoder.ALREADY_GOAL, plan=None, s_init=s_init,
-                           goals=sas.goals, attempts=())
-    attempts: list[PlanAttempt] = []
-    best = None
-    saw_unknown = False
-    with tempfile.TemporaryDirectory(prefix="rfplan-wcnf-") as tmp:
-        for L in range(1, l_max + 1):
-            instance, varmap = encode(sas, L, scale)
-            path = os.path.join(tmp, f"step{L}.wcnf")
-            wcnf_write(instance, path)
-            argv = shlex.split(cmd) + [path]
-            try:
-                proc = subprocess.run(argv, capture_output=True, text=True)
-            except FileNotFoundError:
-                raise CliError(f"external solver not found: {argv[0]!r}") from None
-            except OSError as exc:
-                raise CliError(f"cannot run external solver: {exc}") from None
-            kind, ocost, assignment = _parse_solver_output(proc.stdout, instance.nvars)
-            if kind == "unsat":
-                attempts.append(PlanAttempt(L=L, status="unsat", cost=None))
-                continue
-            if kind == "unknown":
-                attempts.append(PlanAttempt(L=L, status="timeout", cost=None))
-                saw_unknown = True
-                break
-            plan = decode(assignment, varmap, sas)
-            check_plan(plan, sas)
-            if ocost is not None:
-                scaled = sum(round(a.cost * scale) for step in plan.steps for a in step)
-                if scaled != ocost:
-                    raise CliError(
-                        f"solver objective {ocost} disagrees with the decoded plan "
-                        f"({scaled} at scale {scale})"
-                    )
-            attempts.append(PlanAttempt(L=L, status="sat", cost=plan.cost))
-            if not sweep:
-                best = plan
-                break
-            if best is None or plan.cost < best.cost:
-                best = plan
-    if best is not None:
-        status = encoder.SOLVED
-    elif saw_unknown:
-        status = encoder.TIMEOUT
-    else:
-        status = encoder.UNSOLVABLE
-    return PlanOutcome(status=status, plan=best, s_init=s_init, goals=sas.goals,
-                       attempts=tuple(attempts))
-
-
 @cli.command()
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--db", "db_path", required=True, type=click.Path(), help="Goal database from preprocess.")
@@ -657,7 +541,8 @@ def _external_plan(forest, table, library, db, s_init, k, l_max, sweep, scale, c
 @click.option("--scale", type=int, default=DEFAULT_SCALE, show_default=True)
 @click.option("--backend", type=click.Choice(["pure", "compiled"]), default=None)
 @click.option("--external-solver", "external_cmd", default=None,
-              help="Shell command solving a WCNF file passed as its last argument.")
+              help="Shell command solving a WCNF file passed as its last argument "
+                   "(not with --backend).")
 @click.option("--actions", "actions_path", type=click.Path(), default=None)
 @click.option("--cost-seed", type=int, default=None)
 @click.option("--beta-range", "beta_text", default=None)
@@ -667,6 +552,9 @@ def _external_plan(forest, table, library, db, s_init, k, l_max, sweep, scale, c
 def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout, scale,
          backend, external_cmd, actions_path, cost_seed, beta_text, as_json, config_path):
     """Find a minimum-cost action sequence that flips the prediction."""
+    if backend is not None and external_cmd is not None:
+        raise CliError("--backend selects an in-process kernel; it cannot be combined "
+                       "with --external-solver")
     cfg = _load_config(config_path)
     k = _eff(k, cfg, "K", 3)
     l_max = _eff(l_max, cfg, "L_max", 8)
@@ -680,16 +568,15 @@ def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
     target = db.params.target
     s_init = _instance_state(table, x_text, state_text)
 
+    if external_cmd is not None:
+        solver = functools.partial(maxsat.solve_external, command=external_cmd)
+    else:
+        solver = functools.partial(maxsat.solve, backend=backend)
     try:
-        if external_cmd is not None:
-            check_pairing(db, forest)
-            outcome = _external_plan(forest, table, library, db, s_init, k, l_max,
-                                     sweep, scale, external_cmd)
-        else:
-            outcome = encoder.plan_actions(
-                forest, table, library, db, state=s_init, k=k, l_max=l_max,
-                sweep=sweep, scale=scale, timeout=timeout, backend=backend,
-            )
+        outcome = encoder.plan_actions(
+            forest, table, library, db, state=s_init, k=k, l_max=l_max,
+            sweep=sweep, scale=scale, timeout=timeout, solver=solver,
+        )
     except (PlanningError, SearchError, BackendError, WcnfError) as exc:
         raise CliError(str(exc)) from None
 
@@ -851,10 +738,10 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k, scale
     try:
         sas = build_sas(s_init, db, k, sim, table, library, forest=forest)
         instance, varmap = encode(sas, makespan, scale)
+    except NoGoalsError:
+        click.echo("no goal states for this instance; nothing to encode", err=True)
+        ctx.exit(EXIT_UNSOLVABLE)
     except PlanningError as exc:
-        if "no goal states" in str(exc):
-            click.echo("no goal states for this instance; nothing to encode", err=True)
-            ctx.exit(EXIT_UNSOLVABLE)
         raise CliError(str(exc)) from None
     try:
         wcnf_write(instance, out_path)

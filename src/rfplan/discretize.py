@@ -136,10 +136,6 @@ def state_proba(forest: RandomForest, table: PartitionTable, s: Sequence[int], c
     return forest.class_proba(representative(table, s), c)
 
 
-def state_label(forest: RandomForest, table: PartitionTable, s: Sequence[int]) -> Label:
-    return forest.predict(representative(table, s))
-
-
 def enumerate_states(table: PartitionTable, cap: int | None = None) -> Iterator[State]:
     """All states in lexicographic order; refuses to run past ``cap`` states."""
     total = table.state_count

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import maxsat
 from .discretize import PartitionTable, State, StateEvaluator, check_state, to_state
@@ -48,6 +49,10 @@ TIMEOUT = "timeout"
 
 class PlanningError(ValueError):
     """Unplannable request or ill-formed planning inputs."""
+
+
+class NoGoalsError(PlanningError):
+    """No stored neighbor (or fallback search) supplies a goal state."""
 
 
 class EncodingBug(RuntimeError):
@@ -289,14 +294,6 @@ def check_plan(plan: Plan, sas: SasProblem) -> None:
         raise EncodingBug(f"plan cost {plan.cost} != sum of action costs {total}")
 
 
-def validate_plan(plan: Plan, sas: SasProblem) -> bool:
-    try:
-        check_plan(plan, sas)
-    except EncodingBug:
-        return False
-    return True
-
-
 def build_sas(
     s_init: State,
     db: GoalDatabase,
@@ -323,7 +320,7 @@ def build_sas(
         if entry.found:
             goals = [entry.goal]
     if not goals:
-        raise PlanningError(
+        raise NoGoalsError(
             f"no goal states available for {s_init}: no usable stored neighbor"
             + ("" if fallback_search else " and fallback search disabled")
         )
@@ -373,7 +370,7 @@ def plan_actions(
     sim_weights: SimilarityWeights | None = None,
     scale: int = DEFAULT_SCALE,
     timeout: float | None = None,
-    backend: str | None = None,
+    solver: Callable[..., SolveResult] | None = None,
     fallback_search: bool = True,
 ) -> PlanOutcome:
     """Full online pipeline for one instance.
@@ -382,6 +379,10 @@ def plan_actions(
     yields the cost-minimal plan at that makespan.  With ``sweep`` the
     remaining makespans are solved too and the cheapest plan overall is
     kept (optimal cost can only improve with more steps).
+
+    Each encoding is solved by ``solver(instance, timeout=seconds_left)``,
+    which returns a SolveResult; ``None`` means ``maxsat.solve`` with the
+    default kernel.  ``timeout`` bounds all solves together.
     """
     if (x is None) == (state is None):
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")
@@ -409,12 +410,10 @@ def plan_actions(
             s_init, db, k, sim_weights, table, library,
             forest=forest, fallback_search=fallback_search,
         )
-    except PlanningError as exc:
-        if "no goal states available" in str(exc):
-            return PlanOutcome(
-                status=UNSOLVABLE, plan=None, s_init=s_init, goals=(), attempts=()
-            )
-        raise
+    except NoGoalsError:
+        return PlanOutcome(status=UNSOLVABLE, plan=None, s_init=s_init, goals=(), attempts=())
+    # looked up per call, not bound as a default, so a rebound maxsat.solve is used
+    solve = solver if solver is not None else maxsat.solve
 
     deadline = time.perf_counter() + timeout if timeout else None
     attempts: list[PlanAttempt] = []
@@ -427,7 +426,7 @@ def plan_actions(
                 attempts.append(PlanAttempt(L=L, status="timeout", cost=None))
                 break
         instance, varmap = encode(sas, L, scale=scale)
-        result = maxsat.solve(instance, timeout=budget, backend=backend)
+        result = solve(instance, timeout=budget)
         if result.status == maxsat.HARD_UNSAT:
             attempts.append(PlanAttempt(L=L, status="unsat", cost=None))
             continue

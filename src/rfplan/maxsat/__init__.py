@@ -4,18 +4,23 @@
 falls back to the pure-Python reference otherwise.  The environment
 variable ``RFPLAN_MAXSAT`` forces a backend (``pure`` or ``compiled``).
 Both kernels implement the identical algorithm and must return identical
-results; the test suite checks them against each other.
+results; the test suite checks them against each other.  ``solve_external``
+runs a third-party solver process instead and checks its answer.
 """
 
 from __future__ import annotations
 
 import os
+import shlex
+import subprocess
+import tempfile
 
-from .io import wcnf_read, wcnf_write  # noqa: F401
+from .io import read_solver_output, wcnf_read, wcnf_write  # noqa: F401
 from .model import (  # noqa: F401
     HARD_UNSAT,
     OPTIMAL,
     TIMEOUT,
+    BackendError,
     SolveResult,
     WcnfError,
     WcnfInstance,
@@ -30,9 +35,8 @@ except ImportError:  # extension not built; pure fallback
 
 _STATUS = {0: OPTIMAL, 1: HARD_UNSAT, 2: TIMEOUT}
 
-
-class BackendError(RuntimeError):
-    """Requested solver backend is not available."""
+# SAT-competition exit codes: 10 satisfiable, 20 unsatisfiable, 30 optimum
+_EXTERNAL_EXIT_CODES = (0, 10, 20, 30)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -77,3 +81,38 @@ def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | N
             f"reported cost {cost}, recomputed {true_cost})"
         )
     return SolveResult(status=status, cost=cost, assignment=assignment, nodes=nodes, backend=name)
+
+
+def solve_external(instance: WcnfInstance, command: str, timeout: float | None = None) -> SolveResult:
+    """Solve with an external Max-SAT solver process.
+
+    ``command`` is split shell-style and the path of a temporary WCNF file
+    is appended as its last argument.  The process is killed after
+    ``timeout`` seconds, which reports ``timeout``.  An exit code other
+    than 0/10/20/30 raises BackendError; the printed answer is read and
+    checked by ``read_solver_output``.
+    """
+    argv = shlex.split(command)
+    if not argv:
+        raise BackendError("external solver command is empty")
+    with tempfile.TemporaryDirectory(prefix="rfplan-wcnf-") as tmp:
+        path = os.path.join(tmp, "instance.wcnf")
+        wcnf_write(instance, path)
+        try:
+            proc = subprocess.run(
+                argv + [path], capture_output=True, text=True, timeout=timeout or None
+            )
+        except subprocess.TimeoutExpired:
+            return SolveResult(status=TIMEOUT, cost=None, assignment=None, nodes=0,
+                               backend="external")
+        except FileNotFoundError:
+            raise BackendError(f"external solver not found: {argv[0]!r}") from None
+        except OSError as exc:
+            raise BackendError(f"cannot run external solver: {exc}") from None
+    if proc.returncode not in _EXTERNAL_EXIT_CODES:
+        tail = proc.stderr.strip()[-500:]
+        raise BackendError(
+            f"external solver exited with code {proc.returncode}"
+            + (f"; stderr ends: {tail}" if tail else "")
+        )
+    return read_solver_output(proc.stdout, instance)

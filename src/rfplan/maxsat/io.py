@@ -1,4 +1,4 @@
-"""DIMACS WCNF reading and writing.
+"""DIMACS WCNF reading and writing, and reading a solver's answer.
 
 Format: optional comment lines (``c ...``), one header
 ``p wcnf <nvars> <nclauses> <top>``, then clauses as whitespace-separated
@@ -8,7 +8,23 @@ below top is soft; above top is an error, as is weight 0.
 
 from __future__ import annotations
 
-from .model import WcnfError, WcnfInstance
+from .model import (
+    HARD_UNSAT,
+    OPTIMAL,
+    TIMEOUT,
+    BackendError,
+    SolveResult,
+    WcnfError,
+    WcnfInstance,
+)
+
+# first word of the `s` line; only OPTIMUM proves the model cost-minimal
+_SOLVER_STATUS = {
+    "OPTIMUM": OPTIMAL,
+    "UNSATISFIABLE": HARD_UNSAT,
+    "SATISFIABLE": TIMEOUT,
+    "UNKNOWN": TIMEOUT,
+}
 
 
 def wcnf_write(instance: WcnfInstance, path) -> None:
@@ -88,3 +104,68 @@ def wcnf_read(path) -> WcnfInstance:
     if found != nclauses:
         raise WcnfError(f"{path}: header declares {nclauses} clauses, found {found}")
     return WcnfInstance.build(nvars=nvars, hard=hard, soft=soft)
+
+
+def read_solver_output(text: str, instance: WcnfInstance) -> SolveResult:
+    """Parse a Max-SAT solver's ``s``/``o``/``v`` lines and check its model.
+
+    ``s OPTIMUM FOUND`` maps to ``optimal`` and ``s UNSATISFIABLE`` to
+    ``hard_unsat``.  ``SATISFIABLE`` and ``UNKNOWN`` prove no minimum and
+    map to ``timeout``, carrying the printed model, if any, as the
+    incumbent.  The model may be literals (``v 1 -2 3``) or one bit string
+    (``v 101``).  Malformed output raises WcnfError; a model that falsifies
+    a hard clause, or whose ``o`` value differs from its recomputed cost,
+    raises BackendError.
+    """
+    status_word = None
+    cost = None
+    vtokens: list[str] = []
+    for raw in text.splitlines():
+        tag, _, rest = raw.strip().partition(" ")
+        if tag == "s":
+            status_word = (rest.split() or [""])[0]
+        elif tag == "o":
+            tok = rest.split()
+            if tok:
+                try:
+                    cost = int(tok[0])
+                except ValueError:
+                    raise WcnfError(f"bad objective line from solver: {raw!r}") from None
+        elif tag == "v":
+            vtokens.extend(rest.split())
+    if status_word is None:
+        raise WcnfError("solver printed no status (`s ...`) line")
+    status = _SOLVER_STATUS.get(status_word)
+    if status is None:
+        raise WcnfError(f"unrecognised solver status {status_word!r}")
+    if status == HARD_UNSAT or not vtokens:
+        if status == OPTIMAL:
+            raise WcnfError("solver reported an optimum but printed no `v` line")
+        return SolveResult(status=status, cost=None, assignment=None, nodes=0, backend="external")
+    assignment = _read_model(vtokens, instance.nvars)
+    hard_ok, true_cost = instance.check(assignment)
+    if not hard_ok:
+        raise BackendError("solver model falsifies a hard clause")
+    if cost is not None and cost != true_cost:
+        raise BackendError(f"solver objective {cost} disagrees with its model's cost {true_cost}")
+    return SolveResult(
+        status=status, cost=true_cost, assignment=assignment, nodes=0, backend="external"
+    )
+
+
+def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:
+    assignment = [False] * (nvars + 1)
+    if len(tokens) == 1 and set(tokens[0]) <= {"0", "1"} and len(tokens[0]) >= nvars:
+        for v, ch in enumerate(tokens[0][:nvars], start=1):
+            assignment[v] = ch == "1"
+        return tuple(assignment)
+    for tok in tokens:
+        try:
+            lit = int(tok)
+        except ValueError:
+            raise WcnfError(f"bad literal {tok!r} in solver model") from None
+        if abs(lit) > nvars:
+            raise WcnfError(f"solver model names variable {abs(lit)}, instance has {nvars}")
+        if lit:
+            assignment[abs(lit)] = lit > 0
+    return tuple(assignment)

@@ -18,7 +18,11 @@ TIMEOUT = "timeout"
 
 
 class WcnfError(ValueError):
-    """Ill-formed clause, weight, or WCNF file."""
+    """Ill-formed clause, weight, WCNF file, or solver output."""
+
+
+class BackendError(RuntimeError):
+    """A solver backend is unavailable, failed, or returned a model that does not check."""
 
 
 def _normalize_clause(lits: Iterable[int], nvars: int, what: str) -> tuple[int, ...] | None:

@@ -379,28 +379,6 @@ def db_restore(path) -> GoalDatabase:
     return GoalDatabase(fingerprint=header["fingerprint"], params=params, entries=entries)
 
 
-def db_merge(a: GoalDatabase, b: GoalDatabase) -> GoalDatabase:
-    """Union of two databases over the same model and parameters.
-
-    A state present in both keeps the lower-cost entry; an absent goal
-    counts as infinite cost.
-    """
-    if a.fingerprint != b.fingerprint:
-        raise SearchError("cannot merge databases built from different models")
-    if a.params != b.params:
-        raise SearchError("cannot merge databases built with different search params")
-
-    def rank(e: PreferredGoalEntry) -> float:
-        return e.cost if e.cost is not None else math.inf
-
-    entries = dict(a.entries)
-    for s, e in b.entries.items():
-        cur = entries.get(s)
-        if cur is None or rank(e) < rank(cur):
-            entries[s] = e
-    return GoalDatabase(fingerprint=a.fingerprint, params=a.params, entries=entries)
-
-
 def check_pairing(db: GoalDatabase, forest: RandomForest) -> None:
     """Reject a database that was built from a different model."""
     fp = forest_mod.fingerprint(forest)
@@ -427,7 +405,6 @@ __all__ = [
     "preprocess",
     "db_persist",
     "db_restore",
-    "db_merge",
     "check_pairing",
     "enumerate_states",
 ]

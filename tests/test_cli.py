@@ -12,6 +12,7 @@ import os
 import re
 import stat
 import sys
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from conftest import DATA
 from rfplan.cli import main
 from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split, fingerprint, persist, restore
 from rfplan.maxsat import wcnf_read
-from rfplan.offline import db_restore
+from rfplan.offline import GoalDatabase, db_persist, db_restore
 
 
 def run(args):
@@ -410,37 +411,92 @@ def test_export_wcnf_without_goals_exits_two(hardws, tmp_path):
 
 SOLVER_STUB = """\
 import sys
+import time
 sys.path.insert(0, {src!r})
-from rfplan.maxsat import OPTIMAL, solve, wcnf_read
+from rfplan.maxsat import HARD_UNSAT, OPTIMAL, solve, wcnf_read
 
-inst = wcnf_read(sys.argv[1])
+mode = sys.argv[1:-1]  # optional misbehaviour, before the WCNF path
+if "sleep" in mode:
+    time.sleep(30)
+if "crash" in mode:
+    print("solver ran out of memory", file=sys.stderr)
+    sys.exit(1)
+inst = wcnf_read(sys.argv[-1])
 res = solve(inst)
 if res.status == OPTIMAL:
     print("s OPTIMUM FOUND")
     print("o", res.cost)
     lits = [v if res.assignment[v] else -v for v in range(1, inst.nvars + 1)]
     print("v", " ".join(str(l) for l in lits))
+elif res.status == HARD_UNSAT:
+    print("s UNSATISFIABLE")
 else:
     print("s UNKNOWN")
 """
 
 
-def test_external_solver_matches_internal_plan(ws, tmp_path):
+def _stub_command(tmp_path, mode=""):
+    """Command line running SOLVER_STUB, optionally in a misbehaving mode."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     stub = tmp_path / "solver.py"
     stub.write_text(SOLVER_STUB.format(src=src))
     stub.chmod(stub.stat().st_mode | stat.S_IXUSR)
-    base = ["plan", "--model", ws["model"], "--db", ws["db"],
-            "--state", "0,0,0", "--l-max", 1, "--json"]
-    rv, out, _ = run(base)
-    assert rv == 0
-    internal = json.loads(out)
-    rv, out, _ = run(base + ["--external-solver", f"{sys.executable} {stub}"])
-    assert rv == 0
-    external = json.loads(out)
-    assert external["status"] == "solved"
-    assert external["cost"] == internal["cost"]
-    assert external["steps"] == internal["steps"]
+    return f"{sys.executable} {stub} {mode}".rstrip()
+
+
+def test_external_solver_matches_internal_plan(ws, tmp_path):
+    cmd = _stub_command(tmp_path)
+    for extra in (["--l-max", 1], ["--l-max", 2, "--sweep"]):
+        base = ["plan", "--model", ws["model"], "--db", ws["db"],
+                "--state", "0,0,0", "--json", *extra]
+        rv, out, _ = run(base)
+        assert rv == 0
+        internal = json.loads(out)
+        rv, out, _ = run(base + ["--external-solver", cmd])
+        assert rv == 0
+        external = json.loads(out)
+        assert external["status"] == "solved"
+        assert external == internal
+
+
+def test_external_solver_agrees_on_goal_states_missing_from_db(ws, tmp_path):
+    # a database without the goal states' own entries, as `--states data` can
+    # leave: the neighbors' goals lie elsewhere, yet a goal state needs no plan
+    gdb = ws["gdb"]
+    goal_states = sorted(s for s, e in gdb.entries.items() if e.goal == s)
+    assert goal_states
+    partial = GoalDatabase(
+        fingerprint=gdb.fingerprint, params=gdb.params,
+        entries={s: e for s, e in gdb.entries.items() if e.goal != s},
+    )
+    db = tmp_path / "partial.jsonl"
+    db_persist(partial, str(db))
+    cmd = _stub_command(tmp_path)
+    for s in goal_states:
+        base = ["plan", "--model", ws["model"], "--db", db,
+                "--state", ",".join(map(str, s)), "--json"]
+        rv, out, _ = run(base)
+        assert rv == 0
+        internal = json.loads(out)
+        rv, out, _ = run(base + ["--external-solver", cmd])
+        assert rv == 0
+        external = json.loads(out)
+        assert internal["status"] == "already_goal" and internal["cost"] == 0
+        assert external == internal, s
+
+
+@pytest.mark.parametrize("mode, extra, code, message", [
+    ("sleep", ["--timeout", 1], 4, "no plan within the time budget"),
+    ("crash", [], 3, "exited with code 1; stderr ends: solver ran out of memory"),
+    ("", ["--backend", "pure"], 3, "cannot be combined with --external-solver"),
+], ids=["timeout", "exit-code", "with-backend"])
+def test_external_solver_failures(ws, tmp_path, mode, extra, code, message):
+    t0 = time.perf_counter()
+    rv, out, err = run(["plan", "--model", ws["model"], "--db", ws["db"], "--state", "0,0,0",
+                        "--external-solver", _stub_command(tmp_path, mode), *extra])
+    assert rv == code
+    assert message in err
+    assert time.perf_counter() - t0 < 10, "the solver process outlived its budget"
 
 
 def test_external_solver_not_found(ws):

@@ -11,7 +11,6 @@ from rfplan.discretize import (
     check_state,
     enumerate_states,
     representative,
-    state_label,
     state_proba,
     to_state,
 )
@@ -128,8 +127,6 @@ def test_partition_soundness_toy(toy_forest, toy_table):
 def test_state_proba_and_label(toy_forest, toy_table):
     assert state_proba(toy_forest, toy_table, (0, 1, 2), 1) == 1.0
     assert state_proba(toy_forest, toy_table, (0, 0, 0), 1) == 0.0
-    assert state_label(toy_forest, toy_table, (0, 1, 2)) == 1
-    assert state_label(toy_forest, toy_table, (0, 0, 0)) == 0
 
 
 def test_state_evaluator_matches_direct(toy_forest, toy_table):

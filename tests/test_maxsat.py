@@ -15,6 +15,7 @@ from rfplan.maxsat import (
     WcnfInstance,
     available_backends,
     default_backend,
+    read_solver_output,
     solve,
     wcnf_read,
     wcnf_write,
@@ -268,3 +269,46 @@ def test_wcnf_read_multiline_clause(tmp_path):
     text = "p wcnf 3 1 5\n4 1\n2 -3 0\n"
     inst = wcnf_read(_read_text(tmp_path, text))
     assert inst.soft == ((4, (1, 2, -3)),)
+
+
+# ---------------------------------------------------------------------------
+# external solver answers
+
+
+def _answer_instance():
+    # x1 or x2; falsifying -x1 costs 3, -x2 costs 1: the optimum sets only x2
+    return WcnfInstance.build(nvars=2, hard=[[1, 2]], soft=[(3, [-1]), (1, [-2])])
+
+
+@pytest.mark.parametrize(
+    "text,status,cost,assignment",
+    [
+        ("c log line\ns OPTIMUM FOUND\no 1\nv -1 2\n", OPTIMAL, 1, (False, False, True)),
+        ("s OPTIMUM FOUND\nv 01\n", OPTIMAL, 1, (False, False, True)),
+        ("o 3\ns SATISFIABLE\nv 1 -2\n", TIMEOUT, 3, (False, True, False)),
+        ("s UNSATISFIABLE\n", HARD_UNSAT, None, None),
+        ("s UNKNOWN\n", TIMEOUT, None, None),
+    ],
+    ids=["optimum", "bit-string", "satisfiable-is-not-optimal", "unsat", "unknown"],
+)
+def test_read_solver_output(text, status, cost, assignment):
+    res = read_solver_output(text, _answer_instance())
+    assert (res.status, res.cost, res.assignment) == (status, cost, assignment)
+    assert res.backend == "external"
+
+
+@pytest.mark.parametrize(
+    "text,error,needle",
+    [
+        ("s OPTIMUM FOUND\nv 1 -3\n", WcnfError, "names variable 3, instance has 2"),
+        ("s OPTIMUM FOUND\nv -1 -2\n", BackendError, "falsifies a hard clause"),
+        ("s OPTIMUM FOUND\no 0\nv -1 2\n", BackendError, "objective 0 disagrees"),
+        ("s SATISFIABLE\no 1\nv 1 2\n", BackendError, "objective 1 disagrees"),
+        ("o 1\nv -1 2\n", WcnfError, "no status"),
+        ("s OPTIMUM FOUND\no 1\n", WcnfError, "no `v` line"),
+        ("s DONE\n", WcnfError, "unrecognised solver status"),
+    ],
+)
+def test_read_solver_output_rejects(text, error, needle):
+    with pytest.raises(error, match=needle):
+        read_solver_output(text, _answer_instance())

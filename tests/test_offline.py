@@ -16,7 +16,6 @@ from rfplan.offline import (
     SearchError,
     SearchParams,
     check_pairing,
-    db_merge,
     db_persist,
     db_restore,
     find_preferred_goal,
@@ -224,47 +223,6 @@ def test_db_roundtrip(toy_db, tmp_path):
 def test_db_get_accepts_lists(toy_db):
     assert toy_db.get([0, 1, 2]) is not None
     assert toy_db.get((9, 9, 9)) is None
-
-
-def _entry(s, goal, cost, status=PROVED_EXHAUSTED):
-    return PreferredGoalEntry(initial=s, goal=goal, cost=cost, expansions=1, status=status)
-
-
-def test_db_merge_keeps_cheaper(toy_params):
-    a = GoalDatabase(
-        fingerprint="fp",
-        params=toy_params,
-        entries={
-            (0,): _entry((0,), (1,), 5.0),
-            (1,): _entry((1,), None, None, status=NO_GOAL),
-        },
-    )
-    b = GoalDatabase(
-        fingerprint="fp",
-        params=toy_params,
-        entries={
-            (0,): _entry((0,), (2,), 3.0),
-            (1,): _entry((1,), (2,), 7.0),
-            (2,): _entry((2,), (3,), 1.0),
-        },
-    )
-    merged = db_merge(a, b)
-    assert merged.entries[(0,)].cost == 3.0
-    assert merged.entries[(1,)].cost == 7.0, "a found goal beats a no_goal entry"
-    assert merged.entries[(2,)].cost == 1.0
-    assert db_merge(b, a).entries == merged.entries
-
-
-def test_db_merge_rejects_mismatches(toy_params):
-    a = GoalDatabase(fingerprint="fp1", params=toy_params, entries={})
-    b = GoalDatabase(fingerprint="fp2", params=toy_params, entries={})
-    with pytest.raises(SearchError, match="different models"):
-        db_merge(a, b)
-    c = GoalDatabase(
-        fingerprint="fp1", params=SearchParams(target=1, z=0.6), entries={}
-    )
-    with pytest.raises(SearchError, match="different search params"):
-        db_merge(a, c)
 
 
 def test_check_pairing(toy_db, toy_forest):
