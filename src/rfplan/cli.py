@@ -333,8 +333,10 @@ def _render_plan(outcome: encoder.PlanOutcome, forest, table, target) -> None:
         click.echo(f"status: {outcome.status}")
         return
     plan = outcome.plan
+    unproven = " (time ran out: not proven cheapest)" if outcome.status == encoder.TIMEOUT else ""
     click.echo(
         f"plan: cost {plan.cost:g}, {plan.makespan} step(s), {plan.n_actions} action(s)"
+        + unproven
     )
     for i, step in enumerate(plan.steps, start=1):
         click.echo(f"  step {i}: " + ", ".join(a.id for a in step))
@@ -343,11 +345,14 @@ def _render_plan(outcome: encoder.PlanOutcome, forest, table, target) -> None:
     click.echo(f"status: {outcome.status}")
 
 
-def _exit_for_outcome(ctx, status: str) -> None:
-    if status in (encoder.SOLVED, encoder.ALREADY_GOAL):
+def _exit_for_outcome(ctx, outcome: encoder.PlanOutcome) -> None:
+    if outcome.solved:
         return
-    if status == encoder.TIMEOUT:
-        click.echo("no plan within the time budget", err=True)
+    if outcome.status == encoder.TIMEOUT:
+        if outcome.plan is None:
+            click.echo("no plan within the time budget", err=True)
+        else:
+            click.echo("time budget ran out; the plan found is not proven cheapest", err=True)
         ctx.exit(EXIT_TIMEOUT)
     click.echo("no plan exists for this instance", err=True)
     ctx.exit(EXIT_UNSOLVABLE)
@@ -584,7 +589,7 @@ def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
         _echo_json(_plan_payload(outcome, forest, table, target))
     else:
         _render_plan(outcome, forest, table, target)
-    _exit_for_outcome(ctx, outcome.status)
+    _exit_for_outcome(ctx, outcome)
 
 
 # ---------------------------------------------------------------------------

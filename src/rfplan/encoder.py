@@ -341,7 +341,7 @@ def build_sas(
 class PlanAttempt:
     L: int
     status: str  # "sat" | "unsat" | "timeout"
-    cost: float | None
+    cost: float | None  # on "timeout", the checked incumbent's cost, if any
 
 
 @dataclass(frozen=True)
@@ -382,7 +382,11 @@ def plan_actions(
 
     Each encoding is solved by ``solver(instance, timeout=seconds_left)``,
     which returns a SolveResult; ``None`` means ``maxsat.solve`` with the
-    default kernel.  ``timeout`` bounds all solves together.
+    default kernel.  ``timeout`` bounds all solves together.  When it runs
+    out the status is ``timeout``, never ``solved``, and the plan is the
+    cheapest one found so far (the solver's checked incumbent or an earlier
+    makespan's optimum), which is not proven cheapest; it is None when no
+    plan was found in time.
     """
     if (x is None) == (state is None):
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")
@@ -430,7 +434,8 @@ def plan_actions(
         if result.status == maxsat.HARD_UNSAT:
             attempts.append(PlanAttempt(L=L, status="unsat", cost=None))
             continue
-        if result.status == maxsat.TIMEOUT:
+        timed_out = result.status == maxsat.TIMEOUT
+        if result.assignment is None:  # a timeout before any incumbent
             attempts.append(PlanAttempt(L=L, status="timeout", cost=None))
             break
         plan = decode(result.assignment, varmap, sas)
@@ -444,24 +449,17 @@ def plan_actions(
             raise EncodingBug(
                 f"decoded plan weighs {scaled}, solver reported {result.cost}"
             )
-        attempts.append(PlanAttempt(L=L, status="sat", cost=plan.cost))
+        attempts.append(PlanAttempt(L=L, status="timeout" if timed_out else "sat",
+                                    cost=plan.cost))
         if best is None or plan.cost < best.cost:
             best = plan
-        if not sweep:
+        if timed_out or not sweep:
             break
 
-    if best is not None:
-        return PlanOutcome(
-            status=SOLVED,
-            plan=best,
-            s_init=s_init,
-            goals=sas.goals,
-            attempts=tuple(attempts),
-        )
-    if attempts and attempts[-1].status == "timeout":
-        return PlanOutcome(
-            status=TIMEOUT, plan=None, s_init=s_init, goals=sas.goals, attempts=tuple(attempts)
-        )
+    if any(a.status == "timeout" for a in attempts):
+        status = TIMEOUT
+    else:
+        status = SOLVED if best is not None else UNSOLVABLE
     return PlanOutcome(
-        status=UNSOLVABLE, plan=None, s_init=s_init, goals=sas.goals, attempts=tuple(attempts)
+        status=status, plan=best, s_init=s_init, goals=sas.goals, attempts=tuple(attempts)
     )

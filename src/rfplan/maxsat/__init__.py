@@ -56,8 +56,8 @@ def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | N
     """Minimize falsified soft weight subject to the hard clauses.
 
     Returns an optimal model, ``hard_unsat``, or on timeout the best
-    incumbent found.  Optimal models are re-checked against the clause
-    set before being returned.
+    incumbent found.  Every model is re-checked against the clause set
+    before being returned; one that fails raises BackendError.
     """
     name = backend or default_backend()
     if name not in available_backends():
@@ -75,8 +75,8 @@ def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | N
         return SolveResult(status=status, cost=None, assignment=None, nodes=nodes, backend=name)
     assignment = tuple(bool(b) for b in assign_bytes)
     hard_ok, true_cost = instance.check(assignment)
-    if status == OPTIMAL and (not hard_ok or true_cost != cost):
-        raise RuntimeError(
+    if not hard_ok or true_cost != cost:
+        raise BackendError(
             f"solver returned an inconsistent model (hard_ok={hard_ok}, "
             f"reported cost {cost}, recomputed {true_cost})"
         )

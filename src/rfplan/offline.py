@@ -2,11 +2,14 @@
 
 For each start state an anytime best-first search over the action graph
 looks for the cheapest state whose target-class vote share reaches the
-threshold z.  The admissible-when-alpha-is-small heuristic is
-alpha * (z - p); goal states are recorded but never expanded.  The search
-stops once the closed list has grown by more than ``patience`` states
-since the last goal improvement, when the expansion budget is exhausted,
-or when the frontier empties (which proves the best goal exact).
+threshold z.  Its heuristic is alpha * (z - p), which need not be
+consistent (the default alpha is the mean action cost), so the search
+keeps one cost label per state and puts an already expanded state back
+on the frontier whenever a cheaper route reaches it.  Goal states are
+recorded but never expanded.  The search stops when the frontier empties,
+which proves the stored cost optimal for every alpha; when more than
+``patience`` expansions pass without a cheaper goal; or when the
+expansion budget is exhausted.  Re-expansions count as expansions.
 
 Results are stored in a goal database keyed by start state and stamped
 with the model fingerprint so stale pairings are rejected.
@@ -45,9 +48,12 @@ class SearchParams:
     """Offline search knobs.
 
     ``alpha`` scales the heuristic and may be the string ``"auto"``,
-    which resolves to the mean action cost of the library in use.
+    which resolves to the mean action cost of the library in use.  Any
+    alpha is safe for the ``proved_exhausted`` status, since expanded
+    states reopen; a smaller alpha only makes the search less directed.
     ``patience`` is the number of expansions tolerated past the last goal
-    improvement; ``node_budget`` caps total expansions.
+    improvement; ``node_budget`` caps total expansions.  Both count
+    re-expansions of reopened states, as does the entry's ``expansions``.
     """
 
     target: Label
@@ -151,9 +157,9 @@ def find_preferred_goal(
     best_goal: State | None = None
     best_cost = math.inf
     best_path: tuple[Action, ...] = ()
+    expansions = 0
     expansions_at_goal = 0
 
-    closed: set[State] = set()
     best_g: dict[State, float] = {s_init: 0.0}
     parent: dict[State, tuple[State, Action]] = {}
     p0 = evaluator.proba(s_init)
@@ -161,8 +167,6 @@ def find_preferred_goal(
     status = PROVED_EXHAUSTED
 
     def path_to(s: State) -> tuple[Action, ...]:
-        # valid at pop time: every ancestor on the chain is closed, so its
-        # parent link can no longer change
         steps: list[Action] = []
         while s != s_init:
             prev, action = parent[s]
@@ -173,40 +177,41 @@ def find_preferred_goal(
 
     while heap:
         f, g, s = heapq.heappop(heap)
-        if s in closed or g > best_g.get(s, math.inf):
-            continue
+        if g > best_g[s]:
+            continue  # stale: a cheaper route to s was pushed since
         p = evaluator.proba(s)
         if p >= z and g < best_cost:
-            best_goal, best_cost = s, g
-            best_path = path_to(s)
-            expansions_at_goal = len(closed)
-        if len(closed) - expansions_at_goal > params.patience:
+            # an ancestor reopened after s was pushed may have a cheaper
+            # parent link now, so the path can cost less than g
+            best_goal, best_path = s, path_to(s)
+            best_cost = sum((a.cost for a in best_path), 0.0)
+            expansions_at_goal = expansions
+        if expansions - expansions_at_goal > params.patience:
             status = PATIENCE_STOP
             break
         if p >= z:
             continue  # goal states are recorded, never expanded
-        closed.add(s)
-        if len(closed) > params.node_budget:
+        expansions += 1
+        if expansions > params.node_budget:
             status = BUDGET_STOP
             break
         for action, s2, w in neighbors(s, library):
             g2 = g + w
-            if s2 in closed or g2 >= best_g.get(s2, math.inf):
-                continue
-            best_g[s2] = g2
-            parent[s2] = (s, action)
-            p2 = evaluator.proba(s2)
-            heapq.heappush(heap, (g2 + heuristic(p2, z, alpha), g2, s2))
+            if g2 < best_g.get(s2, math.inf):
+                best_g[s2] = g2
+                parent[s2] = (s, action)
+                p2 = evaluator.proba(s2)
+                heapq.heappush(heap, (g2 + heuristic(p2, z, alpha), g2, s2))
 
     if best_goal is None:
         return PreferredGoalEntry(
-            initial=s_init, goal=None, cost=None, expansions=len(closed), status=NO_GOAL
+            initial=s_init, goal=None, cost=None, expansions=expansions, status=NO_GOAL
         )
     return PreferredGoalEntry(
         initial=s_init,
         goal=best_goal,
         cost=best_cost,
-        expansions=len(closed),
+        expansions=expansions,
         status=status,
         path=best_path,
     )
@@ -230,24 +235,12 @@ class GoalDatabase:
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(forest_doc: dict, thresholds, actions_doc, params_doc: dict):
-    forest = forest_mod.forest_from_dict(forest_doc)
-    table = PartitionTable(features=forest.features, thresholds=thresholds)
-    from .sas_core import Transition
-
-    actions = tuple(
-        Action(
-            id=a["id"],
-            cost=a["cost"],
-            transitions=tuple(Transition(t[0], t[1], t[2]) for t in a["transitions"]),
-        )
-        for a in actions_doc
+def _worker_init(library: ActionLibrary, forest: RandomForest, table: PartitionTable,
+                 params: SearchParams):
+    _WORKER_CTX.update(
+        library=library, forest=forest, table=table, params=params,
+        evaluator=StateEvaluator(forest, table, params.target),
     )
-    _WORKER_CTX["forest"] = forest
-    _WORKER_CTX["table"] = table
-    _WORKER_CTX["library"] = ActionLibrary(actions=actions)
-    _WORKER_CTX["params"] = SearchParams.from_dict(params_doc)
-    _WORKER_CTX["evaluator"] = StateEvaluator(forest, table, _WORKER_CTX["params"].target)
 
 
 def _worker_search(states: list[State]) -> list[PreferredGoalEntry]:
@@ -286,21 +279,12 @@ def preprocess(
             if on_progress:
                 on_progress(done, len(todo))
     else:
-        forest_doc = forest_mod.forest_to_dict(forest)
-        actions_doc = [
-            {
-                "id": a.id,
-                "cost": a.cost,
-                "transitions": [(t.var, t.frm, t.to) for t in a.transitions],
-            }
-            for a in library.actions
-        ]
         chunks = [todo[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(
             max_workers=len(chunks),
             initializer=_worker_init,
-            initargs=(forest_doc, table.thresholds, actions_doc, params.to_dict()),
+            initargs=(library, forest, table, params),
         ) as pool:
             for batch in pool.map(_worker_search, chunks):
                 for entry in batch:

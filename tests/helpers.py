@@ -24,9 +24,19 @@ from rfplan.forest import (
     Leaf,
     RandomForest,
     Split,
+    TrainParams,
+    train_forest,
 )
 from rfplan.maxsat.model import WcnfInstance
-from rfplan.sas_core import Action, ActionLibrary, Transition, action_mutex, simulate_step
+from rfplan.sas_core import (
+    Action,
+    ActionLibrary,
+    CostModel,
+    Transition,
+    action_mutex,
+    default_action_library,
+    simulate_step,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +123,26 @@ def random_soft_forest(seed, m_range=(3, 5), cells_max=5, state_cap=150,
 
 def random_state(rng, table):
     return tuple(rng.randrange(n) for n in table.sizes)
+
+
+def baseline_model():
+    """The benchmark's baseline model: (forest, table, library).
+
+    Four integer features in 0..9, 1500 rows from ``default_rng(0)``
+    labelled ``x0 + x1 - x2 + N(0, 2) > 8``; 20 trees of depth 3, an
+    8x8x7x5 grid and 174 actions priced by ``CostModel.random`` with
+    ``default_rng(1)`` over [1, 100].
+    """
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 10, size=(1500, 4))
+    y = x[:, 0] + x[:, 1] - x[:, 2] + rng.normal(0.0, 2.0, 1500) > 8
+    features = [FeatureMeta(f"x{i}", NUMERICAL) for i in range(4)]
+    rows = [tuple(float(v) for v in row) for row in x]
+    forest = train_forest(features, rows, [int(v) for v in y],
+                          TrainParams(n_trees=20, max_depth=3, rng_seed=0))
+    table = build_partitions(forest)
+    cost = CostModel.random(4, np.random.default_rng(1), 1, 100)
+    return forest, table, default_action_library(table, cost)
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,8 @@ if "crash" in mode:
 inst = wcnf_read(sys.argv[-1])
 res = solve(inst)
 if res.status == OPTIMAL:
-    print("s OPTIMUM FOUND")
+    # "satisfiable": claim no optimum, as a solver stopped by its time limit
+    print("s SATISFIABLE" if "satisfiable" in mode else "s OPTIMUM FOUND")
     print("o", res.cost)
     lits = [v if res.assignment[v] else -v for v in range(1, inst.nvars + 1)]
     print("v", " ".join(str(l) for l in lits))
@@ -497,6 +498,25 @@ def test_external_solver_failures(ws, tmp_path, mode, extra, code, message):
     assert rv == code
     assert message in err
     assert time.perf_counter() - t0 < 10, "the solver process outlived its budget"
+
+
+def test_external_solver_incumbent_is_returned_unproven(ws, tmp_path):
+    base = ["plan", "--model", ws["model"], "--db", ws["db"], "--state", "0,0,0",
+            "--l-max", 2]
+    rv, out, _ = run(base + ["--json"])
+    assert rv == 0
+    internal = json.loads(out)
+    cmd = _stub_command(tmp_path, "satisfiable")
+    rv, out, err = run(base + ["--json", "--external-solver", cmd])
+    assert rv == 4
+    assert "not proven cheapest" in err
+    external = json.loads(out)
+    assert external["status"] == "timeout"
+    assert (external["cost"], external["steps"]) == (internal["cost"], internal["steps"])
+    assert external["attempts"][-1] == {**internal["attempts"][-1], "status": "timeout"}
+    rv, out, _ = run(base + ["--external-solver", cmd])
+    assert rv == 4
+    assert f"plan: cost {internal['cost']:g}" in out and "not proven cheapest" in out
 
 
 def test_external_solver_not_found(ws):

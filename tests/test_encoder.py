@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from rfplan import maxsat
 from rfplan.encoder import (
     ALREADY_GOAL,
     SOLVED,
     TIMEOUT,
     UNSOLVABLE,
     EncodingBug,
+    PlanAttempt,
     PlanningError,
     SasProblem,
     build_sas,
@@ -300,6 +304,59 @@ def test_plan_actions_timeout(toy_forest, toy_table, unit_library, toy_db):
     assert out.status == TIMEOUT
     assert out.plan is None
     assert out.attempts[-1].status == "timeout"
+
+
+def _reports_timeout(model=None, from_call=1):
+    """A solver that finds the optimum but, from call ``from_call`` on,
+    reports it as a timeout incumbent; ``model(instance)`` replaces the
+    model, and a model of None means no incumbent was found."""
+    calls = []
+
+    def solver(instance, timeout=None):
+        calls.append(instance)
+        res = solve(instance)
+        if len(calls) < from_call or res.status != maxsat.OPTIMAL:
+            return res
+        if model is not None:
+            assignment = model(instance)
+            res = dataclasses.replace(
+                res, assignment=assignment, cost=None if assignment is None else res.cost
+            )
+        return dataclasses.replace(res, status=maxsat.TIMEOUT)
+
+    return solver
+
+
+def test_plan_actions_keeps_checked_incumbent_on_timeout(
+    toy_forest, toy_table, unit_library, toy_db
+):
+    args = (toy_forest, toy_table, unit_library, toy_db)
+    exact = plan_actions(*args, state=(0, 0, 0))
+    out = plan_actions(*args, state=(0, 0, 0), solver=_reports_timeout())
+    assert out.status == TIMEOUT and not out.solved
+    assert out.plan == exact.plan
+    assert out.attempts[-1].status == "timeout"
+    assert out.attempts[-1].cost == exact.plan.cost
+    # with sweep, an earlier makespan's optimum is kept when the next solve
+    # times out without an incumbent, but it is not called solved
+    swept = plan_actions(*args, state=(0, 0, 0), sweep=True, l_max=3)
+    first = [a.status for a in swept.attempts].index("sat") + 1
+    out = plan_actions(*args, state=(0, 0, 0), sweep=True, l_max=3,
+                       solver=_reports_timeout(model=lambda inst: None, from_call=first + 1))
+    assert out.status == TIMEOUT and not out.solved
+    assert out.plan == exact.plan
+    assert out.attempts == swept.attempts[:first] + (
+        PlanAttempt(L=first + 1, status="timeout", cost=None),
+    )
+
+
+def test_plan_actions_rejects_corrupt_incumbent(toy_forest, toy_table, unit_library, toy_db):
+    def nothing_fires(instance):
+        return (False,) * (instance.nvars + 1)
+
+    with pytest.raises(EncodingBug, match="not a goal state"):
+        plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0),
+                     solver=_reports_timeout(model=nothing_fires))
 
 
 def test_plan_actions_validation(toy_forest, toy_table, unit_library, toy_db):

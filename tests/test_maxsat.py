@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import brute_force_cost, random_wcnf
+from rfplan.maxsat import _pure
 from rfplan.maxsat import (
     HARD_UNSAT,
     OPTIMAL,
@@ -140,6 +141,18 @@ def test_timeout_reports_timeout_status():
     if res.assignment is not None:
         hard_ok, cost = inst.check(res.assignment)
         assert hard_ok and cost == res.cost and cost >= full.cost
+
+
+def test_timeout_incumbent_is_rechecked(monkeypatch):
+    inst = WcnfInstance.build(nvars=2, hard=[[1, 2]], soft=[(3, [-1])])
+    # a kernel that times out with an incumbent falsifying the hard clause
+    monkeypatch.setattr(_pure, "solve_compiled", lambda *a: (2, 0, bytes([0, 0, 0]), 1))
+    with pytest.raises(BackendError, match="inconsistent model"):
+        solve(inst, backend="pure")
+    # ... or one whose reported cost is not its model's
+    monkeypatch.setattr(_pure, "solve_compiled", lambda *a: (2, 0, bytes([0, 1, 0]), 1))
+    with pytest.raises(BackendError, match="reported cost 0, recomputed 3"):
+        solve(inst, backend="pure")
 
 
 # ---------------------------------------------------------------------------

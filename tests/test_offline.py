@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import random_soft_forest
+from helpers import baseline_model, random_soft_forest
+from rfplan.baselines import oracle_plan
 from rfplan.discretize import StateError, enumerate_states
 from rfplan.forest import fingerprint
 from rfplan.offline import (
@@ -166,6 +167,20 @@ def test_exhausted_search_is_alpha_independent(toy_forest, toy_table, unit_libra
         d = find_preferred_goal(s, unit_library, toy_forest, toy_table, dijkstra)
         assert a.status == PROVED_EXHAUSTED and d.status == PROVED_EXHAUSTED
         assert (a.goal, a.cost) == (d.goal, d.cost)
+    # on the benchmark's baseline model the default alpha is inconsistent:
+    # these states reach their optimum only through a reopened state
+    forest, table, library = baseline_model()
+    for s, optimum in (((0, 4, 5, 3), 240.0), ((1, 4, 5, 3), 192.0)):
+        a = find_preferred_goal(s, library, forest, table, auto)
+        d = find_preferred_goal(s, library, forest, table, dijkstra)
+        assert oracle_plan(s, library, forest, table, auto).plan.cost == optimum
+        assert a.status == PROVED_EXHAUSTED and d.status == PROVED_EXHAUSTED
+        assert a.cost == d.cost == optimum
+        state, spent = s, 0.0
+        for action in a.path:
+            assert action.applicable(state)
+            state, spent = action.apply(state), spent + action.cost
+        assert state == a.goal and spent == a.cost
 
 
 def test_bad_state_rejected(toy_forest, toy_table, unit_library, toy_params):
