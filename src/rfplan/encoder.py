@@ -276,10 +276,9 @@ def decode(assignment: tuple[bool, ...], varmap: VarMap, sas: SasProblem) -> Pla
 
 def check_plan(plan: Plan, sas: SasProblem) -> None:
     """Raise EncodingBug unless the plan executes and reaches a goal."""
-    known = {a.id: a for a in sas.library.actions}
     for step in plan.steps:
         for a in step:
-            if known.get(a.id) != a:
+            if a not in sas.library:
                 raise EncodingBug(f"plan uses action {a.id!r} not present in the library")
     try:
         final = simulate_plan(sas.initial, plan.steps)

@@ -9,6 +9,12 @@ indices.  A transition moves one variable between values.  Three shapes:
 
 An action is a set of pairwise compatible transitions over distinct
 variables, applied simultaneously, with a positive cost.
+
+``ActionLibrary`` indexes its actions once, on construction, by the
+(variable, value) its first non-mechanical transition requires; actions
+made of mechanical transitions only sit in one always-checked list.
+``neighbors`` looks up one bucket per variable of the state, so it visits
+only the actions that can fire there instead of the whole library.
 """
 
 from __future__ import annotations
@@ -164,7 +170,16 @@ class CostModel:
 
 @dataclass(frozen=True)
 class ActionLibrary:
-    """Actions sorted by id, with unique ids."""
+    """Actions sorted by id, with unique ids.
+
+    ``__post_init__`` also builds, outside the dataclass fields (so
+    equality, hash and repr see only ``actions``), an id -> action dict and
+    the successor index ``neighbors`` reads: each action is filed under the
+    ``(var, frm)`` of its first non-mechanical transition, with its position
+    in id order, the ``(var, frm)`` pairs its other transitions require and
+    the ``(var, to)`` values it writes.  Pickling sends ``actions`` alone and
+    rebuilds both on load.
+    """
 
     actions: tuple[Action, ...]
 
@@ -175,6 +190,21 @@ class ActionLibrary:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ActionError(f"duplicate action ids: {dupes}")
         object.__setattr__(self, "actions", acts)
+        object.__setattr__(self, "_by_id", dict(zip(ids, acts)))
+        keyed: dict[tuple[int, int], list] = {}
+        always = []
+        for pos, a in enumerate(acts):
+            requires = [(t.var, t.frm) for t in a.transitions if not t.is_mechanical]
+            writes = tuple((t.var, t.to) for t in a.transitions if not t.is_prevailing)
+            if requires:
+                keyed.setdefault(requires[0], []).append((pos, a, tuple(requires[1:]), writes))
+            else:
+                always.append((pos, a, (), writes))
+        object.__setattr__(self, "_keyed", {k: tuple(v) for k, v in keyed.items()})
+        object.__setattr__(self, "_always", tuple(always))
+
+    def __reduce__(self):
+        return (ActionLibrary, (self.actions,))
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -182,11 +212,11 @@ class ActionLibrary:
     def __iter__(self):
         return iter(self.actions)
 
+    def __contains__(self, action) -> bool:
+        return isinstance(action, Action) and self._by_id.get(action.id) == action
+
     def by_id(self, action_id: str) -> Action:
-        for a in self.actions:
-            if a.id == action_id:
-                return a
-        raise KeyError(action_id)
+        return self._by_id[action_id]
 
     def mean_cost(self) -> float:
         if not self.actions:
@@ -223,11 +253,29 @@ def default_action_library(table: PartitionTable, cost: CostModel) -> ActionLibr
 
 
 def neighbors(s: State, library: ActionLibrary) -> list[tuple[Action, State, float]]:
-    """Applicable actions with their successor states and costs, in id order."""
+    """Applicable actions with their successor states and costs, in id order.
+
+    The candidates are the library's index buckets for ``s``'s values plus
+    its mechanical-only actions; each is checked on its remaining required
+    values and its successor built once.
+    """
+    keyed = library._keyed
+    candidates = list(library._always)
+    for var, value in enumerate(s):
+        bucket = keyed.get((var, value))
+        if bucket:
+            candidates += bucket
+    candidates.sort()  # positions are unique, so only they are compared
     out = []
-    for a in library.actions:
-        if a.applicable(s):
-            out.append((a, a.apply(s), a.cost))
+    for _, a, requires, writes in candidates:
+        for var, frm in requires:
+            if s[var] != frm:
+                break
+        else:
+            succ = list(s)
+            for var, to in writes:
+                succ[var] = to
+            out.append((a, tuple(succ), a.cost))
     return out
 
 

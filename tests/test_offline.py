@@ -24,7 +24,14 @@ from rfplan.offline import (
     preprocess,
     resolve_alpha,
 )
-from rfplan.sas_core import ActionLibrary, CostModel, default_action_library
+from rfplan.sas_core import (
+    WILDCARD,
+    Action,
+    ActionLibrary,
+    CostModel,
+    Transition,
+    default_action_library,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +176,7 @@ def test_exhausted_search_is_alpha_independent(toy_forest, toy_table, unit_libra
         assert (a.goal, a.cost) == (d.goal, d.cost)
     # on the benchmark's baseline model the default alpha is inconsistent:
     # these states reach their optimum only through a reopened state
+    # node counts are pinned: successor generation must not change them
     forest, table, library = baseline_model()
     for s, optimum in (((0, 4, 5, 3), 240.0), ((1, 4, 5, 3), 192.0)):
         a = find_preferred_goal(s, library, forest, table, auto)
@@ -176,6 +184,7 @@ def test_exhausted_search_is_alpha_independent(toy_forest, toy_table, unit_libra
         assert oracle_plan(s, library, forest, table, auto).plan.cost == optimum
         assert a.status == PROVED_EXHAUSTED and d.status == PROVED_EXHAUSTED
         assert a.cost == d.cost == optimum
+        assert (a.expansions, d.expansions) == (1412, 1411)
         state, spent = s, 0.0
         for action in a.path:
             assert action.applicable(state)
@@ -220,6 +229,23 @@ def test_preprocess_workers_match_serial(toy_forest, toy_table, unit_library, to
         states, unit_library, toy_forest, toy_table, toy_params, workers=2
     )
     assert parallel == toy_db
+
+
+def test_preprocess_workers_match_serial_with_mechanical_actions(
+    toy_forest, toy_table, unit_library, toy_params
+):
+    extra = (
+        Action(id="reset", transitions=(Transition(2, WILDCARD, 0),), cost=2.0),
+        Action(id="keep", transitions=(Transition(1, 1, 1), Transition(2, WILDCARD, 2)), cost=1.5),
+    )
+    library = ActionLibrary(actions=unit_library.actions + extra)
+    states = list(enumerate_states(toy_table))
+    serial = preprocess(states, library, toy_forest, toy_table, toy_params)
+    parallel = preprocess(states, library, toy_forest, toy_table, toy_params, workers=2)
+    assert parallel == serial
+    for s in states:
+        assert parallel.get(s).path == serial.get(s).path
+    assert any(a in extra for e in serial.entries.values() for a in e.path)
 
 
 # ---------------------------------------------------------------------------

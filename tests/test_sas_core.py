@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import json
+import pickle
+import random
 
 import pytest
 
+from helpers import random_sas
+from rfplan.discretize import enumerate_states
 from rfplan.sas_core import (
     WILDCARD,
     Action,
@@ -162,9 +167,66 @@ def test_neighbors_toy(unit_library):
 def test_library_lookup(unit_library):
     with pytest.raises(KeyError):
         unit_library.by_id("nope:0->1")
+    a = unit_library.by_id("visits:0->1")
+    assert a in unit_library
+    assert Action(id=a.id, transitions=a.transitions, cost=2.0) not in unit_library
+    assert "visits:0->1" not in unit_library
     with pytest.raises(ActionError, match="duplicate"):
         a = Action(id="a", transitions=(Transition(var=0, frm=0, to=1),), cost=1.0)
         ActionLibrary(actions=(a, a))
+
+
+def _scan(s, library):
+    """Reference successor generation: every action, checked one by one."""
+    return [(a, a.apply(s), a.cost) for a in library.actions if a.applicable(s)]
+
+
+# mechanical-only; mechanical plus prevailing; lowest-sorted transition
+# mechanical (keyed on its second); prevailing-only on the hard feature;
+# two regular transitions
+_EDGE_SPEC = """[
+  {"id": "reset", "cost": 2, "transitions": [{"feature": "balance", "to": 0}]},
+  {"id": "reset-both", "cost": 3, "transitions": [{"feature": "visits", "to": 0},
+                                                  {"feature": "balance", "to": 0}]},
+  {"id": "keep-visits", "cost": 1, "transitions": [{"feature": "visits", "from": 1, "to": 1},
+                                                   {"feature": "balance", "to": 2}]},
+  {"id": "bump", "cost": 4, "transitions": [{"feature": "visits", "to": 1},
+                                            {"feature": "balance", "from": 0, "to": 1}]},
+  {"id": "female-only", "cost": 1, "transitions": [{"feature": "gender", "from": "female", "to": "female"},
+                                                   {"feature": "balance", "from": 2, "to": 1}]},
+  {"id": "hard-guard", "cost": 1, "transitions": [{"feature": "gender", "from": "male", "to": "male"}]},
+  {"id": "swap", "cost": 5, "transitions": [{"feature": "visits", "from": 0, "to": 1},
+                                            {"feature": "balance", "from": 1, "to": 0}]}
+]"""
+
+
+def test_neighbors_match_full_scan(toy_table, unit_library):
+    spec = parse_action_spec(_EDGE_SPEC, toy_table)
+    assert spec.by_id("bump").transitions[0].is_mechanical
+    cases = [(unit_library, list(enumerate_states(toy_table))),
+             (spec, list(enumerate_states(toy_table)))]
+    for seed in range(50):
+        sas = random_sas(random.Random(seed), actions_max=10)
+        cases.append((sas.library, list(itertools.product(*map(range, sas.sizes)))))
+    for library, states in cases:
+        for s in states:
+            assert neighbors(s, library) == _scan(s, library), (s, library)
+    assert [(a.id, s, c) for a, s, c in neighbors((1, 0, 2), spec)] == [
+        ("female-only", (1, 0, 1), 1.0),
+        ("reset", (1, 0, 0), 2.0),
+        ("reset-both", (1, 0, 0), 3.0),
+    ]
+
+
+def test_library_index_keeps_value_semantics(toy_table):
+    spec = parse_action_spec(_EDGE_SPEC, toy_table)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec)
+    same = ActionLibrary(actions=tuple(reversed(spec.actions)))
+    assert same == spec and hash(same) == hash(spec)
+    assert repr(spec) == f"ActionLibrary(actions={spec.actions!r})"
+    for s in enumerate_states(toy_table):
+        assert neighbors(s, back) == neighbors(s, same) == neighbors(s, spec)
 
 
 # ---------------------------------------------------------------------------
