@@ -17,10 +17,15 @@ import time
 import pytest
 
 from conftest import DATA
+from rfplan.baselines import greedy_plan, oracle_plan
 from rfplan.cli import main
+from rfplan.discretize import build_partitions, enumerate_states
+from rfplan.encoder import NoGoalsError, build_sas, encode, plan_actions
 from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split, fingerprint, persist, restore
-from rfplan.maxsat import wcnf_read
-from rfplan.offline import GoalDatabase, db_persist, db_restore
+from rfplan.knn import SimilarityWeights
+from rfplan.maxsat import wcnf_read, wcnf_write
+from rfplan.offline import GoalDatabase, SearchParams, db_persist, db_restore, preprocess
+from rfplan.sas_core import load_action_spec
 
 
 def run(args):
@@ -541,8 +546,123 @@ def test_bench_writes_json_lines(ws, tmp_path):
     assert [r["kind"] for r in records] == ["settings", "instance", "instance", "summary"]
     settings, first, _, summary = records
     assert settings["n_instances"] == 2
+    assert settings["cost_seed"] == 0 and settings["beta_range"] == [1, 100]
     assert settings["model_fingerprint"] == fingerprint(restore(str(ws["model"])))
     assert first["index"] == 0
     for arm in ("planner", "greedy", "oracle"):
         assert arm in first
         assert 0 <= summary[arm]["solved"] <= summary[arm]["total"] == 2
+
+
+# action catalogs
+
+
+ACTION_SPEC = [
+    *({"id": f"visits+{i}", "cost": 11 + i, "transitions": [
+        {"feature": "visits", "from": i, "to": i + 1}]} for i in range(3)),
+    *({"id": f"balance+{j}", "cost": 5 + 3 * j, "transitions": [
+        {"feature": "balance", "from": j, "to": j + 1}]} for j in range(4)),
+    {"id": "visits-back", "cost": 2, "transitions": [{"feature": "visits", "to": 0}]},
+    {"id": "jump", "cost": 90, "transitions": [{"feature": "visits", "from": 0, "to": 3},
+                                               {"feature": "balance", "to": 4}]},
+]
+
+
+def _cells(table):
+    return [",".join(map(str, s)) for s in enumerate_states(table)]
+
+
+def test_actions_spec_matches_library_api(ws, tmp_path):
+    spec = tmp_path / "actions.json"
+    spec.write_text(json.dumps(ACTION_SPEC))
+    forest = restore(str(ws["model"]))
+    table = build_partitions(forest)
+    library = load_action_spec(str(spec), table)
+    params = SearchParams(target=1)
+
+    db_cli, db_api = tmp_path / "cli.jsonl", tmp_path / "api.jsonl"
+    rv, _, err = run(["preprocess", "--model", ws["model"], "--out", db_cli, "--target", 1,
+                      "--quiet", "--actions", spec])
+    assert rv == 0, err
+    db = preprocess(list(enumerate_states(table)), library, forest, table, params)
+    db_persist(db, str(db_api))
+    assert db_cli.read_bytes() == db_api.read_bytes()
+
+    sim = SimilarityWeights.from_forest(forest)
+    used = set()
+    for cell in _cells(table):
+        s = tuple(int(v) for v in cell.split(","))
+        rv, out, _ = run(["plan", "--model", ws["model"], "--db", db_cli, "--state", cell,
+                          "--actions", spec, "--json"])
+        outcome = plan_actions(forest, table, library, db, state=s, k=3, l_max=8)
+        p = json.loads(out)
+        assert (rv, p["status"]) == (0 if outcome.solved else 2, outcome.status), cell
+        if outcome.plan is not None:
+            assert (p["cost"], p["steps"]) == (outcome.plan.cost, outcome.plan.action_ids())
+            used.update(a for step in p["steps"] for a in step)
+
+        for cmd, res, extra in (
+            ("greedy", greedy_plan(s, library, forest, table, params), "visited"),
+            ("oracle", oracle_plan(s, library, forest, table, params), "expansions"),
+        ):
+            rv, out, _ = run([cmd, "--model", ws["model"], "--state", cell, "--target", 1,
+                              "--actions", spec, "--json"])
+            p = json.loads(out)
+            assert p["status"] == res.status, (cmd, cell)
+            if extra == "visited":
+                assert p["visited"] == len(res.visited)
+            else:
+                assert p["expansions"] == res.expansions
+            if res.plan is not None:
+                assert (p["cost"], p["steps"]) == (res.plan.cost, res.plan.action_ids())
+
+        wcnf_cli, wcnf_api = tmp_path / "cli.wcnf", tmp_path / "api.wcnf"
+        rv, _, _ = run(["export-wcnf", "--model", ws["model"], "--db", db_cli, "--state", cell,
+                        "-L", 2, "--out", wcnf_cli, "--actions", spec])
+        try:
+            instance, _ = encode(build_sas(s, db, 3, sim, table, library, forest=forest), 2)
+        except NoGoalsError:
+            assert rv == 2, cell
+            continue
+        assert rv == 0, cell
+        wcnf_write(instance, str(wcnf_api))
+        assert wcnf_cli.read_bytes() == wcnf_api.read_bytes(), cell
+    assert used and used <= {a["id"] for a in ACTION_SPEC}
+
+
+_TIMING_KEYS = {"seconds", "prep_seconds", "peak_gb", "mean_seconds"}
+
+
+def _untimed(doc):
+    if isinstance(doc, dict):
+        return {k: _untimed(v) for k, v in doc.items() if k not in _TIMING_KEYS}
+    return doc
+
+
+def _catalog_run(ws, cmd, out_file, extra):
+    """One catalog-dependent command; returns its output with timings removed."""
+    args = {
+        "preprocess": ["--out", out_file, "--target", 1, "--quiet"],
+        "plan": ["--db", ws["db"], "--state", "0,0,0", "--sweep", "--l-max", 2, "--json"],
+        "greedy": ["--state", "0,0,0", "--target", 1, "--json"],
+        "oracle": ["--state", "0,0,0", "--target", 1, "--json"],
+        "export-wcnf": ["--db", ws["db"], "--state", "0,0,0", "-L", 2, "--out", out_file],
+        "bench": ["--target", 1, "--instances", 3, "--l-max", 2, "--json-out", out_file],
+    }[cmd]
+    rv, out, err = run([cmd, "--model", ws["model"], *args, *extra])
+    assert rv == 0, err
+    if cmd == "bench":
+        return [_untimed(json.loads(line)) for line in out_file.read_text().splitlines()]
+    return out_file.read_text() if cmd in ("preprocess", "export-wcnf") else out
+
+
+@pytest.mark.parametrize("cmd", ["preprocess", "plan", "greedy", "oracle", "export-wcnf",
+                                 "bench"])
+def test_catalog_flags_match_config(ws, tmp_path, cmd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cost_seed": 3, "beta_range": [2, 9]}))
+    flags = _catalog_run(ws, cmd, tmp_path / "a", ["--cost-seed", 3, "--beta-range", "2,9"])
+    config = _catalog_run(ws, cmd, tmp_path / "b", ["--config", cfg])
+    default = _catalog_run(ws, cmd, tmp_path / "c", [])
+    assert flags == config
+    assert flags != default
