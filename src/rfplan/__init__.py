@@ -19,6 +19,5 @@ from .forest import (  # noqa: F401
     RandomForest,
     Split,
     TrainParams,
-    predict_tree,
     train_forest,
 )

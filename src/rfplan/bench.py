@@ -15,15 +15,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import maxsat
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions, SOLVED as PLAN_SOLVED
 from .forest import Label, RandomForest
 from .offline import AUTO, SearchParams, preprocess
-from .sas_core import ActionLibrary, CostModel, default_action_library
+from .sas_core import ActionLibrary
 
 
 class BenchError(ValueError):
@@ -41,8 +39,6 @@ class BenchSettings:
     l_max: int = 4
     sweep_makespan: bool = False
     n_instances: int = 100
-    cost_seed: int = 0
-    beta_range: tuple[int, int] = (1, 100)
     sample_seed: int = 0
     state_cap: int = 250_000
     oracle_cap: int = 2_000_000
@@ -153,26 +149,6 @@ def peak_memory_gb() -> float:
     return round(kb * 1024 / 1e9, 4)
 
 
-def build_cost_model(m: int, cost_seed: int, beta_range: tuple[int, int]) -> CostModel:
-    rng = np.random.default_rng(cost_seed)
-    return CostModel.random(m, rng, beta_range[0], beta_range[1])
-
-
-def default_library(table: PartitionTable, settings: BenchSettings) -> ActionLibrary:
-    cost = build_cost_model(len(table.features), settings.cost_seed, settings.beta_range)
-    return default_action_library(table, cost)
-
-
-def state_universe(table: PartitionTable, cap: int) -> list[State]:
-    n = table.state_count
-    if n > cap:
-        raise BenchError(
-            f"state space has {n} states, above the cap of {cap}; "
-            "use a smaller forest or raise --state-cap"
-        )
-    return list(enumerate_states(table))
-
-
 def pick_instances(
     universe: Sequence[State],
     evaluator: StateEvaluator,
@@ -247,21 +223,24 @@ def _run_oracle(s, library, forest, table, params, cap, evaluator) -> ArmResult:
 def run_bench(
     forest: RandomForest,
     table: PartitionTable,
+    library: ActionLibrary,
     settings: BenchSettings,
     fractions: Sequence[int] = (100,),
     candidates: Sequence[State] | None = None,
     on_event: Callable[[str], None] | None = None,
 ) -> list[FractionReport]:
-    """Run every arm for each preprocessing fraction and collect reports."""
+    """Run every arm for each preprocessing fraction and collect reports.
+
+    A state space above ``settings.state_cap`` raises ``StateError``.
+    """
     for r in fractions:
         if not 1 <= r <= 100:
             raise BenchError(f"fractions must be in 1..100, got {r}")
     say = on_event or (lambda msg: None)
-    library = default_library(table, settings)
     params = settings.search_params()
     evaluator = StateEvaluator(forest, table, settings.target)
 
-    universe = state_universe(table, settings.state_cap)
+    universe = list(enumerate_states(table, settings.state_cap))
     instances = pick_instances(universe, evaluator, settings, candidates)
     say(f"{len(universe)} states, {len(instances)} test instances")
 

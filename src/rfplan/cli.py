@@ -1,7 +1,19 @@
 """Command line front end.
 
+Every planning command is set up the same way:
+
+- Shared keys (z, alpha, delta, K, L_max, cost_seed, beta_range, workers)
+  take the flag when it is given, else the value in the JSON file passed
+  as --config, else the flag's default.  One converter per key checks a
+  flag and a config value alike; the range of z and alpha is left to
+  SearchParams, as in the library.
+- One loader reads the model and builds its partition table and action
+  catalog: the --actions spec, or the default catalog costed by
+  --cost-seed and --beta-range.
+- One renderer prints the result of plan, greedy and oracle as text or,
+  with --json, as one JSON object.
+
 Exit codes: 0 success, 2 no plan exists, 3 invalid input, 4 timed out.
-Defaults can come from a JSON config file (--config); explicit flags win.
 """
 
 from __future__ import annotations
@@ -14,23 +26,19 @@ import time
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from . import baselines
 from . import encoder
 from . import maxsat
-from .bench import (
-    BenchError,
-    BenchSettings,
-    parse_fractions,
-    run_bench,
-    state_universe,
-)
+from .bench import BenchError, BenchSettings, parse_fractions, run_bench
 from .data import DataError, Dataset, ingest, load_schema, train_test_split
 from .discretize import (
     StateError,
     build_partitions,
     check_state,
+    enumerate_states,
     state_proba,
     to_state,
 )
@@ -61,8 +69,6 @@ EXIT_UNSOLVABLE = 2
 EXIT_INVALID = 3
 EXIT_TIMEOUT = 4
 
-_CONFIG_KEYS = ("z", "alpha", "delta", "K", "L_max", "cost_seed", "beta_range", "workers")
-
 
 class CliError(click.ClickException):
     """Invalid input of any kind; rendered as `error: ...`, exit code 3."""
@@ -89,14 +95,68 @@ def main(argv=None) -> int:
     return rv if isinstance(rv, int) else EXIT_OK
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="rfplan")
-def cli() -> None:
-    """Action planning over random forest predictions."""
-
-
 # ---------------------------------------------------------------------------
-# shared plumbing
+# shared keys: the flag, else --config, else the flag's default
+
+
+def _integer(low):
+    def convert(v):
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            raise ValueError(f"must be an integer >= {low}")
+        return v
+    return convert
+
+
+def _number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError("must be a number")
+    return v
+
+
+def _auto_or_number(v):
+    if v != AUTO and (isinstance(v, bool) or not isinstance(v, (int, float))):
+        raise ValueError(f"must be '{AUTO}' or a number")
+    return v
+
+
+def _beta_range(v):
+    ok = (
+        isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(isinstance(b, int) and not isinstance(b, bool) for b in v)
+        and 1 <= v[0] <= v[1]
+    )
+    if not ok:
+        raise ValueError("must be two integers LOW,HIGH with 1 <= LOW <= HIGH")
+    return tuple(v)
+
+
+def _auto_or_float(text):
+    return text if text == AUTO else float(text)
+
+
+def _int_pair(text):
+    return [int(p) for p in text.split(",")]
+
+
+# key: (flag, how click reads the flag's text, converter, default)
+_KEYS = {
+    "z": ("--z", float, _number, 0.5),
+    "alpha": ("--alpha", _auto_or_float, _auto_or_number, AUTO),
+    "delta": ("--delta", int, _integer(1), 10_000_000),
+    "K": ("--k", int, _integer(1), 3),
+    "L_max": ("--l-max", int, _integer(1), 8),
+    "cost_seed": ("--cost-seed", int, _integer(0), 0),
+    "beta_range": ("--beta-range", _int_pair, _beta_range, "1,100"),
+    "workers": ("--workers", int, _integer(1), 1),
+}
+
+
+def _convert(key: str, value, where: str):
+    try:
+        return _KEYS[key][2](value)
+    except ValueError as exc:
+        raise CliError(f"{where} {exc}, got {value!r}") from None
 
 
 def _load_config(path) -> dict:
@@ -111,71 +171,81 @@ def _load_config(path) -> dict:
         raise CliError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    unknown = sorted(set(doc) - set(_KEYS))
     if unknown:
-        raise CliError(f"{path}: unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}")
-    if "z" in doc:
-        z = doc["z"]
-        if not isinstance(z, (int, float)) or isinstance(z, bool) or not 0.0 < z < 1.0:
-            raise CliError(f"{path}: z must be a number in (0, 1), got {z!r}")
-    if "alpha" in doc:
-        a = doc["alpha"]
-        ok = a == AUTO or (isinstance(a, (int, float)) and not isinstance(a, bool) and a >= 0)
-        if not ok:
-            raise CliError(f"{path}: alpha must be 'auto' or a number >= 0, got {a!r}")
-    for key in ("delta", "K", "L_max", "cost_seed", "workers"):
-        if key in doc:
-            v = doc[key]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise CliError(f"{path}: {key} must be an integer, got {v!r}")
-            if key != "cost_seed" and v < (0 if key == "delta" else 1):
-                raise CliError(f"{path}: {key} out of range: {v}")
-    if "beta_range" in doc:
-        br = doc["beta_range"]
-        ok = (
-            isinstance(br, list)
-            and len(br) == 2
-            and all(isinstance(b, int) and not isinstance(b, bool) for b in br)
-            and 1 <= br[0] <= br[1]
-        )
-        if not ok:
-            raise CliError(f"{path}: beta_range must be [low, high] with 1 <= low <= high")
-    return doc
+        raise CliError(f"{path}: unknown config keys {unknown}; known: {list(_KEYS)}")
+    return {key: _convert(key, value, f"{path}: {key}") for key, value in doc.items()}
 
 
-def _eff(flag, cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+class _Command(click.Command):
+    """A command whose shared-key parameters reach its body already resolved."""
+
+    def invoke(self, ctx):
+        config = _load_config(ctx.params.get("config_path"))
+        for key, (flag, *_) in _KEYS.items():
+            name = flag[2:].replace("-", "_")
+            if name not in ctx.params:
+                continue
+            if key in config and ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
+                ctx.params[name] = config[key]
+            else:
+                ctx.params[name] = _convert(key, ctx.params[name], flag)
+        return super().invoke(ctx)
 
 
-def _parse_alpha(text):
-    if text is None:
-        return None
-    if text == AUTO:
-        return AUTO
-    try:
-        value = float(text)
-    except ValueError:
-        raise CliError(f"--alpha must be 'auto' or a number, got {text!r}") from None
-    if value < 0:
-        raise CliError(f"--alpha must be >= 0, got {value}")
-    return value
+class _Group(click.Group):
+    command_class = _Command
 
 
-def _parse_beta_range(text):
-    if text is None:
-        return None
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        lo, hi = (int(p) for p in parts)
-    except ValueError:
-        raise CliError(f"--beta-range must be LOW,HIGH integers, got {text!r}") from None
-    if not 1 <= lo <= hi:
-        raise CliError(f"--beta-range needs 1 <= low <= high, got {lo},{hi}")
-    return (lo, hi)
+@click.group(cls=_Group)
+@click.version_option(version=__version__, prog_name="rfplan")
+def cli() -> None:
+    """Action planning over random forest predictions."""
+
+
+# ---------------------------------------------------------------------------
+# shared options
+
+
+def _key_option(key: str, help=None, default=None):
+    """The flag of one shared key; ``default`` overrides the key's own."""
+    flag, text_type, _, key_default = _KEYS[key]
+    metavar = {"alpha": "auto|FLOAT", "beta_range": "LOW,HIGH"}.get(key)
+    return click.option(flag, type=text_type, show_default=True, help=help, metavar=metavar,
+                        default=key_default if default is None else default)
+
+
+_model_option = click.option("--model", "model_path", required=True, type=click.Path(),
+                             help="Model file written by train.")
+
+_SECONDS = click.FloatRange(min=0, min_open=True)
+
+
+def _state_options(f):
+    f = click.option("--state", "state_text", default=None,
+                     help="Cell indices, comma separated.")(f)
+    return click.option("-x", "--input", "x_text", default=None,
+                        help="Raw feature values, comma separated.")(f)
+
+
+def _catalog_options(actions: bool = True):
+    """--actions (unless ``actions`` is False), --cost-seed, --beta-range and --config."""
+
+    def decorate(f):
+        f = click.option("--config", "config_path", type=click.Path(), default=None,
+                         help="JSON file of shared keys; flags win over it.")(f)
+        f = _key_option("beta_range", help="Cost weight range LOW,HIGH.")(f)
+        f = _key_option("cost_seed", help="Seed for the default action costs.")(f)
+        if actions:
+            f = click.option("--actions", "actions_path", type=click.Path(), default=None,
+                             help="Action spec JSON (default: one action per cell pair).")(f)
+        return f
+
+    return decorate
+
+
+# ---------------------------------------------------------------------------
+# shared plumbing
 
 
 def _load_forest(path):
@@ -185,6 +255,22 @@ def _load_forest(path):
         raise CliError(f"cannot read model {path}: {exc.strerror}") from None
     except (ModelError, json.JSONDecodeError) as exc:
         raise CliError(f"model {path}: {exc}") from None
+
+
+def _catalog(model_path, actions_path, cost_seed, beta_range):
+    """The model, its partition table and the action catalog to plan with."""
+    forest = _load_forest(model_path)
+    table = build_partitions(forest)
+    if actions_path is None:
+        cost = CostModel.random(len(table.features), np.random.default_rng(cost_seed),
+                                *beta_range)
+        return forest, table, default_action_library(table, cost)
+    try:
+        return forest, table, load_action_spec(actions_path, table)
+    except OSError as exc:
+        raise CliError(f"cannot read actions {actions_path}: {exc.strerror}") from None
+    except ActionError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _load_db(path):
@@ -217,17 +303,11 @@ def _resolve_class(forest, token: str):
     )
 
 
-def _library(table, actions_path, cost_seed, beta_range):
-    if actions_path is not None:
-        try:
-            return load_action_spec(actions_path, table)
-        except OSError as exc:
-            raise CliError(f"cannot read actions {actions_path}: {exc.strerror}") from None
-        except ActionError as exc:
-            raise CliError(str(exc)) from None
-    rng = np.random.default_rng(cost_seed)
-    cost = CostModel.random(len(table.features), rng, beta_range[0], beta_range[1])
-    return default_action_library(table, cost)
+def _search_params(forest, target_text: str, **kwargs) -> SearchParams:
+    try:
+        return SearchParams(target=_resolve_class(forest, target_text), **kwargs)
+    except SearchError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _parse_vector(text, features):
@@ -296,65 +376,53 @@ def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True, default=_jsonable))
 
 
-def _plan_payload(outcome: encoder.PlanOutcome, forest, table, target) -> dict:
-    doc = {
-        "status": outcome.status,
-        "initial": list(outcome.s_init),
-        "target": _jsonable(target),
-        "goal_pool": [list(g) for g in outcome.goals],
-        "attempts": [
-            {"L": a.L, "status": a.status, "cost": a.cost} for a in outcome.attempts
-        ],
-    }
-    if outcome.plan is not None:
-        plan = outcome.plan
-        final = plan.goal
-        doc.update(
-            cost=plan.cost,
-            makespan=plan.makespan,
-            n_actions=plan.n_actions,
-            steps=[[a.id for a in step] for step in plan.steps],
-            final=list(final),
-            p_final=state_proba(forest, table, final, target),
-        )
-    return doc
-
-
-def _render_plan(outcome: encoder.PlanOutcome, forest, table, target) -> None:
-    p0 = state_proba(forest, table, outcome.s_init, target)
-    click.echo(f"initial state {outcome.s_init}  p(target)={p0:.4f}")
-    for a in outcome.attempts:
+def _show_plan(res, s_init, forest, table, target, as_json, attempts=None, **extra) -> None:
+    """Print a plan, greedy or oracle result; ``attempts`` are plan's makespans."""
+    plan = res.plan
+    if as_json:
+        doc = {"status": res.status, "initial": list(s_init), "target": _jsonable(target),
+               **extra}
+        if attempts is not None:
+            doc["attempts"] = [{"L": a.L, "status": a.status, "cost": a.cost} for a in attempts]
+        if plan is not None:
+            doc.update(
+                cost=plan.cost,
+                makespan=plan.makespan,
+                n_actions=plan.n_actions,
+                steps=plan.action_ids(),
+                final=list(plan.goal),
+                p_final=state_proba(forest, table, plan.goal, target),
+            )
+        _echo_json(doc)
+        return
+    p0 = state_proba(forest, table, s_init, target)
+    click.echo(f"initial state {s_init}  p(target)={p0:.4f}")
+    for a in attempts or ():
         cost = "-" if a.cost is None else f"{a.cost:g}"
         click.echo(f"  L={a.L}: {a.status} (cost {cost})")
-    if outcome.status == encoder.ALREADY_GOAL:
-        click.echo("already at goal; nothing to do")
-        return
-    if outcome.plan is None:
-        click.echo(f"status: {outcome.status}")
-        return
-    plan = outcome.plan
-    unproven = " (time ran out: not proven cheapest)" if outcome.status == encoder.TIMEOUT else ""
-    click.echo(
-        f"plan: cost {plan.cost:g}, {plan.makespan} step(s), {plan.n_actions} action(s)"
-        + unproven
-    )
-    for i, step in enumerate(plan.steps, start=1):
-        click.echo(f"  step {i}: " + ", ".join(a.id for a in step))
-    p1 = state_proba(forest, table, plan.goal, target)
-    click.echo(f"final state {plan.goal}  p(target)={p1:.4f}")
-    click.echo(f"status: {outcome.status}")
+    if plan is not None:
+        unproven = " (time ran out: not proven cheapest)" if res.status == encoder.TIMEOUT else ""
+        click.echo(
+            f"plan: cost {plan.cost:g}, {plan.makespan} step(s), {plan.n_actions} action(s)"
+            + unproven
+        )
+        for i, ids in enumerate(plan.action_ids(), start=1):
+            click.echo(f"  step {i}: " + ", ".join(ids))
+        p1 = state_proba(forest, table, plan.goal, target)
+        click.echo(f"final state {plan.goal}  p(target)={p1:.4f}")
+    click.echo(f"status: {res.status}")
 
 
-def _exit_for_outcome(ctx, outcome: encoder.PlanOutcome) -> None:
-    if outcome.solved:
+def _exit_for_result(ctx, res, failure: str) -> None:
+    if res.solved:
         return
-    if outcome.status == encoder.TIMEOUT:
-        if outcome.plan is None:
+    if res.status == encoder.TIMEOUT:
+        if res.plan is None:
             click.echo("no plan within the time budget", err=True)
         else:
             click.echo("time budget ran out; the plan found is not proven cheapest", err=True)
         ctx.exit(EXIT_TIMEOUT)
-    click.echo("no plan exists for this instance", err=True)
+    click.echo(failure, err=True)
     ctx.exit(EXIT_UNSOLVABLE)
 
 
@@ -412,7 +480,7 @@ def train(data_path, schema_path, fmt, out_path, trees, max_depth, min_leaf, mtr
 
 
 @cli.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
+@_model_option
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def partitions(model_path, as_json):
     """Show the partition each feature is split into."""
@@ -445,12 +513,12 @@ def partitions(model_path, as_json):
 
 
 @cli.command("preprocess")
-@click.option("--model", "model_path", required=True, type=click.Path())
+@_model_option
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Goal database file.")
 @click.option("--target", "target_text", required=True, help="Class the plans must reach.")
-@click.option("--z", type=float, default=None, help="Vote share that counts as reached.")
-@click.option("--alpha", "alpha_text", default=None, help="Heuristic scale, 'auto' or a number.")
-@click.option("--delta", type=int, default=None, help="Patience: extra expansions after the last improvement.")
+@_key_option("z", help="Vote share that counts as reached.")
+@_key_option("alpha", help="Heuristic scale, 'auto' or a number.")
+@_key_option("delta", help="Patience: extra expansions after the last improvement.")
 @click.option("--node-budget", type=int, default=5_000_000, show_default=True)
 @click.option("--states", "states_mode", type=click.Choice(["all", "data"]), default="all",
               show_default=True, help="Search the whole state space or the states of data rows.")
@@ -458,34 +526,16 @@ def partitions(model_path, as_json):
 @click.option("--schema", "schema_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv", show_default=True)
 @click.option("--state-cap", type=int, default=250_000, show_default=True)
-@click.option("--actions", "actions_path", type=click.Path(), default=None,
-              help="Action spec JSON (default: one action per cell pair).")
-@click.option("--cost-seed", type=int, default=None, help="Seed for the default action costs.")
-@click.option("--beta-range", "beta_text", default=None, help="Cost weight range LOW,HIGH.")
-@click.option("--workers", type=int, default=None, help="Worker processes.")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_key_option("workers", help="Worker processes.")
+@_catalog_options()
 @click.option("--quiet", is_flag=True, help="No progress output.")
-def preprocess_cmd(model_path, out_path, target_text, z, alpha_text, delta, node_budget,
+def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budget,
                    states_mode, data_path, schema_path, fmt, state_cap, actions_path,
-                   cost_seed, beta_text, workers, config_path, quiet):
+                   cost_seed, beta_range, workers, config_path, quiet):
     """Search every start state offline and store the goals found."""
-    cfg = _load_config(config_path)
-    z = _eff(z, cfg, "z", 0.5)
-    alpha = _eff(_parse_alpha(alpha_text), cfg, "alpha", AUTO)
-    delta = _eff(delta, cfg, "delta", 10_000_000)
-    cost_seed = _eff(cost_seed, cfg, "cost_seed", 0)
-    beta_range = tuple(_eff(_parse_beta_range(beta_text), cfg, "beta_range", (1, 100)))
-    workers = _eff(workers, cfg, "workers", 1)
-
-    forest = _load_forest(model_path)
-    table = build_partitions(forest)
-    library = _library(table, actions_path, cost_seed, beta_range)
-    target = _resolve_class(forest, target_text)
-    try:
-        params = SearchParams(target=target, z=z, alpha=alpha, patience=delta,
-                              node_budget=node_budget)
-    except SearchError as exc:
-        raise CliError(str(exc)) from None
+    forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
+    params = _search_params(forest, target_text, z=z, alpha=alpha, patience=delta,
+                            node_budget=node_budget)
 
     if states_mode == "data":
         if data_path is None or schema_path is None:
@@ -497,8 +547,8 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha_text, delta, node
             raise CliError(str(exc)) from None
     else:
         try:
-            states = state_universe(table, state_cap)
-        except BenchError as exc:
+            states = list(enumerate_states(table, state_cap))
+        except StateError as exc:
             raise CliError(str(exc)) from None
 
     total = len(set(states))
@@ -535,42 +585,29 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha_text, delta, node
 
 
 @cli.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
+@_model_option
 @click.option("--db", "db_path", required=True, type=click.Path(), help="Goal database from preprocess.")
-@click.option("-x", "--input", "x_text", default=None, help="Raw feature values, comma separated.")
-@click.option("--state", "state_text", default=None, help="Cell indices, comma separated.")
-@click.option("--k", type=int, default=None, help="Stored neighbors consulted for goals.")
-@click.option("--l-max", type=int, default=None, help="Largest makespan tried.")
+@_state_options
+@_key_option("K", help="Stored neighbors consulted for goals.")
+@_key_option("L_max", help="Largest makespan tried.")
 @click.option("--sweep", is_flag=True, help="Try every makespan and keep the cheapest plan.")
-@click.option("--timeout", type=float, default=None, help="Total solver budget in seconds.")
+@click.option("--timeout", type=_SECONDS, default=None, help="Total solver budget in seconds.")
 @click.option("--scale", type=int, default=DEFAULT_SCALE, show_default=True)
 @click.option("--backend", type=click.Choice(["pure", "compiled"]), default=None)
 @click.option("--external-solver", "external_cmd", default=None,
               help="Shell command solving a WCNF file passed as its last argument "
                    "(not with --backend).")
-@click.option("--actions", "actions_path", type=click.Path(), default=None)
-@click.option("--cost-seed", type=int, default=None)
-@click.option("--beta-range", "beta_text", default=None)
+@_catalog_options()
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @click.pass_context
 def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout, scale,
-         backend, external_cmd, actions_path, cost_seed, beta_text, as_json, config_path):
+         backend, external_cmd, actions_path, cost_seed, beta_range, as_json, config_path):
     """Find a minimum-cost action sequence that flips the prediction."""
     if backend is not None and external_cmd is not None:
         raise CliError("--backend selects an in-process kernel; it cannot be combined "
                        "with --external-solver")
-    cfg = _load_config(config_path)
-    k = _eff(k, cfg, "K", 3)
-    l_max = _eff(l_max, cfg, "L_max", 8)
-    cost_seed = _eff(cost_seed, cfg, "cost_seed", 0)
-    beta_range = tuple(_eff(_parse_beta_range(beta_text), cfg, "beta_range", (1, 100)))
-
-    forest = _load_forest(model_path)
-    table = build_partitions(forest)
-    library = _library(table, actions_path, cost_seed, beta_range)
+    forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
     db = _load_db(db_path)
-    target = db.params.target
     s_init = _instance_state(table, x_text, state_text)
 
     if external_cmd is not None:
@@ -585,122 +622,61 @@ def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
     except (PlanningError, SearchError, BackendError, WcnfError) as exc:
         raise CliError(str(exc)) from None
 
-    if as_json:
-        _echo_json(_plan_payload(outcome, forest, table, target))
-    else:
-        _render_plan(outcome, forest, table, target)
-    _exit_for_outcome(ctx, outcome)
+    _show_plan(outcome, s_init, forest, table, db.params.target, as_json,
+               attempts=outcome.attempts, goal_pool=[list(g) for g in outcome.goals])
+    _exit_for_result(ctx, outcome, "no plan exists for this instance")
 
 
 # ---------------------------------------------------------------------------
 # greedy / oracle
 
 
-def _baseline_render(ctx, res_status, plan_obj, extra, forest, table, target, s_init,
-                     as_json):
-    if as_json:
-        doc = {"status": res_status, "initial": list(s_init),
-               "target": _jsonable(target)}
-        doc.update(extra)
-        if plan_obj is not None:
-            doc.update(
-                cost=plan_obj.cost,
-                makespan=plan_obj.makespan,
-                n_actions=plan_obj.n_actions,
-                steps=[[a.id for a in step] for step in plan_obj.steps],
-                final=list(plan_obj.goal),
-                p_final=state_proba(forest, table, plan_obj.goal, target),
-            )
-        _echo_json(doc)
-    else:
-        p0 = state_proba(forest, table, s_init, target)
-        click.echo(f"initial state {s_init}  p(target)={p0:.4f}")
-        if plan_obj is not None:
-            click.echo(f"plan: cost {plan_obj.cost:g}, {plan_obj.n_actions} action(s)")
-            for i, step in enumerate(plan_obj.steps, start=1):
-                click.echo(f"  step {i}: " + ", ".join(a.id for a in step))
-            p1 = state_proba(forest, table, plan_obj.goal, target)
-            click.echo(f"final state {plan_obj.goal}  p(target)={p1:.4f}")
-        click.echo(f"status: {res_status}")
-    if res_status in (baselines.SOLVED, baselines.ALREADY_GOAL):
-        return
-    click.echo("no plan found", err=True)
-    ctx.exit(EXIT_UNSOLVABLE)
-
-
-def _baseline_setup(model_path, target_text, z, alpha_text, config_path, actions_path,
-                    cost_seed, beta_text, x_text, state_text):
-    cfg = _load_config(config_path)
-    z = _eff(z, cfg, "z", 0.5)
-    alpha = _eff(_parse_alpha(alpha_text), cfg, "alpha", AUTO)
-    cost_seed = _eff(cost_seed, cfg, "cost_seed", 0)
-    beta_range = tuple(_eff(_parse_beta_range(beta_text), cfg, "beta_range", (1, 100)))
-    forest = _load_forest(model_path)
-    table = build_partitions(forest)
-    library = _library(table, actions_path, cost_seed, beta_range)
-    target = _resolve_class(forest, target_text)
-    try:
-        params = SearchParams(target=target, z=z, alpha=alpha)
-    except SearchError as exc:
-        raise CliError(str(exc)) from None
-    s_init = _instance_state(table, x_text, state_text)
-    return forest, table, library, target, params, s_init
-
-
 @cli.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("-x", "--input", "x_text", default=None)
-@click.option("--state", "state_text", default=None)
+@_model_option
+@_state_options
 @click.option("--target", "target_text", required=True)
-@click.option("--z", type=float, default=None)
-@click.option("--alpha", "alpha_text", default=None)
+@_key_option("z")
+@_key_option("alpha")
 @click.option("--rule", type=click.Choice(baselines.GREEDY_RULES), default="ratio",
               show_default=True)
-@click.option("--actions", "actions_path", type=click.Path(), default=None)
-@click.option("--cost-seed", type=int, default=None)
-@click.option("--beta-range", "beta_text", default=None)
+@_catalog_options()
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @click.pass_context
-def greedy(ctx, model_path, x_text, state_text, target_text, z, alpha_text, rule,
-           actions_path, cost_seed, beta_text, as_json, config_path):
+def greedy(ctx, model_path, x_text, state_text, target_text, z, alpha, rule,
+           actions_path, cost_seed, beta_range, as_json, config_path):
     """Hill-climb baseline: apply the best improving action until done."""
-    forest, table, library, target, params, s_init = _baseline_setup(
-        model_path, target_text, z, alpha_text, config_path, actions_path,
-        cost_seed, beta_text, x_text, state_text)
+    forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
+    params = _search_params(forest, target_text, z=z, alpha=alpha)
+    s_init = _instance_state(table, x_text, state_text)
     res = baselines.greedy_plan(s_init, library, forest, table, params, rule=rule)
-    _baseline_render(ctx, res.status, res.plan, {"visited": len(res.visited)},
-                     forest, table, target, s_init, as_json)
+    _show_plan(res, s_init, forest, table, params.target, as_json, visited=len(res.visited))
+    _exit_for_result(ctx, res, "no plan found")
 
 
 @cli.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("-x", "--input", "x_text", default=None)
-@click.option("--state", "state_text", default=None)
+@_model_option
+@_state_options
 @click.option("--target", "target_text", required=True)
-@click.option("--z", type=float, default=None)
+@_key_option("z")
 @click.option("--cap", type=int, default=1_000_000, show_default=True,
               help="Expansion limit before giving up.")
-@click.option("--actions", "actions_path", type=click.Path(), default=None)
-@click.option("--cost-seed", type=int, default=None)
-@click.option("--beta-range", "beta_text", default=None)
+@_catalog_options()
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @click.pass_context
 def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_path,
-           cost_seed, beta_text, as_json, config_path):
+           cost_seed, beta_range, as_json, config_path):
     """Exhaustive cheapest-path baseline (exact but slow)."""
-    forest, table, library, target, params, s_init = _baseline_setup(
-        model_path, target_text, z, None, config_path, actions_path,
-        cost_seed, beta_text, x_text, state_text)
+    forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
+    params = _search_params(forest, target_text, z=z)
+    s_init = _instance_state(table, x_text, state_text)
     try:
         res = baselines.oracle_plan(s_init, library, forest, table, params, cap=cap)
     except baselines.OracleCapExceeded as exc:
         click.echo(f"gave up: {exc}", err=True)
         ctx.exit(EXIT_TIMEOUT)
         return
-    _baseline_render(ctx, res.status, res.plan, {"expansions": res.expansions},
-                     forest, table, target, s_init, as_json)
+    _show_plan(res, s_init, forest, table, params.target, as_json, expansions=res.expansions)
+    _exit_for_result(ctx, res, "no plan found")
 
 
 # ---------------------------------------------------------------------------
@@ -708,31 +684,21 @@ def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_pat
 
 
 @cli.command("export-wcnf")
-@click.option("--model", "model_path", required=True, type=click.Path())
+@_model_option
 @click.option("--db", "db_path", required=True, type=click.Path())
-@click.option("-x", "--input", "x_text", default=None)
-@click.option("--state", "state_text", default=None)
+@_state_options
 @click.option("--makespan", "-L", type=int, required=True, help="Number of parallel steps.")
-@click.option("--k", type=int, default=None)
+@_key_option("K")
 @click.option("--scale", type=int, default=DEFAULT_SCALE, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--map", "map_path", type=click.Path(), default=None,
               help="Also write a variable map for reading models back.")
-@click.option("--actions", "actions_path", type=click.Path(), default=None)
-@click.option("--cost-seed", type=int, default=None)
-@click.option("--beta-range", "beta_text", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_catalog_options()
 @click.pass_context
 def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k, scale,
-                out_path, map_path, actions_path, cost_seed, beta_text, config_path):
+                out_path, map_path, actions_path, cost_seed, beta_range, config_path):
     """Write one planning step bound as a weighted partial CNF file."""
-    cfg = _load_config(config_path)
-    k = _eff(k, cfg, "K", 3)
-    cost_seed = _eff(cost_seed, cfg, "cost_seed", 0)
-    beta_range = tuple(_eff(_parse_beta_range(beta_text), cfg, "beta_range", (1, 100)))
-    forest = _load_forest(model_path)
-    table = build_partitions(forest)
-    library = _library(table, actions_path, cost_seed, beta_range)
+    forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
     db = _load_db(db_path)
     try:
         check_pairing(db, forest)
@@ -785,66 +751,60 @@ def _render_bench(report) -> None:
 
 
 @cli.command("bench")
-@click.option("--model", "model_path", required=True, type=click.Path())
+@_model_option
 @click.option("--target", "target_text", required=True)
 @click.option("--data", "data_path", type=click.Path(), default=None,
               help="Draw test instances from this file instead of the state space.")
 @click.option("--schema", "schema_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv",
               show_default=True)
-@click.option("--z", type=float, default=None)
-@click.option("--alpha", "alpha_text", default=None)
-@click.option("--delta", type=int, default=None)
+@_key_option("z")
+@_key_option("alpha")
+@_key_option("delta")
 @click.option("--node-budget", type=int, default=5_000_000, show_default=True)
-@click.option("--k", type=int, default=None)
-@click.option("--l-max", type=int, default=None)
+@_key_option("K")
+@_key_option("L_max", default=4)
 @click.option("--sweep-makespan", is_flag=True, help="Planner tries every makespan per instance.")
 @click.option("--instances", "n_instances", type=int, default=100, show_default=True)
-@click.option("--timeout", type=float, default=None, help="Per-instance planner budget.")
-@click.option("--cost-seed", type=int, default=None)
-@click.option("--beta-range", "beta_text", default=None)
+@click.option("--timeout", type=_SECONDS, default=None, help="Per-instance planner budget.")
 @click.option("--sample-seed", type=int, default=0, show_default=True)
 @click.option("--state-cap", type=int, default=250_000, show_default=True)
 @click.option("--oracle-cap", type=int, default=2_000_000, show_default=True)
-@click.option("--workers", type=int, default=None)
+@_key_option("workers")
 @click.option("--sweep", "sweep_text", default="100", show_default=True,
               help="Preprocessing fractions, e.g. 'r=10,20,...,100'.")
 @click.option("--backend", type=click.Choice(["pure", "compiled"]), default=None)
 @click.option("--json-out", "json_path", type=click.Path(), default=None,
               help="Also write instance and summary records as JSON lines.")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha_text, delta,
+@_catalog_options(actions=False)
+def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, delta,
               node_budget, k, l_max, sweep_makespan, n_instances, timeout, cost_seed,
-              beta_text, sample_seed, state_cap, oracle_cap, workers, sweep_text,
+              beta_range, sample_seed, state_cap, oracle_cap, workers, sweep_text,
               backend, json_path, config_path):
     """Compare the planner against the baselines on many instances."""
-    cfg = _load_config(config_path)
-    forest = _load_forest(model_path)
-    table = build_partitions(forest)
+    forest, table, library = _catalog(model_path, None, cost_seed, beta_range)
     target = _resolve_class(forest, target_text)
     try:
         fractions = parse_fractions(sweep_text)
-        settings = BenchSettings(
-            target=target,
-            z=_eff(z, cfg, "z", 0.5),
-            alpha=_eff(_parse_alpha(alpha_text), cfg, "alpha", AUTO),
-            patience=_eff(delta, cfg, "delta", 10_000_000),
-            node_budget=node_budget,
-            k=_eff(k, cfg, "K", 3),
-            l_max=_eff(l_max, cfg, "L_max", 4),
-            sweep_makespan=sweep_makespan,
-            n_instances=n_instances,
-            cost_seed=_eff(cost_seed, cfg, "cost_seed", 0),
-            beta_range=tuple(_eff(_parse_beta_range(beta_text), cfg, "beta_range", (1, 100))),
-            sample_seed=sample_seed,
-            state_cap=state_cap,
-            oracle_cap=oracle_cap,
-            workers=_eff(workers, cfg, "workers", 1),
-            timeout=timeout,
-            backend=backend,
-        )
-    except (BenchError, SearchError) as exc:
+    except BenchError as exc:
         raise CliError(str(exc)) from None
+    settings = BenchSettings(
+        target=target,
+        z=z,
+        alpha=alpha,
+        patience=delta,
+        node_budget=node_budget,
+        k=k,
+        l_max=l_max,
+        sweep_makespan=sweep_makespan,
+        n_instances=n_instances,
+        sample_seed=sample_seed,
+        state_cap=state_cap,
+        oracle_cap=oracle_cap,
+        workers=workers,
+        timeout=timeout,
+        backend=backend,
+    )
 
     candidates = None
     if data_path is not None:
@@ -858,10 +818,10 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha_tex
 
     try:
         reports = run_bench(
-            forest, table, settings, fractions=fractions, candidates=candidates,
+            forest, table, library, settings, fractions=fractions, candidates=candidates,
             on_event=lambda msg: click.echo(msg, err=True),
         )
-    except (BenchError, SearchError, PlanningError) as exc:
+    except (BenchError, SearchError, PlanningError, StateError) as exc:
         raise CliError(str(exc)) from None
 
     for report in reports:
@@ -878,8 +838,8 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha_tex
             "l_max": settings.l_max,
             "sweep_makespan": settings.sweep_makespan,
             "n_instances": settings.n_instances,
-            "cost_seed": settings.cost_seed,
-            "beta_range": list(settings.beta_range),
+            "cost_seed": cost_seed,
+            "beta_range": list(beta_range),
             "sample_seed": settings.sample_seed,
             "fractions": list(fractions),
             "model_fingerprint": fingerprint(forest),

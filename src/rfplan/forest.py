@@ -121,19 +121,6 @@ def _check_vector(features: Sequence[FeatureMeta], x: Vector) -> None:
                 raise ModelError(f"feature {meta.name!r}: {value!r} not in {list(meta.categories)}")
 
 
-def predict_tree(tree: TreeNode, x: Vector, features: Sequence[FeatureMeta]) -> Label:
-    """Route ``x`` down one tree and return the leaf label."""
-    _check_vector(features, x)
-    node = tree
-    while isinstance(node, Split):
-        value = x[node.feature]
-        if node.threshold is not None:
-            node = node.left if value < node.threshold else node.right
-        else:
-            node = node.left if value in node.categories else node.right
-    return node.label
-
-
 @dataclass(frozen=True)
 class RandomForest:
     """Weighted ensemble of decision trees over a fixed feature list."""
@@ -210,9 +197,6 @@ class RandomForest:
                     )
                 stack.append((node.left, win, cats))
                 stack.append((node.right, win, cats))
-
-    def predict_tree(self, d: int, x: Vector) -> Label:
-        return predict_tree(self.trees[d], x, self.features)
 
     def class_distribution(self, x: Vector) -> dict:
         """Weighted vote share per class; shares sum to 1."""

@@ -110,10 +110,6 @@ class SolveResult:
     nodes: int
     backend: str
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
 
 def compile_instance(instance: WcnfInstance):
     """Flatten an instance into the arrays both solver kernels consume.

@@ -568,10 +568,6 @@ ACTION_SPEC = [
 ]
 
 
-def _cells(table):
-    return [",".join(map(str, s)) for s in enumerate_states(table)]
-
-
 def test_actions_spec_matches_library_api(ws, tmp_path):
     spec = tmp_path / "actions.json"
     spec.write_text(json.dumps(ACTION_SPEC))
@@ -590,8 +586,8 @@ def test_actions_spec_matches_library_api(ws, tmp_path):
 
     sim = SimilarityWeights.from_forest(forest)
     used = set()
-    for cell in _cells(table):
-        s = tuple(int(v) for v in cell.split(","))
+    for s in enumerate_states(table):
+        cell = ",".join(map(str, s))
         rv, out, _ = run(["plan", "--model", ws["model"], "--db", db_cli, "--state", cell,
                           "--actions", spec, "--json"])
         outcome = plan_actions(forest, table, library, db, state=s, k=3, l_max=8)
@@ -601,18 +597,14 @@ def test_actions_spec_matches_library_api(ws, tmp_path):
             assert (p["cost"], p["steps"]) == (outcome.plan.cost, outcome.plan.action_ids())
             used.update(a for step in p["steps"] for a in step)
 
-        for cmd, res, extra in (
-            ("greedy", greedy_plan(s, library, forest, table, params), "visited"),
-            ("oracle", oracle_plan(s, library, forest, table, params), "expansions"),
-        ):
+        greedy = greedy_plan(s, library, forest, table, params)
+        oracle = oracle_plan(s, library, forest, table, params)
+        for cmd, res, extra in (("greedy", greedy, {"visited": len(greedy.visited)}),
+                                ("oracle", oracle, {"expansions": oracle.expansions})):
             rv, out, _ = run([cmd, "--model", ws["model"], "--state", cell, "--target", 1,
                               "--actions", spec, "--json"])
             p = json.loads(out)
-            assert p["status"] == res.status, (cmd, cell)
-            if extra == "visited":
-                assert p["visited"] == len(res.visited)
-            else:
-                assert p["expansions"] == res.expansions
+            assert (p["status"], {k: p[k] for k in extra}) == (res.status, extra), (cmd, cell)
             if res.plan is not None:
                 assert (p["cost"], p["steps"]) == (res.plan.cost, res.plan.action_ids())
 
@@ -666,3 +658,44 @@ def test_catalog_flags_match_config(ws, tmp_path, cmd):
     default = _catalog_run(ws, cmd, tmp_path / "c", [])
     assert flags == config
     assert flags != default
+
+
+# shared keys: one rule per key, for a flag and for the same key in --config
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("z", 1.0, 0),
+    ("z", 0, 3),
+    ("alpha", "auto", 0),
+    ("alpha", -1, 3),
+    ("delta", 0, 3),
+    ("workers", 0, 3),
+    ("K", 0, 3),
+    ("L_max", 0, 3),
+    ("L_max", 1, 0),
+    ("cost_seed", -1, 3),
+    ("beta_range", [0, 5], 3),
+    ("beta_range", [9, 2], 3),
+    ("timeout", 0, 3),
+    ("timeout", -1, 3),
+])
+def test_flag_and_config_follow_one_rule(ws, tmp_path, key, value, code):
+    if key in ("z", "alpha", "delta", "workers"):
+        base = ["preprocess", "--model", ws["model"], "--out", tmp_path / "db.jsonl",
+                "--target", 1, "--quiet"]
+    elif key in ("cost_seed", "beta_range"):
+        base = ["greedy", "--model", ws["model"], "--state", "0,0,0", "--target", 1]
+    else:
+        base = ["plan", "--model", ws["model"], "--db", ws["db"], "--state", "0,0,0"]
+    flag = "--" + key.lower().replace("_", "-")
+    text = ",".join(map(str, value)) if isinstance(value, list) else value
+    forms = [[flag, text]]
+    if key != "timeout":  # the one key without a config form
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        forms.append(["--config", cfg])
+    for form in forms:
+        rv, _, err = run(base + form)
+        assert rv == code, (form, err)
+        if code == 3:
+            assert key.lower().replace("_", "-") in err.lower().replace("_", "-"), err

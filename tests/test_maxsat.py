@@ -11,7 +11,6 @@ from rfplan.maxsat import (
     OPTIMAL,
     TIMEOUT,
     BackendError,
-    SolveResult,
     WcnfError,
     WcnfInstance,
     available_backends,
@@ -202,14 +201,6 @@ def test_env_var_forces_backend(monkeypatch):
         default_backend()
     monkeypatch.delenv("RFPLAN_MAXSAT")
     assert default_backend() in available_backends()
-
-
-def test_result_is_optimal_flag():
-    inst = WcnfInstance.build(nvars=1, soft=[(1, [1])])
-    assert solve(inst).is_optimal
-    unsat = solve(WcnfInstance.build(nvars=1, hard=[[1], [-1]]))
-    assert not unsat.is_optimal
-    assert isinstance(unsat, SolveResult)
 
 
 # ---------------------------------------------------------------------------
