@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import brute_force_cost, random_wcnf
+from helpers import brute_force_cost, random_sas, random_wcnf
+from rfplan.encoder import encode
 from rfplan.maxsat import _pure
 from rfplan.maxsat import (
     HARD_UNSAT,
@@ -183,6 +184,77 @@ def test_backends_agree_exactly():
         assert pure.assignment == comp.assignment
         assert pure.nodes == comp.nodes
         assert pure.backend == "pure" and comp.backend == "compiled"
+
+
+def _random_cnf_instances():
+    rng = random.Random(42)
+    return [random_wcnf(rng, nv_max=12) for _ in range(40)]
+
+
+def _encoder_instances():
+    """Encodings of small random SAS+ tasks at makespans 1..3."""
+    rng = random.Random(42)
+    out = []
+    while len(out) < 90:
+        sas = random_sas(rng, nvars_max=4, domain_max=4, actions_max=10)
+        if sas.initial in sas.goals:
+            continue  # the online pipeline never encodes these
+        out.extend(encode(sas, L)[0] for L in (1, 2, 3))
+    return out
+
+
+# (status, cost, nodes) of the pure kernel on the instances above.  Node
+# counts pin the search itself: a speed-up that keeps the algorithm must
+# reproduce every one of them, not only the statuses and costs.
+O, U = OPTIMAL, HARD_UNSAT
+_RANDOM_CNF_PINS = [
+    (O, 0, 8), (O, 0, 20), (O, 0, 14), (O, 16, 8), (O, 30, 4), (O, 0, 6), (O, 0, 22),
+    (O, 78, 4), (O, 34, 8), (O, 0, 2), (O, 31, 20), (O, 6, 2), (U, None, 0), (O, 0, 12),
+    (O, 8, 8), (O, 57, 36), (O, 43, 2), (U, None, 0), (U, None, 0), (O, 30, 20),
+    (U, None, 0), (O, 0, 4), (O, 4, 24), (U, None, 0), (O, 13, 4), (O, 49, 4),
+    (O, 20, 0), (O, 108, 4), (O, 14, 8), (U, None, 0), (O, 31, 4), (O, 25, 12),
+    (O, 58, 12), (O, 2, 12), (O, 27, 4), (O, 0, 8), (O, 144, 6), (O, 35, 36),
+    (O, 76, 14), (O, 0, 6),
+]
+_ENCODER_PINS = [
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (O, 6000, 10), (O, 6000, 18), (O, 6000, 28), (O, 7000, 18), (O, 7000, 36),
+    (O, 7000, 56), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (O, 9000, 4), (O, 9000, 4), (O, 9000, 6), (U, None, 2), (U, None, 4),
+    (U, None, 6), (O, 10000, 6), (O, 10000, 6), (O, 10000, 10), (U, None, 0),
+    (U, None, 0), (U, None, 0), (O, 8000, 20), (O, 5000, 22), (O, 5000, 32),
+    (O, 3000, 10), (O, 3000, 18), (O, 3000, 28), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (O, 8000, 16),
+    (O, 8000, 28), (O, 8000, 40), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 2), (U, None, 4), (U, None, 6),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 8), (O, 11000, 20), (O, 11000, 34), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "instances,pins",
+    [(_random_cnf_instances, _RANDOM_CNF_PINS), (_encoder_instances, _ENCODER_PINS)],
+    ids=["random-cnf", "encoder"],
+)
+def test_node_counts_pinned(instances, pins):
+    got = [(r.status, r.cost, r.nodes) for r in (solve(i, backend="pure") for i in instances())]
+    assert got == pins
+
+
+@needs_compiled
+def test_backends_agree_on_encoder_instances():
+    # at-most-one mutex structure and action-cost soft units, unlike random CNF
+    for inst in _encoder_instances():
+        pure = solve(inst, backend="pure")
+        comp = solve(inst, backend="compiled")
+        assert (pure.status, pure.cost, pure.assignment, pure.nodes) == (
+            comp.status, comp.cost, comp.assignment, comp.nodes)
 
 
 def test_unknown_backend_rejected():
