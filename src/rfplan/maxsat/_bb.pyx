@@ -244,7 +244,7 @@ cdef class _Engine:
 
     def run(self, double timeout):
         cdef int c, u, conflict, v, scan, p, lit, i
-        cdef long long ub = INF_COST, gap, best_cost = -1
+        cdef long long ub = INF_COST, best_cost = -1
         cdef long long steps = 0
         cdef bint descend = True
         cdef double deadline = 0.0
@@ -284,11 +284,12 @@ cdef class _Engine:
                     status = STATUS_TIMEOUT
                     break
             if descend:
-                if self.cost >= ub:
-                    descend = False
-                    continue
-                gap = ub - self.cost if ub < INF_COST else INF_COST
-                if self.cost + self.lower_bound(gap) >= ub:
+                # The bound runs only once an incumbent exists (ub < INF_COST).
+                # Hard propagation is at fixpoint here, so every conflict's
+                # reason cone holds a soft clause and the bound is finite:
+                # before an incumbent it cannot prune, and skipping it keeps
+                # node counts unchanged.
+                if self.cost >= ub or (ub < INF_COST and self.cost + self.lower_bound(ub - self.cost) >= ub):
                     descend = False
                     continue
                 scan = self.fr_scan[depth - 1] + 1 if depth > 0 else 0

@@ -5,6 +5,12 @@ hard clauses and a lower bound from disjoint soft-clause cores, each
 found by treating still-active soft clauses as unit-propagation sources
 and harvesting the soft clauses in a conflict's reason cone.
 
+The bound is computed only once an incumbent exists: before that the
+upper bound is infinite and no finite bound can prune.  Skipping it
+leaves node counts unchanged, because hard propagation is at fixpoint
+whenever the bound would run, so every conflict's reason cone holds a
+soft clause and the bound would return a finite value.
+
 The compiled kernel in ``_bb.pyx`` is a line-for-line port; the two must
 stay in lockstep (same decisions, same results, same node counts).
 """
@@ -198,7 +204,7 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
                 status = STATUS_TIMEOUT
                 break
         if descend:
-            if cost >= ub or (cost + lower_bound(ub - cost if ub < _INF else _INF)) >= ub:
+            if cost >= ub or (ub < _INF and cost + lower_bound(ub - cost) >= ub):
                 descend = False
                 continue
             scan = stack[-1][4] + 1 if stack else 0
