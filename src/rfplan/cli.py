@@ -636,17 +636,16 @@ def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
 @_state_options
 @click.option("--target", "target_text", required=True)
 @_key_option("z")
-@_key_option("alpha")
 @click.option("--rule", type=click.Choice(baselines.GREEDY_RULES), default="ratio",
               show_default=True)
 @_catalog_options()
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
-def greedy(ctx, model_path, x_text, state_text, target_text, z, alpha, rule,
+def greedy(ctx, model_path, x_text, state_text, target_text, z, rule,
            actions_path, cost_seed, beta_range, as_json, config_path):
     """Hill-climb baseline: apply the best improving action until done."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
-    params = _search_params(forest, target_text, z=z, alpha=alpha)
+    params = _search_params(forest, target_text, z=z)
     s_init = _instance_state(table, x_text, state_text)
     res = baselines.greedy_plan(s_init, library, forest, table, params, rule=rule)
     _show_plan(res, s_init, forest, table, params.target, as_json, visited=len(res.visited))

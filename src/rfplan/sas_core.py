@@ -59,10 +59,6 @@ class Transition:
         return self.frm is not None and self.frm == self.to
 
     @property
-    def is_regular(self) -> bool:
-        return self.frm is not None and self.frm != self.to
-
-    @property
     def sort_key(self) -> tuple[int, int, int]:
         # mechanical transitions sort after explicit sources of the same variable
         return (self.var, self.frm if self.frm is not None else 1 << 30, self.to)

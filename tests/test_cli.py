@@ -340,6 +340,15 @@ def test_greedy_rules_are_selectable(ws):
     assert all(c > 0 for c in costs.values())
 
 
+def test_greedy_has_no_alpha_option(ws):
+    # greedy reads only the target and z; an unknown option is invalid input
+    rv, out, err = run(["greedy", "--model", ws["model"], "--state", "0,0,0",
+                        "--target", 1, "--alpha", 1])
+    assert rv == 3
+    assert out == ""
+    assert "No such option" in err and "--alpha" in err
+
+
 def test_greedy_failure_exits_two(hardws):
     rv, out, err = run(["greedy", "--model", hardws["model"], "--state", "0",
                         "--target", 1])

@@ -36,9 +36,9 @@ def test_transition_kinds():
     regular = Transition(var=0, frm=1, to=2)
     prevailing = Transition(var=0, frm=1, to=1)
     mechanical = Transition(var=0, frm=WILDCARD, to=2)
-    assert regular.is_regular and not regular.is_prevailing
+    assert not regular.is_mechanical and not regular.is_prevailing
     assert prevailing.is_prevailing and not prevailing.is_mechanical
-    assert mechanical.is_mechanical and not mechanical.is_regular
+    assert mechanical.is_mechanical and not mechanical.is_prevailing
     assert str(regular) == "x0:1->2"
     assert str(mechanical) == "x0:*->2"
 
@@ -152,7 +152,8 @@ def test_default_library_toy(toy_table, unit_library):
     assert unit_library.mean_cost() == 1.75
     for a in unit_library:
         assert len(a.transitions) == 1
-        assert a.transitions[0].is_regular
+        t = a.transitions[0]
+        assert not t.is_mechanical and not t.is_prevailing
 
 
 def test_neighbors_toy(unit_library):
