@@ -152,6 +152,41 @@ def test_prevailing_condition_blocks_parallel_move():
     assert plan.action_ids() == [["a"], ["b"]]
 
 
+def _action_exclusions(instance, varmap):
+    """Hard clauses made only of negated action variables."""
+    act_vars = set(varmap.acts.values())
+    return [c for c in instance.hard if all(-lit in act_vars for lit in c)]
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_clashing_actions_need_no_clause_of_their_own(unit_library, L):
+    # single-transition actions clash only through their transitions, and the
+    # transition-mutex clauses already exclude those pairs
+    sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
+    instance, varmap = encode(sas, L)
+    assert _action_exclusions(instance, varmap) == []
+
+
+def _shared_write_task():
+    # A and B both write x0:0->1, B and C both write x2:0->1
+    lib = _lib(
+        _act("A", 1.0, (0, 0, 1), (1, 0, 1)),
+        _act("B", 1.0, (0, 0, 1), (2, 0, 1)),
+        _act("C", 5.0, (2, 0, 1)),
+    )
+    return SasProblem(sizes=(2, 2, 2), library=lib, initial=(0, 0, 0), goals=((1, 1, 1),))
+
+
+def test_shared_write_excludes_actions():
+    sas = _shared_write_task()
+    instance, varmap = encode(sas, 1, scale=1)
+    name = {v: aid for (_, aid), v in varmap.acts.items()}
+    pairs = sorted(sorted(name[-lit] for lit in c) for c in _action_exclusions(instance, varmap))
+    assert pairs == [["A", "B"], ["B", "C"]]
+    plan = _solve_at(sas, 1)
+    assert plan.action_ids() == [["A", "C"]] and plan.cost == 6.0, "A+B would cost 2"
+
+
 def test_mechanical_only_move_is_outside_the_encoding():
     # an action whose only write is mechanical executes fine, but the
     # encoding quantifies over explicit endpoints only and cannot use it
