@@ -3,10 +3,18 @@
 The task: from the discretized start state, reach any of the goal states
 collected from the k nearest stored neighbors.  At makespan L the encoding
 has one variable per (transition, step), per (action, step), and per goal
-state.  Soft clauses price each action occurrence; hard clauses pin the
-start state, require a goal, chain transitions across steps, forbid
-mutex pairs, tie actions to their transitions, and require a supporting
-action for every value change.
+state.  Soft clauses price each action occurrence.  The hard clause
+families: pin the start state; require a goal and pin its values at step
+L; chain each explicit transition to the previous and the next step;
+exclude clashing transitions of a variable; tie each action to its
+transitions; require a supporting action for every value change; exclude
+actions that contain the same non-prevailing transition.
+
+Clashing actions need no clause of their own: when ``a`` contains ``t``,
+``b`` contains ``u`` and ``t``, ``u`` are mutex, unit propagation derives
+``-b`` from ``a`` through ``t`` and ``-u`` (the transition view of Huang,
+Chen & Zhang, "SAS+ Planning as Satisfiability", JAIR 2012).  Identical
+transitions never clash, so only a shared write needs an action pair.
 
 Per step and state variable exactly one explicit-endpoint transition is
 true, so a satisfying model decodes to one well-defined state trajectory.
@@ -18,6 +26,7 @@ handles those), which keeps decoded plans sound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -34,7 +43,6 @@ from .sas_core import (
     ActionLibrary,
     Plan,
     Transition,
-    action_mutex,
     simulate_plan,
     transition_mutex,
 )
@@ -96,15 +104,21 @@ class VarMap:
     trans: dict[tuple[int, int, int | None, int], int]  # (step, var, frm, to)
     acts: dict[tuple[int, str], int]  # (step, action id)
     goals: dict[State, int]
-    descriptions: dict[int, str]
+
+    def _names(self) -> dict[int, str]:
+        names = {v: f"t={t} transition {Transition(*key)}" for (t, *key), v in self.trans.items()}
+        names.update((v, f"t={t} action {aid}") for (t, aid), v in self.acts.items())
+        names.update((v, f"goal state {g}") for g, v in self.goals.items())
+        return names
 
     def describe(self, v: int) -> str:
-        return self.descriptions.get(v, f"unused variable {v}")
+        return self._names().get(v, f"unused variable {v}")
 
     def write_map(self, path) -> None:
+        names = self._names()
         with open(path, "w", encoding="utf-8") as fh:
             for v in range(1, self.nvars + 1):
-                fh.write(f"{v} {self.describe(v)}\n")
+                fh.write(f"{v} {names[v]}\n")
 
 
 def _transition_universe(sas: SasProblem) -> list[list[tuple[int | None, int]]]:
@@ -139,40 +153,28 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
     if scale < 1:
         raise PlanningError(f"scale must be >= 1, got {scale}")
     m = len(sas.sizes)
+    steps = range(1, L + 1)
+    actions = sas.library.actions
     universe = _transition_universe(sas)
 
-    trans: dict[tuple[int, int, int | None, int], int] = {}
-    acts: dict[tuple[int, str], int] = {}
-    goal_vars: dict[State, int] = {}
-    descriptions: dict[int, str] = {}
-    nxt = 1
-    for t in range(1, L + 1):
-        for v in range(m):
-            for frm, to in universe[v]:
-                trans[(t, v, frm, to)] = nxt
-                frm_s = "*" if frm is None else str(frm)
-                descriptions[nxt] = f"t={t} transition x{v}:{frm_s}->{to}"
-                nxt += 1
-    for t in range(1, L + 1):
-        for a in sas.library.actions:
-            acts[(t, a.id)] = nxt
-            descriptions[nxt] = f"t={t} action {a.id}"
-            nxt += 1
-    for g in sas.goals:
-        goal_vars[g] = nxt
-        descriptions[nxt] = f"goal state {g}"
-        nxt += 1
-    nvars = nxt - 1
+    ids = itertools.count(1)
+    trans = {(t, v, f, g): next(ids) for t in steps for v in range(m) for f, g in universe[v]}
+    acts = {(t, a.id): next(ids) for t in steps for a in actions}
+    goal_vars = {g: next(ids) for g in sas.goals}
+    nvars = next(ids) - 1
+
+    # transition -> the actions that contain it
+    support: dict[tuple[int, int | None, int], list[Action]] = {}
+    for a in actions:
+        for tr in a.transitions:
+            support.setdefault((tr.var, tr.frm, tr.to), []).append(a)
 
     hard: list[list[int]] = []
-    soft: list[tuple[int, list[int]]] = []
-
-    # action costs
-    for t in range(1, L + 1):
-        for a in sas.library.actions:
-            soft.append(
-                (_scaled_cost(a.cost, scale, f"action {a.id!r}"), [-acts[(t, a.id)]])
-            )
+    soft = [
+        (_scaled_cost(a.cost, scale, f"action {a.id!r}"), [-acts[(t, a.id)]])
+        for t in steps
+        for a in actions
+    ]
 
     # start state: step 1 leaves each variable through its current value
     for v in range(m):
@@ -201,14 +203,9 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
                     [-trans[(t, v, f, g)]]
                     + [trans[(t + 1, v, f2, g2)] for f2, g2 in universe[v] if f2 == g]
                 )
-    for t in range(2, L + 1):
-        for v in range(m):
-            for f, g in universe[v]:
-                if f is None:
-                    continue
                 hard.append(
-                    [-trans[(t, v, f, g)]]
-                    + [trans[(t - 1, v, f2, g2)] for f2, g2 in universe[v] if g2 == f]
+                    [-trans[(t + 1, v, f, g)]]
+                    + [trans[(t, v, f2, g2)] for f2, g2 in universe[v] if g2 == f]
                 )
 
     # mutex transitions within a step (same variable only)
@@ -221,30 +218,31 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
             for j in range(i + 1, len(pairs))
             if transition_mutex(objs[i], objs[j])
         ]
-        for t in range(1, L + 1):
+        for t in steps:
             for p1, p2 in clashing:
                 hard.append([-trans[(t, v, *p1)], -trans[(t, v, *p2)]])
 
-    # mutex actions within a step
-    actions = sas.library.actions
-    for i in range(len(actions)):
-        for j in range(i + 1, len(actions)):
-            if action_mutex(actions[i], actions[j]):
-                for t in range(1, L + 1):
-                    hard.append([-acts[(t, actions[i].id)], -acts[(t, actions[j].id)]])
+    # actions sharing a write exclude each other; other clashing actions are
+    # excluded through their transitions (see the module docstring)
+    shared = dict.fromkeys(
+        (a.id, b.id)
+        for (_, f, g), backers in support.items()
+        if f != g
+        for i, a in enumerate(backers)
+        for b in backers[i + 1:]
+    )
+    for t in steps:
+        for a_id, b_id in shared:
+            hard.append([-acts[(t, a_id)], -acts[(t, b_id)]])
 
     # an action brings all its transitions along
-    for t in range(1, L + 1):
+    for t in steps:
         for a in actions:
             for tr in a.transitions:
                 hard.append([-acts[(t, a.id)], trans[(t, tr.var, tr.frm, tr.to)]])
 
     # every value change needs a supporting action
-    support: dict[tuple[int, int | None, int], list[Action]] = {}
-    for a in actions:
-        for tr in a.transitions:
-            support.setdefault((tr.var, tr.frm, tr.to), []).append(a)
-    for t in range(1, L + 1):
+    for t in steps:
         for v in range(m):
             for f, g in universe[v]:
                 if f is not None and f == g:
@@ -255,23 +253,19 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
                 )
 
     instance = WcnfInstance.build(nvars=nvars, hard=hard, soft=soft)
-    varmap = VarMap(
-        L=L, nvars=nvars, trans=trans, acts=acts, goals=goal_vars, descriptions=descriptions
-    )
-    return instance, varmap
+    return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=acts, goals=goal_vars)
 
 
 def decode(assignment: tuple[bool, ...], varmap: VarMap, sas: SasProblem) -> Plan:
-    """Read the per-step action sets out of a model and simulate them."""
+    """Read the non-empty per-step action sets out of a model and simulate them."""
     steps: list[list[Action]] = [[] for _ in range(varmap.L)]
     for (t, action_id), v in varmap.acts.items():
         if assignment[v]:
             steps[t - 1].append(sas.library.by_id(action_id))
-    while steps and not steps[-1]:
-        steps.pop()
-    final = simulate_plan(sas.initial, steps)
-    cost = sum(a.cost for step in steps for a in step)
-    return Plan(steps=tuple(tuple(step) for step in steps), cost=cost, goal=final)
+    kept = tuple(tuple(step) for step in steps if step)
+    final = simulate_plan(sas.initial, kept)
+    cost = sum(a.cost for step in kept for a in step)
+    return Plan(steps=kept, cost=cost, goal=final)
 
 
 def check_plan(plan: Plan, sas: SasProblem) -> None:
@@ -366,7 +360,6 @@ def plan_actions(
     k: int = 3,
     l_max: int = 8,
     sweep: bool = False,
-    sim_weights: SimilarityWeights | None = None,
     scale: int = DEFAULT_SCALE,
     timeout: float | None = None,
     solver: Callable[..., SolveResult] | None = None,
@@ -395,8 +388,6 @@ def plan_actions(
     if l_max < 1:
         raise PlanningError(f"l_max must be >= 1, got {l_max}")
     s_init = to_state(table, x) if x is not None else check_state(table, state)
-    if sim_weights is None:
-        sim_weights = SimilarityWeights.from_forest(forest)
 
     evaluator = StateEvaluator(forest, table, db.params.target)
     if evaluator.proba(s_init) >= db.params.z:
@@ -410,7 +401,7 @@ def plan_actions(
 
     try:
         sas = build_sas(
-            s_init, db, k, sim_weights, table, library,
+            s_init, db, k, SimilarityWeights.from_forest(forest), table, library,
             forest=forest, fallback_search=fallback_search,
         )
     except NoGoalsError:

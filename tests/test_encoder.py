@@ -187,6 +187,19 @@ def test_shared_write_excludes_actions():
     assert plan.action_ids() == [["A", "C"]] and plan.cost == 6.0, "A+B would cost 2"
 
 
+def test_decode_drops_empty_steps():
+    sas = _shared_write_task()
+    _, varmap = encode(sas, 3, scale=1)
+    model = [False] * (varmap.nvars + 1)
+    for key in ((2, "A"), (2, "C")):
+        model[varmap.acts[key]] = True
+    plan = decode(tuple(model), varmap, sas)
+    assert plan.action_ids() == [["A", "C"]]
+    assert (plan.cost, plan.goal) == (6.0, (1, 1, 1))
+    solved = _solve_at(sas, 2)
+    assert solved.action_ids() == [["A", "C"]] and solved.cost == 6.0
+
+
 def test_mechanical_only_move_is_outside_the_encoding():
     # an action whose only write is mechanical executes fine, but the
     # encoding quantifies over explicit endpoints only and cannot use it
