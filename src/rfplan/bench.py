@@ -8,14 +8,12 @@ Everything except wall-clock timings is determined by the seeds.
 
 from __future__ import annotations
 
-import functools
 import random
 import resource
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from . import maxsat
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions, SOLVED as PLAN_SOLVED
@@ -44,7 +42,6 @@ class BenchSettings:
     oracle_cap: int = 2_000_000
     workers: int = 1
     timeout: float | None = None
-    backend: str | None = None
 
     def search_params(self) -> SearchParams:
         return SearchParams(
@@ -190,7 +187,6 @@ def _run_planner(forest, table, library, db, s, settings: BenchSettings) -> ArmR
         l_max=settings.l_max,
         sweep=settings.sweep_makespan,
         timeout=settings.timeout,
-        solver=functools.partial(maxsat.solve, backend=settings.backend),
     )
     dt = time.perf_counter() - t0
     if outcome.status == PLAN_SOLVED:

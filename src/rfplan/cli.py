@@ -593,32 +593,28 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
 @click.option("--sweep", is_flag=True, help="Try every makespan and keep the cheapest plan.")
 @click.option("--timeout", type=_SECONDS, default=None, help="Total solver budget in seconds.")
 @click.option("--scale", type=int, default=DEFAULT_SCALE, show_default=True)
-@click.option("--backend", type=click.Choice(["pure", "compiled"]), default=None)
 @click.option("--external-solver", "external_cmd", default=None,
-              help="Shell command solving a WCNF file passed as its last argument "
-                   "(not with --backend).")
+              help="Shell command solving a WCNF file passed as its last argument.")
 @_catalog_options()
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout, scale,
-         backend, external_cmd, actions_path, cost_seed, beta_range, as_json, config_path):
+         external_cmd, actions_path, cost_seed, beta_range, as_json, config_path):
     """Find a minimum-cost action sequence that flips the prediction."""
-    if backend is not None and external_cmd is not None:
-        raise CliError("--backend selects an in-process kernel; it cannot be combined "
-                       "with --external-solver")
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
     db = _load_db(db_path)
     s_init = _instance_state(table, x_text, state_text)
 
+    solver = None
     if external_cmd is not None:
         solver = functools.partial(maxsat.solve_external, command=external_cmd)
-    else:
-        solver = functools.partial(maxsat.solve, backend=backend)
     try:
         outcome = encoder.plan_actions(
             forest, table, library, db, state=s_init, k=k, l_max=l_max,
             sweep=sweep, scale=scale, timeout=timeout, solver=solver,
         )
+    except StateError as exc:
+        raise CliError(f"goal database {db_path}: {exc}") from None
     except (PlanningError, SearchError, BackendError, WcnfError) as exc:
         raise CliError(str(exc)) from None
 
@@ -711,6 +707,8 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k, scale
     except NoGoalsError:
         click.echo("no goal states for this instance; nothing to encode", err=True)
         ctx.exit(EXIT_UNSOLVABLE)
+    except StateError as exc:
+        raise CliError(f"goal database {db_path}: {exc}") from None
     except PlanningError as exc:
         raise CliError(str(exc)) from None
     try:
@@ -772,14 +770,13 @@ def _render_bench(report) -> None:
 @_key_option("workers")
 @click.option("--sweep", "sweep_text", default="100", show_default=True,
               help="Preprocessing fractions, e.g. 'r=10,20,...,100'.")
-@click.option("--backend", type=click.Choice(["pure", "compiled"]), default=None)
 @click.option("--json-out", "json_path", type=click.Path(), default=None,
               help="Also write instance and summary records as JSON lines.")
 @_catalog_options(actions=False)
 def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, delta,
               node_budget, k, l_max, sweep_makespan, n_instances, timeout, cost_seed,
               beta_range, sample_seed, state_cap, oracle_cap, workers, sweep_text,
-              backend, json_path, config_path):
+              json_path, config_path):
     """Compare the planner against the baselines on many instances."""
     forest, table, library = _catalog(model_path, None, cost_seed, beta_range)
     target = _resolve_class(forest, target_text)
@@ -802,7 +799,6 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, de
         oracle_cap=oracle_cap,
         workers=workers,
         timeout=timeout,
-        backend=backend,
     )
 
     candidates = None

@@ -133,6 +133,13 @@ class PreferredGoalEntry:
             raise SearchError("goal must be absent exactly when status is no_goal")
         if (self.cost is None) != (self.status == NO_GOAL):
             raise SearchError("cost must be absent exactly when status is no_goal")
+        cost, n = self.cost, self.expansions
+        if cost is not None and (
+            isinstance(cost, bool) or not isinstance(cost, (int, float)) or not 0 <= cost < math.inf
+        ):
+            raise SearchError(f"cost must be a finite number >= 0, got {cost!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise SearchError(f"expansions must be an int >= 0, got {n!r}")
 
     @property
     def found(self) -> bool:

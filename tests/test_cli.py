@@ -256,6 +256,36 @@ def test_plan_rejects_out_of_range_state(ws):
     assert "outside" in err
 
 
+@pytest.mark.parametrize("cmd", ["plan", "bench"])
+def test_backend_is_not_an_option(ws, cmd):
+    # RFPLAN_MAXSAT picks the in-process kernel; there is no flag for it
+    args = {"plan": ["--db", ws["db"], "--state", "0,0,0"], "bench": ["--target", 1]}[cmd]
+    rv, out, err = run([cmd, "--model", ws["model"], *args, "--backend", "pure"])
+    assert rv == 3
+    assert out == ""
+    assert "No such option" in err and "--backend" in err
+
+
+def _corrupt_db(ws, tmp_path, field):
+    """The workspace database with one entry's ``field`` moved off the grid."""
+    lines = ws["db"].read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = [9] * len(rec[field])
+    path = tmp_path / f"bad-{field}.jsonl"
+    path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("field", ["goal", "initial"])
+@pytest.mark.parametrize("cmd", ["plan", "export-wcnf"])
+def test_off_grid_db_entry_is_invalid_input(ws, tmp_path, cmd, field):
+    db = _corrupt_db(ws, tmp_path, field)
+    extra = ["-L", 1, "--out", tmp_path / "x.wcnf"] if cmd == "export-wcnf" else []
+    rv, out, err = run([cmd, "--model", ws["model"], "--db", db, "--state", "0,0,0", *extra])
+    assert rv == 3
+    assert f"goal database {db}: coordinate 0: index 9 outside" in err
+
+
 def test_plan_missing_db_suggests_preprocess(ws, tmp_path):
     rv, _, err = run(["plan", "--model", ws["model"], "--db", tmp_path / "missing.jsonl",
                       "--state", "0,0,0"])
@@ -503,8 +533,7 @@ def test_external_solver_agrees_on_goal_states_missing_from_db(ws, tmp_path):
 @pytest.mark.parametrize("mode, extra, code, message", [
     ("sleep", ["--timeout", 1], 4, "no plan within the time budget"),
     ("crash", [], 3, "exited with code 1; stderr ends: solver ran out of memory"),
-    ("", ["--backend", "pure"], 3, "cannot be combined with --external-solver"),
-], ids=["timeout", "exit-code", "with-backend"])
+], ids=["timeout", "exit-code"])
 def test_external_solver_failures(ws, tmp_path, mode, extra, code, message):
     t0 = time.perf_counter()
     rv, out, err = run(["plan", "--model", ws["model"], "--db", ws["db"], "--state", "0,0,0",

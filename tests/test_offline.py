@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from helpers import baseline_model, random_soft_forest
@@ -92,8 +94,17 @@ def test_entry_validation():
         PreferredGoalEntry(initial=(0,), goal=None, cost=1.0, expansions=0, status=PROVED_EXHAUSTED)
     with pytest.raises(SearchError, match="cost must be absent"):
         PreferredGoalEntry(initial=(0,), goal=(1,), cost=None, expansions=0, status=PROVED_EXHAUSTED)
+    for cost in ("cheap", -1, -0.5, math.inf, math.nan, True):
+        with pytest.raises(SearchError, match="cost must be a finite number >= 0"):
+            PreferredGoalEntry(initial=(0,), goal=(1,), cost=cost, expansions=0,
+                               status=PROVED_EXHAUSTED)
+    for n in (-1, 2.0, "3", None, True):
+        with pytest.raises(SearchError, match="expansions must be an int >= 0"):
+            PreferredGoalEntry(initial=(0,), goal=None, cost=None, expansions=n, status=NO_GOAL)
     ok = PreferredGoalEntry(initial=(0,), goal=None, cost=None, expansions=3, status=NO_GOAL)
     assert not ok.found
+    free = PreferredGoalEntry(initial=(0,), goal=(0,), cost=0, expansions=0, status=PROVED_EXHAUSTED)
+    assert free.cost == 0
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +318,15 @@ def test_db_restore_happy(tmp_path):
         ((HEADER, "{broken"), r"db\.jsonl:2: not valid JSON"),
         ((HEADER, '{"initial": [0], "status": "weird"}'), r"db\.jsonl:2: bad entry"),
         ((HEADER, ROW, ROW), r"db\.jsonl:3: duplicate entry"),
+        ((HEADER, ROW.replace("1.0", '"cheap"')), r"db\.jsonl:2: bad entry \(cost must be"),
+        ((HEADER, ROW.replace("1.0", "-1")), r"db\.jsonl:2: bad entry \(cost must be"),
+        ((HEADER, ROW.replace("1.0", "NaN")), r"db\.jsonl:2: bad entry \(cost must be"),
+        ((HEADER, ROW.replace('"expansions": 2', '"expansions": -1')),
+         r"db\.jsonl:2: bad entry \(expansions must be"),
+        ((HEADER, ROW.replace('"expansions": 2', '"expansions": "many"')),
+         r"db\.jsonl:2: bad entry \(expansions must be"),
+        ((HEADER, ROW.replace('"expansions": 2', '"expansions": 2.5')),
+         r"db\.jsonl:2: bad entry \(expansions must be"),
     ],
 )
 def test_db_restore_rejects(tmp_path, lines, needle):
