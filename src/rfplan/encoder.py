@@ -170,11 +170,14 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
             support.setdefault((tr.var, tr.frm, tr.to), []).append(a)
 
     hard: list[list[int]] = []
-    soft = [
-        (_scaled_cost(a.cost, scale, f"action {a.id!r}"), [-acts[(t, a.id)]])
-        for t in steps
-        for a in actions
-    ]
+    soft: list[tuple[int, list[int]]] = []
+
+    # action costs
+    for t in steps:
+        for a in actions:
+            soft.append(
+                (_scaled_cost(a.cost, scale, f"action {a.id!r}"), [-acts[(t, a.id)]])
+            )
 
     # start state: step 1 leaves each variable through its current value
     for v in range(m):
@@ -223,7 +226,8 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
                 hard.append([-trans[(t, v, *p1)], -trans[(t, v, *p2)]])
 
     # actions sharing a write exclude each other; other clashing actions are
-    # excluded through their transitions (see the module docstring)
+    # excluded through their transitions (see the module docstring).  One
+    # clause per pair, in a fixed order: a dict, not a set of str hashes.
     shared = dict.fromkeys(
         (a.id, b.id)
         for (_, f, g), backers in support.items()
