@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from helpers import baseline_model, random_soft_forest
 from rfplan.baselines import oracle_plan
-from rfplan.discretize import StateError, enumerate_states
+from rfplan.discretize import StateError, StateEvaluator, enumerate_states
 from rfplan.forest import fingerprint
 from rfplan.offline import (
     AUTO,
@@ -257,6 +258,52 @@ def test_preprocess_workers_match_serial_with_mechanical_actions(
     for s in states:
         assert parallel.get(s).path == serial.get(s).path
     assert any(a in extra for e in serial.entries.values() for a in e.path)
+
+
+def assert_same_as_lone_searches(db, library, forest, table, params):
+    """Every entry equals a lone search's, its witness path included."""
+    for s, got in db.entries.items():
+        lone = find_preferred_goal(s, library, forest, table, params)
+        assert (got.goal, got.cost, got.status, got.expansions) == (
+            lone.goal, lone.cost, lone.status, lone.expansions
+        ), s
+        # PreferredGoalEntry.path has compare=False, so == above skips it
+        assert got.path == lone.path, s
+
+
+@pytest.mark.parametrize("alpha", [AUTO, 0.0])
+def test_preprocess_matches_lone_searches_on_baseline(alpha):
+    forest, table, library = baseline_model()
+    params = SearchParams(target=1, z=0.5, alpha=alpha)
+    evaluator = StateEvaluator(forest, table, params.target)
+    nongoal = [s for s in enumerate_states(table) if evaluator.proba(s) < params.z]
+    # the two reopening cases of the default alpha, then a seeded sample
+    states = [(0, 4, 5, 3), (1, 4, 5, 3)] + random.Random(0).sample(nongoal, 4)
+    db = preprocess(states, library, forest, table, params)
+    assert len(db) == len(set(states))
+    assert all(e.status == PROVED_EXHAUSTED for e in db.entries.values())
+    assert_same_as_lone_searches(db, library, forest, table, params)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(alpha=AUTO), dict(alpha=0.0), dict(alpha=0.0, node_budget=3), dict(patience=1)]
+)
+def test_preprocess_matches_lone_searches_with_mechanical_actions(
+    toy_forest, toy_table, unit_library, kwargs
+):
+    # a mechanical-only action and one with a prevailing condition as well
+    extra = (
+        Action(id="reset", transitions=(Transition(2, WILDCARD, 0),), cost=2.0),
+        Action(id="keep", transitions=(Transition(1, 1, 1), Transition(2, WILDCARD, 2)), cost=1.5),
+    )
+    library = ActionLibrary(actions=unit_library.actions + extra)
+    params = SearchParams(target=1, z=0.5, **kwargs)
+    states = list(enumerate_states(toy_table))
+    serial = preprocess(states, library, toy_forest, toy_table, params)
+    assert_same_as_lone_searches(serial, library, toy_forest, toy_table, params)
+    parallel = preprocess(states, library, toy_forest, toy_table, params, workers=2)
+    assert parallel == serial
+    assert all(parallel.get(s).path == serial.get(s).path for s in states)
 
 
 # ---------------------------------------------------------------------------
