@@ -11,6 +11,12 @@ which proves the stored cost optimal for every alpha; when more than
 ``patience`` expansions pass without a cheaper goal; or when the
 expansion budget is exhausted.  Re-expansions count as expansions.
 
+The searches of one ``preprocess`` call share a successor table: each
+state's successors are generated once per call (once per worker process
+with ``workers > 1``), however many searches expand it.  The table holds
+one row per expanded state and is freed when the call returns; a lone
+``find_preferred_goal`` call builds none.
+
 Results are stored in a goal database keyed by start state and stamped
 with the model fingerprint so stale pairings are rejected.
 """
@@ -20,6 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -146,6 +153,39 @@ class PreferredGoalEntry:
         return self.status != NO_GOAL
 
 
+_cost = operator.attrgetter("cost")
+
+
+class SuccessorTable:
+    """Successor rows shared by the searches of one ``preprocess`` call.
+
+    A state's first expansion stores ``neighbors(s, library)`` as two
+    parallel tuples, its actions and its successor states, in the same id
+    order; later expansions, in this search or another, reuse the row.
+    Successor states are interned, one object per state.  The table grows
+    by one row per state expanded through it and lives as long as its
+    owner, which for ``preprocess`` is one call.
+    """
+
+    def __init__(self, library: ActionLibrary):
+        self.library = library
+        self._rows: dict[State, tuple[tuple[Action, ...], tuple[State, ...]]] = {}
+        self._interned: dict[State, State] = {}
+
+    def edges(self, s: State) -> Iterable[tuple[Action, State, float]]:
+        """``(action, successor, cost)`` triples, as ``neighbors`` yields them."""
+        row = self._rows.get(s)
+        if row is None:
+            intern = self._interned.setdefault
+            found = neighbors(s, self.library)
+            row = self._rows[s] = (
+                tuple(a for a, _, _ in found),
+                tuple(intern(s2, s2) for _, s2, _ in found),
+            )
+        actions, states = row
+        return zip(actions, states, map(_cost, actions))
+
+
 def find_preferred_goal(
     s_init: State,
     library: ActionLibrary,
@@ -153,11 +193,18 @@ def find_preferred_goal(
     table: PartitionTable,
     params: SearchParams,
     evaluator: StateEvaluator | None = None,
+    successors: SuccessorTable | None = None,
 ) -> PreferredGoalEntry:
-    """Best-first anytime search from one start state."""
+    """Best-first anytime search from one start state.
+
+    ``successors`` is a table shared with other searches over the same
+    library; without one, every expansion calls ``neighbors``.
+    """
     s_init = check_state(table, s_init)
     if evaluator is None:
         evaluator = StateEvaluator(forest, table, params.target)
+    if successors is not None and successors.library is not library:
+        raise SearchError("successor table was built for another action library")
     alpha = resolve_alpha(params, library)
     z = params.z
 
@@ -202,7 +249,8 @@ def find_preferred_goal(
         if expansions > params.node_budget:
             status = BUDGET_STOP
             break
-        for action, s2, w in neighbors(s, library):
+        edges = neighbors(s, library) if successors is None else successors.edges(s)
+        for action, s2, w in edges:
             g2 = g + w
             if g2 < best_g.get(s2, math.inf):
                 best_g[s2] = g2
@@ -247,6 +295,7 @@ def _worker_init(library: ActionLibrary, forest: RandomForest, table: PartitionT
     _WORKER_CTX.update(
         library=library, forest=forest, table=table, params=params,
         evaluator=StateEvaluator(forest, table, params.target),
+        successors=SuccessorTable(library),
     )
 
 
@@ -254,7 +303,8 @@ def _worker_search(states: list[State]) -> list[PreferredGoalEntry]:
     ctx = _WORKER_CTX
     return [
         find_preferred_goal(
-            s, ctx["library"], ctx["forest"], ctx["table"], ctx["params"], ctx["evaluator"]
+            s, ctx["library"], ctx["forest"], ctx["table"], ctx["params"], ctx["evaluator"],
+            ctx["successors"],
         )
         for s in states
     ]
@@ -271,16 +321,21 @@ def preprocess(
 ) -> GoalDatabase:
     """Search every given start state and assemble the goal database.
 
-    Duplicate states are searched once.  With ``workers > 1`` the states
-    are split across processes; results are identical either way.
+    Duplicate states are searched once.  The searches share one
+    ``SuccessorTable``, which holds a row per state any of them expanded
+    until the call returns.  With ``workers > 1`` the states are split
+    across processes and each process keeps its own table; results are
+    identical either way, and identical to lone ``find_preferred_goal``
+    calls.
     """
     todo = sorted(set(check_state(table, s) for s in states))
     entries: dict[State, PreferredGoalEntry] = {}
     done = 0
     if workers <= 1:
         evaluator = StateEvaluator(forest, table, params.target)
+        successors = SuccessorTable(library)
         for s in todo:
-            entry = find_preferred_goal(s, library, forest, table, params, evaluator)
+            entry = find_preferred_goal(s, library, forest, table, params, evaluator, successors)
             entries[s] = entry
             done += 1
             if on_progress:
@@ -389,6 +444,7 @@ __all__ = [
     "SearchError",
     "SearchParams",
     "PreferredGoalEntry",
+    "SuccessorTable",
     "GoalDatabase",
     "resolve_alpha",
     "heuristic",

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import baseline_model, random_soft_forest
+from rfplan import offline
 from rfplan.baselines import oracle_plan
 from rfplan.discretize import StateError, StateEvaluator, enumerate_states
 from rfplan.forest import fingerprint
@@ -19,6 +20,7 @@ from rfplan.offline import (
     PreferredGoalEntry,
     SearchError,
     SearchParams,
+    SuccessorTable,
     check_pairing,
     db_persist,
     db_restore,
@@ -34,6 +36,7 @@ from rfplan.sas_core import (
     CostModel,
     Transition,
     default_action_library,
+    neighbors,
 )
 
 
@@ -258,6 +261,35 @@ def test_preprocess_workers_match_serial_with_mechanical_actions(
     for s in states:
         assert parallel.get(s).path == serial.get(s).path
     assert any(a in extra for e in serial.entries.values() for a in e.path)
+
+
+def test_preprocess_generates_each_successor_row_once(
+    toy_forest, toy_table, unit_library, toy_params, toy_db, monkeypatch
+):
+    expanded = []
+
+    def counting_neighbors(s, library):
+        expanded.append(s)
+        return neighbors(s, library)
+
+    monkeypatch.setattr(offline, "neighbors", counting_neighbors)
+    states = list(enumerate_states(toy_table))
+    db = preprocess(states, unit_library, toy_forest, toy_table, toy_params)
+    assert db == toy_db
+    assert len(expanded) == len(set(expanded))
+    assert sum(e.expansions for e in db.entries.values()) > len(expanded)
+    # a lone search keeps no table: a second one regenerates every row
+    del expanded[:]
+    for _ in range(2):
+        find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params)
+    assert len(expanded) == 2 * len(set(expanded))
+
+
+def test_successor_table_is_bound_to_its_library(toy_forest, toy_table, unit_library, toy_params):
+    other = ActionLibrary(actions=unit_library.actions[:2])
+    with pytest.raises(SearchError, match="another action library"):
+        find_preferred_goal((0, 0, 0), other, toy_forest, toy_table, toy_params,
+                            successors=SuccessorTable(unit_library))
 
 
 def assert_same_as_lone_searches(db, library, forest, table, params):
