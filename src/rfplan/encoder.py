@@ -105,17 +105,11 @@ class VarMap:
     acts: dict[tuple[int, str], int]  # (step, action id)
     goals: dict[State, int]
 
-    def _names(self) -> dict[int, str]:
+    def write_map(self, path) -> None:
+        """One line per variable: its number and what it stands for."""
         names = {v: f"t={t} transition {Transition(*key)}" for (t, *key), v in self.trans.items()}
         names.update((v, f"t={t} action {aid}") for (t, aid), v in self.acts.items())
         names.update((v, f"goal state {g}") for g, v in self.goals.items())
-        return names
-
-    def describe(self, v: int) -> str:
-        return self._names().get(v, f"unused variable {v}")
-
-    def write_map(self, path) -> None:
-        names = self._names()
         with open(path, "w", encoding="utf-8") as fh:
             for v in range(1, self.nvars + 1):
                 fh.write(f"{v} {names[v]}\n")
@@ -378,7 +372,8 @@ def plan_actions(
 
     Each encoding is solved by ``solver(instance, timeout=seconds_left)``,
     which returns a SolveResult; ``None`` means ``maxsat.solve`` with the
-    default kernel.  ``timeout`` bounds all solves together.  When it runs
+    default kernel.  ``timeout`` (None, or seconds > 0) bounds all solves
+    together.  When it runs
     out the status is ``timeout``, never ``solved``, and the plan is the
     cheapest one found so far (the solver's checked incumbent or an earlier
     makespan's optimum), which is not proven cheapest; it is None when no
@@ -391,6 +386,10 @@ def plan_actions(
         raise PlanningError(f"k must be >= 1, got {k}")
     if l_max < 1:
         raise PlanningError(f"l_max must be >= 1, got {l_max}")
+    if timeout is not None and (
+        isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0
+    ):
+        raise PlanningError(f"timeout must be None or seconds > 0, got {timeout!r}")
     s_init = to_state(table, x) if x is not None else check_state(table, state)
 
     evaluator = StateEvaluator(forest, table, db.params.target)
@@ -413,7 +412,7 @@ def plan_actions(
     # looked up per call, not bound as a default, so a rebound maxsat.solve is used
     solve = solver if solver is not None else maxsat.solve
 
-    deadline = time.perf_counter() + timeout if timeout else None
+    deadline = time.perf_counter() + timeout if timeout is not None else None
     attempts: list[PlanAttempt] = []
     best: Plan | None = None
     for L in range(1, l_max + 1):

@@ -52,13 +52,23 @@ def default_backend() -> str:
     return "compiled" if _bb is not None else "pure"
 
 
+def _check_timeout(timeout) -> None:
+    """``None`` means no limit; anything else must be a positive number of seconds."""
+    if timeout is not None and (
+        isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0
+    ):
+        raise BackendError(f"timeout must be None or seconds > 0, got {timeout!r}")
+
+
 def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | None = None) -> SolveResult:
     """Minimize falsified soft weight subject to the hard clauses.
 
     Returns an optimal model, ``hard_unsat``, or on timeout the best
-    incumbent found.  Every model is re-checked against the clause set
-    before being returned; one that fails raises BackendError.
+    incumbent found.  ``timeout`` is None (no limit) or seconds > 0.
+    Every model is re-checked against the clause set before being
+    returned; one that fails raises BackendError.
     """
+    _check_timeout(timeout)
     name = backend or default_backend()
     if name not in available_backends():
         raise BackendError(f"solver backend {name!r} is not available")
@@ -66,7 +76,7 @@ def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | N
     weights, lits, offsets, order, polarity = compile_instance(instance)
     status_code, cost, assign_bytes, nodes = kernel.solve_compiled(
         instance.nvars, weights, lits, offsets, order, polarity,
-        float(timeout) if timeout else 0.0,
+        float(timeout) if timeout is not None else 0.0,  # 0 tells the kernel: no limit
     )
     status = _STATUS[status_code]
     if status == HARD_UNSAT:
@@ -88,10 +98,11 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
 
     ``command`` is split shell-style and the path of a temporary WCNF file
     is appended as its last argument.  The process is killed after
-    ``timeout`` seconds, which reports ``timeout``.  An exit code other
-    than 0/10/20/30 raises BackendError; the printed answer is read and
-    checked by ``read_solver_output``.
+    ``timeout`` seconds (None: no limit, else > 0), which reports
+    ``timeout``.  An exit code other than 0/10/20/30 raises BackendError;
+    the printed answer is read and checked by ``read_solver_output``.
     """
+    _check_timeout(timeout)
     argv = shlex.split(command)
     if not argv:
         raise BackendError("external solver command is empty")
@@ -100,7 +111,7 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
         wcnf_write(instance, path)
         try:
             proc = subprocess.run(
-                argv + [path], capture_output=True, text=True, timeout=timeout or None
+                argv + [path], capture_output=True, text=True, timeout=timeout
             )
         except subprocess.TimeoutExpired:
             return SolveResult(status=TIMEOUT, cost=None, assignment=None, nodes=0,

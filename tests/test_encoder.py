@@ -110,23 +110,16 @@ def test_toy_makespan_tradeoff(unit_library):
     assert plan3.goal == (0, 1, 2)
 
 
-def test_varmap_descriptions(unit_library):
-    sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
-    instance, varmap = encode(sas, 1)
-    assert varmap.describe(1) == "t=1 transition x0:0->0"
-    assert varmap.describe(varmap.nvars) == "goal state (0, 1, 2)"
-    assert varmap.describe(varmap.nvars + 5).startswith("unused")
-    assert instance.nvars == varmap.nvars
-
-
 def test_varmap_write_map(unit_library, tmp_path):
     sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
-    _, varmap = encode(sas, 1)
+    instance, varmap = encode(sas, 1)
+    assert instance.nvars == varmap.nvars
     path = tmp_path / "vars.map"
     varmap.write_map(path)
     lines = path.read_text().splitlines()
     assert len(lines) == varmap.nvars
     assert lines[0] == "1 t=1 transition x0:0->0"
+    assert lines[-1] == f"{varmap.nvars} goal state (0, 1, 2)"
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +345,16 @@ def test_plan_actions_timeout(toy_forest, toy_table, unit_library, toy_db):
     assert out.status == TIMEOUT
     assert out.plan is None
     assert out.attempts[-1].status == "timeout"
+
+
+@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), "5", True])
+def test_plan_actions_rejects_a_timeout_that_is_not_positive(
+    toy_forest, toy_table, unit_library, toy_db, timeout
+):
+    # 0 used to mean no limit while -1 timed out at once
+    with pytest.raises(PlanningError, match="timeout must be"):
+        plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0),
+                     timeout=timeout)
 
 
 def _reports_timeout(model=None, from_call=1):

@@ -18,6 +18,7 @@ from rfplan.maxsat import (
     default_backend,
     read_solver_output,
     solve,
+    solve_external,
     wcnf_read,
     wcnf_write,
 )
@@ -141,6 +142,18 @@ def test_timeout_reports_timeout_status():
     if res.assignment is not None:
         hard_ok, cost = inst.check(res.assignment)
         assert hard_ok and cost == res.cost and cost >= full.cost
+
+
+@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), "5", True])
+def test_solvers_reject_a_timeout_that_is_not_positive(timeout, tmp_path):
+    # 0 and -1 used to mean no limit
+    inst = WcnfInstance.build(nvars=1, soft=[(1, [1])])
+    with pytest.raises(BackendError, match="timeout must be"):
+        solve(inst, timeout=timeout, backend="pure")
+    marker = tmp_path / "ran"
+    with pytest.raises(BackendError, match="timeout must be"):
+        solve_external(inst, f"touch {marker}", timeout=timeout)
+    assert not marker.exists()
 
 
 def test_timeout_incumbent_is_rechecked(monkeypatch):
