@@ -372,12 +372,11 @@ def plan_actions(
 
     Each encoding is solved by ``solver(instance, timeout=seconds_left)``,
     which returns a SolveResult; ``None`` means ``maxsat.solve`` with the
-    default kernel.  ``timeout`` (None, or seconds > 0) bounds all solves
-    together.  When it runs
-    out the status is ``timeout``, never ``solved``, and the plan is the
-    cheapest one found so far (the solver's checked incumbent or an earlier
-    makespan's optimum), which is not proven cheapest; it is None when no
-    plan was found in time.
+    default kernel.  ``timeout`` (None, or finite seconds > 0) bounds all
+    solves together.  When it runs out the status is ``timeout``, never
+    ``solved``, and the plan is the cheapest one found so far (the
+    solver's checked incumbent or an earlier makespan's optimum), which is
+    not proven cheapest; it is None when no plan was found in time.
     """
     if (x is None) == (state is None):
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")
@@ -387,9 +386,12 @@ def plan_actions(
     if l_max < 1:
         raise PlanningError(f"l_max must be >= 1, got {l_max}")
     if timeout is not None and (
-        isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0
+        isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+        or not 0 < timeout < math.inf
     ):
-        raise PlanningError(f"timeout must be None or seconds > 0, got {timeout!r}")
+        raise PlanningError(
+            f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"
+        )
     s_init = to_state(table, x) if x is not None else check_state(table, state)
 
     evaluator = StateEvaluator(forest, table, db.params.target)

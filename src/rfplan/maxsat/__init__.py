@@ -10,6 +10,7 @@ runs a third-party solver process instead and checks its answer.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import subprocess
@@ -53,18 +54,21 @@ def default_backend() -> str:
 
 
 def _check_timeout(timeout) -> None:
-    """``None`` means no limit; anything else must be a positive number of seconds."""
+    """``None`` means no limit; anything else must be a finite number of seconds > 0."""
     if timeout is not None and (
-        isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0
+        isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+        or not 0 < timeout < math.inf
     ):
-        raise BackendError(f"timeout must be None or seconds > 0, got {timeout!r}")
+        raise BackendError(
+            f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"
+        )
 
 
 def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | None = None) -> SolveResult:
     """Minimize falsified soft weight subject to the hard clauses.
 
     Returns an optimal model, ``hard_unsat``, or on timeout the best
-    incumbent found.  ``timeout`` is None (no limit) or seconds > 0.
+    incumbent found.  ``timeout`` is None (no limit) or finite seconds > 0.
     Every model is re-checked against the clause set before being
     returned; one that fails raises BackendError.
     """
@@ -98,7 +102,7 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
 
     ``command`` is split shell-style and the path of a temporary WCNF file
     is appended as its last argument.  The process is killed after
-    ``timeout`` seconds (None: no limit, else > 0), which reports
+    ``timeout`` seconds (None: no limit, else finite and > 0), which reports
     ``timeout``.  An exit code other than 0/10/20/30 raises BackendError;
     the printed answer is read and checked by ``read_solver_output``.
     """

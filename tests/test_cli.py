@@ -717,6 +717,7 @@ def test_catalog_flags_match_config(ws, tmp_path, cmd):
     ("timeout", 0, 3),
     ("timeout", -1, 3),
     ("timeout", "nan", 3),
+    ("timeout", "inf", 3),
 ])
 def test_flag_and_config_follow_one_rule(ws, tmp_path, key, value, code):
     if key in ("z", "alpha", "delta", "workers"):

@@ -347,7 +347,7 @@ def test_plan_actions_timeout(toy_forest, toy_table, unit_library, toy_db):
     assert out.attempts[-1].status == "timeout"
 
 
-@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), "5", True])
+@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), float("inf"), "5", True])
 def test_plan_actions_rejects_a_timeout_that_is_not_positive(
     toy_forest, toy_table, unit_library, toy_db, timeout
 ):

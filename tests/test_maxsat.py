@@ -144,7 +144,7 @@ def test_timeout_reports_timeout_status():
         assert hard_ok and cost == res.cost and cost >= full.cost
 
 
-@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), "5", True])
+@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), float("inf"), "5", True])
 def test_solvers_reject_a_timeout_that_is_not_positive(timeout, tmp_path):
     # 0 and -1 used to mean no limit
     inst = WcnfInstance.build(nvars=1, soft=[(1, [1])])
