@@ -110,6 +110,21 @@ def test_toy_makespan_tradeoff(unit_library):
     assert plan3.goal == (0, 1, 2)
 
 
+def test_varmap_descriptions(unit_library):
+    # every variable id in 1..nvars has exactly one meaning, and none beyond
+    sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
+    instance, varmap = encode(sas, 1)
+    meanings = {}
+    for kind, table in (("trans", varmap.trans), ("act", varmap.acts), ("goal", varmap.goals)):
+        for key, v in table.items():
+            assert v not in meanings, f"variable {v} has two meanings"
+            meanings[v] = (kind, key)
+    assert sorted(meanings) == list(range(1, varmap.nvars + 1))
+    assert meanings[1] == ("trans", (1, 0, 0, 0))
+    assert meanings[varmap.nvars] == ("goal", (0, 1, 2))
+    assert instance.nvars == varmap.nvars
+
+
 def test_varmap_write_map(unit_library, tmp_path):
     sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
     instance, varmap = encode(sas, 1)
