@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -90,6 +92,56 @@ def test_encode_validation(unit_library):
     )
     with pytest.raises(PlanningError, match="raise the scale"):
         encode(tiny, 1, scale=1000)
+
+
+# ---------------------------------------------------------------------------
+# golden encodings: the clauses and variable tables of fixed tasks, pinned
+
+
+def _golden_tasks(unit_library):
+    extra = (
+        _act("reset", 2.0, (2, WILDCARD, 0)),
+        _act("keep", 1.5, (1, 1, 1), (2, WILDCARD, 2)),
+    )
+    mixed = _lib(*unit_library.actions, *extra)
+    return {
+        "unit": SasProblem((2, 2, 3), unit_library, (0, 0, 0), ((0, 1, 2),)),
+        "mechanical": SasProblem((2, 2, 3), mixed, (1, 0, 1), ((0, 1, 2),)),
+        "three_goals": SasProblem((2, 2, 3), mixed, (0, 1, 0), ((0, 0, 2), (1, 1, 2), (1, 0, 1))),
+    }
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+def _encoding_digests(instance, varmap):
+    tables = [
+        [[list(k), v] for k, v in varmap.trans.items()],
+        [[list(k), v] for k, v in varmap.acts.items()],
+        [[list(k), v] for k, v in varmap.goals.items()],
+    ]
+    return _digest([instance.nvars, instance.hard, instance.soft]), _digest([varmap.nvars, tables])
+
+
+# (clauses, variable tables) per (task, makespan), at scale 1000
+GOLDEN_ENCODINGS = {
+    ("unit", 1): ("7f91bb94446ea4de", "fea95f98e32c31d0"),
+    ("unit", 2): ("fb2b8fbf3ceeb8c2", "7bdbdd1db016ea4e"),
+    ("unit", 3): ("dfb235b2f5783ac9", "d78dd88db4aea761"),
+    ("mechanical", 1): ("630330e1ca487472", "31c041316a2b500c"),
+    ("mechanical", 2): ("1b5c547225fd71f2", "55fb2829463f7f4b"),
+    ("mechanical", 3): ("046a0db0923c11b2", "08a307d48368c80a"),
+    ("three_goals", 1): ("5529fd06ebe90712", "32a3f3a1fe7e5e92"),
+    ("three_goals", 2): ("a943d6babeab8ff1", "e5c2369c1b4841d1"),
+    ("three_goals", 3): ("0f41576491b77cbe", "a6c4db519f7470cb"),
+}
+
+
+@pytest.mark.parametrize("name,L", sorted(GOLDEN_ENCODINGS))
+def test_encoding_matches_golden_digest(unit_library, name, L):
+    sas = _golden_tasks(unit_library)[name]
+    assert _encoding_digests(*encode(sas, L)) == GOLDEN_ENCODINGS[name, L]
 
 
 # ---------------------------------------------------------------------------
