@@ -22,6 +22,17 @@ Mechanical (wildcard-source) transitions ride along only where an action
 introduces them; value changes available exclusively through mechanical
 transitions are not reachable in this compilation (the offline search
 handles those), which keeps decoded plans sound.
+
+Only the start, at-least-one-goal and goal-pin clauses and the goal
+variables depend on the query.  The rest (the action-cost soft clauses;
+the chaining, transition-mutex, shared-write, action-to-transition and
+support hard clauses; the transition and action variable tables) depends
+only on the action library, the domain sizes, the makespan and the weight
+scale.  ``encode`` builds that part once per (sizes, makespan, scale) and
+keeps it in the ``ActionLibrary`` for as long as the library lives, with
+no size limit; a build that fails is not kept.  Repeated queries against
+one library gain from this; a single ``plan`` call encodes each makespan
+once and does not.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from . import maxsat
 from .discretize import PartitionTable, State, StateEvaluator, check_state, to_state
@@ -101,8 +113,9 @@ class VarMap:
 
     L: int
     nvars: int
-    trans: dict[tuple[int, int, int | None, int], int]  # (step, var, frm, to)
-    acts: dict[tuple[int, str], int]  # (step, action id)
+    # read-only: shared by every encoding of one library at this makespan
+    trans: Mapping[tuple[int, int, int | None, int], int]  # (step, var, frm, to)
+    acts: Mapping[tuple[int, str], int]  # (step, action id)
     goals: dict[State, int]
 
     def write_map(self, path) -> None:
@@ -115,16 +128,18 @@ class VarMap:
                 fh.write(f"{v} {names[v]}\n")
 
 
-def _transition_universe(sas: SasProblem) -> list[list[tuple[int | None, int]]]:
+def _transition_universe(
+    library: ActionLibrary, sizes: tuple[int, ...]
+) -> list[list[tuple[int | None, int]]]:
     """Per variable: all explicit (from, to) pairs, then the mechanical
     targets some action actually uses."""
-    mech_targets: list[set[int]] = [set() for _ in sas.sizes]
-    for a in sas.library.actions:
+    mech_targets: list[set[int]] = [set() for _ in sizes]
+    for a in library.actions:
         for t in a.transitions:
             if t.is_mechanical:
                 mech_targets[t.var].add(t.to)
     universe = []
-    for v, n in enumerate(sas.sizes):
+    for v, n in enumerate(sizes):
         pairs: list[tuple[int | None, int]] = [(f, g) for f in range(n) for g in range(n)]
         pairs.extend((None, g) for g in sorted(mech_targets[v]))
         universe.append(pairs)
@@ -140,22 +155,33 @@ def _scaled_cost(cost: float, scale: int, what: str) -> int:
     return w
 
 
-def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfInstance, VarMap]:
-    """Compile the task at makespan ``L``."""
-    if L < 1:
-        raise PlanningError(f"makespan must be >= 1, got {L}")
-    if scale < 1:
-        raise PlanningError(f"scale must be >= 1, got {scale}")
-    m = len(sas.sizes)
+@dataclass(frozen=True)
+class _Skeleton:
+    """The part of the makespan-``L`` encoding that no query changes.
+
+    ``clauses`` holds the action-cost soft clauses and every hard clause
+    but the start, goal and goal-pin ones, over the step variables
+    1..``clauses.nvars``.
+    """
+
+    universe: tuple[tuple[tuple[int | None, int], ...], ...]
+    trans: Mapping[tuple[int, int, int | None, int], int]
+    acts: Mapping[tuple[int, str], int]
+    clauses: WcnfInstance
+
+
+def _build_skeleton(
+    library: ActionLibrary, sizes: tuple[int, ...], L: int, scale: int
+) -> _Skeleton:
+    m = len(sizes)
     steps = range(1, L + 1)
-    actions = sas.library.actions
-    universe = _transition_universe(sas)
+    actions = library.actions
+    universe = _transition_universe(library, sizes)
 
     ids = itertools.count(1)
     trans = {(t, v, f, g): next(ids) for t in steps for v in range(m) for f, g in universe[v]}
     acts = {(t, a.id): next(ids) for t in steps for a in actions}
-    goal_vars = {g: next(ids) for g in sas.goals}
-    nvars = next(ids) - 1
+    nsteps = next(ids) - 1
 
     # transition -> the actions that contain it
     support: dict[tuple[int, int | None, int], list[Action]] = {}
@@ -171,23 +197,6 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
         for a in actions:
             soft.append(
                 (_scaled_cost(a.cost, scale, f"action {a.id!r}"), [-acts[(t, a.id)]])
-            )
-
-    # start state: step 1 leaves each variable through its current value
-    for v in range(m):
-        hard.append(
-            [trans[(1, v, f, g)] for f, g in universe[v] if f == sas.initial[v]]
-        )
-
-    # at least one goal state
-    hard.append([goal_vars[g] for g in sas.goals])
-
-    # a chosen goal pins each variable's final transition target
-    for g in sas.goals:
-        for v in range(m):
-            hard.append(
-                [-goal_vars[g]]
-                + [trans[(L, v, f, t_)] for f, t_ in universe[v] if f is not None and t_ == g[v]]
             )
 
     # chaining between consecutive steps, explicit-endpoint transitions only
@@ -250,8 +259,55 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
                     [-trans[(t, v, f, g)]] + [acts[(t, a.id)] for a in backers]
                 )
 
-    instance = WcnfInstance.build(nvars=nvars, hard=hard, soft=soft)
-    return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=acts, goals=goal_vars)
+    return _Skeleton(
+        universe=tuple(map(tuple, universe)),
+        trans=MappingProxyType(trans),
+        acts=MappingProxyType(acts),
+        clauses=WcnfInstance.build(nvars=nsteps, hard=hard, soft=soft),
+    )
+
+
+def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfInstance, VarMap]:
+    """Compile the task at makespan ``L``, reusing the clauses that
+    ``sas.library`` keeps for it (see the module docstring)."""
+    if L < 1:
+        raise PlanningError(f"makespan must be >= 1, got {L}")
+    if scale < 1:
+        raise PlanningError(f"scale must be >= 1, got {scale}")
+    store = sas.library._encodings
+    key = (sas.sizes, L, scale)
+    skeleton = store.get(key)
+    if skeleton is None:
+        skeleton = store[key] = _build_skeleton(sas.library, sas.sizes, L, scale)
+    base = skeleton.clauses
+
+    m = len(sas.sizes)
+    trans, universe = skeleton.trans, skeleton.universe
+    goal_vars = {g: base.nvars + i for i, g in enumerate(sas.goals, 1)}
+    nvars = base.nvars + len(goal_vars)
+    hard: list[list[int]] = []
+
+    # start state: step 1 leaves each variable through its current value
+    for v in range(m):
+        hard.append(
+            [trans[(1, v, f, g)] for f, g in universe[v] if f == sas.initial[v]]
+        )
+
+    # at least one goal state
+    hard.append([goal_vars[g] for g in sas.goals])
+
+    # a chosen goal pins each variable's final transition target
+    for g in sas.goals:
+        for v in range(m):
+            hard.append(
+                [-goal_vars[g]]
+                + [trans[(L, v, f, t_)] for f, t_ in universe[v] if f is not None and t_ == g[v]]
+            )
+
+    # query clauses first, then the kept ones: the order of a one-pass build
+    query = WcnfInstance.build(nvars=nvars, hard=hard)
+    instance = WcnfInstance(nvars=nvars, hard=query.hard + base.hard, soft=base.soft)
+    return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=skeleton.acts, goals=goal_vars)
 
 
 def decode(assignment: tuple[bool, ...], varmap: VarMap, sas: SasProblem) -> Plan:

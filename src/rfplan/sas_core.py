@@ -173,8 +173,11 @@ class ActionLibrary:
     the successor index ``neighbors`` reads: each action is filed under the
     ``(var, frm)`` of its first non-mechanical transition, with its position
     in id order, the ``(var, frm)`` pairs its other transitions require and
-    the ``(var, to)`` values it writes.  Pickling sends ``actions`` alone and
-    rebuilds both on load.
+    the ``(var, to)`` values it writes.  Beside them sits the dict in which
+    ``encoder.encode`` keeps the query-independent clauses it builds for
+    this library, so they live exactly as long as the library.  Pickling
+    sends ``actions`` alone; loading rebuilds the index and starts an empty
+    dict.
     """
 
     actions: tuple[Action, ...]
@@ -198,6 +201,7 @@ class ActionLibrary:
                 always.append((pos, a, (), writes))
         object.__setattr__(self, "_keyed", {k: tuple(v) for k, v in keyed.items()})
         object.__setattr__(self, "_always", tuple(always))
+        object.__setattr__(self, "_encodings", {})
 
     def __reduce__(self):
         return (ActionLibrary, (self.actions,))

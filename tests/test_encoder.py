@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -99,13 +101,14 @@ def test_encode_validation(unit_library):
 
 
 def _golden_tasks(unit_library):
+    # fresh libraries, so that each call starts with no stored clauses
     extra = (
         _act("reset", 2.0, (2, WILDCARD, 0)),
         _act("keep", 1.5, (1, 1, 1), (2, WILDCARD, 2)),
     )
     mixed = _lib(*unit_library.actions, *extra)
     return {
-        "unit": SasProblem((2, 2, 3), unit_library, (0, 0, 0), ((0, 1, 2),)),
+        "unit": SasProblem((2, 2, 3), _lib(*unit_library.actions), (0, 0, 0), ((0, 1, 2),)),
         "mechanical": SasProblem((2, 2, 3), mixed, (1, 0, 1), ((0, 1, 2),)),
         "three_goals": SasProblem((2, 2, 3), mixed, (0, 1, 0), ((0, 0, 2), (1, 1, 2), (1, 0, 1))),
     }
@@ -141,7 +144,73 @@ GOLDEN_ENCODINGS = {
 @pytest.mark.parametrize("name,L", sorted(GOLDEN_ENCODINGS))
 def test_encoding_matches_golden_digest(unit_library, name, L):
     sas = _golden_tasks(unit_library)[name]
+    # the first call builds the library's clauses, the second reuses them
     assert _encoding_digests(*encode(sas, L)) == GOLDEN_ENCODINGS[name, L]
+    assert _encoding_digests(*encode(sas, L)) == GOLDEN_ENCODINGS[name, L]
+
+
+def test_reused_clauses_match_a_fresh_library(unit_library):
+    library = _golden_tasks(unit_library)["mechanical"].library
+    queries = [
+        ((0, 0, 0), ((0, 1, 2),)),
+        ((1, 1, 2), ((0, 0, 0), (1, 0, 1))),
+        ((0, 1, 1), ((1, 1, 0), (0, 0, 2), (1, 0, 0))),
+    ]
+    for scale in (1000, 1, 7):
+        for L in (1, 2, 3):
+            varmaps = []
+            for initial, goals in queries:
+                warm = encode(SasProblem((2, 2, 3), library, initial, goals), L, scale=scale)
+                fresh_lib = _lib(*library.actions)
+                fresh = encode(SasProblem((2, 2, 3), fresh_lib, initial, goals), L, scale=scale)
+                assert warm == fresh
+                varmaps.append(warm[1])
+            # one library, makespan and scale: one set of step-variable tables
+            assert all(vm.trans is varmaps[0].trans for vm in varmaps)
+            assert all(vm.acts is varmaps[0].acts for vm in varmaps)
+    # each scale keeps its own action weights
+    sas = SasProblem((2, 2, 3), library, (0, 0, 0), ((0, 1, 2),))
+    assert {w for w, _ in encode(sas, 1, scale=1)[0].soft} == {1, 2, 4}
+    assert {w for w, _ in encode(sas, 1, scale=1000)[0].soft} == {1000, 1500, 2000, 4000}
+
+
+def test_encode_checks_every_call_and_keeps_no_failed_build(unit_library):
+    sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
+    encode(sas, 1)
+    with pytest.raises(PlanningError, match="makespan"):
+        encode(sas, 0)
+    with pytest.raises(PlanningError, match="scale"):
+        encode(sas, 1, scale=0)
+    tiny = SasProblem(
+        sizes=(2,), library=_lib(_act("a", 0.0004, (0, 0, 1))), initial=(0,), goals=((1,),)
+    )
+    for _ in range(2):
+        with pytest.raises(PlanningError, match="raise the scale"):
+            encode(tiny, 1, scale=1000)
+    assert encode(tiny, 1, scale=10_000)[0].soft == ((4, (-5,)),)
+    with pytest.raises(PlanningError, match="raise the scale"):
+        encode(tiny, 1, scale=1000)
+
+
+def test_dropping_a_library_frees_its_encodings():
+    library = _lib(_act("a", 1.0, (0, 0, 1)))
+    sas = SasProblem(sizes=(2,), library=library, initial=(0,), goals=((1,),))
+    instance, varmap = encode(sas, 2)
+    ref = weakref.ref(library)
+    del library, sas, instance, varmap
+    gc.collect()
+    assert ref() is None
+
+
+def test_varmap_step_tables_are_read_only(unit_library):
+    sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
+    _, varmap = encode(sas, 1)
+    with pytest.raises(TypeError):
+        varmap.trans[(1, 0, 0, 0)] = 99
+    with pytest.raises(TypeError):
+        varmap.acts[(1, "visits:0->1")] = 99
+    with pytest.raises(TypeError):
+        del varmap.trans[(1, 0, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
