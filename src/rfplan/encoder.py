@@ -130,7 +130,7 @@ class VarMap:
 
 def _transition_universe(
     library: ActionLibrary, sizes: tuple[int, ...]
-) -> list[list[tuple[int | None, int]]]:
+) -> tuple[tuple[tuple[int | None, int], ...], ...]:
     """Per variable: all explicit (from, to) pairs, then the mechanical
     targets some action actually uses."""
     mech_targets: list[set[int]] = [set() for _ in sizes]
@@ -142,8 +142,8 @@ def _transition_universe(
     for v, n in enumerate(sizes):
         pairs: list[tuple[int | None, int]] = [(f, g) for f in range(n) for g in range(n)]
         pairs.extend((None, g) for g in sorted(mech_targets[v]))
-        universe.append(pairs)
-    return universe
+        universe.append(tuple(pairs))
+    return tuple(universe)
 
 
 def _scaled_cost(cost: float, scale: int, what: str) -> int:
@@ -260,7 +260,7 @@ def _build_skeleton(
                 )
 
     return _Skeleton(
-        universe=tuple(map(tuple, universe)),
+        universe=universe,
         trans=MappingProxyType(trans),
         acts=MappingProxyType(acts),
         clauses=WcnfInstance.build(nvars=nsteps, hard=hard, soft=soft),

@@ -85,6 +85,7 @@ def test_sas_problem_dedupes_goals(unit_library):
 
 def test_encode_validation(unit_library):
     sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
+    encode(sas, 1)  # the checks also run once the library keeps clauses
     with pytest.raises(PlanningError, match="makespan"):
         encode(sas, 0)
     with pytest.raises(PlanningError, match="scale"):
@@ -92,6 +93,11 @@ def test_encode_validation(unit_library):
     tiny = SasProblem(
         sizes=(2,), library=_lib(_act("a", 0.0004, (0, 0, 1))), initial=(0,), goals=((1,),)
     )
+    # a failed build is not kept: it fails again, also after a good one
+    for _ in range(2):
+        with pytest.raises(PlanningError, match="raise the scale"):
+            encode(tiny, 1, scale=1000)
+    assert encode(tiny, 1, scale=10_000)[0].soft == ((4, (-5,)),)
     with pytest.raises(PlanningError, match="raise the scale"):
         encode(tiny, 1, scale=1000)
 
@@ -172,24 +178,6 @@ def test_reused_clauses_match_a_fresh_library(unit_library):
     sas = SasProblem((2, 2, 3), library, (0, 0, 0), ((0, 1, 2),))
     assert {w for w, _ in encode(sas, 1, scale=1)[0].soft} == {1, 2, 4}
     assert {w for w, _ in encode(sas, 1, scale=1000)[0].soft} == {1000, 1500, 2000, 4000}
-
-
-def test_encode_checks_every_call_and_keeps_no_failed_build(unit_library):
-    sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
-    encode(sas, 1)
-    with pytest.raises(PlanningError, match="makespan"):
-        encode(sas, 0)
-    with pytest.raises(PlanningError, match="scale"):
-        encode(sas, 1, scale=0)
-    tiny = SasProblem(
-        sizes=(2,), library=_lib(_act("a", 0.0004, (0, 0, 1))), initial=(0,), goals=((1,),)
-    )
-    for _ in range(2):
-        with pytest.raises(PlanningError, match="raise the scale"):
-            encode(tiny, 1, scale=1000)
-    assert encode(tiny, 1, scale=10_000)[0].soft == ((4, (-5,)),)
-    with pytest.raises(PlanningError, match="raise the scale"):
-        encode(tiny, 1, scale=1000)
 
 
 def test_dropping_a_library_frees_its_encodings():
