@@ -107,7 +107,7 @@ def test_encode_validation(unit_library):
 
 
 def _golden_tasks(unit_library):
-    # fresh libraries, so that each call starts with no stored clauses
+    # fresh libraries, so that each call starts with no kept clauses
     extra = (
         _act("reset", 2.0, (2, WILDCARD, 0)),
         _act("keep", 1.5, (1, 1, 1), (2, WILDCARD, 2)),
