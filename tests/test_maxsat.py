@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -258,6 +259,29 @@ _ENCODER_PINS = [
 def test_node_counts_pinned(instances, pins):
     got = [(r.status, r.cost, r.nodes) for r in (solve(i, backend="pure") for i in instances())]
     assert got == pins
+
+
+# sha256 over the pure kernel's models on the instances above, one
+# assignment (or "-" for none) per instance, each followed by ";".  The
+# parity tests skip without the compiled kernel, so this is what pins the
+# model itself, not only its cost.
+@pytest.mark.parametrize(
+    "instances,digest",
+    [
+        (_random_cnf_instances,
+         "a112e3a947d7d2a582a04e232e2c417c524f8542d09193092f40848f61acde59"),
+        (_encoder_instances,
+         "3d32e148f3fa3bc97e056eb59cc35042ef286ca477c39d350ff5a3e69f37691d"),
+    ],
+    ids=["random-cnf", "encoder"],
+)
+def test_models_pinned(instances, digest):
+    h = hashlib.sha256()
+    for inst in instances():
+        model = solve(inst, backend="pure").assignment
+        h.update(b"-" if model is None else bytes(model))
+        h.update(b";")
+    assert h.hexdigest() == digest
 
 
 @needs_compiled
