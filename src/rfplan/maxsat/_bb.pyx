@@ -1,9 +1,11 @@
 # cython: language_level=3
 """Compiled branch-and-bound kernel for weighted partial Max-SAT.
 
-Line-for-line port of ``_pure.solve_compiled``; the two must stay in
-lockstep (same decisions, same results, same node counts).  See _pure.py
-for the algorithm commentary.
+Runs the search of ``_pure.solve_compiled``; the two must stay in
+lockstep: the same decisions, the same results and the same node counts.
+Storage differs: this kernel keeps true/unassigned counters on every
+clause, while the pure kernel reads two-literal hard clauses off the
+literal values.  See _pure.py for the algorithm commentary.
 """
 
 import time

@@ -86,12 +86,21 @@ class WcnfInstance:
             raise WcnfError(
                 f"assignment length {len(assignment)} != nvars + 1 = {self.nvars + 1}"
             )
-
-        def sat(lits: tuple[int, ...]) -> bool:
-            return any(assignment[l] if l > 0 else not assignment[-l] for l in lits)
-
-        hard_ok = all(sat(lits) for lits in self.hard)
-        cost = sum(w for w, lits in self.soft if not sat(lits))
+        hard_ok = True
+        for lits in self.hard:
+            for l in lits:
+                if assignment[l] if l > 0 else not assignment[-l]:
+                    break
+            else:
+                hard_ok = False
+                break
+        cost = 0
+        for w, lits in self.soft:
+            for l in lits:
+                if assignment[l] if l > 0 else not assignment[-l]:
+                    break
+            else:
+                cost += w
         return hard_ok, cost
 
 
