@@ -154,11 +154,17 @@ def read_solver_output(text: str, instance: WcnfInstance) -> SolveResult:
 
 
 def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:
+    """Literals (unnamed variables are false) or one bit string of nvars bits."""
     assignment = [False] * (nvars + 1)
     if len(tokens) == 1 and set(tokens[0]) <= {"0", "1"} and len(tokens[0]) >= nvars:
-        for v, ch in enumerate(tokens[0][:nvars], start=1):
+        if len(tokens[0]) > nvars:
+            raise WcnfError(
+                f"solver model bit string has {len(tokens[0])} bits, instance has {nvars} variables"
+            )
+        for v, ch in enumerate(tokens[0], start=1):
             assignment[v] = ch == "1"
         return tuple(assignment)
+    named: set[int] = set()
     for tok in tokens:
         try:
             lit = int(tok)
@@ -166,6 +172,9 @@ def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:
             raise WcnfError(f"bad literal {tok!r} in solver model") from None
         if abs(lit) > nvars:
             raise WcnfError(f"solver model names variable {abs(lit)}, instance has {nvars}")
+        if -lit in named:
+            raise WcnfError(f"solver model names variable {abs(lit)} with both signs")
         if lit:
+            named.add(lit)
             assignment[abs(lit)] = lit > 0
     return tuple(assignment)

@@ -78,6 +78,36 @@ def test_check_counts_falsified_weight():
         inst.check((False, True))
 
 
+def _reference_check(instance, assignment):
+    """The generator form ``WcnfInstance.check`` had before it became loops."""
+
+    def sat(lits):
+        return any(assignment[l] if l > 0 else not assignment[-l] for l in lits)
+
+    hard_ok = all(sat(lits) for lits in instance.hard)
+    cost = sum(w for w, lits in instance.soft if not sat(lits))
+    return hard_ok, cost
+
+
+def test_check_matches_reference():
+    rng = random.Random(3)
+    instances = [random_wcnf(rng, nv_max=10) for _ in range(60)]
+    # empty clauses: an empty hard clause is never satisfied, an empty soft one always costs
+    instances.append(WcnfInstance.build(nvars=2, hard=[[], [1]], soft=[(4, []), (2, [-2])]))
+    instances.append(WcnfInstance.build(nvars=1, hard=[[1]], soft=[(6, [])]))
+    instances.append(WcnfInstance.build(nvars=0))
+    for inst in instances:
+        n = inst.nvars + 1
+        for assignment in (
+            (False,) * n,
+            (True,) * n,
+            *(tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(5)),
+        ):
+            assert inst.check(assignment) == _reference_check(inst, assignment)
+        with pytest.raises(WcnfError, match="length"):
+            inst.check((False,) * (n + 1))
+
+
 # ---------------------------------------------------------------------------
 # solving known instances
 
@@ -414,6 +444,8 @@ def test_read_solver_output(text, status, cost, assignment):
     "text,error,needle",
     [
         ("s OPTIMUM FOUND\nv 1 -3\n", WcnfError, "names variable 3, instance has 2"),
+        ("s OPTIMUM FOUND\nv 1 -1 2\n", WcnfError, "names variable 1 with both signs"),
+        ("s OPTIMUM FOUND\nv 011\n", WcnfError, "has 3 bits, instance has 2 variables"),
         ("s OPTIMUM FOUND\nv -1 -2\n", BackendError, "falsifies a hard clause"),
         ("s OPTIMUM FOUND\no 0\nv -1 2\n", BackendError, "objective 0 disagrees"),
         ("s SATISFIABLE\no 1\nv 1 2\n", BackendError, "objective 1 disagrees"),
