@@ -427,12 +427,12 @@ def plan_actions(
     kept (optimal cost can only improve with more steps).
 
     Each encoding is solved by ``solver(instance, timeout=seconds_left)``,
-    which returns a SolveResult; ``None`` means ``maxsat.solve`` with the
-    default kernel.  ``timeout`` (None, or finite seconds > 0) bounds all
-    solves together.  When it runs out the status is ``timeout``, never
-    ``solved``, and the plan is the cheapest one found so far (the
-    solver's checked incumbent or an earlier makespan's optimum), which is
-    not proven cheapest; it is None when no plan was found in time.
+    which returns a SolveResult; ``None`` means ``maxsat.solve``.
+    ``timeout`` (None, or finite seconds > 0) bounds all solves together.
+    When it runs out the status is ``timeout``, never ``solved``, and the
+    plan is the cheapest one found so far (the solver's checked incumbent
+    or an earlier makespan's optimum), which is not proven cheapest; it is
+    None when no plan was found in time.
     """
     if (x is None) == (state is None):
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")

@@ -1,11 +1,8 @@
-"""Exact weighted partial Max-SAT solving with two interchangeable kernels.
+"""Exact weighted partial Max-SAT solving.
 
-``solve`` dispatches to the compiled Cython kernel when it was built and
-falls back to the pure-Python reference otherwise.  The environment
-variable ``RFPLAN_MAXSAT`` forces a backend (``pure`` or ``compiled``).
-Both kernels implement the identical algorithm and must return identical
-results; the test suite checks them against each other.  ``solve_external``
-runs a third-party solver process instead and checks its answer.
+``solve`` runs the in-process branch-and-bound kernel of ``_pure`` and
+re-checks every model it returns.  ``solve_external`` runs a third-party
+solver process instead and checks its answer the same way.
 """
 
 from __future__ import annotations
@@ -29,28 +26,19 @@ from .model import (  # noqa: F401
 )
 from . import _pure
 
-try:
-    from . import _bb
-except ImportError:  # extension not built; pure fallback
-    _bb = None
-
 _STATUS = {0: OPTIMAL, 1: HARD_UNSAT, 2: TIMEOUT}
 
 # SAT-competition exit codes: 10 satisfiable, 20 unsatisfiable, 30 optimum
 _EXTERNAL_EXIT_CODES = (0, 10, 20, 30)
 
 
+# kept only because perfbench/run.py calls both; the benchmark's next revision drops them
 def available_backends() -> tuple[str, ...]:
-    return ("pure", "compiled") if _bb is not None else ("pure",)
+    return ("pure",)
 
 
 def default_backend() -> str:
-    forced = os.environ.get("RFPLAN_MAXSAT", "").strip().lower()
-    if forced in ("pure", "compiled"):
-        return forced
-    if forced and forced != "auto":
-        raise BackendError(f"RFPLAN_MAXSAT must be 'pure', 'compiled', or 'auto', not {forced!r}")
-    return "compiled" if _bb is not None else "pure"
+    return "pure"
 
 
 def _check_timeout(timeout) -> None:
@@ -64,7 +52,7 @@ def _check_timeout(timeout) -> None:
         )
 
 
-def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | None = None) -> SolveResult:
+def solve(instance: WcnfInstance, timeout: float | None = None) -> SolveResult:
     """Minimize falsified soft weight subject to the hard clauses.
 
     Returns an optimal model, ``hard_unsat``, or on timeout the best
@@ -73,20 +61,16 @@ def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | N
     returned; one that fails raises BackendError.
     """
     _check_timeout(timeout)
-    name = backend or default_backend()
-    if name not in available_backends():
-        raise BackendError(f"solver backend {name!r} is not available")
-    kernel = _pure if name == "pure" else _bb
     weights, lits, offsets, order, polarity = compile_instance(instance)
-    status_code, cost, assign_bytes, nodes = kernel.solve_compiled(
+    status_code, cost, assign_bytes, nodes = _pure.solve_compiled(
         instance.nvars, weights, lits, offsets, order, polarity,
         float(timeout) if timeout is not None else 0.0,  # 0 tells the kernel: no limit
     )
     status = _STATUS[status_code]
     if status == HARD_UNSAT:
-        return SolveResult(status=status, cost=None, assignment=None, nodes=nodes, backend=name)
+        return SolveResult(status=status, cost=None, assignment=None, nodes=nodes, backend="pure")
     if cost < 0:  # timed out before any incumbent
-        return SolveResult(status=status, cost=None, assignment=None, nodes=nodes, backend=name)
+        return SolveResult(status=status, cost=None, assignment=None, nodes=nodes, backend="pure")
     assignment = tuple(bool(b) for b in assign_bytes)
     hard_ok, true_cost = instance.check(assignment)
     if not hard_ok or true_cost != cost:
@@ -94,7 +78,7 @@ def solve(instance: WcnfInstance, timeout: float | None = None, backend: str | N
             f"solver returned an inconsistent model (hard_ok={hard_ok}, "
             f"reported cost {cost}, recomputed {true_cost})"
         )
-    return SolveResult(status=status, cost=cost, assignment=assignment, nodes=nodes, backend=name)
+    return SolveResult(status=status, cost=cost, assignment=assignment, nodes=nodes, backend="pure")
 
 
 def solve_external(instance: WcnfInstance, command: str, timeout: float | None = None) -> SolveResult:

@@ -1,4 +1,4 @@
-"""Reference branch-and-bound kernel for weighted partial Max-SAT.
+"""Branch-and-bound kernel for weighted partial Max-SAT.
 
 Exact depth-first search with unit propagation over the hard clauses
 and a lower bound from disjoint soft-clause cores, each found by treating
@@ -20,10 +20,6 @@ its true and unassigned literals, which the lower bound reads.  Each
 literal has one occurrence list in clause order, with binary and other
 clauses interleaved, so conflicts and units are found in the order the
 counters alone would find them.
-
-The compiled kernel in ``_bb.pyx`` runs the same search with counters on
-every clause; the two must stay in lockstep (same decisions, same
-results, same node counts).
 """
 
 from __future__ import annotations

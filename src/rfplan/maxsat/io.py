@@ -154,7 +154,13 @@ def read_solver_output(text: str, instance: WcnfInstance) -> SolveResult:
 
 
 def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:
-    """Literals (unnamed variables are false) or one bit string of nvars bits."""
+    """Literals (unnamed variables are false) or one bit string of nvars bits.
+
+    A literal never starts with ``0``, so a token such as ``01`` or ``-01``
+    (a bit string cut short) is rejected; a lone ``0`` ends the list.  One
+    ambiguity remains: a short bit string that starts with ``1`` reads as a
+    literal, so ``v 10`` is the literal 10 whenever ``nvars >= 10``.
+    """
     assignment = [False] * (nvars + 1)
     if len(tokens) == 1 and set(tokens[0]) <= {"0", "1"} and len(tokens[0]) >= nvars:
         if len(tokens[0]) > nvars:
@@ -170,6 +176,12 @@ def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:
             lit = int(tok)
         except ValueError:
             raise WcnfError(f"bad literal {tok!r} in solver model") from None
+        digits = tok.lstrip("+-")
+        if len(digits) > 1 and digits[0] == "0":
+            raise WcnfError(
+                f"bad literal {tok!r} in solver model: a literal has no leading zero, "
+                f"and a bit string needs {nvars} bits"
+            )
         if abs(lit) > nvars:
             raise WcnfError(f"solver model names variable {abs(lit)}, instance has {nvars}")
         if -lit in named:

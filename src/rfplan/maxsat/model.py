@@ -121,7 +121,7 @@ class SolveResult:
 
 
 def compile_instance(instance: WcnfInstance):
-    """Flatten an instance into the arrays both solver kernels consume.
+    """Flatten an instance into the arrays the solver kernel consumes.
 
     Returns (weights, lits, offsets, order, polarity) where clause c holds
     lits[offsets[c]:offsets[c+1]] and weights[c] is -1 for hard clauses.

@@ -258,7 +258,7 @@ def test_plan_rejects_out_of_range_state(ws):
 
 @pytest.mark.parametrize("cmd", ["plan", "bench"])
 def test_backend_is_not_an_option(ws, cmd):
-    # RFPLAN_MAXSAT picks the in-process kernel; there is no flag for it
+    # there is one in-process kernel and no flag to pick a solver backend
     args = {"plan": ["--db", ws["db"], "--state", "0,0,0"], "bench": ["--target", 1]}[cmd]
     rv, out, err = run([cmd, "--model", ws["model"], *args, "--backend", "pure"])
     assert rv == 3
