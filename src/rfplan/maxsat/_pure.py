@@ -1,25 +1,18 @@
 """Branch-and-bound kernel for weighted partial Max-SAT.
 
-Exact depth-first search with unit propagation over the hard clauses
-and a lower bound from disjoint soft-clause cores, each found by treating
-still-active soft clauses as unit-propagation sources and harvesting the
-soft clauses in a conflict's reason cone.
-
-The bound is computed only once an incumbent exists: before that the
-upper bound is infinite and no finite bound can prune.  Skipping it
-leaves node counts unchanged, because hard propagation is at fixpoint
-whenever the bound would run, so every conflict's reason cone holds a
-soft clause and the bound would return a finite value.
+Exact depth-first search with unit propagation over the hard clauses.
+A branch is cut only when the cost of the soft clauses it has already
+falsified reaches the best complete assignment's cost.
 
 Two-literal hard clauses, most of an encoding's hard clauses, keep no
 counters.  Each is filed under both of its literals together with the
 other literal, and its state is read off the literal values: once one
 literal is false, the clause is a conflict if the other is false too and
 a unit if the other is unassigned.  Every other clause keeps counters of
-its true and unassigned literals, which the lower bound reads.  Each
-literal has one occurrence list in clause order, with binary and other
-clauses interleaved, so conflicts and units are found in the order the
-counters alone would find them.
+its true and unassigned literals, from which its units and the running
+cost are read.  Each literal has one occurrence list in clause order, with
+binary and other clauses interleaved, so conflicts and units are found in
+the order the counters alone would find them.
 """
 
 from __future__ import annotations
@@ -68,27 +61,19 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
 
     nsat = [0] * nc
     lval = [-1] * nl
-    reason = [-1] * (nv + 1)
-    pos = [-1] * (nv + 1)  # trail position, for reason-cone collection
     trail: list[int] = []  # literal indices
-    softs = [c for c in range(nc) if weights[c] >= 0]
 
     cost = 0
     nodes = 0
 
-    def assign(li, why, lb_mode, lb_active):
-        """Make literal index li true; returns the first conflicting clause or -1.
+    def assign(li):
+        """Make literal index li true; returns the first emptied hard clause or -1.
 
-        A conflict is an emptied hard clause, or in bound mode an emptied
-        active soft clause.  Soft falsification adds to the running cost
-        only in the main search.
+        An emptied soft clause adds its weight to the running cost.
         """
         nonlocal cost
-        v = li >> 1
         lval[li] = 1
         lval[li ^ 1] = 0
-        reason[v] = why
-        pos[v] = len(trail)
         trail.append(li)
         conflict = -1
         for c in cnt[li]:
@@ -104,28 +89,21 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
                 if weights[c] < 0:
                     if conflict < 0:
                         conflict = c
-                elif not lb_mode:
+                else:
                     cost += weights[c]
-                elif lb_active[c] and conflict < 0:
-                    conflict = c
         return conflict
 
-    def undo_to(mark, lb_mode):
+    def undo_to(mark):
         nonlocal cost
         while len(trail) > mark:
             li = trail.pop()
             for c in cnt[li]:
                 nsat[c] -= 1
-            if lb_mode:
-                for c in cnt[li ^ 1]:
-                    nfree[c] += 1
-            else:
-                for c in cnt[li ^ 1]:
-                    if nfree[c] == 0 and nsat[c] == 0 and weights[c] >= 0:
-                        cost -= weights[c]
-                    nfree[c] += 1
+            for c in cnt[li ^ 1]:
+                if nfree[c] == 0 and nsat[c] == 0 and weights[c] >= 0:
+                    cost -= weights[c]
+                nfree[c] += 1
             lval[li] = lval[li ^ 1] = -1
-            pos[li >> 1] = -1
 
     def find_unit(c):
         for i in range(offsets[c], offsets[c + 1]):
@@ -133,7 +111,7 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
                 return lidx[i]
         return 0
 
-    def propagate(qhead, lb_mode, lb_active):
+    def propagate(qhead):
         """Unit propagation from trail position qhead; -1 or conflict clause."""
         while qhead < len(trail):
             li = trail[qhead]
@@ -141,62 +119,14 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
             for c, o in occ[li ^ 1]:
                 if o:
                     if lval[o] < 0:
-                        conflict = assign(o, c, lb_mode, lb_active)
+                        conflict = assign(o)
                         if conflict >= 0:
                             return conflict
-                elif weights[c] < 0 or (lb_mode and lb_active[c]):
-                    if nsat[c] == 0 and nfree[c] == 1:
-                        conflict = assign(find_unit(c), c, lb_mode, lb_active)
-                        if conflict >= 0:
-                            return conflict
+                elif weights[c] < 0 and nsat[c] == 0 and nfree[c] == 1:
+                    conflict = assign(find_unit(c))
+                    if conflict >= 0:
+                        return conflict
         return -1
-
-    def lower_bound(gap):
-        """Additive bound from disjoint soft cores; stops once >= gap."""
-        mark = len(trail)
-        lb_active = [False] * nc
-        for c in softs:
-            if nsat[c] == 0 and nfree[c] >= 1:
-                lb_active[c] = True
-        lb = 0
-        while lb < gap:
-            conflict = -1
-            for c in softs:
-                if lb_active[c] and nsat[c] == 0:
-                    if nfree[c] == 1:
-                        conflict = assign(find_unit(c), c, True, lb_active)
-                        if conflict >= 0:
-                            break
-            if conflict < 0:
-                conflict = propagate(mark, True, lb_active)
-            if conflict < 0:
-                undo_to(mark, True)
-                return lb
-            # collect the soft clauses in the conflict's reason cone
-            cone: list[int] = []
-            seen = [False] * nc
-            queue = [conflict]
-            seen[conflict] = True
-            while queue:
-                c = queue.pop()
-                if weights[c] >= 0:
-                    cone.append(c)
-                for i in range(offsets[c], offsets[c + 1]):
-                    v = lidx[i] >> 1
-                    if pos[v] >= mark:
-                        r = reason[v]
-                        if r >= 0 and not seen[r]:
-                            seen[r] = True
-                            queue.append(r)
-            undo_to(mark, True)
-            if not cone:
-                # conflict independent of soft assumptions: dead branch
-                return gap
-            w_min = min(weights[c] for c in cone)
-            lb += w_min
-            for c in cone:
-                lb_active[c] = False
-        return lb
 
     # level 0: empty clauses and hard units.  Binary hard clauses never look
     # like units to the counters; propagate(0) assigns the ones that became
@@ -209,11 +139,11 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
     conflict = -1
     for c in range(nc):
         if weights[c] < 0 and nsat[c] == 0 and nfree[c] == 1:
-            conflict = assign(find_unit(c), c, False, None)
+            conflict = assign(find_unit(c))
             if conflict >= 0:
                 break
     if conflict < 0:
-        conflict = propagate(0, False, None)
+        conflict = propagate(0)
     if conflict >= 0:
         return STATUS_HARD_UNSAT, -1, bytes(nv + 1), nodes
 
@@ -235,7 +165,7 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
                 status = STATUS_TIMEOUT
                 break
         if descend:
-            if cost >= ub or (ub < _INF and cost + lower_bound(ub - cost) >= ub):
+            if cost >= ub:
                 descend = False
                 continue
             scan = stack[-1][4] + 1 if stack else 0
@@ -257,22 +187,22 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
             nodes += 1
             p = polarity[v]
             stack.append([v, p, 1, len(trail), scan])
-            conflict = assign(2 * v if p == 1 else 2 * v + 1, -1, False, None)
+            conflict = assign(2 * v if p == 1 else 2 * v + 1)
             if conflict < 0:
-                conflict = propagate(len(trail) - 1, False, None)
+                conflict = propagate(len(trail) - 1)
             descend = conflict < 0
         else:
             if not stack:
                 break
             frame = stack[-1]
-            undo_to(frame[3], False)
+            undo_to(frame[3])
             if frame[2] == 1:
                 frame[2] = 2
                 v, p = frame[0], frame[1]
                 nodes += 1
-                conflict = assign(2 * v + 1 if p == 1 else 2 * v, -1, False, None)
+                conflict = assign(2 * v + 1 if p == 1 else 2 * v)
                 if conflict < 0:
-                    conflict = propagate(len(trail) - 1, False, None)
+                    conflict = propagate(len(trail) - 1)
                 descend = conflict < 0
             else:
                 stack.pop()

@@ -8,6 +8,8 @@ below top is soft; above top is an error, as is weight 0.
 
 from __future__ import annotations
 
+import re
+
 from .model import (
     HARD_UNSAT,
     OPTIMAL,
@@ -156,10 +158,11 @@ def read_solver_output(text: str, instance: WcnfInstance) -> SolveResult:
 def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:
     """Literals (unnamed variables are false) or one bit string of nvars bits.
 
-    A literal never starts with ``0``, so a token such as ``01`` or ``-01``
-    (a bit string cut short) is rejected; a lone ``0`` ends the list.  One
-    ambiguity remains: a short bit string that starts with ``1`` reads as a
-    literal, so ``v 10`` is the literal 10 whenever ``nvars >= 10``.
+    A literal is a plain ASCII decimal: no sign but ``-``, no ``_``, no
+    leading ``0``.  So ``01`` or ``-01`` (a bit string cut short), ``+1``,
+    ``1_0`` and non-ASCII digits are rejected; a lone ``0`` ends the list.
+    One ambiguity remains: a short bit string that starts with ``1`` reads as
+    a literal, so ``v 10`` is the literal 10 whenever ``nvars >= 10``.
     """
     assignment = [False] * (nvars + 1)
     if len(tokens) == 1 and set(tokens[0]) <= {"0", "1"} and len(tokens[0]) >= nvars:
@@ -172,16 +175,12 @@ def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:
         return tuple(assignment)
     named: set[int] = set()
     for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise WcnfError(f"bad literal {tok!r} in solver model") from None
-        digits = tok.lstrip("+-")
-        if len(digits) > 1 and digits[0] == "0":
+        if not re.fullmatch(r"-?[1-9][0-9]*|0", tok):
             raise WcnfError(
-                f"bad literal {tok!r} in solver model: a literal has no leading zero, "
-                f"and a bit string needs {nvars} bits"
+                f"bad literal {tok!r} in solver model: a literal is a plain decimal "
+                f"with no leading zero, and a bit string needs {nvars} bits"
             )
+        lit = int(tok)
         if abs(lit) > nvars:
             raise WcnfError(f"solver model names variable {abs(lit)}, instance has {nvars}")
         if -lit in named:

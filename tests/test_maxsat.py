@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -226,17 +227,18 @@ def _encoder_instances():
     return out
 
 
-# (status, cost, nodes) of the pure kernel on the instances above.  Node
-# counts pin the search itself: a speed-up that keeps the algorithm must
-# reproduce every one of them, not only the statuses and costs.
+# (status, cost, nodes) of the kernel on the instances above.  Node counts
+# pin the search itself, a branch and bound that cuts a branch only when its
+# cost reaches the incumbent's (no lower bound): a speed-up that keeps the
+# algorithm must reproduce every one of them, not only the statuses and costs.
 O, U = OPTIMAL, HARD_UNSAT
 _RANDOM_CNF_PINS = [
     (O, 0, 8), (O, 0, 20), (O, 0, 14), (O, 16, 8), (O, 30, 4), (O, 0, 6), (O, 0, 22),
-    (O, 78, 4), (O, 34, 8), (O, 0, 2), (O, 31, 20), (O, 6, 2), (U, None, 0), (O, 0, 12),
-    (O, 8, 8), (O, 57, 36), (O, 43, 2), (U, None, 0), (U, None, 0), (O, 30, 20),
+    (O, 78, 6), (O, 34, 8), (O, 0, 2), (O, 31, 24), (O, 6, 2), (U, None, 0), (O, 0, 12),
+    (O, 8, 8), (O, 57, 54), (O, 43, 2), (U, None, 0), (U, None, 0), (O, 30, 24),
     (U, None, 0), (O, 0, 4), (O, 4, 24), (U, None, 0), (O, 13, 4), (O, 49, 4),
     (O, 20, 0), (O, 108, 4), (O, 14, 8), (U, None, 0), (O, 31, 4), (O, 25, 12),
-    (O, 58, 12), (O, 2, 12), (O, 27, 4), (O, 0, 8), (O, 144, 6), (O, 35, 36),
+    (O, 58, 20), (O, 2, 12), (O, 27, 4), (O, 0, 8), (O, 144, 6), (O, 35, 36),
     (O, 76, 14), (O, 0, 6),
 ]
 _ENCODER_PINS = [
@@ -244,8 +246,8 @@ _ENCODER_PINS = [
     (O, 6000, 10), (O, 6000, 18), (O, 6000, 28), (O, 7000, 18), (O, 7000, 36),
     (O, 7000, 56), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0), (O, 9000, 4), (O, 9000, 4), (O, 9000, 6), (U, None, 2), (U, None, 4),
-    (U, None, 6), (O, 10000, 6), (O, 10000, 6), (O, 10000, 10), (U, None, 0),
-    (U, None, 0), (U, None, 0), (O, 8000, 20), (O, 5000, 22), (O, 5000, 32),
+    (U, None, 6), (O, 10000, 6), (O, 10000, 10), (O, 10000, 26), (U, None, 0),
+    (U, None, 0), (U, None, 0), (O, 8000, 20), (O, 5000, 22), (O, 5000, 38),
     (O, 3000, 10), (O, 3000, 18), (O, 3000, 28), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
@@ -254,7 +256,7 @@ _ENCODER_PINS = [
     (O, 8000, 28), (O, 8000, 40), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 2), (U, None, 4), (U, None, 6),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
-    (U, None, 8), (O, 11000, 20), (O, 11000, 34), (U, None, 0), (U, None, 0),
+    (U, None, 8), (O, 11000, 20), (O, 11000, 46), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0),
 ]
@@ -396,6 +398,8 @@ def test_read_solver_output(text, status, cost, assignment):
         ("s OPTIMUM FOUND\nv 1 -3\n", WcnfError, "names variable 3, instance has 2"),
         ("s OPTIMUM FOUND\nv 1 -1 2\n", WcnfError, "names variable 1 with both signs"),
         ("s OPTIMUM FOUND\nv 011\n", WcnfError, "has 3 bits, instance has 2 variables"),
+        ("s OPTIMUM FOUND\nv +1\n", WcnfError, r"bad literal '\+1'"),
+        ("s OPTIMUM FOUND\nv \u0661\n", WcnfError, "bad literal '\u0661'"),
         ("s OPTIMUM FOUND\nv -1 -2\n", BackendError, "falsifies a hard clause"),
         ("s OPTIMUM FOUND\no 0\nv -1 2\n", BackendError, "objective 0 disagrees"),
         ("s SATISFIABLE\no 1\nv 1 2\n", BackendError, "objective 1 disagrees"),
@@ -407,6 +411,14 @@ def test_read_solver_output(text, status, cost, assignment):
 def test_read_solver_output_rejects(text, error, needle):
     with pytest.raises(error, match=needle):
         read_solver_output(text, _answer_instance())
+
+
+def test_read_solver_output_rejects_non_decimal_literal():
+    # int() reads each of these as 10, which passes the model check at cost 1
+    inst = WcnfInstance.build(nvars=12, hard=[[10]], soft=[(1, [-10])])
+    for model in ("1_0", "+10", "\u0661\u0660"):
+        with pytest.raises(WcnfError, match=f"bad literal '{re.escape(model)}'"):
+            read_solver_output(f"s OPTIMUM FOUND\nv {model}\n", inst)
 
 
 def test_read_solver_output_rejects_short_bit_string():
