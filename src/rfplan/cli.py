@@ -383,7 +383,8 @@ def _show_plan(res, s_init, forest, table, target, as_json, attempts=None, **ext
         doc = {"status": res.status, "initial": list(s_init), "target": _jsonable(target),
                **extra}
         if attempts is not None:
-            doc["attempts"] = [{"L": a.L, "status": a.status, "cost": a.cost} for a in attempts]
+            doc["attempts"] = [{"L": a.L, "status": a.status, "cost": a.cost, "units": a.units}
+                               for a in attempts]
         if plan is not None:
             doc.update(
                 cost=plan.cost,

@@ -23,16 +23,24 @@ introduces them; value changes available exclusively through mechanical
 transitions are not reachable in this compilation (the offline search
 handles those), which keeps decoded plans sound.
 
-Only the start, at-least-one-goal and goal-pin clauses and the goal
-variables depend on the query.  The rest (the action-cost soft clauses;
-the chaining, transition-mutex, shared-write, action-to-transition and
-support hard clauses; the transition and action variable tables) depends
-only on the action library, the domain sizes, the makespan and the weight
-scale.  ``encode`` builds that part once per (sizes, makespan, scale) and
-keeps it in the ``ActionLibrary`` for as long as the library lives, with
-no size limit; a build that fails is not kept.  Repeated queries against
-one library gain from this; a single ``plan`` call encodes each makespan
-once and does not.
+Only the start, at-least-one-goal and goal-pin clauses, the goal
+variables and the reachability units (below) depend on the query.  The
+rest (the action-cost soft clauses; the chaining, transition-mutex,
+shared-write, action-to-transition and support hard clauses; the
+transition and action variable tables) depends only on the action
+library, the domain sizes, the makespan and the weight scale.
+``encode`` builds that part once per (sizes, makespan, scale) and keeps it
+in the ``ActionLibrary`` for as long as the library lives, with no size
+limit; a build that fails is not kept.  Repeated queries against one
+library gain from this; a single ``plan`` call encodes each makespan once
+and does not.
+
+The reachability units are added by ``plan_actions``, not by ``encode``:
+one unit clause fixing false each explicit step transition that no plan
+from this start to these goals within L steps can use
+(``_reachability_units``), placed ahead of the hard clauses.  They lose no
+model.  ``encode`` returns the unpruned encoding, which ``export-wcnf``
+writes.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -310,6 +318,42 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
     return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=skeleton.acts, goals=goal_vars)
 
 
+def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ...]:
+    """Unit clauses fixing false each explicit step transition that no plan
+    from ``sas.initial`` to a goal within ``varmap.L`` steps can use.
+
+    Per variable, a step moves along an edge of its domain transition graph:
+    ``f -> f``, or an explicit ``(f, g)`` of some action.  ``fwd[t]`` holds
+    the values reachable from the start in ``t`` steps, ``bwd[t]`` those
+    from which some goal value is reachable by step ``L`` (the reachability
+    half of Graphplan's planning graph, one variable at a time).  Every
+    model of the encoding walks such edges, so the units lose no plan.
+    Mechanical transitions are left alone.
+    """
+    L = varmap.L
+    edges = [{(f, f) for f in range(n)} for n in sas.sizes]
+    for a in sas.library.actions:
+        for tr in a.transitions:
+            if not tr.is_mechanical:
+                edges[tr.var].add((tr.frm, tr.to))
+    fwd, bwd = [], []
+    for v, moves in enumerate(edges):
+        reach = [{sas.initial[v]}]
+        for _ in range(L - 1):
+            reach.append({g for f, g in moves if f in reach[-1]})
+        back = [{goal[v] for goal in sas.goals}]
+        for _ in range(L):
+            back.append({f for f, g in moves if g in back[-1]})
+        fwd.append(reach)
+        bwd.append(back[::-1])
+    return tuple(
+        (-x,)
+        for (t, v, f, g), x in varmap.trans.items()
+        if f is not None
+        and (f not in fwd[v][t - 1] or f not in bwd[v][t - 1] or g not in bwd[v][t])
+    )
+
+
 def decode(assignment: tuple[bool, ...], varmap: VarMap, sas: SasProblem) -> Plan:
     """Read the non-empty per-step action sets out of a model and simulate them."""
     steps: list[list[Action]] = [[] for _ in range(varmap.L)]
@@ -389,6 +433,8 @@ class PlanAttempt:
     L: int
     status: str  # "sat" | "unsat" | "timeout"
     cost: float | None  # on "timeout", the checked incumbent's cost, if any
+    # reachability units added to this makespan's instance; None if none was built
+    units: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -481,13 +527,17 @@ def plan_actions(
                 attempts.append(PlanAttempt(L=L, status="timeout", cost=None))
                 break
         instance, varmap = encode(sas, L, scale=scale)
+        units = _reachability_units(sas, varmap)
+        instance = WcnfInstance(
+            nvars=instance.nvars, hard=units + instance.hard, soft=instance.soft
+        )
         result = solve(instance, timeout=budget)
         if result.status == maxsat.HARD_UNSAT:
-            attempts.append(PlanAttempt(L=L, status="unsat", cost=None))
+            attempts.append(PlanAttempt(L=L, status="unsat", cost=None, units=len(units)))
             continue
         timed_out = result.status == maxsat.TIMEOUT
         if result.assignment is None:  # a timeout before any incumbent
-            attempts.append(PlanAttempt(L=L, status="timeout", cost=None))
+            attempts.append(PlanAttempt(L=L, status="timeout", cost=None, units=len(units)))
             break
         plan = decode(result.assignment, varmap, sas)
         check_plan(plan, sas)
@@ -501,7 +551,7 @@ def plan_actions(
                 f"decoded plan weighs {scaled}, solver reported {result.cost}"
             )
         attempts.append(PlanAttempt(L=L, status="timeout" if timed_out else "sat",
-                                    cost=plan.cost))
+                                    cost=plan.cost, units=len(units)))
         if best is None or plan.cost < best.cost:
             best = plan
         if timed_out or not sweep:

@@ -219,6 +219,18 @@ def random_sas(rng, nvars_max=3, domain_max=3, actions_max=6, cost_max=9):
                       initial=initial, goals=tuple(sorted(goals)))
 
 
+def encoder_tasks():
+    """30 small random SAS+ tasks whose start is not a goal (the online
+    pipeline never encodes those), from a fixed seed."""
+    rng = random.Random(42)
+    tasks = []
+    while len(tasks) < 30:
+        sas = random_sas(rng, nvars_max=4, domain_max=4, actions_max=10)
+        if sas.initial not in sas.goals:
+            tasks.append(sas)
+    return tasks
+
+
 def min_plan_cost(sas, max_steps):
     """Cheapest cost reaching any goal within ``max_steps`` parallel steps.
 

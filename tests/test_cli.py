@@ -222,6 +222,16 @@ def test_plan_sweep_improves_on_makespan_one(ws):
     assert p["cost"] == p["attempts"][1]["cost"]
 
 
+def test_plan_json_reports_reachability_units(ws):
+    rv, out, _ = run(["plan", "--model", ws["model"], "--db", ws["db"],
+                      "--state", "0,0,0", "--l-max", 2, "--sweep", "--json"])
+    assert rv == 0
+    attempts = json.loads(out)["attempts"]
+    assert [set(a) for a in attempts] == [{"L", "status", "cost", "units"}] * 2
+    # a longer makespan has more step transitions, and so more to prune
+    assert 0 < attempts[0]["units"] < attempts[1]["units"]
+
+
 def test_plan_accepts_raw_feature_values(ws):
     rv, out, _ = run(["plan", "--model", ws["model"], "--db", ws["db"],
                       "-x", "male,1,100", "--json"])

@@ -4,10 +4,13 @@ import dataclasses
 import gc
 import hashlib
 import json
+import random
+import time
 import weakref
 
 import pytest
 
+from helpers import encoder_tasks, min_plan_cost, random_sas
 from rfplan import maxsat
 from rfplan.encoder import (
     ALREADY_GOAL,
@@ -18,6 +21,7 @@ from rfplan.encoder import (
     PlanAttempt,
     PlanningError,
     SasProblem,
+    _reachability_units,
     build_sas,
     check_plan,
     decode,
@@ -25,7 +29,7 @@ from rfplan.encoder import (
     plan_actions,
 )
 from rfplan.knn import SimilarityWeights
-from rfplan.maxsat import HARD_UNSAT, solve
+from rfplan.maxsat import HARD_UNSAT, WcnfInstance, solve
 from rfplan.offline import GoalDatabase, SearchError
 from rfplan.sas_core import (
     WILDCARD,
@@ -328,6 +332,115 @@ def test_mechanical_only_move_is_outside_the_encoding():
 
 
 # ---------------------------------------------------------------------------
+# reachability units: plan_actions fixes unusable step transitions false
+
+
+def _pruned(sas, L, scale=1):
+    """(unpruned instance, the instance plan_actions solves, units, varmap)."""
+    instance, varmap = encode(sas, L, scale=scale)
+    units = _reachability_units(sas, varmap)
+    pruned = WcnfInstance(nvars=instance.nvars, hard=units + instance.hard, soft=instance.soft)
+    return instance, pruned, units, varmap
+
+
+def _assert_pruning_keeps_answers(sas, L, scale=1):
+    """Same status and cost with and without the units; the pruned cost is
+    the cheapest plan within L steps.  Ties may pick another model."""
+    instance, pruned, _, varmap = _pruned(sas, L, scale)
+    full, cut = solve(instance), solve(pruned)
+    assert (cut.status, cut.cost) == (full.status, full.cost)
+    reference = min_plan_cost(sas, L)
+    if reference is None:
+        assert cut.status == HARD_UNSAT
+    else:
+        assert cut.cost == round(reference * scale)
+        check_plan(decode(cut.assignment, varmap, sas), sas)
+    return full.nodes, cut.nodes
+
+
+def test_reachability_units_keep_answers_on_the_kernel_pin_tasks():
+    # the tasks whose encodings test_maxsat pins, at the default scale
+    for sas in encoder_tasks():
+        for L in (1, 2, 3):
+            _assert_pruning_keeps_answers(sas, L, scale=1000)
+
+
+def test_reachability_units_keep_answers_on_random_tasks():
+    rng = random.Random(2024)
+    tasks = nodes_full = nodes_cut = 0
+    while tasks < 1000:
+        sas = random_sas(rng)
+        if sas.initial in sas.goals:
+            continue  # the online pipeline never encodes these
+        tasks += 1
+        for L in (1, 2, 3, 4):
+            full, cut = _assert_pruning_keeps_answers(sas, L)
+            nodes_full += full
+            nodes_cut += cut
+    assert nodes_cut < nodes_full
+
+
+def _mechanical_tasks(unit_library):
+    golden = _golden_tasks(unit_library)
+    yield golden["mechanical"]
+    yield golden["three_goals"]
+    rng = random.Random(11)
+    for _ in range(40):
+        sas = random_sas(rng)
+        v = rng.randrange(len(sas.sizes))
+        tagger = _act("m", 2.0, (v, WILDCARD, rng.randrange(sas.sizes[v])))
+        yield SasProblem(sas.sizes, _lib(*sas.library.actions, tagger), sas.initial, sas.goals)
+
+
+def test_reachability_units_leave_mechanical_transitions_alone(unit_library):
+    pruned_any = False
+    for sas in _mechanical_tasks(unit_library):
+        for L in (1, 2, 3):
+            instance, pruned, units, varmap = _pruned(sas, L)
+            meaning = {x: key for key, x in varmap.trans.items()}
+            for (lit,) in units:
+                assert lit < 0 and meaning[-lit][2] is not None, meaning[-lit]
+            pruned_any = pruned_any or bool(units)
+            full, cut = solve(instance), solve(pruned)
+            assert (cut.status, cut.cost) == (full.status, full.cost)
+    assert pruned_any
+
+
+def _steps_to_a_goal_value(sas, v):
+    """Fewest steps variable ``v`` needs from its start to some goal value,
+    moving only along explicit action transitions; None if it never can."""
+    targets = {g[v] for g in sas.goals}
+    frontier, seen, steps = {sas.initial[v]}, {sas.initial[v]}, 0
+    while frontier:
+        if frontier & targets:
+            return steps
+        frontier = {
+            t.to for a in sas.library for t in a.transitions
+            if t.var == v and t.frm in frontier and t.to not in seen
+        }
+        seen |= frontier
+        steps += 1
+    return None
+
+
+def test_unreachable_goal_value_is_unsat_without_search():
+    rng = random.Random(7)
+    hits = 0
+    for _ in range(300):
+        sas = random_sas(rng, nvars_max=4, domain_max=4)
+        if sas.initial in sas.goals:
+            continue
+        need = [_steps_to_a_goal_value(sas, v) for v in range(len(sas.sizes))]
+        for L in (1, 2, 3, 4):
+            if all(n is not None and n <= L for n in need):
+                continue
+            result = solve(_pruned(sas, L)[1])
+            assert (result.status, result.nodes) == (HARD_UNSAT, 0), (sas, L)
+            hits += 1
+    assert hits >= 100
+
+
+# ---------------------------------------------------------------------------
 # decoded-plan checking
 
 
@@ -469,6 +582,29 @@ def test_plan_actions_timeout(toy_forest, toy_table, unit_library, toy_db):
     assert out.status == TIMEOUT
     assert out.plan is None
     assert out.attempts[-1].status == "timeout"
+
+
+def test_plan_actions_reports_reachability_units(toy_forest, toy_table, unit_library, toy_db):
+    args = (toy_forest, toy_table, unit_library, toy_db)
+    out = plan_actions(*args, state=(0, 0, 0), l_max=3, sweep=True)
+    sas = SasProblem(toy_table.sizes, unit_library, out.s_init, out.goals)
+    assert [a.units for a in out.attempts] == [
+        len(_reachability_units(sas, encode(sas, L)[1])) for L in (1, 2, 3)
+    ]
+    assert all(a.units > 0 for a in out.attempts)
+    # the count is evidence, not part of the answer
+    assert out.attempts[0] == dataclasses.replace(out.attempts[0], units=None)
+
+    def outlasts_its_budget(instance, timeout=None):
+        time.sleep(timeout + 0.01)
+        return solve(instance)
+
+    # no instance is built once the budget is gone: no count either
+    out = plan_actions(*args, state=(0, 0, 0), l_max=3, sweep=True, timeout=0.05,
+                       solver=outlasts_its_budget)
+    assert [(a.status, a.units is None) for a in out.attempts] == [
+        ("sat", False), ("timeout", True)
+    ]
 
 
 @pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), float("inf"), "5", True])

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from helpers import brute_force_cost, random_sas, random_wcnf
+from helpers import brute_force_cost, encoder_tasks, random_wcnf
 from rfplan.encoder import encode
 from rfplan.maxsat import _pure
 from rfplan.maxsat import (
@@ -217,14 +217,7 @@ def _random_cnf_instances():
 
 def _encoder_instances():
     """Encodings of small random SAS+ tasks at makespans 1..3."""
-    rng = random.Random(42)
-    out = []
-    while len(out) < 90:
-        sas = random_sas(rng, nvars_max=4, domain_max=4, actions_max=10)
-        if sas.initial in sas.goals:
-            continue  # the online pipeline never encodes these
-        out.extend(encode(sas, L)[0] for L in (1, 2, 3))
-    return out
+    return [encode(sas, L)[0] for sas in encoder_tasks() for L in (1, 2, 3)]
 
 
 # (status, cost, nodes) of the kernel on the instances above.  Node counts
