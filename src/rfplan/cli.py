@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -320,9 +321,12 @@ def _parse_vector(text, features):
     for meta, token in zip(features, tokens):
         if meta.is_numerical:
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 raise CliError(f"feature {meta.name!r}: {token!r} is not a number") from None
+            if not math.isfinite(value):
+                raise CliError(f"feature {meta.name!r}: {token!r} is not finite")
+            values.append(value)
         else:
             if token not in meta.categories:
                 raise CliError(

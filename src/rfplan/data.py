@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -157,11 +158,16 @@ def _ingest_csv(path, schema: Schema) -> Dataset:
                 token = rec[col].strip()
                 if meta.is_numerical:
                     try:
-                        values.append(float(token))
+                        value = float(token)
                     except ValueError:
                         raise DataError(
                             f"{path}:{lineno}: column {meta.name!r}: {token!r} is not a number"
                         ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}:{lineno}: column {meta.name!r}: {token!r} is not finite"
+                        )
+                    values.append(value)
                 else:
                     if token not in meta.categories:
                         raise DataError(
@@ -203,6 +209,11 @@ def _ingest_libsvm(path, schema: Schema) -> Dataset:
                 if not 1 <= idx <= m:
                     raise DataError(
                         f"{path}:{lineno}: feature index {idx} outside 1..{m}"
+                    )
+                if not math.isfinite(val):
+                    raise DataError(
+                        f"{path}:{lineno}: column {schema.features[idx - 1].name!r}: "
+                        f"{val_s!r} is not finite"
                     )
                 values[idx - 1] = val
             rows.append(tuple(values))

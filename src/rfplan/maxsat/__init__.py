@@ -1,8 +1,10 @@
 """Exact weighted partial Max-SAT solving.
 
-``solve`` runs the in-process branch-and-bound kernel of ``_pure`` and
-re-checks every model it returns.  ``solve_external`` runs a third-party
-solver process instead and checks its answer the same way.
+``solve`` hands the instance's own clause tuples, with the branching
+order ``compile_instance`` derives, to the in-process branch-and-bound
+kernel of ``_pure``, and re-checks every model it returns.
+``solve_external`` runs a third-party solver process instead and checks
+its answer the same way.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .model import (  # noqa: F401
     compile_instance,
 )
 from . import _pure
-
-_STATUS = {0: OPTIMAL, 1: HARD_UNSAT, 2: TIMEOUT}
 
 # SAT-competition exit codes: 10 satisfiable, 20 unsatisfiable, 30 optimum
 _EXTERNAL_EXIT_CODES = (0, 10, 20, 30)
@@ -61,23 +61,17 @@ def solve(instance: WcnfInstance, timeout: float | None = None) -> SolveResult:
     returned; one that fails raises BackendError.
     """
     _check_timeout(timeout)
-    weights, lits, offsets, order, polarity = compile_instance(instance)
-    status_code, cost, assign_bytes, nodes = _pure.solve_compiled(
-        instance.nvars, weights, lits, offsets, order, polarity,
-        float(timeout) if timeout is not None else 0.0,  # 0 tells the kernel: no limit
+    weights, clauses, order, polarity = compile_instance(instance)
+    status, cost, assignment, nodes = _pure.solve_compiled(
+        instance.nvars, weights, clauses, order, polarity, timeout
     )
-    status = _STATUS[status_code]
-    if status == HARD_UNSAT:
-        return SolveResult(status=status, cost=None, assignment=None, nodes=nodes, backend="pure")
-    if cost < 0:  # timed out before any incumbent
-        return SolveResult(status=status, cost=None, assignment=None, nodes=nodes, backend="pure")
-    assignment = tuple(bool(b) for b in assign_bytes)
-    hard_ok, true_cost = instance.check(assignment)
-    if not hard_ok or true_cost != cost:
-        raise BackendError(
-            f"solver returned an inconsistent model (hard_ok={hard_ok}, "
-            f"reported cost {cost}, recomputed {true_cost})"
-        )
+    if assignment is not None:
+        hard_ok, true_cost = instance.check(assignment)
+        if not hard_ok or true_cost != cost:
+            raise BackendError(
+                f"solver returned an inconsistent model (hard_ok={hard_ok}, "
+                f"reported cost {cost}, recomputed {true_cost})"
+            )
     return SolveResult(status=status, cost=cost, assignment=assignment, nodes=nodes, backend="pure")
 
 

@@ -4,6 +4,13 @@ Exact depth-first search with unit propagation over the hard clauses.
 A branch is cut only when the cost of the soft clauses it has already
 falsified reaches the best complete assignment's cost.
 
+Literals are the instance's DIMACS ints and index the per-literal lists
+directly: a list of 2*nv + 1 slots puts v at slot v and -v, by Python's
+negative indexing, at slot 2*nv + 1 - v, so the complement of literal li
+is -li.  Slot 0 is never used.  The result is plain Python: a status
+string of ``model``, the cost, and the model as a tuple of bools, with
+None for both when there is no model.
+
 Two-literal hard clauses, most of an encoding's hard clauses, keep no
 counters.  Each is filed under both of its literals together with the
 other literal, and its state is read off the literal values: once one
@@ -19,66 +26,63 @@ from __future__ import annotations
 
 import time
 
-STATUS_OPTIMAL = 0
-STATUS_HARD_UNSAT = 1
-STATUS_TIMEOUT = 2
+from .model import HARD_UNSAT, OPTIMAL, TIMEOUT
 
 _INF = float("inf")
 _CHECK_EVERY = 2048
 
 
-def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
-    """Run the search on flattened clause arrays.
+def solve_compiled(nv, weights, clauses, order, polarity, timeout):
+    """Run the search on the output of ``model.compile_instance``.
 
-    weights[c] < 0 marks a hard clause.  Returns
-    (status, best_cost or -1, assignment bytes of length nv + 1, nodes).
+    weights[c] < 0 marks clause c as hard; ``timeout`` is seconds or None
+    for no limit.  Returns (status, cost, assignment, nodes): cost and
+    assignment are None when there is no model, else the assignment is a
+    tuple of nv + 1 bools indexed by variable.
     """
     nc = len(weights)
-    deadline = time.perf_counter() + timeout if timeout and timeout > 0 else None
+    deadline = time.perf_counter() + timeout if timeout is not None else None
 
-    # Literals are kept as indices: 2*v for v, 2*v + 1 for -v, so the
-    # complement of index i is i ^ 1 and lval[i] is its value (-1
-    # unassigned, 0 false, 1 true).  occ[i] holds (c, other) for every
-    # clause c with literal i, in clause order: other is the partner's index
-    # in a two-literal hard clause and 0 otherwise.  cnt[i] holds the
-    # clauses with literal i that keep counters (nsat, nfree).
-    nl = 2 * nv + 2
+    # lval[li] is literal li's value (-1 unassigned, 0 false, 1 true).
+    # occ[li] holds (c, other) for every clause c with literal li, in clause
+    # order: other is the partner literal in a two-literal hard clause and 0
+    # otherwise.  cnt[li] holds the clauses with literal li that keep
+    # counters (nsat, nfree).
+    nl = 2 * nv + 1
     occ: list[list[tuple[int, int]]] = [[] for _ in range(nl)]
     cnt: list[list[int]] = [[] for _ in range(nl)]
-    lidx = [2 * l if l > 0 else -2 * l + 1 for l in lits]
-    nfree: list[int] = []
-    for c, w, lo, hi in zip(range(nc), weights, offsets, offsets[1:]):
-        nfree.append(hi - lo)
-        if hi - lo == 2 and w < 0:
-            a, b = lidx[lo], lidx[lo + 1]
+    nfree = [len(lits) for lits in clauses]
+    for c, w, lits in zip(range(nc), weights, clauses):
+        if w < 0 and len(lits) == 2:
+            a, b = lits
             occ[a].append((c, b))
             occ[b].append((c, a))
         else:
             entry = (c, 0)
-            for li in lidx[lo:hi]:
+            for li in lits:
                 occ[li].append(entry)
                 cnt[li].append(c)
 
     nsat = [0] * nc
     lval = [-1] * nl
-    trail: list[int] = []  # literal indices
+    trail: list[int] = []  # literals
 
     cost = 0
     nodes = 0
 
     def assign(li):
-        """Make literal index li true; returns the first emptied hard clause or -1.
+        """Make literal li true; returns the first emptied hard clause or -1.
 
         An emptied soft clause adds its weight to the running cost.
         """
         nonlocal cost
         lval[li] = 1
-        lval[li ^ 1] = 0
+        lval[-li] = 0
         trail.append(li)
         conflict = -1
         for c in cnt[li]:
             nsat[c] += 1
-        for c, o in occ[li ^ 1]:
+        for c, o in occ[-li]:
             if o:
                 if conflict < 0 and lval[o] == 0:
                     conflict = c
@@ -99,16 +103,16 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
             li = trail.pop()
             for c in cnt[li]:
                 nsat[c] -= 1
-            for c in cnt[li ^ 1]:
+            for c in cnt[-li]:
                 if nfree[c] == 0 and nsat[c] == 0 and weights[c] >= 0:
                     cost -= weights[c]
                 nfree[c] += 1
-            lval[li] = lval[li ^ 1] = -1
+            lval[li] = lval[-li] = -1
 
     def find_unit(c):
-        for i in range(offsets[c], offsets[c + 1]):
-            if lval[lidx[i]] < 0:
-                return lidx[i]
+        for li in clauses[c]:
+            if lval[li] < 0:
+                return li
         return 0
 
     def propagate(qhead):
@@ -116,7 +120,7 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
         while qhead < len(trail):
             li = trail[qhead]
             qhead += 1
-            for c, o in occ[li ^ 1]:
+            for c, o in occ[-li]:
                 if o:
                     if lval[o] < 0:
                         conflict = assign(o)
@@ -134,7 +138,7 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
     for c in range(nc):
         if nfree[c] == 0:
             if weights[c] < 0:
-                return STATUS_HARD_UNSAT, -1, bytes(nv + 1), nodes
+                return HARD_UNSAT, None, None, nodes
             cost += weights[c]
     conflict = -1
     for c in range(nc):
@@ -145,24 +149,23 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
     if conflict < 0:
         conflict = propagate(0)
     if conflict >= 0:
-        return STATUS_HARD_UNSAT, -1, bytes(nv + 1), nodes
+        return HARD_UNSAT, None, None, nodes
 
-    best_cost = -1
-    best_assign = bytearray(nv + 1)
+    best_cost = best_assign = None
     ub = _INF
 
     # stack frames: [var, polarity tried first, branches tried, trail mark, scan index]
     stack: list[list[int]] = []
     descend = True
     norder = len(order)
-    status = STATUS_OPTIMAL
+    status = OPTIMAL
     steps = 0
 
     while True:
         steps += 1
         if deadline is not None and steps % _CHECK_EVERY == 0:
             if time.perf_counter() > deadline:
-                status = STATUS_TIMEOUT
+                status = TIMEOUT
                 break
         if descend:
             if cost >= ub:
@@ -171,23 +174,21 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
             scan = stack[-1][4] + 1 if stack else 0
             v = 0
             while scan < norder:
-                if lval[2 * order[scan]] < 0:
+                if lval[order[scan]] < 0:
                     v = order[scan]
                     break
                 scan += 1
             if v == 0:
                 # complete assignment over every clause variable
                 if cost < ub:
-                    ub = cost
-                    best_cost = cost
-                    for u in range(1, nv + 1):
-                        best_assign[u] = lval[2 * u] == 1
+                    ub = best_cost = cost
+                    best_assign = tuple([x == 1 for x in lval[:nv + 1]])
                 descend = False
                 continue
             nodes += 1
             p = polarity[v]
             stack.append([v, p, 1, len(trail), scan])
-            conflict = assign(2 * v if p == 1 else 2 * v + 1)
+            conflict = assign(v if p == 1 else -v)
             if conflict < 0:
                 conflict = propagate(len(trail) - 1)
             descend = conflict < 0
@@ -200,15 +201,13 @@ def solve_compiled(nv, weights, lits, offsets, order, polarity, timeout):
                 frame[2] = 2
                 v, p = frame[0], frame[1]
                 nodes += 1
-                conflict = assign(2 * v + 1 if p == 1 else 2 * v)
+                conflict = assign(-v if p == 1 else v)
                 if conflict < 0:
                     conflict = propagate(len(trail) - 1)
                 descend = conflict < 0
             else:
                 stack.pop()
 
-    if status == STATUS_OPTIMAL and best_cost < 0:
-        return STATUS_HARD_UNSAT, -1, bytes(nv + 1), nodes
-    if status == STATUS_TIMEOUT:
-        return STATUS_TIMEOUT, best_cost, bytes(best_assign), nodes
-    return STATUS_OPTIMAL, best_cost, bytes(best_assign), nodes
+    if status == OPTIMAL and best_assign is None:
+        status = HARD_UNSAT
+    return status, best_cost, best_assign, nodes

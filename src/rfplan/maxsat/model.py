@@ -121,25 +121,17 @@ class SolveResult:
 
 
 def compile_instance(instance: WcnfInstance):
-    """Flatten an instance into the arrays the solver kernel consumes.
+    """The instance in the shape ``_pure.solve_compiled`` searches.
 
-    Returns (weights, lits, offsets, order, polarity) where clause c holds
-    lits[offsets[c]:offsets[c+1]] and weights[c] is -1 for hard clauses.
-    The branching order tries variables by descending soft-weight
-    involvement (ties by index); the preferred polarity is whichever sign
-    carries the larger soft weight, False on ties.
+    Returns (weights, clauses, order, polarity): clauses are the hard
+    clauses' literal tuples followed by the soft ones', and weights[c] is
+    clause c's weight, -1 for a hard clause.  The branching order tries
+    variables by descending soft-weight involvement (ties by index); the
+    preferred polarity is whichever sign carries the larger soft weight,
+    False on ties.
     """
-    weights: list[int] = []
-    offsets: list[int] = [0]
-    lits: list[int] = []
-    for clause in instance.hard:
-        weights.append(-1)
-        lits.extend(clause)
-        offsets.append(len(lits))
-    for w, clause in instance.soft:
-        weights.append(w)
-        lits.extend(clause)
-        offsets.append(len(lits))
+    weights = [-1] * len(instance.hard) + [w for w, _ in instance.soft]
+    clauses = [*instance.hard, *(c for _, c in instance.soft)]
 
     nv = instance.nvars
     score = [0] * (nv + 1)
@@ -160,4 +152,4 @@ def compile_instance(instance: WcnfInstance):
                 neg_w[v] += w
     order = sorted((v for v in range(1, nv + 1) if in_clause[v]), key=lambda v: (-score[v], v))
     polarity = [1 if pos_w[v] > neg_w[v] else 0 for v in range(nv + 1)]
-    return weights, lits, offsets, order, polarity
+    return weights, clauses, order, polarity

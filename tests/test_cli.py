@@ -434,6 +434,21 @@ def test_oracle_cap_exits_four(ws):
     assert "raise the cap" in err
 
 
+def test_non_finite_numbers_exit_three(ws, tmp_path):
+    rv, _, err = run(["oracle", "--model", ws["model"], "-x", "male,nan,2000", "--target", 1])
+    assert rv == 3
+    assert "feature 'visits': 'nan' is not finite" in err and "Traceback" not in err
+    rows = (DATA / "demo.csv").read_text(encoding="utf-8").splitlines()
+    rows[2] = "female,nan,1800,1"
+    data = tmp_path / "nan.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rv, _, err = run(["preprocess", "--model", ws["model"], "--out", tmp_path / "db.jsonl",
+                      "--target", 1, "--quiet", "--states", "data",
+                      "--data", data, "--schema", DATA / "demo_schema.json"])
+    assert rv == 3
+    assert f"{data}:3: column 'visits': 'nan' is not finite" in err and "Traceback" not in err
+
+
 # export-wcnf
 
 

@@ -109,12 +109,22 @@ def test_check_matches_reference():
 def test_solve_trivial_instances():
     empty = WcnfInstance.build(nvars=0)
     res = solve(empty)
-    assert res.status == OPTIMAL and res.cost == 0
+    assert (res.status, res.cost, res.assignment) == (OPTIMAL, 0, (False,))
 
     sat_only = WcnfInstance.build(nvars=2, hard=[[1], [-2]])
     res = solve(sat_only)
     assert res.status == OPTIMAL and res.cost == 0
     assert res.assignment[1] is True and res.assignment[2] is False
+
+    # variables 2 and 3 occur in no clause
+    res = solve(WcnfInstance.build(nvars=3, hard=[[1]], soft=[(2, [-1])]))
+    assert (res.status, res.cost, res.assignment) == (OPTIMAL, 2, (False, True, False, False))
+    # the highest variable occurs negated
+    res = solve(WcnfInstance.build(nvars=2, hard=[[-2, -1], [2]], soft=[(1, [1])]))
+    assert (res.status, res.cost, res.assignment) == (OPTIMAL, 1, (False, False, True))
+    # an empty soft clause is falsified by every model
+    res = solve(WcnfInstance.build(nvars=1, soft=[(3, []), (1, [1])]))
+    assert (res.status, res.cost, res.assignment) == (OPTIMAL, 3, (False, True))
 
 
 def test_solve_forced_tradeoff():
@@ -169,6 +179,14 @@ def test_timeout_reports_timeout_status():
         assert hard_ok and cost == res.cost and cost >= full.cost
 
 
+def test_timeout_before_any_incumbent(monkeypatch):
+    monkeypatch.setattr(_pure, "_CHECK_EVERY", 1)
+    inst = WcnfInstance.build(nvars=3, hard=[[1, 2, 3]], soft=[(2, [-1]), (3, [-2]), (1, [-3])])
+    res = solve(inst, timeout=1e-9)
+    assert res.status == TIMEOUT
+    assert res.cost is None and res.assignment is None and res.nodes == 0
+
+
 @pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), float("inf"), "5", True])
 def test_solvers_reject_a_timeout_that_is_not_positive(timeout, tmp_path):
     # 0 and -1 used to mean no limit
@@ -184,11 +202,11 @@ def test_solvers_reject_a_timeout_that_is_not_positive(timeout, tmp_path):
 def test_timeout_incumbent_is_rechecked(monkeypatch):
     inst = WcnfInstance.build(nvars=2, hard=[[1, 2]], soft=[(3, [-1])])
     # a kernel that times out with an incumbent falsifying the hard clause
-    monkeypatch.setattr(_pure, "solve_compiled", lambda *a: (2, 0, bytes([0, 0, 0]), 1))
+    monkeypatch.setattr(_pure, "solve_compiled", lambda *a: (TIMEOUT, 0, (False, False, False), 1))
     with pytest.raises(BackendError, match="inconsistent model"):
         solve(inst)
     # ... or one whose reported cost is not its model's
-    monkeypatch.setattr(_pure, "solve_compiled", lambda *a: (2, 0, bytes([0, 1, 0]), 1))
+    monkeypatch.setattr(_pure, "solve_compiled", lambda *a: (TIMEOUT, 0, (False, True, False), 1))
     with pytest.raises(BackendError, match="reported cost 0, recomputed 3"):
         solve(inst)
 
