@@ -39,16 +39,24 @@ class Dataset:
         return len(self.rows)
 
 
-def _coerce_label(token: str):
-    """Labels: int when possible, then float, else the raw string."""
+def _coerce_label(token: str, where: str):
+    """Labels: int when possible, then float, else the raw string.
+
+    A token that parses to a non-finite float (``nan``, ``inf``) is
+    rejected: nan equals no label, not even itself, so each such row would
+    become its own class.
+    """
     try:
         return int(token)
     except ValueError:
         pass
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         return token
+    if not math.isfinite(value):
+        raise DataError(f"{where}: label {token!r} is not finite")
+    return value
 
 
 def schema_from_dict(doc: dict, source: str = "<schema>") -> Schema:
@@ -175,7 +183,7 @@ def _ingest_csv(path, schema: Schema) -> Dataset:
                         )
                     values.append(token)
             rows.append(tuple(values))
-            labels.append(_coerce_label(rec[label_col].strip()))
+            labels.append(_coerce_label(rec[label_col].strip(), f"{path}:{lineno}"))
     return _finish(schema, rows, labels, str(path))
 
 
@@ -195,7 +203,7 @@ def _ingest_libsvm(path, schema: Schema) -> Dataset:
             if not text:
                 continue
             parts = text.split()
-            labels.append(_coerce_label(parts[0]))
+            labels.append(_coerce_label(parts[0], f"{path}:{lineno}"))
             values = [0.0] * m
             for part in parts[1:]:
                 if ":" not in part:

@@ -31,16 +31,19 @@ transition and action variable tables) depends only on the action
 library, the domain sizes, the makespan and the weight scale.
 ``encode`` builds that part once per (sizes, makespan, scale) and keeps it
 in the ``ActionLibrary`` for as long as the library lives, with no size
-limit; a build that fails is not kept.  Repeated queries against one
-library gain from this; a single ``plan`` call encodes each makespan once
-and does not.
+limit; a build that fails is not kept.  Each query's instance is that kept
+instance extended (``WcnfInstance.extend``) with the query's clauses, so
+the first solve at a makespan also keeps the kernel's compiled form of the
+kept clauses on it, and later solves add only their own clauses
+(``maxsat.compile_instance``).  Repeated queries against one library gain
+from this; a single ``plan`` call encodes each makespan once and does not.
 
 The reachability units are added by ``plan_actions``, not by ``encode``:
 one unit clause fixing false each explicit step transition that no plan
 from this start to these goals within L steps can use
-(``_reachability_units``), placed ahead of the hard clauses.  They lose no
-model.  ``encode`` returns the unpruned encoding, which ``export-wcnf``
-writes.
+(``_reachability_units``), placed ahead of the hard clauses by one more
+``extend``.  They lose no model.  ``encode`` returns the unpruned
+encoding, which ``export-wcnf`` writes.
 """
 
 from __future__ import annotations
@@ -313,8 +316,7 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
             )
 
     # query clauses first, then the kept ones: the order of a one-pass build
-    query = WcnfInstance.build(nvars=nvars, hard=hard)
-    instance = WcnfInstance(nvars=nvars, hard=query.hard + base.hard, soft=base.soft)
+    instance = base.extend(nvars, hard)
     return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=skeleton.acts, goals=goal_vars)
 
 
@@ -528,9 +530,7 @@ def plan_actions(
                 break
         instance, varmap = encode(sas, L, scale=scale)
         units = _reachability_units(sas, varmap)
-        instance = WcnfInstance(
-            nvars=instance.nvars, hard=units + instance.hard, soft=instance.soft
-        )
+        instance = instance.extend(instance.nvars, units)
         result = solve(instance, timeout=budget)
         if result.status == maxsat.HARD_UNSAT:
             attempts.append(PlanAttempt(L=L, status="unsat", cost=None, units=len(units)))

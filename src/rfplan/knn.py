@@ -7,12 +7,16 @@ similarity is the weighted mean of the per-feature scores, except that
 any disagreement on a hard feature forces it to 0: a stored state that
 differs in an unchangeable attribute can never be reached.
 
-All similarity arithmetic is exact (fractions.Fraction), so rankings and
-equality comparisons carry no rounding noise.
+All similarity arithmetic is exact, so rankings and equality comparisons
+carry no rounding noise.  ``state_similarity`` computes one similarity
+with fractions.Fraction and is the reference; ``k_nearest`` scores every
+stored state with integers over one common denominator and returns the
+same Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,13 +113,42 @@ def k_nearest(
     if k < 1:
         raise ModelError(f"k must be >= 1, got {k}")
     s = check_state(table, s)
+    features, sizes = table.features, table.sizes
+    if len(weights.values) != len(features):
+        raise ModelError(f"{len(weights.values)} similarity weights for {len(features)} features")
+    # Every similarity is score / denom with one integer denom: the lcm of
+    # the weights' denominators times the lcm of the numerical n - 1.
+    # gain[i][u] is the score feature i adds for a candidate value u.
+    wden = math.lcm(*(w.denominator for w in weights.values))
+    fden = math.lcm(*(n - 1 for meta, n in zip(features, sizes)
+                      if not meta.is_categorical and n > 1))
+    gain = []
+    denom = 0
+    for meta, n, w, v in zip(features, sizes, weights.values, s):
+        wi = w.numerator * (wden // w.denominator)
+        denom += wi * fden
+        if meta.is_categorical:
+            gain.append([wi * fden if u == v else 0 for u in range(n)])
+        elif n == 1:
+            gain.append([wi * fden])
+        else:
+            step = fden // (n - 1)
+            gain.append([wi * (fden - abs(u - v) * step) for u in range(n)])
+    hard = [i for i, meta in enumerate(features) if not meta.is_soft]
+    domains = [range(n) for n in sizes]
+
     scored = []
     for cand, entry in db.entries.items():
         if not entry.found:
             continue
-        sim = state_similarity(s, cand, weights, table)
-        if sim == 0:
+        if len(cand) != len(domains) or not all(
+            type(u) is int and u in r for u, r in zip(cand, domains)
+        ):
+            cand = check_state(table, cand)  # raises for a state off the grid
+        if any(cand[i] != s[i] for i in hard):
             continue
-        scored.append((sim, entry.cost, cand, entry))
-    scored.sort(key=lambda row: (-row[0], row[1], row[2]))
-    return [(cand, entry, sim) for sim, _, cand, entry in scored[:k]]
+        score = sum([row[u] for row, u in zip(gain, cand)])
+        if score:
+            scored.append((-score, entry.cost, cand, entry))
+    scored.sort(key=lambda row: row[:3])
+    return [(cand, entry, Fraction(-neg, denom)) for neg, _, cand, entry in scored[:k]]

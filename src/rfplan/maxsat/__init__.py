@@ -1,7 +1,8 @@
 """Exact weighted partial Max-SAT solving.
 
 ``solve`` hands the instance's own clause tuples, with the branching
-order ``compile_instance`` derives, to the in-process branch-and-bound
+order and occurrence lists ``compile_instance`` derives (once per kept
+prefix for an extended instance), to the in-process branch-and-bound
 kernel of ``_pure``, and re-checks every model it returns.
 ``solve_external`` runs a third-party solver process instead and checks
 its answer the same way.
@@ -61,9 +62,8 @@ def solve(instance: WcnfInstance, timeout: float | None = None) -> SolveResult:
     returned; one that fails raises BackendError.
     """
     _check_timeout(timeout)
-    weights, clauses, order, polarity = compile_instance(instance)
     status, cost, assignment, nodes = _pure.solve_compiled(
-        instance.nvars, weights, clauses, order, polarity, timeout
+        instance.nvars, *compile_instance(instance), timeout
     )
     if assignment is not None:
         hard_ok, true_cost = instance.check(assignment)

@@ -18,8 +18,16 @@ literal is false, the clause is a conflict if the other is false too and
 a unit if the other is unassigned.  Every other clause keeps counters of
 its true and unassigned literals, from which its units and the running
 cost are read.  Each literal has one occurrence list in clause order, with
-binary and other clauses interleaved, so conflicts and units are found in
-the order the counters alone would find them.
+binary and other clauses interleaved.
+
+The occurrence lists, the branching order and the polarities arrive
+prebuilt from ``model.compile_instance`` and are only read here: for an
+extended instance most of them are the kept prefix's own lists, shared by
+every solve over that prefix.  Only the counters and literal values are
+this solve's.  The clause order does not change the search: unit
+propagation reaches the same fixpoint, or a conflict, in any order, so
+for one clause set the nodes, the cost and the model depend on the
+branching order and the polarities, not on how the clauses are numbered.
 """
 
 from __future__ import annotations
@@ -32,37 +40,25 @@ _INF = float("inf")
 _CHECK_EVERY = 2048
 
 
-def solve_compiled(nv, weights, clauses, order, polarity, timeout):
+def solve_compiled(nv, weights, clauses, order, polarity, occ, cnt, nfree, timeout):
     """Run the search on the output of ``model.compile_instance``.
 
     weights[c] < 0 marks clause c as hard; ``timeout`` is seconds or None
-    for no limit.  Returns (status, cost, assignment, nodes): cost and
-    assignment are None when there is no model, else the assignment is a
-    tuple of nv + 1 bools indexed by variable.
+    for no limit.  occ, cnt, order and polarity are only read: they may be
+    shared with other solves.  nfree is this solve's own and is changed.
+    Returns (status, cost, assignment, nodes): cost and assignment are None
+    when there is no model, else the assignment is a tuple of nv + 1 bools
+    indexed by variable.
     """
     nc = len(weights)
     deadline = time.perf_counter() + timeout if timeout is not None else None
 
     # lval[li] is literal li's value (-1 unassigned, 0 false, 1 true).
-    # occ[li] holds (c, other) for every clause c with literal li, in clause
-    # order: other is the partner literal in a two-literal hard clause and 0
-    # otherwise.  cnt[li] holds the clauses with literal li that keep
-    # counters (nsat, nfree).
+    # occ[li] holds (c, other) for every clause c with literal li: other is
+    # the partner literal in a two-literal hard clause and 0 otherwise.
+    # cnt[li] holds the clauses with literal li that keep counters (nsat,
+    # nfree).
     nl = 2 * nv + 1
-    occ: list[list[tuple[int, int]]] = [[] for _ in range(nl)]
-    cnt: list[list[int]] = [[] for _ in range(nl)]
-    nfree = [len(lits) for lits in clauses]
-    for c, w, lits in zip(range(nc), weights, clauses):
-        if w < 0 and len(lits) == 2:
-            a, b = lits
-            occ[a].append((c, b))
-            occ[b].append((c, a))
-        else:
-            entry = (c, 0)
-            for li in lits:
-                occ[li].append(entry)
-                cnt[li].append(c)
-
     nsat = [0] * nc
     lval = [-1] * nl
     trail: list[int] = []  # literals

@@ -128,6 +128,19 @@ def test_train_missing_data_file(tmp_path):
     assert err.startswith("error:")
 
 
+def test_train_rejects_a_nan_label(tmp_path):
+    rows = (DATA / "demo.csv").read_text(encoding="utf-8").splitlines()
+    rows[2] = rows[2].rsplit(",", 1)[0] + ",nan"
+    rows[5] = rows[5].rsplit(",", 1)[0] + ",nan"
+    data = tmp_path / "nan-labels.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rv, out, err = run(["train", "--data", data, "--schema", DATA / "demo_schema.json",
+                        "--out", tmp_path / "m.json", "--trees", 2, "--seed", 0])
+    assert rv == 3 and out == ""
+    assert f"{data}:3: label 'nan' is not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 # partitions
 
 

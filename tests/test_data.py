@@ -124,6 +124,7 @@ def test_csv_column_order_free(tmp_path):
         ("a,b,y\n1,2\n", r":2: row has 2 fields, header has 3"),
         ("a,b,y\n1,2,0\n1,x,0\n", r":3: column 'b': 'x' is not a number"),
         ("a,b,y\n1,2,0\nnan,2,0\n", r":3: column 'a': 'nan' is not finite"),
+        ("a,b,y\n1,2,0\n1,2,nan\n", r":3: label 'nan' is not finite"),
         ("a,b,y\n", "no data rows"),
     ],
 )
@@ -183,6 +184,7 @@ def test_libsvm_rejects_categorical(demo_schema):
         ("+1 1=2.5\n", r":1: expected index:value"),
         ("+1 1:x\n", r":1: bad index:value pair"),
         ("+1 1:0.5\n-1 2:inf\n", r":2: column 'b': 'inf' is not finite"),
+        ("+1 1:0.5\n-inf 2:1\n", r":2: label '-inf' is not finite"),
         ("+1 3:1.0\n", r":1: feature index 3 outside 1\.\.2"),
         ("+1 0:1.0\n", "outside"),
         ("# nothing\n", "no data rows"),

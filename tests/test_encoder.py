@@ -14,6 +14,7 @@ from helpers import encoder_tasks, min_plan_cost, random_sas
 from rfplan import maxsat
 from rfplan.encoder import (
     ALREADY_GOAL,
+    DEFAULT_SCALE,
     SOLVED,
     TIMEOUT,
     UNSOLVABLE,
@@ -192,6 +193,33 @@ def test_dropping_a_library_frees_its_encodings():
     del library, sas, instance, varmap
     gc.collect()
     assert ref() is None
+
+
+def test_one_compile_per_library_and_makespan(unit_library, monkeypatch):
+    from rfplan.maxsat import model
+
+    compiled = []
+    real = model._compile
+    monkeypatch.setattr(model, "_compile", lambda inst: compiled.append(inst) or real(inst))
+    queries = [((0, 0, 0), ((0, 1, 2),)), ((1, 1, 0), ((0, 0, 2), (1, 0, 1)))]
+    for _ in range(2):  # the second library, with the same actions, starts empty
+        library = _lib(*unit_library.actions)
+        assert library._encodings == {}
+        del compiled[:]
+        seen = {}
+        for initial, goals in queries:
+            for L in (2, 1):
+                instance, _ = encode(SasProblem((2, 2, 3), library, initial, goals), L)
+                solve(instance)
+                kept = instance._kept
+                assert kept is library._encodings[(2, 2, 3), L, DEFAULT_SCALE].clauses
+                assert seen.setdefault(L, kept._compiled) is kept._compiled
+        kept = [library._encodings[(2, 2, 3), L, DEFAULT_SCALE].clauses for L in (2, 1)]
+        assert len(compiled) == 2 and all(a is b for a, b in zip(compiled, kept))
+    # an instance that was not extended is compiled whole and keeps nothing
+    plain = WcnfInstance.build(instance.nvars, instance.hard, instance.soft)
+    solve(plain)
+    assert compiled[-1] is plain and set(vars(plain)) == {"nvars", "hard", "soft"}
 
 
 def test_varmap_step_tables_are_read_only(unit_library):

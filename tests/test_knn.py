@@ -143,3 +143,60 @@ def test_k_nearest_handles_small_db(toy_db, toy_table):
     assert 0 < len(out) <= 6
     sims = [sim for _, _, sim in out]
     assert sims == sorted(sims, reverse=True)
+
+
+def test_k_nearest_equals_a_sort_on_state_similarity():
+    """Integer scoring against the Fraction reference, on every pair of
+    cells of a grid with categorical, hard, single-cell and numerical
+    features of several sizes, uneven weights (one zero), tied costs and
+    goal-less entries."""
+    from rfplan.discretize import PartitionTable, enumerate_states
+    from rfplan.forest import FeatureMeta
+    from rfplan.offline import NO_GOAL, PROVED_EXHAUSTED, GoalDatabase, PreferredGoalEntry, SearchParams
+
+    table = PartitionTable(
+        features=(
+            FeatureMeta(name="colour", kind="categorical", categories=("r", "g", "b")),
+            FeatureMeta(name="kind", kind="categorical", mutability="hard", categories=("x", "y")),
+            FeatureMeta(name="age", kind="numerical"),
+            FeatureMeta(name="height", kind="numerical", mutability="hard"),
+            FeatureMeta(name="idle", kind="numerical"),
+            FeatureMeta(name="load", kind="numerical"),
+        ),
+        thresholds=((), (), (1.0, 2.0, 3.0), (5.0,), (), (0.5, 1.5)),
+    )
+    weights = SimilarityWeights(values=(Fraction(1, 3), Fraction(2, 7), Fraction(0),
+                                        Fraction(1, 5), Fraction(1, 2), Fraction(3, 11)))
+    cells = list(enumerate_states(table))
+    entries = {}
+    for i, c in enumerate(cells):
+        if i % 7 == 3:
+            entries[c] = PreferredGoalEntry(initial=c, goal=None, cost=None, expansions=0,
+                                            status=NO_GOAL)
+        else:
+            entries[c] = PreferredGoalEntry(initial=c, goal=c, cost=float(i % 2), expansions=0,
+                                            status=PROVED_EXHAUSTED)
+    db = GoalDatabase(fingerprint="-", params=SearchParams(target=1, z=0.5), entries=entries)
+
+    for s in cells:
+        ref = sorted(
+            ((state_similarity(s, c, weights, table), e.cost, c, e)
+             for c, e in entries.items() if e.found),
+            key=lambda row: (-row[0], row[1], row[2]),
+        )
+        ref = [(c, e, sim) for sim, _, c, e in ref if sim != 0]
+        got = k_nearest(s, db, len(cells), weights, table)
+        assert got == ref
+        assert all(type(sim) is Fraction for _, _, sim in got)
+        assert k_nearest(s, db, 3, weights, table) == ref[:3]
+    with pytest.raises(ModelError, match="6 features"):
+        k_nearest(cells[0], db, 3, SimilarityWeights.uniform(5), table)
+    # a stored state off the grid is rejected, not scored
+    from rfplan.discretize import StateError
+
+    for bad in ((0, 0, 0, 0, 0, 3), (0, 0, 0, 0, -1, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1.5)):
+        off = GoalDatabase(fingerprint="-", params=db.params, entries={
+            **entries, bad: PreferredGoalEntry(initial=bad, goal=cells[0], cost=1.0,
+                                               expansions=0, status=PROVED_EXHAUSTED)})
+        with pytest.raises(StateError):
+            k_nearest(cells[0], off, 3, weights, table)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 import re
 
 import pytest
 
 from helpers import brute_force_cost, encoder_tasks, random_wcnf
-from rfplan.encoder import encode
+from rfplan.encoder import SasProblem, _reachability_units, encode
 from rfplan.maxsat import _pure
 from rfplan.maxsat import (
     HARD_UNSAT,
@@ -303,6 +304,94 @@ def test_models_pinned(instances, digest):
         h.update(b"-" if model is None else bytes(model))
         h.update(b";")
     assert h.hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# kept prefixes: an extended instance solves like the same clauses built plain
+
+
+def _outcome(result):
+    return result.status, result.cost, result.assignment, result.nodes
+
+
+def _plain(instance):
+    return WcnfInstance.build(instance.nvars, instance.hard, instance.soft)
+
+
+def test_kept_compile_equals_a_fresh_compile():
+    """Two queries per library at L = 1..4, makespans interleaved, each
+    also extended once more with its reachability units; the first query is
+    solved again at the end, so a kernel that wrote into the kept lists
+    would change its answer."""
+    rng = random.Random(7)
+    for task in encoder_tasks():
+        queries = [task]
+        while len(queries) < 2:
+            initial = tuple(rng.randrange(n) for n in task.sizes)
+            goals = tuple({tuple(rng.randrange(n) for n in task.sizes) for _ in range(2)})
+            if initial not in goals:
+                queries.append(SasProblem(task.sizes, task.library, initial, goals))
+        solves = []
+        for i, L in enumerate((1, 3, 2, 4)):
+            for sas in queries[i % 2:] + queries[:i % 2]:
+                instance, varmap = encode(sas, L)
+                solves.append(instance)
+                solves.append(instance.extend(instance.nvars, _reachability_units(sas, varmap)))
+        solves.append(solves[0])
+        for instance in solves:
+            assert _outcome(solve(instance)) == _outcome(solve(_plain(instance)))
+
+
+def test_kept_compile_with_variables_new_to_the_prefix():
+    """Extras that name variables above the prefix's nvars and a prefix
+    variable that no prefix clause uses, against plain builds and brute force."""
+    rng = random.Random(11)
+    for _ in range(40):
+        inst = random_wcnf(rng, nv_max=10)
+        nv0 = inst.nvars + 1  # variable nv0 is in no prefix clause
+        prefix = WcnfInstance(nv0, inst.hard, inst.soft)
+        for _ in range(3):
+            nv = nv0 + rng.randint(1, 3)
+            extra = [[rng.choice([-1, 1]) * nv0, rng.choice([-1, 1]) * nv]]
+            for _ in range(rng.randint(0, 4)):
+                width = rng.randint(1, 3)
+                extra.append([rng.choice([-1, 1]) * v
+                              for v in rng.sample(range(1, nv + 1), width)])
+            ext = prefix.extend(nv, extra)
+            res = solve(ext)
+            assert _outcome(res) == _outcome(solve(_plain(ext)))
+            exists, best = brute_force_cost(ext)
+            assert res.status == (OPTIMAL if exists else HARD_UNSAT)
+            assert res.cost == best
+
+
+def test_extended_instance_is_the_plain_instance(tmp_path):
+    base = WcnfInstance.build(nvars=3, hard=[[1, 2], [-2, 3]], soft=[(4, [-1]), (2, [-3])])
+    ext = base.extend(5, [[5, 4, 4], [-4, 4], [-3]]).extend(5, [[-5]])
+    plain = WcnfInstance.build(nvars=5, hard=[[-5], [4, 5], [-3], [1, 2], [-2, 3]],
+                               soft=[(4, [-1]), (2, [-3])])
+    assert ext == plain and hash(ext) == hash(plain) and repr(ext) == repr(plain)
+    assert solve(ext) == solve(plain)
+    for inst in (ext, base):  # the solve above left a compiled prefix on base
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst and set(vars(copy)) == {"nvars", "hard", "soft"}
+    wcnf_write(ext, tmp_path / "ext.wcnf")
+    wcnf_write(plain, tmp_path / "plain.wcnf")
+    assert (tmp_path / "ext.wcnf").read_bytes() == (tmp_path / "plain.wcnf").read_bytes()
+    with pytest.raises(WcnfError, match="exceeds"):
+        base.extend(3, [[4]])
+    with pytest.raises(WcnfError, match="cannot extend 3 variables to 2"):
+        base.extend(2, [])
+
+
+def test_kernel_layers_keep_their_names_and_nodes():
+    # perfbench's tracer rebinds these two and reads the nodes at result[3]
+    from rfplan.maxsat import model
+
+    sas = encoder_tasks()[2]
+    instance, _ = encode(sas, 2)
+    result = _pure.solve_compiled(instance.nvars, *model.compile_instance(instance), None)
+    assert result[3] == solve(instance).nodes == 18
 
 
 # ---------------------------------------------------------------------------
