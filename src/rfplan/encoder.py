@@ -2,13 +2,15 @@
 
 The task: from the discretized start state, reach any of the goal states
 collected from the k nearest stored neighbors.  At makespan L the encoding
-has one variable per (transition, step), per (action, step), and per goal
-state.  Soft clauses price each action occurrence.  The hard clause
-families: pin the start state; require a goal and pin its values at step
-L; chain each explicit transition to the previous and the next step;
-exclude clashing transitions of a variable; tie each action to its
-transitions; require a supporting action for every value change; exclude
-actions that contain the same non-prevailing transition.
+has one variable per goal state, per (action, step), and per step and
+transition of a variable's graph: its prevailing ``(f, f)`` pairs, the
+actions' explicit ``(f, g)`` pairs and mechanical targets
+(``_transition_universe``).  Soft clauses price each action occurrence.
+The hard clause families: pin the start state; require a goal and pin its
+values at step L; chain each explicit transition to the previous and the
+next step; exclude clashing transitions of a variable; tie each action to
+its transitions; require one of its actions for every value change;
+exclude actions that contain the same non-prevailing transition.
 
 Clashing actions need no clause of their own: when ``a`` contains ``t``,
 ``b`` contains ``u`` and ``t``, ``u`` are mutex, unit propagation derives
@@ -27,7 +29,7 @@ Only the start, at-least-one-goal and goal-pin clauses, the goal
 variables and the reachability units (below) depend on the query.  The
 rest (the action-cost soft clauses; the chaining, transition-mutex,
 shared-write, action-to-transition and support hard clauses; the
-transition and action variable tables) depends only on the action
+transition graphs and variable tables) depends only on the action
 library, the domain sizes, the makespan and the weight scale.
 ``encode`` builds that part once per (sizes, makespan, scale) and keeps it
 in the ``ActionLibrary`` for as long as the library lives, with no size
@@ -63,6 +65,7 @@ from .maxsat import SolveResult, WcnfInstance
 from .offline import GoalDatabase, check_pairing, find_preferred_goal
 from .sas_core import (
     Action,
+    ActionError,
     ActionLibrary,
     Plan,
     Transition,
@@ -128,6 +131,7 @@ class VarMap:
     trans: Mapping[tuple[int, int, int | None, int], int]  # (step, var, frm, to)
     acts: Mapping[tuple[int, str], int]  # (step, action id)
     goals: dict[State, int]
+    universe: tuple[tuple[tuple[int | None, int], ...], ...]  # per var: (frm, to) pairs
 
     def write_map(self, path) -> None:
         """One line per variable: its number and what it stands for."""
@@ -142,19 +146,22 @@ class VarMap:
 def _transition_universe(
     library: ActionLibrary, sizes: tuple[int, ...]
 ) -> tuple[tuple[tuple[int | None, int], ...], ...]:
-    """Per variable: all explicit (from, to) pairs, then the mechanical
-    targets some action actually uses."""
+    """Per variable, its transition graph: the prevailing ``(f, f)`` and the
+    actions' explicit ``(from, to)`` pairs, sorted, then the actions'
+    mechanical targets ``(None, to)``, sorted.  A catalog with every pair
+    gets the numbering of all n² pairs."""
+    explicit = [{(f, f) for f in range(n)} for n in sizes]
     mech_targets: list[set[int]] = [set() for _ in sizes]
     for a in library.actions:
         for t in a.transitions:
             if t.is_mechanical:
                 mech_targets[t.var].add(t.to)
-    universe = []
-    for v, n in enumerate(sizes):
-        pairs: list[tuple[int | None, int]] = [(f, g) for f in range(n) for g in range(n)]
-        pairs.extend((None, g) for g in sorted(mech_targets[v]))
-        universe.append(tuple(pairs))
-    return tuple(universe)
+            else:
+                explicit[t.var].add((t.frm, t.to))
+    return tuple(
+        (*sorted(pairs), *((None, g) for g in sorted(mech)))
+        for pairs, mech in zip(explicit, mech_targets)
+    )
 
 
 def _scaled_cost(cost: float, scale: int, what: str) -> int:
@@ -227,17 +234,11 @@ def _build_skeleton(
 
     # mutex transitions within a step (same variable only)
     for v in range(m):
-        pairs = universe[v]
-        objs = [Transition(v, f, g) for f, g in pairs]
-        clashing = [
-            (pairs[i], pairs[j])
-            for i in range(len(pairs))
-            for j in range(i + 1, len(pairs))
-            if transition_mutex(objs[i], objs[j])
-        ]
+        objs = [Transition(v, f, g) for f, g in universe[v]]
+        clashing = [(u, w) for u, w in itertools.combinations(objs, 2) if transition_mutex(u, w)]
         for t in steps:
-            for p1, p2 in clashing:
-                hard.append([-trans[(t, v, *p1)], -trans[(t, v, *p2)]])
+            for u, w in clashing:
+                hard.append([-trans[(t, v, u.frm, u.to)], -trans[(t, v, w.frm, w.to)]])
 
     # actions sharing a write exclude each other; other clashing actions are
     # excluded through their transitions (see the module docstring).  One
@@ -265,9 +266,8 @@ def _build_skeleton(
             for f, g in universe[v]:
                 if f is not None and f == g:
                     continue  # prevailing transitions hold by the frame rule
-                backers = support.get((v, f, g), [])
                 hard.append(
-                    [-trans[(t, v, f, g)]] + [acts[(t, a.id)] for a in backers]
+                    [-trans[(t, v, f, g)]] + [acts[(t, a.id)] for a in support[(v, f, g)]]
                 )
 
     return _Skeleton(
@@ -317,29 +317,25 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
 
     # query clauses first, then the kept ones: the order of a one-pass build
     instance = base.extend(nvars, hard)
-    return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=skeleton.acts, goals=goal_vars)
+    return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=skeleton.acts, goals=goal_vars,
+                            universe=universe)
 
 
 def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ...]:
     """Unit clauses fixing false each explicit step transition that no plan
     from ``sas.initial`` to a goal within ``varmap.L`` steps can use.
 
-    Per variable, a step moves along an edge of its domain transition graph:
-    ``f -> f``, or an explicit ``(f, g)`` of some action.  ``fwd[t]`` holds
-    the values reachable from the start in ``t`` steps, ``bwd[t]`` those
-    from which some goal value is reachable by step ``L`` (the reachability
-    half of Graphplan's planning graph, one variable at a time).  Every
-    model of the encoding walks such edges, so the units lose no plan.
-    Mechanical transitions are left alone.
+    Per variable, a step moves along an explicit edge of its transition
+    graph ``varmap.universe``.  ``fwd[t]`` holds the values reachable from
+    the start in ``t`` steps, ``bwd[t]`` those from which some goal value is
+    reachable by step ``L`` (the reachability half of Graphplan's planning
+    graph, one variable at a time).  Every model of the encoding walks such
+    edges, so the units lose no plan.  Mechanical transitions are left alone.
     """
     L = varmap.L
-    edges = [{(f, f) for f in range(n)} for n in sas.sizes]
-    for a in sas.library.actions:
-        for tr in a.transitions:
-            if not tr.is_mechanical:
-                edges[tr.var].add((tr.frm, tr.to))
     fwd, bwd = [], []
-    for v, moves in enumerate(edges):
+    for v, pairs in enumerate(varmap.universe):
+        moves = [(f, g) for f, g in pairs if f is not None]
         reach = [{sas.initial[v]}]
         for _ in range(L - 1):
             reach.append({g for f, g in moves if f in reach[-1]})
@@ -357,13 +353,17 @@ def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ..
 
 
 def decode(assignment: tuple[bool, ...], varmap: VarMap, sas: SasProblem) -> Plan:
-    """Read the non-empty per-step action sets out of a model and simulate them."""
+    """Read the non-empty per-step action sets out of a model and simulate
+    them; EncodingBug if they do not execute."""
     steps: list[list[Action]] = [[] for _ in range(varmap.L)]
     for (t, action_id), v in varmap.acts.items():
         if assignment[v]:
             steps[t - 1].append(sas.library.by_id(action_id))
     kept = tuple(tuple(step) for step in steps if step)
-    final = simulate_plan(sas.initial, kept)
+    try:
+        final = simulate_plan(sas.initial, kept)
+    except ActionError as exc:
+        raise EncodingBug(f"plan does not execute: {exc}") from exc
     cost = sum(a.cost for step in kept for a in step)
     return Plan(steps=kept, cost=cost, goal=final)
 

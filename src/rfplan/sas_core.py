@@ -20,6 +20,7 @@ only the actions that can fire there instead of the whole library.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -328,47 +329,20 @@ def simulate_plan(s: State, steps: Sequence[Sequence[Action]]) -> State:
 
 
 def _element_lines(text: str) -> list[int]:
-    """1-based line number of each top-level element of a JSON array."""
+    """1-based line number of each top-level element of ``text``, a valid
+    JSON array, found by decoding one element after another."""
+    decode = json.JSONDecoder().raw_decode
+    skip = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
     lines: list[int] = []
-    depth = 0
-    line = 1
-    in_string = False
-    escaped = False
-    expecting = False  # next non-space starts an element
-    for ch in text:
-        if ch == "\n":
-            line += 1
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-            if depth == 1 and expecting:
-                lines.append(line)
-                expecting = False
-            continue
-        if ch in "[{":
-            if depth == 1 and expecting:
-                lines.append(line)
-                expecting = False
-            depth += 1
-            if ch == "[" and depth == 1:
-                expecting = True
-            continue
-        if ch in "]}":
-            depth -= 1
-            continue
-        if depth == 1:
-            if ch == ",":
-                expecting = True
-            elif expecting and not ch.isspace():
-                lines.append(line)
-                expecting = False
+    line, start = 1, 0
+    pos = skip(text, text.index("[") + 1).end()
+    while text[pos] != "]":
+        line += text.count("\n", start, pos)
+        lines.append(line)
+        start = pos
+        pos = skip(text, decode(text, pos)[1]).end()
+        if text[pos] == ",":
+            pos = skip(text, pos + 1).end()
     return lines
 
 
@@ -423,15 +397,12 @@ def parse_action_spec(text: str, table: PartitionTable, source: str = "<action s
         raise ActionError(f"{source}:{exc.lineno}: not valid JSON ({exc.msg})") from None
     if not isinstance(doc, list):
         raise ActionError(f"{source}:1: action spec must be a JSON array")
-    lines = _element_lines(text)
     actions = []
-    for i, entry in enumerate(doc):
-        line = lines[i] if i < len(lines) else 1
-        where = f"{source}:{line}"
+    for entry, line in zip(doc, _element_lines(text)):
         try:
             actions.append(_parse_action_entry(entry, table))
         except ActionError as exc:
-            raise ActionError(f"{where}: {exc}") from None
+            raise ActionError(f"{source}:{line}: {exc}") from None
     try:
         return ActionLibrary(actions=tuple(actions))
     except ActionError as exc:

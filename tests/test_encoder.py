@@ -102,7 +102,7 @@ def test_encode_validation(unit_library):
     for _ in range(2):
         with pytest.raises(PlanningError, match="raise the scale"):
             encode(tiny, 1, scale=1000)
-    assert encode(tiny, 1, scale=10_000)[0].soft == ((4, (-5,)),)
+    assert encode(tiny, 1, scale=10_000)[0].soft == ((4, (-4,)),)
     with pytest.raises(PlanningError, match="raise the scale"):
         encode(tiny, 1, scale=1000)
 
@@ -140,15 +140,15 @@ def _encoding_digests(instance, varmap):
 
 # (clauses, variable tables) per (task, makespan), at scale 1000
 GOLDEN_ENCODINGS = {
-    ("unit", 1): ("7f91bb94446ea4de", "fea95f98e32c31d0"),
-    ("unit", 2): ("fb2b8fbf3ceeb8c2", "7bdbdd1db016ea4e"),
-    ("unit", 3): ("dfb235b2f5783ac9", "d78dd88db4aea761"),
-    ("mechanical", 1): ("630330e1ca487472", "31c041316a2b500c"),
-    ("mechanical", 2): ("1b5c547225fd71f2", "55fb2829463f7f4b"),
-    ("mechanical", 3): ("046a0db0923c11b2", "08a307d48368c80a"),
-    ("three_goals", 1): ("5529fd06ebe90712", "32a3f3a1fe7e5e92"),
-    ("three_goals", 2): ("a943d6babeab8ff1", "e5c2369c1b4841d1"),
-    ("three_goals", 3): ("0f41576491b77cbe", "a6c4db519f7470cb"),
+    ("unit", 1): ("ce604aa946970cd5", "a2682574defc34c3"),
+    ("unit", 2): ("196c5139bd6d618f", "4d3c5c806d70d1a8"),
+    ("unit", 3): ("dfb9a0abe4cc825c", "478234866a57b41d"),
+    ("mechanical", 1): ("5c5e6f240ba8bf0a", "c70e529d5356da75"),
+    ("mechanical", 2): ("cbed7e37e9316154", "b04bc37ebe3194ac"),
+    ("mechanical", 3): ("d06bce0da4a596ec", "0188c39683ba4294"),
+    ("three_goals", 1): ("f0cee3d2e9d77b93", "18fbae817136d01d"),
+    ("three_goals", 2): ("27d45197513c4210", "1565fbfc6fd064df"),
+    ("three_goals", 3): ("17058a4e4e7f4201", "7820e54ea6c15695"),
 }
 
 
@@ -276,6 +276,58 @@ def test_varmap_write_map(unit_library, tmp_path):
     assert len(lines) == varmap.nvars
     assert lines[0] == "1 t=1 transition x0:0->0"
     assert lines[-1] == f"{varmap.nvars} goal state (0, 1, 2)"
+
+
+# ---------------------------------------------------------------------------
+# step variables: exactly the transitions of each variable's graph
+
+
+def _plus_minus_one(sizes):
+    """A catalog that moves one variable to a neighbouring value per action."""
+    return _lib(*(
+        _act(f"x{v}:{f}->{g}", 1.0 + v, (v, f, g))
+        for v, n in enumerate(sizes)
+        for f in range(n)
+        for g in (f - 1, f + 1)
+        if 0 <= g < n
+    ))
+
+
+def _plus_minus_one_tasks():
+    rng = random.Random(3)
+    sizes = (4, 3, 2)
+    library = _plus_minus_one(sizes)
+    tasks = []
+    while len(tasks) < 8:
+        initial = tuple(rng.randrange(n) for n in sizes)
+        goals = {tuple(rng.randrange(n) for n in sizes) for _ in range(rng.randint(1, 2))}
+        if initial not in goals:
+            tasks.append(SasProblem(sizes, library, initial, tuple(goals)))
+    return tasks
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_step_variables_are_the_transition_graph(unit_library, L):
+    # the toy catalog has no action on the hard feature gender
+    assert not any(t.var == 0 for a in unit_library for t in a.transitions)
+    tasks = [
+        *_plus_minus_one_tasks(),
+        SasProblem((2, 2, 3), unit_library, (0, 0, 0), ((0, 1, 2),)),
+        _golden_tasks(unit_library)["mechanical"],
+    ]
+    for sas in tasks:
+        _, varmap = encode(sas, L)
+        for v, n in enumerate(sas.sizes):
+            graph = {(f, f) for f in range(n)} | {
+                (t.frm, t.to) for a in sas.library for t in a.transitions if t.var == v
+            }
+            for step in range(1, L + 1):
+                assert {(f, g) for t, u, f, g in varmap.trans if (t, u) == (step, v)} == graph
+        kept = sas.library._encodings[sas.sizes, L, DEFAULT_SCALE].clauses
+        assert all(len(c) > 1 for c in kept.hard)
+    for sas in _plus_minus_one_tasks():
+        plan = _solve_at(sas, L)
+        assert (None if plan is None else plan.cost) == min_plan_cost(sas, L)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +748,17 @@ def test_plan_actions_rejects_corrupt_incumbent(toy_forest, toy_table, unit_libr
     with pytest.raises(EncodingBug, match="not a goal state"):
         plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0),
                      solver=_reports_timeout(model=nothing_fires))
+
+    # balance:1->2 at step 1 does not apply to the start's balance 0
+    sas = SasProblem(toy_table.sizes, unit_library, (0, 0, 0), ((0, 1, 2),))
+    stuck = encode(sas, 1)[1].acts[(1, "balance:1->2")]  # goal variables come after
+
+    def fires_stuck(instance):
+        return tuple(v == stuck for v in range(instance.nvars + 1))
+
+    with pytest.raises(EncodingBug, match="does not execute"):
+        plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0), l_max=1,
+                     solver=_reports_timeout(model=fires_stuck))
 
 
 def test_plan_actions_validation(toy_forest, toy_table, unit_library, toy_db):

@@ -293,7 +293,7 @@ def test_node_counts_pinned(instances, pins):
         (_random_cnf_instances,
          "a112e3a947d7d2a582a04e232e2c417c524f8542d09193092f40848f61acde59"),
         (_encoder_instances,
-         "3d32e148f3fa3bc97e056eb59cc35042ef286ca477c39d350ff5a3e69f37691d"),
+         "beffff1d3c593f00d5c7e8bf6d233c87cfd6ff8e6ee494b218ba485250616183"),
     ],
     ids=["random-cnf", "encoder"],
 )

@@ -322,6 +322,16 @@ def test_action_spec_errors_carry_line_numbers(toy_table):
     )
     with pytest.raises(ActionError, match="spec.json:3"):
         parse_action_spec(text, toy_table, source="spec.json")
+    # an earlier element's string holds "[", "," and an escaped quote
+    text = (
+        "[\n"
+        '  {"id": "odd [, \\"name", "cost": 1,\n'
+        '   "transitions": [{"feature": "visits", "to": 1}]}, {"id": "bad", "cost": 1,\n'
+        '   "transitions": [{"feature": "gender", "from": "male", "to": "female"}]}\n'
+        "]"
+    )
+    with pytest.raises(ActionError, match="spec.json:3"):
+        parse_action_spec(text, toy_table, source="spec.json")
 
 
 def test_action_spec_not_json(toy_table, tmp_path):
