@@ -43,7 +43,7 @@ from .discretize import (
     state_proba,
     to_state,
 )
-from .encoder import DEFAULT_SCALE, NoGoalsError, PlanningError, build_sas, encode
+from .encoder import NoGoalsError, PlanningError, build_sas, encode
 from .forest import (
     ModelError,
     TrainParams,
@@ -597,13 +597,12 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
 @_key_option("L_max", help="Largest makespan tried.")
 @click.option("--sweep", is_flag=True, help="Try every makespan and keep the cheapest plan.")
 @click.option("--timeout", type=_SECONDS, default=None, help="Total solver budget in seconds.")
-@click.option("--scale", type=int, default=DEFAULT_SCALE, show_default=True)
 @click.option("--external-solver", "external_cmd", default=None,
               help="Shell command solving a WCNF file passed as its last argument.")
 @_catalog_options()
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
-def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout, scale,
+def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
          external_cmd, actions_path, cost_seed, beta_range, as_json, config_path):
     """Find a minimum-cost action sequence that flips the prediction."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
@@ -616,7 +615,7 @@ def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
     try:
         outcome = encoder.plan_actions(
             forest, table, library, db, state=s_init, k=k, l_max=l_max,
-            sweep=sweep, scale=scale, timeout=timeout, solver=solver,
+            sweep=sweep, timeout=timeout, solver=solver,
         )
     except StateError as exc:
         raise CliError(f"goal database {db_path}: {exc}") from None
@@ -689,13 +688,12 @@ def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_pat
 @_state_options
 @click.option("--makespan", "-L", type=int, required=True, help="Number of parallel steps.")
 @_key_option("K")
-@click.option("--scale", type=int, default=DEFAULT_SCALE, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--map", "map_path", type=click.Path(), default=None,
               help="Also write a variable map for reading models back.")
 @_catalog_options()
 @click.pass_context
-def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k, scale,
+def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
                 out_path, map_path, actions_path, cost_seed, beta_range, config_path):
     """Write one planning step bound as a weighted partial CNF file."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
@@ -708,7 +706,7 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k, scale
     sim = SimilarityWeights.from_forest(forest)
     try:
         sas = build_sas(s_init, db, k, sim, table, library, forest=forest)
-        instance, varmap = encode(sas, makespan, scale)
+        instance, varmap = encode(sas, makespan)
     except NoGoalsError:
         click.echo("no goal states for this instance; nothing to encode", err=True)
         ctx.exit(EXIT_UNSOLVABLE)

@@ -29,11 +29,13 @@ Only the start, at-least-one-goal and goal-pin clauses, the goal
 variables and the reachability units (below) depend on the query.  The
 rest (the action-cost soft clauses; the chaining, transition-mutex,
 shared-write, action-to-transition and support hard clauses; the
-transition graphs and variable tables) depends only on the action
-library, the domain sizes, the makespan and the weight scale.
-``encode`` builds that part once per (sizes, makespan, scale) and keeps it
+transition graphs, variable tables and action weights) depends only on
+the action library, the domain sizes and the makespan.  Each action's soft
+weight is its cost as an exact integer (``_action_weights``), so the
+optimum is the cheapest plan with no rounding.
+``encode`` builds that part once per (sizes, makespan) and keeps it
 in the ``ActionLibrary`` for as long as the library lives, with no size
-limit; a build that fails is not kept.  Each query's instance is that kept
+limit.  Each query's instance is that kept
 instance extended (``WcnfInstance.extend``) with the query's clauses, so
 the first solve at a makespan also keeps the kernel's compiled form of the
 kept clauses on it, and later solves add only their own clauses
@@ -54,6 +56,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -72,8 +75,6 @@ from .sas_core import (
     simulate_plan,
     transition_mutex,
 )
-
-DEFAULT_SCALE = 1000
 
 SOLVED = "solved"
 ALREADY_GOAL = "already_goal"
@@ -132,6 +133,7 @@ class VarMap:
     acts: Mapping[tuple[int, str], int]  # (step, action id)
     goals: dict[State, int]
     universe: tuple[tuple[tuple[int | None, int], ...], ...]  # per var: (frm, to) pairs
+    weights: Mapping[str, int]  # action id -> soft weight (read-only)
 
     def write_map(self, path) -> None:
         """One line per variable: its number and what it stands for."""
@@ -164,13 +166,13 @@ def _transition_universe(
     )
 
 
-def _scaled_cost(cost: float, scale: int, what: str) -> int:
-    w = round(cost * scale)
-    if w < 1:
-        raise PlanningError(
-            f"{what}: cost {cost} rounds to a zero weight at scale {scale}; raise the scale"
-        )
-    return w
+def _action_weights(library: ActionLibrary) -> dict[str, int]:
+    """Each action's cost as an integer soft weight, exactly proportional to
+    the costs as written: each cost's shortest decimal form times the lcm
+    of their denominators.  Integer costs weigh exactly themselves."""
+    exact = {a.id: Fraction(repr(a.cost)) for a in library.actions}
+    lcm = math.lcm(*(c.denominator for c in exact.values()))
+    return {aid: int(c * lcm) for aid, c in exact.items()}
 
 
 @dataclass(frozen=True)
@@ -185,16 +187,16 @@ class _Skeleton:
     universe: tuple[tuple[tuple[int | None, int], ...], ...]
     trans: Mapping[tuple[int, int, int | None, int], int]
     acts: Mapping[tuple[int, str], int]
+    weights: Mapping[str, int]
     clauses: WcnfInstance
 
 
-def _build_skeleton(
-    library: ActionLibrary, sizes: tuple[int, ...], L: int, scale: int
-) -> _Skeleton:
+def _build_skeleton(library: ActionLibrary, sizes: tuple[int, ...], L: int) -> _Skeleton:
     m = len(sizes)
     steps = range(1, L + 1)
     actions = library.actions
     universe = _transition_universe(library, sizes)
+    weights = _action_weights(library)
 
     ids = itertools.count(1)
     trans = {(t, v, f, g): next(ids) for t in steps for v in range(m) for f, g in universe[v]}
@@ -213,9 +215,7 @@ def _build_skeleton(
     # action costs
     for t in steps:
         for a in actions:
-            soft.append(
-                (_scaled_cost(a.cost, scale, f"action {a.id!r}"), [-acts[(t, a.id)]])
-            )
+            soft.append((weights[a.id], [-acts[(t, a.id)]]))
 
     # chaining between consecutive steps, explicit-endpoint transitions only
     for t in range(1, L):
@@ -274,22 +274,21 @@ def _build_skeleton(
         universe=universe,
         trans=MappingProxyType(trans),
         acts=MappingProxyType(acts),
+        weights=MappingProxyType(weights),
         clauses=WcnfInstance.build(nvars=nsteps, hard=hard, soft=soft),
     )
 
 
-def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfInstance, VarMap]:
+def encode(sas: SasProblem, L: int) -> tuple[WcnfInstance, VarMap]:
     """Compile the task at makespan ``L``, reusing the clauses that
     ``sas.library`` keeps for it (see the module docstring)."""
     if L < 1:
         raise PlanningError(f"makespan must be >= 1, got {L}")
-    if scale < 1:
-        raise PlanningError(f"scale must be >= 1, got {scale}")
     store = sas.library._encodings
-    key = (sas.sizes, L, scale)
+    key = (sas.sizes, L)
     skeleton = store.get(key)
     if skeleton is None:
-        skeleton = store[key] = _build_skeleton(sas.library, sas.sizes, L, scale)
+        skeleton = store[key] = _build_skeleton(sas.library, sas.sizes, L)
     base = skeleton.clauses
 
     m = len(sas.sizes)
@@ -318,7 +317,7 @@ def encode(sas: SasProblem, L: int, scale: int = DEFAULT_SCALE) -> tuple[WcnfIns
     # query clauses first, then the kept ones: the order of a one-pass build
     instance = base.extend(nvars, hard)
     return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=skeleton.acts, goals=goal_vars,
-                            universe=universe)
+                            universe=universe, weights=skeleton.weights)
 
 
 def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ...]:
@@ -462,7 +461,6 @@ def plan_actions(
     k: int = 3,
     l_max: int = 8,
     sweep: bool = False,
-    scale: int = DEFAULT_SCALE,
     timeout: float | None = None,
     solver: Callable[..., SolveResult] | None = None,
     fallback_search: bool = True,
@@ -472,7 +470,8 @@ def plan_actions(
     Makespans 1..l_max are tried in order; the first satisfiable one
     yields the cost-minimal plan at that makespan.  With ``sweep`` the
     remaining makespans are solved too and the cheapest plan overall is
-    kept (optimal cost can only improve with more steps).
+    kept (optimal cost can only improve with more steps); a later plan
+    replaces it only if its exact weight is strictly smaller.
 
     Each encoding is solved by ``solver(instance, timeout=seconds_left)``,
     which returns a SolveResult; ``None`` means ``maxsat.solve``.
@@ -521,6 +520,7 @@ def plan_actions(
     deadline = time.perf_counter() + timeout if timeout is not None else None
     attempts: list[PlanAttempt] = []
     best: Plan | None = None
+    best_weight = math.inf
     for L in range(1, l_max + 1):
         budget = None
         if deadline is not None:
@@ -528,7 +528,7 @@ def plan_actions(
             if budget <= 0:
                 attempts.append(PlanAttempt(L=L, status="timeout", cost=None))
                 break
-        instance, varmap = encode(sas, L, scale=scale)
+        instance, varmap = encode(sas, L)
         units = _reachability_units(sas, varmap)
         instance = instance.extend(instance.nvars, units)
         result = solve(instance, timeout=budget)
@@ -541,19 +541,13 @@ def plan_actions(
             break
         plan = decode(result.assignment, varmap, sas)
         check_plan(plan, sas)
-        scaled = sum(
-            _scaled_cost(a.cost, scale, f"action {a.id!r}")
-            for step in plan.steps
-            for a in step
-        )
-        if scaled != result.cost:
-            raise EncodingBug(
-                f"decoded plan weighs {scaled}, solver reported {result.cost}"
-            )
+        weight = sum(varmap.weights[a.id] for step in plan.steps for a in step)
+        if weight != result.cost:
+            raise EncodingBug(f"decoded plan weighs {weight}, solver reported {result.cost}")
         attempts.append(PlanAttempt(L=L, status="timeout" if timed_out else "sat",
                                     cost=plan.cost, units=len(units)))
-        if best is None or plan.cost < best.cost:
-            best = plan
+        if weight < best_weight:
+            best, best_weight = plan, weight
         if timed_out or not sweep:
             break
 

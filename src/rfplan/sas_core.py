@@ -8,7 +8,7 @@ indices.  A transition moves one variable between values.  Three shapes:
   mechanical  (*, g)               -- produces g from any prior value
 
 An action is a set of pairwise compatible transitions over distinct
-variables, applied simultaneously, with a positive cost.
+variables, applied simultaneously, with a positive finite cost.
 
 ``ActionLibrary`` indexes its actions once, on construction, by the
 (variable, value) its first non-mechanical transition requires; actions
@@ -20,6 +20,7 @@ only the actions that can fire there instead of the whole library.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -96,8 +97,8 @@ class Action:
     def __post_init__(self):
         if not self.id:
             raise ActionError("action id must be non-empty")
-        if not (self.cost > 0):
-            raise ActionError(f"action {self.id!r}: cost must be positive, got {self.cost}")
+        if not 0 < self.cost < math.inf:
+            raise ActionError(f"action {self.id!r}: cost must be finite and > 0, got {self.cost}")
         ts = tuple(sorted(set(self.transitions), key=lambda t: t.sort_key))
         if not ts:
             raise ActionError(f"action {self.id!r}: needs at least one transition")

@@ -154,7 +154,7 @@ def test_encoding_matches_step_bounded_reference():
             tasks += 1
             for makespan in (1, 2, 3):
                 reference = min_plan_cost(sas, makespan)
-                instance, varmap = encode(sas, makespan, 1)
+                instance, varmap = encode(sas, makespan)
                 res = solve(instance)
                 if reference is None:
                     assert res.status == HARD_UNSAT

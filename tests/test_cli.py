@@ -698,6 +698,17 @@ def test_actions_spec_matches_library_api(ws, tmp_path):
     assert used and used <= {a["id"] for a in ACTION_SPEC}
 
 
+def test_infinite_action_cost_is_invalid_input(ws, tmp_path):
+    spec = tmp_path / "actions.json"
+    spec.write_text('[\n  {"id": "a", "cost": Infinity,\n'
+                    '   "transitions": [{"feature": "visits", "to": 1}]}\n]')
+    for cmd, args in (("preprocess", ["--out", tmp_path / "db.jsonl", "--target", 1]),
+                      ("plan", ["--db", ws["db"], "--state", "0,0,0"])):
+        rv, out, err = run([cmd, "--model", ws["model"], *args, "--actions", spec])
+        assert (rv, out) == (3, ""), cmd
+        assert f"{spec}:2: action 'a': cost must be finite" in err, cmd
+
+
 _TIMING_KEYS = {"seconds", "prep_seconds", "peak_gb", "mean_seconds"}
 
 

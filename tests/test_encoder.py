@@ -14,7 +14,6 @@ from helpers import encoder_tasks, min_plan_cost, random_sas
 from rfplan import maxsat
 from rfplan.encoder import (
     ALREADY_GOAL,
-    DEFAULT_SCALE,
     SOLVED,
     TIMEOUT,
     UNSOLVABLE,
@@ -51,7 +50,7 @@ def _act(aid, cost, *trs):
 
 
 def _solve_at(sas, L):
-    instance, varmap = encode(sas, L, scale=1)
+    instance, varmap = encode(sas, L)
     result = solve(instance)
     if result.status == HARD_UNSAT:
         return None
@@ -93,18 +92,58 @@ def test_encode_validation(unit_library):
     encode(sas, 1)  # the checks also run once the library keeps clauses
     with pytest.raises(PlanningError, match="makespan"):
         encode(sas, 0)
-    with pytest.raises(PlanningError, match="scale"):
-        encode(sas, 1, scale=0)
+
+
+# ---------------------------------------------------------------------------
+# action weights: the catalog's costs as exact integers
+
+
+def test_decimal_costs_weigh_exactly():
     tiny = SasProblem(
-        sizes=(2,), library=_lib(_act("a", 0.0004, (0, 0, 1))), initial=(0,), goals=((1,),)
+        sizes=(2,),
+        library=_lib(_act("a", 0.0004, (0, 0, 1)), _act("b", 0.0006, (0, 1, 0))),
+        initial=(0,),
+        goals=((1,),),
     )
-    # a failed build is not kept: it fails again, also after a good one
-    for _ in range(2):
-        with pytest.raises(PlanningError, match="raise the scale"):
-            encode(tiny, 1, scale=1000)
-    assert encode(tiny, 1, scale=10_000)[0].soft == ((4, (-4,)),)
-    with pytest.raises(PlanningError, match="raise the scale"):
-        encode(tiny, 1, scale=1000)
+    instance, varmap = encode(tiny, 1)
+    assert dict(varmap.weights) == {"a": 2, "b": 3}
+    assert sorted(w for w, _ in instance.soft) == [2, 3]
+
+
+def test_exact_weights_decide_between_close_costs():
+    # rounded to thousandths every action weighs 1 and the direct plan looks
+    # cheaper; exactly, the actions weigh 7, 3 and 3
+    lib = _lib(
+        _act("direct", 0.0014, (0, 0, 2)),
+        _act("up1", 0.0006, (0, 0, 1)),
+        _act("up2", 0.0006, (0, 1, 2)),
+    )
+    sas = SasProblem(sizes=(3,), library=lib, initial=(0,), goals=((2,),))
+    plan = _solve_at(sas, 2)
+    assert plan.action_ids() == [["up1"], ["up2"]]
+    assert plan.cost == pytest.approx(0.0012, abs=1e-12)
+
+
+def test_decimal_costs_match_the_step_bounded_reference():
+    rng = random.Random(17)
+    tasks = checked = 0
+    while tasks < 200:
+        task = random_sas(rng)
+        if task.initial in task.goals:
+            continue  # the online pipeline never encodes these
+        tasks += 1
+        library = _lib(*(
+            dataclasses.replace(a, cost=rng.randint(1, 9999) / 10 ** rng.randint(1, 4))
+            for a in task.library
+        ))
+        sas = SasProblem(task.sizes, library, task.initial, task.goals)
+        for L in (1, 2, 3):
+            plan, reference = _solve_at(sas, L), min_plan_cost(sas, L)
+            assert (plan is None) == (reference is None)
+            if plan is not None:
+                assert abs(plan.cost - reference) <= 1e-9
+                checked += 1
+    assert checked >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +177,17 @@ def _encoding_digests(instance, varmap):
     return _digest([instance.nvars, instance.hard, instance.soft]), _digest([varmap.nvars, tables])
 
 
-# (clauses, variable tables) per (task, makespan), at scale 1000
+# (clauses, variable tables) per (task, makespan)
 GOLDEN_ENCODINGS = {
-    ("unit", 1): ("ce604aa946970cd5", "a2682574defc34c3"),
-    ("unit", 2): ("196c5139bd6d618f", "4d3c5c806d70d1a8"),
-    ("unit", 3): ("dfb9a0abe4cc825c", "478234866a57b41d"),
-    ("mechanical", 1): ("5c5e6f240ba8bf0a", "c70e529d5356da75"),
-    ("mechanical", 2): ("cbed7e37e9316154", "b04bc37ebe3194ac"),
-    ("mechanical", 3): ("d06bce0da4a596ec", "0188c39683ba4294"),
-    ("three_goals", 1): ("f0cee3d2e9d77b93", "18fbae817136d01d"),
-    ("three_goals", 2): ("27d45197513c4210", "1565fbfc6fd064df"),
-    ("three_goals", 3): ("17058a4e4e7f4201", "7820e54ea6c15695"),
+    ("unit", 1): ("662d072a8ea53522", "a2682574defc34c3"),
+    ("unit", 2): ("21041b314bb0f666", "4d3c5c806d70d1a8"),
+    ("unit", 3): ("549c6521afa90b3c", "478234866a57b41d"),
+    ("mechanical", 1): ("272266a4f57255dd", "c70e529d5356da75"),
+    ("mechanical", 2): ("e64cb4a5cb4dbfd0", "b04bc37ebe3194ac"),
+    ("mechanical", 3): ("467e820dcc41ac37", "0188c39683ba4294"),
+    ("three_goals", 1): ("b1bf8ccc3f3f1646", "18fbae817136d01d"),
+    ("three_goals", 2): ("728d63febbb12a55", "1565fbfc6fd064df"),
+    ("three_goals", 3): ("dd15014535352bb0", "7820e54ea6c15695"),
 }
 
 
@@ -167,22 +206,20 @@ def test_reused_clauses_match_a_fresh_library(unit_library):
         ((1, 1, 2), ((0, 0, 0), (1, 0, 1))),
         ((0, 1, 1), ((1, 1, 0), (0, 0, 2), (1, 0, 0))),
     ]
-    for scale in (1000, 1, 7):
-        for L in (1, 2, 3):
-            varmaps = []
-            for initial, goals in queries:
-                warm = encode(SasProblem((2, 2, 3), library, initial, goals), L, scale=scale)
-                fresh_lib = _lib(*library.actions)
-                fresh = encode(SasProblem((2, 2, 3), fresh_lib, initial, goals), L, scale=scale)
-                assert warm == fresh
-                varmaps.append(warm[1])
-            # one library, makespan and scale: one set of step-variable tables
-            assert all(vm.trans is varmaps[0].trans for vm in varmaps)
-            assert all(vm.acts is varmaps[0].acts for vm in varmaps)
-    # each scale keeps its own action weights
+    for L in (1, 2, 3):
+        varmaps = []
+        for initial, goals in queries:
+            warm = encode(SasProblem((2, 2, 3), library, initial, goals), L)
+            fresh = encode(SasProblem((2, 2, 3), _lib(*library.actions), initial, goals), L)
+            assert warm == fresh
+            varmaps.append(warm[1])
+        # one library and makespan: one set of step-variable tables and weights
+        assert all(vm.trans is varmaps[0].trans for vm in varmaps)
+        assert all(vm.acts is varmaps[0].acts for vm in varmaps)
+        assert all(vm.weights is varmaps[0].weights for vm in varmaps)
+    # costs 1, 1.5, 2 and 4, in halves
     sas = SasProblem((2, 2, 3), library, (0, 0, 0), ((0, 1, 2),))
-    assert {w for w, _ in encode(sas, 1, scale=1)[0].soft} == {1, 2, 4}
-    assert {w for w, _ in encode(sas, 1, scale=1000)[0].soft} == {1000, 1500, 2000, 4000}
+    assert {w for w, _ in encode(sas, 1)[0].soft} == {2, 3, 4, 8}
 
 
 def test_dropping_a_library_frees_its_encodings():
@@ -212,9 +249,9 @@ def test_one_compile_per_library_and_makespan(unit_library, monkeypatch):
                 instance, _ = encode(SasProblem((2, 2, 3), library, initial, goals), L)
                 solve(instance)
                 kept = instance._kept
-                assert kept is library._encodings[(2, 2, 3), L, DEFAULT_SCALE].clauses
+                assert kept is library._encodings[(2, 2, 3), L].clauses
                 assert seen.setdefault(L, kept._compiled) is kept._compiled
-        kept = [library._encodings[(2, 2, 3), L, DEFAULT_SCALE].clauses for L in (2, 1)]
+        kept = [library._encodings[(2, 2, 3), L].clauses for L in (2, 1)]
         assert len(compiled) == 2 and all(a is b for a, b in zip(compiled, kept))
     # an instance that was not extended is compiled whole and keeps nothing
     plain = WcnfInstance.build(instance.nvars, instance.hard, instance.soft)
@@ -323,7 +360,7 @@ def test_step_variables_are_the_transition_graph(unit_library, L):
             }
             for step in range(1, L + 1):
                 assert {(f, g) for t, u, f, g in varmap.trans if (t, u) == (step, v)} == graph
-        kept = sas.library._encodings[sas.sizes, L, DEFAULT_SCALE].clauses
+        kept = sas.library._encodings[sas.sizes, L].clauses
         assert all(len(c) > 1 for c in kept.hard)
     for sas in _plus_minus_one_tasks():
         plan = _solve_at(sas, L)
@@ -380,7 +417,7 @@ def _shared_write_task():
 
 def test_shared_write_excludes_actions():
     sas = _shared_write_task()
-    instance, varmap = encode(sas, 1, scale=1)
+    instance, varmap = encode(sas, 1)
     name = {v: aid for (_, aid), v in varmap.acts.items()}
     pairs = sorted(sorted(name[-lit] for lit in c) for c in _action_exclusions(instance, varmap))
     assert pairs == [["A", "B"], ["B", "C"]]
@@ -390,7 +427,7 @@ def test_shared_write_excludes_actions():
 
 def test_decode_drops_empty_steps():
     sas = _shared_write_task()
-    _, varmap = encode(sas, 3, scale=1)
+    _, varmap = encode(sas, 3)
     model = [False] * (varmap.nvars + 1)
     for key in ((2, "A"), (2, "C")):
         model[varmap.acts[key]] = True
@@ -415,34 +452,35 @@ def test_mechanical_only_move_is_outside_the_encoding():
 # reachability units: plan_actions fixes unusable step transitions false
 
 
-def _pruned(sas, L, scale=1):
+def _pruned(sas, L):
     """(unpruned instance, the instance plan_actions solves, units, varmap)."""
-    instance, varmap = encode(sas, L, scale=scale)
+    instance, varmap = encode(sas, L)
     units = _reachability_units(sas, varmap)
     pruned = WcnfInstance(nvars=instance.nvars, hard=units + instance.hard, soft=instance.soft)
     return instance, pruned, units, varmap
 
 
-def _assert_pruning_keeps_answers(sas, L, scale=1):
+def _assert_pruning_keeps_answers(sas, L):
     """Same status and cost with and without the units; the pruned cost is
-    the cheapest plan within L steps.  Ties may pick another model."""
-    instance, pruned, _, varmap = _pruned(sas, L, scale)
+    the cheapest plan within L steps (integer costs weigh exactly
+    themselves).  Ties may pick another model."""
+    instance, pruned, _, varmap = _pruned(sas, L)
     full, cut = solve(instance), solve(pruned)
     assert (cut.status, cut.cost) == (full.status, full.cost)
     reference = min_plan_cost(sas, L)
     if reference is None:
         assert cut.status == HARD_UNSAT
     else:
-        assert cut.cost == round(reference * scale)
+        assert cut.cost == reference
         check_plan(decode(cut.assignment, varmap, sas), sas)
     return full.nodes, cut.nodes
 
 
 def test_reachability_units_keep_answers_on_the_kernel_pin_tasks():
-    # the tasks whose encodings test_maxsat pins, at the default scale
+    # the tasks whose encodings test_maxsat pins
     for sas in encoder_tasks():
         for L in (1, 2, 3):
-            _assert_pruning_keeps_answers(sas, L, scale=1000)
+            _assert_pruning_keeps_answers(sas, L)
 
 
 def test_reachability_units_keep_answers_on_random_tasks():
@@ -602,7 +640,7 @@ def test_build_sas_rejects_tampered_goal(toy_db, toy_params, toy_table, unit_lib
 
 
 def test_plan_actions_first_sat(toy_forest, toy_table, unit_library, toy_db):
-    out = plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 1), scale=1)
+    out = plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 1))
     assert out.status == SOLVED and out.solved
     assert out.plan.cost == 2.0
     assert out.plan.goal == (0, 1, 2)
@@ -613,7 +651,7 @@ def test_plan_actions_first_sat(toy_forest, toy_table, unit_library, toy_db):
 def test_plan_actions_sweep_keeps_cheapest(toy_forest, toy_table, unit_library, toy_db):
     out = plan_actions(
         toy_forest, toy_table, unit_library, toy_db,
-        state=(0, 0, 0), l_max=3, sweep=True, scale=1,
+        state=(0, 0, 0), l_max=3, sweep=True,
     )
     assert out.status == SOLVED
     assert out.plan.cost == 3.0
@@ -623,9 +661,7 @@ def test_plan_actions_sweep_keeps_cheapest(toy_forest, toy_table, unit_library, 
 
 
 def test_plan_actions_first_sat_stops_early(toy_forest, toy_table, unit_library, toy_db):
-    out = plan_actions(
-        toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0), l_max=3, scale=1
-    )
+    out = plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0), l_max=3)
     assert out.status == SOLVED and out.plan.cost == 5.0
     assert len(out.attempts) == 1
 
@@ -638,9 +674,7 @@ def test_plan_actions_already_goal(toy_forest, toy_table, unit_library, toy_db):
 
 
 def test_plan_actions_accepts_raw_vector(toy_forest, toy_table, unit_library, toy_db):
-    out = plan_actions(
-        toy_forest, toy_table, unit_library, toy_db, x=("male", 2.0, 1200.0), scale=1
-    )
+    out = plan_actions(toy_forest, toy_table, unit_library, toy_db, x=("male", 2.0, 1200.0))
     assert out.s_init == (0, 0, 1)
     assert out.plan.cost == 2.0
 

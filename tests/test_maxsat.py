@@ -255,20 +255,20 @@ _RANDOM_CNF_PINS = [
 ]
 _ENCODER_PINS = [
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
-    (O, 6000, 10), (O, 6000, 18), (O, 6000, 28), (O, 7000, 18), (O, 7000, 36),
-    (O, 7000, 56), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
-    (U, None, 0), (O, 9000, 4), (O, 9000, 4), (O, 9000, 6), (U, None, 2), (U, None, 4),
-    (U, None, 6), (O, 10000, 6), (O, 10000, 10), (O, 10000, 26), (U, None, 0),
-    (U, None, 0), (U, None, 0), (O, 8000, 20), (O, 5000, 22), (O, 5000, 38),
-    (O, 3000, 10), (O, 3000, 18), (O, 3000, 28), (U, None, 0), (U, None, 0),
+    (O, 6, 10), (O, 6, 18), (O, 6, 28), (O, 7, 18), (O, 7, 36),
+    (O, 7, 56), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (O, 9, 4), (O, 9, 4), (O, 9, 6), (U, None, 2), (U, None, 4),
+    (U, None, 6), (O, 10, 6), (O, 10, 10), (O, 10, 26), (U, None, 0),
+    (U, None, 0), (U, None, 0), (O, 8, 20), (O, 5, 22), (O, 5, 38),
+    (O, 3, 10), (O, 3, 18), (O, 3, 28), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
-    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (O, 8000, 16),
-    (O, 8000, 28), (O, 8000, 40), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (O, 8, 16),
+    (O, 8, 28), (O, 8, 40), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 2), (U, None, 4), (U, None, 6),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
-    (U, None, 8), (O, 11000, 20), (O, 11000, 46), (U, None, 0), (U, None, 0),
+    (U, None, 8), (O, 11, 20), (O, 11, 46), (U, None, 0), (U, None, 0),
     (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
     (U, None, 0),
 ]

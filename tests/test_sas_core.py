@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import pickle
 import random
 
@@ -79,6 +80,8 @@ def test_action_validation():
     t = Transition(var=0, frm=0, to=1)
     with pytest.raises(ActionError, match="cost"):
         Action(id="a", transitions=(t,), cost=0.0)
+    with pytest.raises(ActionError, match="finite"):
+        Action(id="a", transitions=(t,), cost=math.inf)
     with pytest.raises(ActionError, match="transition"):
         Action(id="a", transitions=(), cost=1.0)
     clash = (Transition(var=0, frm=0, to=1), Transition(var=0, frm=0, to=2))
@@ -300,6 +303,8 @@ def _entry(body: str) -> str:
         ('{"id": "a", "transitions": [{"feature": "visits", "to": 1}]}', "cost"),
         ('{"cost": 1, "transitions": [{"feature": "visits", "to": 1}]}', "id"),
         ('{"id": "a", "cost": -2, "transitions": [{"feature": "visits", "to": 1}]}', "cost"),
+        ('{"id": "a", "cost": Infinity, "transitions": [{"feature": "visits", "to": 1}]}',
+         ":2: action 'a': cost must be finite"),
         ('{"id": "a", "cost": 1, "transitions": []}', "transitions"),
         (_entry('{"feature": "visits"}'), "'to'"),
         (_entry('{"feature": "visits", "to": "lots"}'), "index"),
