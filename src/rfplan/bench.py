@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
-from .encoder import plan_actions, SOLVED as PLAN_SOLVED
+from .encoder import plan_actions
 from .forest import Label, RandomForest
 from .offline import AUTO, SearchParams, preprocess
 from .sas_core import ActionLibrary
@@ -175,39 +175,13 @@ def pick_instances(
     return picked
 
 
-def _run_planner(forest, table, library, db, s, settings: BenchSettings) -> ArmResult:
-    t0 = time.perf_counter()
-    outcome = plan_actions(
-        forest,
-        table,
-        library,
-        db,
-        state=s,
-        k=settings.k,
-        l_max=settings.l_max,
-        sweep=settings.sweep_makespan,
-        timeout=settings.timeout,
-    )
-    dt = time.perf_counter() - t0
-    if outcome.status == PLAN_SOLVED:
-        plan = outcome.plan
-        return ArmResult(outcome.status, plan.cost, plan.n_actions, plan.makespan, dt)
-    return ArmResult(outcome.status, None, None, None, dt)
-
-
-def _run_greedy(s, library, forest, table, params, evaluator) -> ArmResult:
-    t0 = time.perf_counter()
-    res = greedy_plan(s, library, forest, table, params, evaluator=evaluator)
-    dt = time.perf_counter() - t0
-    if res.solved:
-        return ArmResult(res.status, res.plan.cost, res.plan.n_actions, res.plan.makespan, dt)
-    return ArmResult(res.status, None, None, None, dt)
-
-
-def _run_oracle(s, library, forest, table, params, cap, evaluator) -> ArmResult:
+def _timed_arm(run: Callable, *args, **kwargs) -> ArmResult:
+    """Call one arm on one instance and time it.  Every arm's result has
+    ``status``, ``plan`` and ``solved``; an oracle over its cap reads
+    ``cap_exceeded``."""
     t0 = time.perf_counter()
     try:
-        res = oracle_plan(s, library, forest, table, params, cap=cap, evaluator=evaluator)
+        res = run(*args, **kwargs)
     except OracleCapExceeded:
         return ArmResult("cap_exceeded", None, None, None, time.perf_counter() - t0)
     dt = time.perf_counter() - t0
@@ -259,11 +233,13 @@ def run_bench(
 
         rows = []
         for i, s in enumerate(instances):
-            planner = _run_planner(forest, table, library, db, s, settings)
-            grd = _run_greedy(s, library, forest, table, params, evaluator)
-            orc = _run_oracle(
-                s, library, forest, table, params, settings.oracle_cap, evaluator
+            planner = _timed_arm(
+                plan_actions, forest, table, library, db, state=s, k=settings.k,
+                l_max=settings.l_max, sweep=settings.sweep_makespan, timeout=settings.timeout,
             )
+            grd = _timed_arm(greedy_plan, s, library, forest, table, params, evaluator=evaluator)
+            orc = _timed_arm(oracle_plan, s, library, forest, table, params,
+                             cap=settings.oracle_cap, evaluator=evaluator)
             rows.append(
                 InstanceReport(index=i, state=s, planner=planner, greedy=grd, oracle=orc)
             )

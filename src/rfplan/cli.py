@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 no plan exists, 3 invalid input, 4 timed out.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -52,7 +53,6 @@ from .forest import (
     persist,
     train_forest,
 )
-from .knn import SimilarityWeights
 from .maxsat import BackendError, WcnfError, wcnf_write
 from .offline import (
     AUTO,
@@ -566,7 +566,7 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
     t0 = time.perf_counter()
     try:
         db = preprocess(states, library, forest, table, params, workers=workers,
-                        on_progress=progress if workers <= 1 else None)
+                        on_progress=progress)
     except SearchError as exc:
         raise CliError(str(exc)) from None
     elapsed = time.perf_counter() - t0
@@ -703,9 +703,8 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
     except SearchError as exc:
         raise CliError(str(exc)) from None
     s_init = _instance_state(table, x_text, state_text)
-    sim = SimilarityWeights.from_forest(forest)
     try:
-        sas = build_sas(s_init, db, k, sim, table, library, forest=forest)
+        sas = build_sas(s_init, db, k, forest, table, library)
         instance, varmap = encode(sas, makespan)
     except NoGoalsError:
         click.echo("no goal states for this instance; nothing to encode", err=True)
@@ -826,22 +825,17 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, de
         _render_bench(report)
 
     if json_path is not None:
-        settings_doc = {
+        # every BenchSettings field, patience under its key name "delta"
+        settings_doc = dataclasses.asdict(settings)
+        settings_doc["delta"] = settings_doc.pop("patience")
+        settings_doc.update({
             "kind": "settings",
             "target": _jsonable(target),
-            "z": settings.z,
-            "alpha": settings.alpha,
-            "delta": settings.patience,
-            "k": settings.k,
-            "l_max": settings.l_max,
-            "sweep_makespan": settings.sweep_makespan,
-            "n_instances": settings.n_instances,
             "cost_seed": cost_seed,
             "beta_range": list(beta_range),
-            "sample_seed": settings.sample_seed,
             "fractions": list(fractions),
             "model_fingerprint": fingerprint(forest),
-        }
+        })
         try:
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(settings_doc, sort_keys=True, default=_jsonable) + "\n")

@@ -87,7 +87,7 @@ class PlanningError(ValueError):
 
 
 class NoGoalsError(PlanningError):
-    """No stored neighbor (or fallback search) supplies a goal state."""
+    """Neither a stored neighbor nor the fallback search supplies a goal state."""
 
 
 class EncodingBug(RuntimeError):
@@ -390,40 +390,34 @@ def build_sas(
     s_init: State,
     db: GoalDatabase,
     k: int,
-    sim_weights: SimilarityWeights,
+    forest: RandomForest,
     table: PartitionTable,
     library: ActionLibrary,
-    forest: RandomForest | None = None,
-    fallback_search: bool = True,
 ) -> SasProblem:
     """Goal states from the k nearest stored neighbors, as one SAS+ task.
 
-    When no stored neighbor is usable and ``fallback_search`` is set, the
-    offline search runs for this one state (slow path).  With a forest at
-    hand every goal is re-checked against the vote threshold.
+    Neighbors are ranked with the forest's similarity weights.  When no
+    stored neighbor is usable, the offline search runs for this one state
+    (slow path).  Every goal is re-checked against the vote threshold.
     """
     s_init = check_state(table, s_init)
-    near = k_nearest(s_init, db, k, sim_weights, table)
+    near = k_nearest(s_init, db, k, SimilarityWeights.from_forest(forest), table)
     goals = sorted({entry.goal for _, entry, _ in near})
-    if not goals and fallback_search:
-        if forest is None:
-            raise PlanningError("fallback search needs the forest")
+    if not goals:
         entry = find_preferred_goal(s_init, library, forest, table, db.params)
         if entry.found:
             goals = [entry.goal]
     if not goals:
         raise NoGoalsError(
             f"no goal states available for {s_init}: no usable stored neighbor"
-            + ("" if fallback_search else " and fallback search disabled")
         )
-    if forest is not None:
-        evaluator = StateEvaluator(forest, table, db.params.target)
-        for g in goals:
-            if evaluator.proba(g) < db.params.z:
-                raise PlanningError(
-                    f"stored goal {g} does not reach the vote threshold; "
-                    "the goal database does not match this model"
-                )
+    evaluator = StateEvaluator(forest, table, db.params.target)
+    for g in goals:
+        if evaluator.proba(g) < db.params.z:
+            raise PlanningError(
+                f"stored goal {g} does not reach the vote threshold; "
+                "the goal database does not match this model"
+            )
     return SasProblem(
         sizes=table.sizes, library=library, initial=s_init, goals=tuple(goals)
     )
@@ -463,10 +457,12 @@ def plan_actions(
     sweep: bool = False,
     timeout: float | None = None,
     solver: Callable[..., SolveResult] | None = None,
-    fallback_search: bool = True,
 ) -> PlanOutcome:
     """Full online pipeline for one instance.
 
+    The goals come from ``build_sas``: those of the k nearest stored
+    neighbors, or else the one found by an offline search from this
+    state.  When neither yields a goal the status is ``unsolvable``.
     Makespans 1..l_max are tried in order; the first satisfiable one
     yields the cost-minimal plan at that makespan.  With ``sweep`` the
     remaining makespans are solved too and the cheapest plan overall is
@@ -508,10 +504,7 @@ def plan_actions(
         )
 
     try:
-        sas = build_sas(
-            s_init, db, k, SimilarityWeights.from_forest(forest), table, library,
-            forest=forest, fallback_search=fallback_search,
-        )
+        sas = build_sas(s_init, db, k, forest, table, library)
     except NoGoalsError:
         return PlanOutcome(status=UNSOLVABLE, plan=None, s_init=s_init, goals=(), attempts=())
     # looked up per call, not bound as a default, so a rebound maxsat.solve is used

@@ -11,11 +11,12 @@ which proves the stored cost optimal for every alpha; when more than
 ``patience`` expansions pass without a cheaper goal; or when the
 expansion budget is exhausted.  Re-expansions count as expansions.
 
-The searches of one ``preprocess`` call share a successor table: each
-state's successors are generated once per call (once per worker process
-with ``workers > 1``), however many searches expand it.  The table holds
-one row per expanded state and is freed when the call returns; a lone
-``find_preferred_goal`` call builds none.
+``preprocess`` searches its states in batches, one batch in process or
+one per worker process with ``workers > 1``; each batch builds one
+evaluator and one successor table and searches its states in order.
+A state's successors are generated once per batch, however many
+searches expand it.  The table holds one row per expanded state and is
+freed with its batch; a lone ``find_preferred_goal`` call builds none.
 
 Results are stored in a goal database keyed by start state and stamped
 with the model fingerprint so stale pairings are rejected.
@@ -23,6 +24,7 @@ with the model fingerprint so stale pairings are rejected.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -287,27 +289,26 @@ class GoalDatabase:
         return self.entries.get(tuple(s))
 
 
-_WORKER_CTX: dict = {}
-
-
-def _worker_init(library: ActionLibrary, forest: RandomForest, table: PartitionTable,
-                 params: SearchParams):
-    _WORKER_CTX.update(
-        library=library, forest=forest, table=table, params=params,
-        evaluator=StateEvaluator(forest, table, params.target),
-        successors=SuccessorTable(library),
-    )
-
-
-def _worker_search(states: list[State]) -> list[PreferredGoalEntry]:
-    ctx = _WORKER_CTX
-    return [
-        find_preferred_goal(
-            s, ctx["library"], ctx["forest"], ctx["table"], ctx["params"], ctx["evaluator"],
-            ctx["successors"],
+def _search_batch(
+    states: list[State],
+    library: ActionLibrary,
+    forest: RandomForest,
+    table: PartitionTable,
+    params: SearchParams,
+    on_each: Callable[[int], None] | None = None,
+) -> list[PreferredGoalEntry]:
+    """Search ``states`` in order, sharing one evaluator and one successor
+    table; ``on_each(done)`` runs after every state."""
+    evaluator = StateEvaluator(forest, table, params.target)
+    successors = SuccessorTable(library)
+    entries = []
+    for s in states:
+        entries.append(
+            find_preferred_goal(s, library, forest, table, params, evaluator, successors)
         )
-        for s in states
-    ]
+        if on_each:
+            on_each(len(entries))
+    return entries
 
 
 def preprocess(
@@ -321,41 +322,33 @@ def preprocess(
 ) -> GoalDatabase:
     """Search every given start state and assemble the goal database.
 
-    Duplicate states are searched once.  The searches share one
-    ``SuccessorTable``, which holds a row per state any of them expanded
-    until the call returns.  With ``workers > 1`` the states are split
-    across processes and each process keeps its own table; results are
+    Duplicate states are searched once, in sorted order, as one batch
+    that shares a ``SuccessorTable`` until the call returns;
+    ``on_progress(done, total)`` runs after every state.  With
+    ``workers > 1`` the states are dealt into one batch per process and
+    ``on_progress`` runs as each batch's results arrive.  Results are
     identical either way, and identical to lone ``find_preferred_goal``
     calls.
     """
     todo = sorted(set(check_state(table, s) for s in states))
-    entries: dict[State, PreferredGoalEntry] = {}
-    done = 0
-    if workers <= 1:
-        evaluator = StateEvaluator(forest, table, params.target)
-        successors = SuccessorTable(library)
-        for s in todo:
-            entry = find_preferred_goal(s, library, forest, table, params, evaluator, successors)
-            entries[s] = entry
-            done += 1
-            if on_progress:
-                on_progress(done, len(todo))
+    report = (lambda done: on_progress(done, len(todo))) if on_progress else None
+    if workers <= 1 or not todo:
+        found = _search_batch(todo, library, forest, table, params, report)
     else:
-        chunks = [todo[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            initializer=_worker_init,
-            initargs=(library, forest, table, params),
-        ) as pool:
-            for batch in pool.map(_worker_search, chunks):
-                for entry in batch:
-                    entries[entry.initial] = entry
-                    done += 1
-                if on_progress:
-                    on_progress(done, len(todo))
+        chunks = [c for c in (todo[i::workers] for i in range(workers)) if c]
+        search = functools.partial(
+            _search_batch, library=library, forest=forest, table=table, params=params
+        )
+        found = []
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            for batch in pool.map(search, chunks):
+                found.extend(batch)
+                if report:
+                    report(len(found))
     return GoalDatabase(
-        fingerprint=forest_mod.fingerprint(forest), params=params, entries=entries
+        fingerprint=forest_mod.fingerprint(forest),
+        params=params,
+        entries={e.initial: e for e in found},
     )
 
 

@@ -22,7 +22,6 @@ from rfplan.cli import main
 from rfplan.discretize import build_partitions, enumerate_states
 from rfplan.encoder import NoGoalsError, build_sas, encode, plan_actions
 from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split, fingerprint, persist, restore
-from rfplan.knn import SimilarityWeights
 from rfplan.maxsat import wcnf_read, wcnf_write
 from rfplan.offline import GoalDatabase, SearchParams, db_persist, db_restore, preprocess
 from rfplan.sas_core import load_action_spec
@@ -177,6 +176,15 @@ def test_preprocess_reports_and_is_restorable(ws, tmp_path):
     gdb = db_restore(out_path)
     assert len(gdb) == 40
     assert gdb.fingerprint == fingerprint(restore(str(ws["model"])))
+
+
+def test_preprocess_workers_report_progress(ws, tmp_path):
+    out_path = tmp_path / "db.jsonl"
+    rv, _, err = run(["preprocess", "--model", ws["model"], "--out", out_path,
+                      "--target", 1, "--workers", 2])
+    assert rv == 0, err
+    assert "  searched 40/40" in err.splitlines()
+    assert db_restore(out_path) == ws["gdb"]
 
 
 def test_preprocess_states_data_restricts_to_observed_rows(ws, tmp_path):
@@ -614,15 +622,21 @@ def test_bench_writes_json_lines(ws, tmp_path):
     jl = tmp_path / "bench.jsonl"
     rv, out, err = run(["bench", "--model", ws["model"], "--target", 1,
                         "--instances", 2, "--l-max", 2, "--sweep", "100",
-                        "--sample-seed", 7, "--json-out", jl])
+                        "--sample-seed", 7, "--node-budget", 90_000, "--timeout", 30,
+                        "--state-cap", 5_000, "--oracle-cap", 80_000, "--json-out", jl])
     assert rv == 0, err
     for arm in ("planner", "greedy", "oracle"):
         assert arm in out
     records = [json.loads(line) for line in jl.read_text().splitlines()]
     assert [r["kind"] for r in records] == ["settings", "instance", "instance", "summary"]
     settings, first, _, summary = records
-    assert settings["n_instances"] == 2
-    assert settings["cost_seed"] == 0 and settings["beta_range"] == [1, 100]
+    assert settings == {
+        "kind": "settings", "target": 1, "z": 0.5, "alpha": "auto", "delta": 10_000_000,
+        "node_budget": 90_000, "k": 3, "l_max": 2, "sweep_makespan": False,
+        "n_instances": 2, "sample_seed": 7, "state_cap": 5_000, "oracle_cap": 80_000,
+        "workers": 1, "timeout": 30.0, "cost_seed": 0, "beta_range": [1, 100],
+        "fractions": [100], "model_fingerprint": settings["model_fingerprint"],
+    }
     assert settings["model_fingerprint"] == fingerprint(restore(str(ws["model"])))
     assert first["index"] == 0
     for arm in ("planner", "greedy", "oracle"):
@@ -660,7 +674,6 @@ def test_actions_spec_matches_library_api(ws, tmp_path):
     db_persist(db, str(db_api))
     assert db_cli.read_bytes() == db_api.read_bytes()
 
-    sim = SimilarityWeights.from_forest(forest)
     used = set()
     for s in enumerate_states(table):
         cell = ",".join(map(str, s))
@@ -688,7 +701,7 @@ def test_actions_spec_matches_library_api(ws, tmp_path):
         rv, _, _ = run(["export-wcnf", "--model", ws["model"], "--db", db_cli, "--state", cell,
                         "-L", 2, "--out", wcnf_cli, "--actions", spec])
         try:
-            instance, _ = encode(build_sas(s, db, 3, sim, table, library, forest=forest), 2)
+            instance, _ = encode(build_sas(s, db, 3, forest, table, library), 2)
         except NoGoalsError:
             assert rv == 2, cell
             continue

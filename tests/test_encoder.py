@@ -28,7 +28,6 @@ from rfplan.encoder import (
     encode,
     plan_actions,
 )
-from rfplan.knn import SimilarityWeights
 from rfplan.maxsat import HARD_UNSAT, WcnfInstance, solve
 from rfplan.offline import GoalDatabase, SearchError
 from rfplan.sas_core import (
@@ -596,8 +595,7 @@ def test_check_plan_rejects_corruptions(unit_library):
 
 
 def test_build_sas_collects_neighbor_goals(toy_db, toy_table, unit_library, toy_forest):
-    w = SimilarityWeights.uniform(3)
-    sas = build_sas((0, 0, 1), toy_db, 3, w, toy_table, unit_library, forest=toy_forest)
+    sas = build_sas((0, 0, 1), toy_db, 3, toy_forest, toy_table, unit_library)
     assert sas.initial == (0, 0, 1)
     assert sas.goals == ((0, 1, 2),), "every same-gender neighbor stores the same goal"
 
@@ -609,17 +607,9 @@ def _half_db(toy_db, toy_params, keep_gender):
 
 def test_build_sas_fallback_search(toy_db, toy_params, toy_table, unit_library, toy_forest):
     other = _half_db(toy_db, toy_params, keep_gender=1)
-    w = SimilarityWeights.uniform(3)
     # no usable neighbor: every stored state differs on the hard feature
-    with pytest.raises(PlanningError, match="no goal states available"):
-        build_sas((0, 0, 1), other, 3, w, toy_table, unit_library,
-                  forest=toy_forest, fallback_search=False)
-    sas = build_sas((0, 0, 1), other, 3, w, toy_table, unit_library,
-                    forest=toy_forest, fallback_search=True)
+    sas = build_sas((0, 0, 1), other, 3, toy_forest, toy_table, unit_library)
     assert sas.goals == ((0, 1, 2),)
-    with pytest.raises(PlanningError, match="needs the forest"):
-        build_sas((0, 0, 1), other, 3, w, toy_table, unit_library,
-                  forest=None, fallback_search=True)
 
 
 def test_build_sas_rejects_tampered_goal(toy_db, toy_params, toy_table, unit_library, toy_forest):
@@ -631,8 +621,7 @@ def test_build_sas_rejects_tampered_goal(toy_db, toy_params, toy_table, unit_lib
     )
     bad = GoalDatabase(fingerprint=toy_db.fingerprint, params=toy_params, entries=entries)
     with pytest.raises(PlanningError, match="does not match this model"):
-        build_sas((0, 0, 1), bad, 1, SimilarityWeights.uniform(3), toy_table,
-                  unit_library, forest=toy_forest)
+        build_sas((0, 0, 1), bad, 1, toy_forest, toy_table, unit_library)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +669,12 @@ def test_plan_actions_accepts_raw_vector(toy_forest, toy_table, unit_library, to
 
 
 def test_plan_actions_unsolvable(toy_forest, toy_table, unit_library, toy_db, toy_params):
+    # no usable neighbor, and the fallback search cannot change visits
     other = _half_db(toy_db, toy_params, keep_gender=1)
-    out = plan_actions(
-        toy_forest, toy_table, unit_library, other,
-        state=(0, 0, 1), fallback_search=False,
+    balance_only = ActionLibrary(
+        actions=tuple(a for a in unit_library.actions if a.id.startswith("balance:"))
     )
+    out = plan_actions(toy_forest, toy_table, balance_only, other, state=(0, 0, 1))
     assert out.status == UNSOLVABLE and not out.solved
     assert out.plan is None and out.goals == ()
 

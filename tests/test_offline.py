@@ -238,6 +238,12 @@ def test_preprocess_dedupes_and_reports_progress(toy_forest, toy_table, unit_lib
     assert calls == [(1, 2), (2, 2)]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_preprocess_of_no_states(toy_forest, toy_table, unit_library, toy_params, workers):
+    db = preprocess([], unit_library, toy_forest, toy_table, toy_params, workers=workers)
+    assert len(db) == 0
+
+
 def test_preprocess_workers_match_serial(toy_forest, toy_table, unit_library, toy_params, toy_db):
     states = list(enumerate_states(toy_table))
     parallel = preprocess(

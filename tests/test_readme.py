@@ -1,0 +1,26 @@
+"""The README's documented Python API runs as written."""
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from conftest import DATA
+from rfplan.cli import main
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _library_use_block() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch, capsys):
+    rv = main(["train", "--data", str(DATA / "demo.csv"),
+               "--schema", str(DATA / "demo_schema.json"),
+               "--out", str(tmp_path / "model.json"), "--trees", "5", "--seed", "0"])
+    assert rv == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_library_use_block(), str(README), "exec"), {})
+    assert capsys.readouterr().out == "solved 6.0 ['balance:0->1']\n"
