@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions
-from .forest import Label, RandomForest
-from .offline import AUTO, SearchParams, preprocess
+from .forest import RandomForest
+from .offline import SearchParams, preprocess
 from .sas_core import ActionLibrary
 
 
@@ -28,11 +28,11 @@ class BenchError(ValueError):
 
 @dataclass(frozen=True)
 class BenchSettings:
-    target: Label
-    z: float = 0.5
-    alpha: float | str = AUTO
-    patience: int = 10_000_000
-    node_budget: int = 5_000_000
+    """One benchmark run: ``params`` drive preprocessing and both baselines,
+    and the test instances are states below ``params.z``; ``k``, ``l_max``,
+    ``sweep_makespan`` and ``timeout`` are the planner's."""
+
+    params: SearchParams
     k: int = 3
     l_max: int = 4
     sweep_makespan: bool = False
@@ -43,14 +43,9 @@ class BenchSettings:
     workers: int = 1
     timeout: float | None = None
 
-    def search_params(self) -> SearchParams:
-        return SearchParams(
-            target=self.target,
-            z=self.z,
-            alpha=self.alpha,
-            patience=self.patience,
-            node_budget=self.node_budget,
-        )
+    def __post_init__(self):
+        if self.n_instances < 1:
+            raise BenchError(f"n_instances must be >= 1, got {self.n_instances}")
 
 
 @dataclass(frozen=True)
@@ -162,16 +157,15 @@ def pick_instances(
         random.Random(f"instances:{settings.sample_seed}").shuffle(pool)
     else:
         pool = list(candidates)
+    z = settings.params.z
     picked = []
     for s in pool:
-        if evaluator.proba(s) < settings.z:
+        if evaluator.proba(s) < z:
             picked.append(s)
             if len(picked) == settings.n_instances:
                 break
     if not picked:
-        raise BenchError(
-            f"no test instances: every candidate state already reaches z={settings.z}"
-        )
+        raise BenchError(f"no test instances: every candidate state already reaches z={z}")
     return picked
 
 
@@ -207,8 +201,8 @@ def run_bench(
         if not 1 <= r <= 100:
             raise BenchError(f"fractions must be in 1..100, got {r}")
     say = on_event or (lambda msg: None)
-    params = settings.search_params()
-    evaluator = StateEvaluator(forest, table, settings.target)
+    params = settings.params
+    evaluator = StateEvaluator(forest, table, params.target)
 
     universe = list(enumerate_states(table, settings.state_cap))
     instances = pick_instances(universe, evaluator, settings, candidates)

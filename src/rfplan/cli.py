@@ -12,6 +12,7 @@ Every planning command is set up the same way:
   --cost-seed and --beta-range.
 - One renderer prints the result of plan, greedy and oracle as text or,
   with --json, as one JSON object.
+- One boundary turns the library's input errors into `error: ...`, exit 3.
 
 Exit codes: 0 success, 2 no plan exists, 3 invalid input, 4 timed out.
 """
@@ -78,6 +79,11 @@ class CliError(click.ClickException):
 
     def format_message(self) -> str:
         return self.message
+
+
+# the library's invalid-input errors; a program fault (EncodingBug) keeps its traceback
+_INPUT_ERRORS = (ActionError, BackendError, BenchError, DataError, ModelError, PlanningError,
+                 SearchError, StateError, WcnfError)
 
 
 def main(argv=None) -> int:
@@ -179,7 +185,8 @@ def _load_config(path) -> dict:
 
 
 class _Command(click.Command):
-    """A command whose shared-key parameters reach its body already resolved."""
+    """A command whose shared-key parameters reach its body already resolved,
+    and whose library input errors leave it as `error: <message>`, exit 3."""
 
     def invoke(self, ctx):
         config = _load_config(ctx.params.get("config_path"))
@@ -191,7 +198,10 @@ class _Command(click.Command):
                 ctx.params[name] = config[key]
             else:
                 ctx.params[name] = _convert(key, ctx.params[name], flag)
-        return super().invoke(ctx)
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            raise CliError(str(exc)) from None
 
 
 class _Group(click.Group):
@@ -270,8 +280,6 @@ def _catalog(model_path, actions_path, cost_seed, beta_range):
         return forest, table, load_action_spec(actions_path, table)
     except OSError as exc:
         raise CliError(f"cannot read actions {actions_path}: {exc.strerror}") from None
-    except ActionError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _load_db(path):
@@ -284,8 +292,6 @@ def _load_db(path):
         return db_restore(path)
     except OSError as exc:
         raise CliError(f"cannot read goal database {path}: {exc.strerror}") from None
-    except SearchError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _resolve_class(forest, token: str):
@@ -302,13 +308,6 @@ def _resolve_class(forest, token: str):
     raise CliError(
         f"unknown class {token!r}; model classes: {[str(c) for c in forest.classes]}"
     )
-
-
-def _search_params(forest, target_text: str, **kwargs) -> SearchParams:
-    try:
-        return SearchParams(target=_resolve_class(forest, target_text), **kwargs)
-    except SearchError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _parse_vector(text, features):
@@ -343,10 +342,7 @@ def _parse_state(text, table):
         s = tuple(int(t) for t in tokens)
     except ValueError:
         raise CliError(f"--state must be comma-separated integers, got {text!r}") from None
-    try:
-        return check_state(table, s)
-    except StateError as exc:
-        raise CliError(str(exc)) from None
+    return check_state(table, s)
 
 
 def _instance_state(table, x_text, state_text):
@@ -364,8 +360,6 @@ def _load_dataset(data_path, schema_path, fmt) -> Dataset:
         return ingest(data_path, fmt, schema)
     except OSError as exc:
         raise CliError(f"cannot read {exc.filename}: {exc.strerror}") from None
-    except DataError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _jsonable(v):
@@ -452,24 +446,17 @@ def train(data_path, schema_path, fmt, out_path, trees, max_depth, min_leaf, mtr
           sample_size, seed, test_fraction, split_seed):
     """Fit a random forest on a dataset and save it as JSON."""
     ds = _load_dataset(data_path, schema_path, fmt)
-    test = None
+    ds_train, test = ds, None
     if test_fraction is not None:
-        try:
-            ds_train, test = train_test_split(ds, test_fraction, split_seed)
-        except DataError as exc:
-            raise CliError(str(exc)) from None
-    else:
-        ds_train = ds
+        ds_train, test = train_test_split(ds, test_fraction, split_seed)
     params = TrainParams(
         n_trees=trees, sample_size=sample_size, mtry=mtry,
         max_depth=max_depth, min_leaf=min_leaf, rng_seed=seed,
     )
+    forest = train_forest(ds_train.features, ds_train.rows, ds_train.labels, params,
+                          classes=ds_train.classes)
     try:
-        forest = train_forest(ds_train.features, ds_train.rows, ds_train.labels, params,
-                              classes=ds_train.classes)
         persist(forest, out_path)
-    except ModelError as exc:
-        raise CliError(str(exc)) from None
     except OSError as exc:
         raise CliError(f"cannot write model {out_path}: {exc.strerror}") from None
     click.echo(f"trained {len(forest.trees)} trees on {len(ds_train)} rows "
@@ -539,22 +526,16 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
                    cost_seed, beta_range, workers, config_path, quiet):
     """Search every start state offline and store the goals found."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
-    params = _search_params(forest, target_text, z=z, alpha=alpha, patience=delta,
-                            node_budget=node_budget)
+    params = SearchParams(target=_resolve_class(forest, target_text), z=z, alpha=alpha,
+                          patience=delta, node_budget=node_budget)
 
     if states_mode == "data":
         if data_path is None or schema_path is None:
             raise CliError("--states data needs --data and --schema")
         ds = _load_dataset(data_path, schema_path, fmt)
-        try:
-            states = [to_state(table, x) for x in ds.rows]
-        except StateError as exc:
-            raise CliError(str(exc)) from None
+        states = [to_state(table, x) for x in ds.rows]
     else:
-        try:
-            states = list(enumerate_states(table, state_cap))
-        except StateError as exc:
-            raise CliError(str(exc)) from None
+        states = list(enumerate_states(table, state_cap))
 
     total = len(set(states))
     step = max(1, total // 20)
@@ -564,11 +545,8 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
             click.echo(f"  searched {done}/{n}", err=True)
 
     t0 = time.perf_counter()
-    try:
-        db = preprocess(states, library, forest, table, params, workers=workers,
-                        on_progress=progress)
-    except SearchError as exc:
-        raise CliError(str(exc)) from None
+    db = preprocess(states, library, forest, table, params, workers=workers,
+                    on_progress=progress)
     elapsed = time.perf_counter() - t0
     try:
         db_persist(db, out_path)
@@ -619,8 +597,6 @@ def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
         )
     except StateError as exc:
         raise CliError(f"goal database {db_path}: {exc}") from None
-    except (PlanningError, SearchError, BackendError, WcnfError) as exc:
-        raise CliError(str(exc)) from None
 
     _show_plan(outcome, s_init, forest, table, db.params.target, as_json,
                attempts=outcome.attempts, goal_pool=[list(g) for g in outcome.goals])
@@ -645,7 +621,7 @@ def greedy(ctx, model_path, x_text, state_text, target_text, z, rule,
            actions_path, cost_seed, beta_range, as_json, config_path):
     """Hill-climb baseline: apply the best improving action until done."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
-    params = _search_params(forest, target_text, z=z)
+    params = SearchParams(target=_resolve_class(forest, target_text), z=z)
     s_init = _instance_state(table, x_text, state_text)
     res = baselines.greedy_plan(s_init, library, forest, table, params, rule=rule)
     _show_plan(res, s_init, forest, table, params.target, as_json, visited=len(res.visited))
@@ -666,7 +642,7 @@ def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_pat
            cost_seed, beta_range, as_json, config_path):
     """Exhaustive cheapest-path baseline (exact but slow)."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
-    params = _search_params(forest, target_text, z=z)
+    params = SearchParams(target=_resolve_class(forest, target_text), z=z)
     s_init = _instance_state(table, x_text, state_text)
     try:
         res = baselines.oracle_plan(s_init, library, forest, table, params, cap=cap)
@@ -698,10 +674,7 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
     """Write one planning step bound as a weighted partial CNF file."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
     db = _load_db(db_path)
-    try:
-        check_pairing(db, forest)
-    except SearchError as exc:
-        raise CliError(str(exc)) from None
+    check_pairing(db, forest)
     s_init = _instance_state(table, x_text, state_text)
     try:
         sas = build_sas(s_init, db, k, forest, table, library)
@@ -711,8 +684,6 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
         ctx.exit(EXIT_UNSOLVABLE)
     except StateError as exc:
         raise CliError(f"goal database {db_path}: {exc}") from None
-    except PlanningError as exc:
-        raise CliError(str(exc)) from None
     try:
         wcnf_write(instance, out_path)
         if map_path is not None:
@@ -781,17 +752,11 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, de
               json_path, config_path):
     """Compare the planner against the baselines on many instances."""
     forest, table, library = _catalog(model_path, None, cost_seed, beta_range)
-    target = _resolve_class(forest, target_text)
-    try:
-        fractions = parse_fractions(sweep_text)
-    except BenchError as exc:
-        raise CliError(str(exc)) from None
+    params = SearchParams(target=_resolve_class(forest, target_text), z=z, alpha=alpha,
+                          patience=delta, node_budget=node_budget)
+    fractions = parse_fractions(sweep_text)
     settings = BenchSettings(
-        target=target,
-        z=z,
-        alpha=alpha,
-        patience=delta,
-        node_budget=node_budget,
+        params=params,
         k=k,
         l_max=l_max,
         sweep_makespan=sweep_makespan,
@@ -808,29 +773,23 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, de
         if schema_path is None:
             raise CliError("--data needs --schema")
         ds = _load_dataset(data_path, schema_path, fmt)
-        try:
-            candidates = [to_state(table, x) for x in ds.rows]
-        except StateError as exc:
-            raise CliError(str(exc)) from None
+        candidates = [to_state(table, x) for x in ds.rows]
 
-    try:
-        reports = run_bench(
-            forest, table, library, settings, fractions=fractions, candidates=candidates,
-            on_event=lambda msg: click.echo(msg, err=True),
-        )
-    except (BenchError, SearchError, PlanningError, StateError) as exc:
-        raise CliError(str(exc)) from None
+    reports = run_bench(
+        forest, table, library, settings, fractions=fractions, candidates=candidates,
+        on_event=lambda msg: click.echo(msg, err=True),
+    )
 
     for report in reports:
         _render_bench(report)
 
     if json_path is not None:
-        # every BenchSettings field, patience under its key name "delta"
+        # every BenchSettings field with params flattened in, patience under its key "delta"
         settings_doc = dataclasses.asdict(settings)
+        settings_doc.update(settings_doc.pop("params"))
         settings_doc["delta"] = settings_doc.pop("patience")
         settings_doc.update({
             "kind": "settings",
-            "target": _jsonable(target),
             "cost_seed": cost_seed,
             "beta_range": list(beta_range),
             "fractions": list(fractions),

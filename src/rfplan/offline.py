@@ -72,6 +72,8 @@ class SearchParams:
     node_budget: int = 5_000_000
 
     def __post_init__(self):
+        if isinstance(self.z, bool) or not isinstance(self.z, (int, float)):
+            raise SearchError(f"z must be a number, got {self.z!r}")
         if not 0.0 < self.z <= 1.0:
             raise SearchError(f"z must be in (0, 1], got {self.z}")
         if self.alpha != AUTO:
@@ -80,10 +82,12 @@ class SearchParams:
             if self.alpha < 0 or not math.isfinite(self.alpha):
                 raise SearchError(f"alpha must be >= 0, got {self.alpha}")
             object.__setattr__(self, "alpha", float(self.alpha))
-        if self.patience < 1:
-            raise SearchError(f"patience must be >= 1, got {self.patience}")
-        if self.node_budget < 1:
-            raise SearchError(f"node_budget must be >= 1, got {self.node_budget}")
+        for name in ("patience", "node_budget"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise SearchError(f"{name} must be an int, got {n!r}")
+            if n < 1:
+                raise SearchError(f"{name} must be >= 1, got {n}")
 
     def to_dict(self) -> dict:
         return {
@@ -96,6 +100,8 @@ class SearchParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchParams":
+        if not isinstance(doc, dict):
+            raise SearchError(f"search params must be a JSON object, got {doc!r}")
         try:
             return cls(
                 target=doc["target"],
@@ -396,7 +402,10 @@ def db_restore(path) -> GoalDatabase:
     for key in ("fingerprint", "params"):
         if key not in header:
             raise SearchError(f"{path}:1: header missing {key!r}")
-    params = SearchParams.from_dict(header["params"])
+    try:
+        params = SearchParams.from_dict(header["params"])
+    except SearchError as exc:
+        raise SearchError(f"{path}:1: bad search params ({exc})") from None
     entries: dict[State, PreferredGoalEntry] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -287,6 +287,53 @@ def test_plan_rejects_out_of_range_state(ws):
     assert "outside" in err
 
 
+def _bad_params_db(ws, tmp_path):
+    """The workspace database with a header whose search params are not an object."""
+    lines = ws["db"].read_text().splitlines()
+    header = json.loads(lines[0])
+    header["params"] = "x"
+    path = tmp_path / "bad-params.jsonl"
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    return path
+
+
+_INPUT_ERROR_CASES = {
+    "train-trees": "n_trees must be >= 1",
+    "train-min-leaf": "min_leaf must be >= 1",
+    "preprocess-node-budget": "node_budget must be >= 1, got 0",
+    "greedy-z": "z must be in (0, 1], got 2.0",
+    "bench-sweep": "fractions must be in 1..100, got 0",
+    "bench-instances": "n_instances must be >= 1, got 0",
+    "bench-negative-instances": "n_instances must be >= 1, got -3",
+    "plan-params": ":1: bad search params (search params must be a JSON object",
+}
+
+
+@pytest.mark.parametrize("case, message", _INPUT_ERROR_CASES.items(), ids=list(_INPUT_ERROR_CASES))
+def test_library_input_errors_exit_three(ws, tmp_path, case, message):
+    # every library input error leaves the CLI as `error: <message>`, exit 3
+    train = ["train", "--data", DATA / "demo.csv", "--schema", DATA / "demo_schema.json",
+             "--out", tmp_path / "model.json"]
+    model = ["--model", ws["model"]]
+    args = {
+        "train-trees": [*train, "--trees", 0],
+        "train-min-leaf": [*train, "--min-leaf", 0],
+        "preprocess-node-budget": ["preprocess", *model, "--out", tmp_path / "db.jsonl",
+                                   "--target", 1, "--quiet", "--node-budget", 0],
+        "greedy-z": ["greedy", *model, "--state", "0,0,0", "--target", 1, "--z", 2],
+        "bench-sweep": ["bench", *model, "--target", 1, "--sweep", "0"],
+        "bench-instances": ["bench", *model, "--target", 1, "--instances", 0],
+        "bench-negative-instances": ["bench", *model, "--target", 1, "--instances", -3],
+        "plan-params": ["plan", *model, "--db", _bad_params_db(ws, tmp_path),
+                        "--state", "0,0,0"],
+    }[case]
+    rv, out, err = run(args)
+    assert rv == 3
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("cmd", ["plan", "bench"])
 def test_backend_is_not_an_option(ws, cmd):
     # there is one in-process kernel and no flag to pick a solver backend

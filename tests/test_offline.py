@@ -63,6 +63,12 @@ def test_params_defaults_and_roundtrip():
         (dict(alpha=True), "alpha must"),
         (dict(patience=0), "patience"),
         (dict(node_budget=0), "node_budget"),
+        (dict(z="0.5"), "z must be a number"),
+        (dict(z=True), "z must be a number"),
+        (dict(patience=True), "patience must be an int,"),
+        (dict(patience=2.5), "patience must be an int,"),
+        (dict(node_budget="9"), "node_budget must be an int,"),
+        (dict(node_budget=False), "node_budget must be an int,"),
     ],
 )
 def test_params_rejects(kwargs, needle):
@@ -412,6 +418,17 @@ def test_db_restore_happy(tmp_path):
          r"db\.jsonl:2: bad entry \(expansions must be"),
         ((HEADER, ROW.replace('"expansions": 2', '"expansions": 2.5')),
          r"db\.jsonl:2: bad entry \(expansions must be"),
+        ((HEADER.replace('"params": {', '"params": "x", "unused": {'),),
+         r"db\.jsonl:1: bad search params \(search params must be a JSON object"),
+        ((HEADER.replace('"params": {', '"params": [1], "unused": {'),),
+         r"db\.jsonl:1: bad search params \(search params must be a JSON object"),
+        ((HEADER.replace('"z": 0.5', '"z": "0.5"'),), r"db\.jsonl:1: bad search params \(z must"),
+        ((HEADER.replace('"z": 0.5', '"z": true'),), r"db\.jsonl:1: bad search params \(z must"),
+        ((HEADER.replace('"patience": 10', '"patience": true'),),
+         r"db\.jsonl:1: bad search params \(patience must"),
+        ((HEADER.replace('"patience": 10', '"patience": null'),),
+         r"db\.jsonl:1: bad search params \(patience must"),
+        ((HEADER.replace('"z": 0.5, ', ''),), r"db\.jsonl:1: bad search params \(search params missing"),
     ],
 )
 def test_db_restore_rejects(tmp_path, lines, needle):
