@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .discretize import PartitionTable, State, StateEvaluator, check_state
 from .forest import RandomForest
-from .offline import SearchParams
+from .offline import SearchError, SearchParams
 from .sas_core import Action, ActionLibrary, ActionError, Plan, neighbors
 
 SOLVED = "solved"
@@ -125,8 +125,11 @@ def oracle_plan(
     """Dijkstra over the action graph; the first goal popped is optimal.
 
     Exhaustive and exact, with one action per step.  Raises
-    OracleCapExceeded once more than ``cap`` states have been expanded.
+    OracleCapExceeded once more than ``cap`` states have been expanded,
+    and SearchError for a ``cap`` below 1.
     """
+    if cap < 1:
+        raise SearchError(f"cap must be >= 1, got {cap}")
     s_init = check_state(table, s_init)
     if evaluator is None:
         evaluator = StateEvaluator(forest, table, params.target)

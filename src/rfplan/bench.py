@@ -44,8 +44,9 @@ class BenchSettings:
     timeout: float | None = None
 
     def __post_init__(self):
-        if self.n_instances < 1:
-            raise BenchError(f"n_instances must be >= 1, got {self.n_instances}")
+        for name in ("n_instances", "state_cap", "oracle_cap"):
+            if getattr(self, name) < 1:
+                raise BenchError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ from .offline import (
     AUTO,
     SearchError,
     SearchParams,
-    check_pairing,
     db_persist,
     db_restore,
     preprocess,
@@ -674,7 +673,6 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
     """Write one planning step bound as a weighted partial CNF file."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
     db = _load_db(db_path)
-    check_pairing(db, forest)
     s_init = _instance_state(table, x_text, state_text)
     try:
         sas = build_sas(s_init, db, k, forest, table, library)

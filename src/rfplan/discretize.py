@@ -138,6 +138,8 @@ def state_proba(forest: RandomForest, table: PartitionTable, s: Sequence[int], c
 
 def enumerate_states(table: PartitionTable, cap: int | None = None) -> Iterator[State]:
     """All states in lexicographic order; refuses to run past ``cap`` states."""
+    if cap is not None and cap < 1:
+        raise StateError(f"cap must be >= 1, got {cap}")
     total = table.state_count
     if cap is not None and total > cap:
         raise StateError(f"state space has {total} states, above the cap of {cap}")

@@ -1,11 +1,15 @@
 """Bounded-makespan planning compiled to weighted partial Max-SAT.
 
 The task: from the discretized start state, reach any of the goal states
-collected from the k nearest stored neighbors.  At makespan L the encoding
-has one variable per goal state, per (action, step), and per step and
-transition of a variable's graph: its prevailing ``(f, f)`` pairs, the
-actions' explicit ``(f, g)`` pairs and mechanical targets
-(``_transition_universe``).  Soft clauses price each action occurrence.
+collected from the k nearest stored neighbors.  ``build_sas`` sets up one
+query whole: it pairs the goal database with the model, evaluates states
+with one ``StateEvaluator``, and gives a start that already reaches the
+vote threshold a task whose one goal is the start.
+
+At makespan L the encoding has one variable per goal state, per (action,
+step), and per step and transition of a variable's graph: its prevailing
+``(f, f)`` pairs, the actions' explicit ``(f, g)`` pairs and mechanical
+targets (``_transition_universe``).  Soft clauses price each action occurrence.
 The hard clause families: pin the start state; require a goal and pin its
 values at step L; chain each explicit transition to the previous and the
 next step; exclude clashing transitions of a variable; tie each action to
@@ -33,13 +37,13 @@ transition graphs, variable tables and action weights) depends only on
 the action library, the domain sizes and the makespan.  Each action's soft
 weight is its cost as an exact integer (``_action_weights``), so the
 optimum is the cheapest plan with no rounding.
-``encode`` builds that part once per (sizes, makespan) and keeps it
-in the ``ActionLibrary`` for as long as the library lives, with no size
-limit.  Each query's instance is that kept
-instance extended (``WcnfInstance.extend``) with the query's clauses, so
-the first solve at a makespan also keeps the kernel's compiled form of the
-kept clauses on it, and later solves add only their own clauses
-(``maxsat.compile_instance``).  Repeated queries against one library gain
+``encode`` builds that part once per (sizes, makespan), as a goal-free
+``VarMap`` and the kept instance, and keeps it in the ``ActionLibrary``
+for as long as the library lives, with no size limit.  Each query's
+instance is that kept instance extended (``WcnfInstance.extend``) with
+the query's clauses, so the first solve at a makespan also keeps the
+kernel's compiled form of the kept clauses on it, and later solves add
+only their own clauses (``maxsat.compile_instance``).  Repeated queries against one library gain
 from this; a single ``plan`` call encodes each makespan once and does not.
 
 The reachability units are added by ``plan_actions``, not by ``encode``:
@@ -52,6 +56,7 @@ encoding, which ``export-wcnf`` writes.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -175,23 +180,13 @@ def _action_weights(library: ActionLibrary) -> dict[str, int]:
     return {aid: int(c * lcm) for aid, c in exact.items()}
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    """The part of the makespan-``L`` encoding that no query changes.
-
-    ``clauses`` holds the action-cost soft clauses and every hard clause
-    but the start, goal and goal-pin ones, over the step variables
-    1..``clauses.nvars``.
-    """
-
-    universe: tuple[tuple[tuple[int | None, int], ...], ...]
-    trans: Mapping[tuple[int, int, int | None, int], int]
-    acts: Mapping[tuple[int, str], int]
-    weights: Mapping[str, int]
-    clauses: WcnfInstance
-
-
-def _build_skeleton(library: ActionLibrary, sizes: tuple[int, ...], L: int) -> _Skeleton:
+def _build_skeleton(
+    library: ActionLibrary, sizes: tuple[int, ...], L: int
+) -> tuple[VarMap, WcnfInstance]:
+    """The part of the makespan-``L`` encoding that no query changes: the
+    map of the step variables 1..``nvars``, with no goals, and the instance
+    of the action-cost soft clauses and every hard clause but the start,
+    goal and goal-pin ones."""
     m = len(sizes)
     steps = range(1, L + 1)
     actions = library.actions
@@ -270,12 +265,10 @@ def _build_skeleton(library: ActionLibrary, sizes: tuple[int, ...], L: int) -> _
                     [-trans[(t, v, f, g)]] + [acts[(t, a.id)] for a in support[(v, f, g)]]
                 )
 
-    return _Skeleton(
-        universe=universe,
-        trans=MappingProxyType(trans),
-        acts=MappingProxyType(acts),
-        weights=MappingProxyType(weights),
-        clauses=WcnfInstance.build(nvars=nsteps, hard=hard, soft=soft),
+    return (
+        VarMap(L=L, nvars=nsteps, trans=MappingProxyType(trans), acts=MappingProxyType(acts),
+               goals={}, universe=universe, weights=MappingProxyType(weights)),
+        WcnfInstance.build(nvars=nsteps, hard=hard, soft=soft),
     )
 
 
@@ -286,13 +279,13 @@ def encode(sas: SasProblem, L: int) -> tuple[WcnfInstance, VarMap]:
         raise PlanningError(f"makespan must be >= 1, got {L}")
     store = sas.library._encodings
     key = (sas.sizes, L)
-    skeleton = store.get(key)
-    if skeleton is None:
-        skeleton = store[key] = _build_skeleton(sas.library, sas.sizes, L)
-    base = skeleton.clauses
+    kept = store.get(key)
+    if kept is None:
+        kept = store[key] = _build_skeleton(sas.library, sas.sizes, L)
+    steps, base = kept
 
     m = len(sas.sizes)
-    trans, universe = skeleton.trans, skeleton.universe
+    trans, universe = steps.trans, steps.universe
     goal_vars = {g: base.nvars + i for i, g in enumerate(sas.goals, 1)}
     nvars = base.nvars + len(goal_vars)
     hard: list[list[int]] = []
@@ -316,8 +309,7 @@ def encode(sas: SasProblem, L: int) -> tuple[WcnfInstance, VarMap]:
 
     # query clauses first, then the kept ones: the order of a one-pass build
     instance = base.extend(nvars, hard)
-    return instance, VarMap(L=L, nvars=nvars, trans=trans, acts=skeleton.acts, goals=goal_vars,
-                            universe=universe, weights=skeleton.weights)
+    return instance, dataclasses.replace(steps, nvars=nvars, goals=goal_vars)
 
 
 def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ...]:
@@ -396,31 +388,37 @@ def build_sas(
 ) -> SasProblem:
     """Goal states from the k nearest stored neighbors, as one SAS+ task.
 
-    Neighbors are ranked with the forest's similarity weights.  When no
-    stored neighbor is usable, the offline search runs for this one state
-    (slow path).  Every goal is re-checked against the vote threshold.
+    The whole set-up of one query: ``db`` must pair with ``forest``, and one
+    ``StateEvaluator`` serves the query.  A start that already reaches the
+    vote threshold is the task's one goal.  Else neighbors are ranked with
+    the forest's similarity weights; when none is usable, the offline search
+    runs for this one state (slow path).  Every goal is re-checked against
+    the vote threshold.
     """
+    check_pairing(db, forest)
     s_init = check_state(table, s_init)
+    evaluator = StateEvaluator(forest, table, db.params.target)
+    if evaluator.proba(s_init) >= db.params.z:
+        return SasProblem(sizes=table.sizes, library=library, initial=s_init, goals=(s_init,))
     near = k_nearest(s_init, db, k, SimilarityWeights.from_forest(forest), table)
     goals = sorted({entry.goal for _, entry, _ in near})
     if not goals:
-        entry = find_preferred_goal(s_init, library, forest, table, db.params)
+        entry = find_preferred_goal(s_init, library, forest, table, db.params, evaluator=evaluator)
         if entry.found:
             goals = [entry.goal]
     if not goals:
-        raise NoGoalsError(
-            f"no goal states available for {s_init}: no usable stored neighbor"
-        )
-    evaluator = StateEvaluator(forest, table, db.params.target)
+        raise NoGoalsError(f"no goal states available for {s_init}: no usable stored neighbor")
     for g in goals:
         if evaluator.proba(g) < db.params.z:
             raise PlanningError(
                 f"stored goal {g} does not reach the vote threshold; "
                 "the goal database does not match this model"
             )
-    return SasProblem(
-        sizes=table.sizes, library=library, initial=s_init, goals=tuple(goals)
-    )
+    return SasProblem(sizes=table.sizes, library=library, initial=s_init, goals=tuple(goals))
+
+
+# a solve's status as its attempt records it
+_ATTEMPT_STATUS = {maxsat.OPTIMAL: "sat", maxsat.HARD_UNSAT: "unsat", maxsat.TIMEOUT: "timeout"}
 
 
 @dataclass(frozen=True)
@@ -460,9 +458,11 @@ def plan_actions(
 ) -> PlanOutcome:
     """Full online pipeline for one instance.
 
-    The goals come from ``build_sas``: those of the k nearest stored
-    neighbors, or else the one found by an offline search from this
-    state.  When neither yields a goal the status is ``unsolvable``.
+    The goals come from ``build_sas``: the start itself when it already
+    reaches the vote threshold (status ``already_goal``), else those of
+    the k nearest stored neighbors, or else the one found by an offline
+    search from this state.  When none yields a goal the status is
+    ``unsolvable``.
     Makespans 1..l_max are tried in order; the first satisfiable one
     yields the cost-minimal plan at that makespan.  With ``sweep`` the
     remaining makespans are solved too and the cheapest plan overall is
@@ -479,7 +479,6 @@ def plan_actions(
     """
     if (x is None) == (state is None):
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")
-    check_pairing(db, forest)
     if k < 1:
         raise PlanningError(f"k must be >= 1, got {k}")
     if l_max < 1:
@@ -492,21 +491,13 @@ def plan_actions(
             f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"
         )
     s_init = to_state(table, x) if x is not None else check_state(table, state)
-
-    evaluator = StateEvaluator(forest, table, db.params.target)
-    if evaluator.proba(s_init) >= db.params.z:
-        return PlanOutcome(
-            status=ALREADY_GOAL,
-            plan=Plan(steps=(), cost=0.0, goal=s_init),
-            s_init=s_init,
-            goals=(s_init,),
-            attempts=(),
-        )
-
     try:
         sas = build_sas(s_init, db, k, forest, table, library)
     except NoGoalsError:
         return PlanOutcome(status=UNSOLVABLE, plan=None, s_init=s_init, goals=(), attempts=())
+    if s_init in sas.goals:
+        return PlanOutcome(status=ALREADY_GOAL, plan=Plan(steps=(), cost=0.0, goal=s_init),
+                           s_init=s_init, goals=sas.goals, attempts=())
     # looked up per call, not bound as a default, so a rebound maxsat.solve is used
     solve = solver if solver is not None else maxsat.solve
 
@@ -525,23 +516,19 @@ def plan_actions(
         units = _reachability_units(sas, varmap)
         instance = instance.extend(instance.nvars, units)
         result = solve(instance, timeout=budget)
-        if result.status == maxsat.HARD_UNSAT:
-            attempts.append(PlanAttempt(L=L, status="unsat", cost=None, units=len(units)))
-            continue
-        timed_out = result.status == maxsat.TIMEOUT
-        if result.assignment is None:  # a timeout before any incumbent
-            attempts.append(PlanAttempt(L=L, status="timeout", cost=None, units=len(units)))
-            break
-        plan = decode(result.assignment, varmap, sas)
-        check_plan(plan, sas)
-        weight = sum(varmap.weights[a.id] for step in plan.steps for a in step)
-        if weight != result.cost:
-            raise EncodingBug(f"decoded plan weighs {weight}, solver reported {result.cost}")
-        attempts.append(PlanAttempt(L=L, status="timeout" if timed_out else "sat",
-                                    cost=plan.cost, units=len(units)))
-        if weight < best_weight:
-            best, best_weight = plan, weight
-        if timed_out or not sweep:
+        plan = None
+        if result.assignment is not None:
+            plan = decode(result.assignment, varmap, sas)
+            check_plan(plan, sas)
+            weight = sum(varmap.weights[a.id] for step in plan.steps for a in step)
+            if weight != result.cost:
+                raise EncodingBug(f"decoded plan weighs {weight}, solver reported {result.cost}")
+            if weight < best_weight:
+                best, best_weight = plan, weight
+        status = _ATTEMPT_STATUS[result.status]
+        attempts.append(PlanAttempt(L=L, status=status, cost=plan.cost if plan else None,
+                                    units=len(units)))
+        if status == "timeout" or (status == "sat" and not sweep):
             break
 
     if any(a.status == "timeout" for a in attempts):

@@ -571,6 +571,14 @@ def restore(path) -> RandomForest:
 
 
 def fingerprint(forest: RandomForest) -> str:
-    """Stable content hash used to pair a goal database with its model."""
-    blob = json.dumps(forest_to_dict(forest), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Stable content hash used to pair a goal database with its model.
+
+    Computed once per forest object and kept beside its fields, out of
+    equality, hash and repr; the forest is immutable, so it cannot go stale.
+    """
+    fp = forest.__dict__.get("_fingerprint")
+    if fp is None:
+        blob = json.dumps(forest_to_dict(forest), sort_keys=True, separators=(",", ":"))
+        fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        object.__setattr__(forest, "_fingerprint", fp)
+    return fp

@@ -375,6 +375,8 @@ def _resolve_value(value, var: int, table: PartitionTable, what: str) -> int:
     if isinstance(value, float):
         if meta.is_categorical:
             raise ActionError(f"{what}: raw numbers are not valid for categorical {meta.name!r}")
+        if not math.isfinite(value):
+            raise ActionError(f"{what} raw value {value!r} is not finite")
         return bisect_right(table.thresholds[var], value)
     if isinstance(value, str) and meta.is_categorical:
         if value not in meta.categories:

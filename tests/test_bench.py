@@ -1,0 +1,73 @@
+"""The preprocessing-fraction sweep: parsing ``--sweep`` and running it."""
+
+from __future__ import annotations
+
+import pytest
+
+from rfplan.bench import BenchError, BenchSettings, parse_fractions, run_bench
+
+
+@pytest.mark.parametrize(
+    "text,fractions",
+    [
+        ("10,20,...,100", (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)),
+        ("r=25,50,100", (25, 50, 100)),
+        ("r=10,30,…,90", (10, 30, 50, 70, 90)),
+        (" 5, 10 ,...,20 ", (5, 10, 15, 20)),
+        ("100", (100,)),
+    ],
+)
+def test_parse_fractions(text, fractions):
+    assert parse_fractions(text) == fractions
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("", "empty fraction list"),
+        ("r=", "empty fraction list"),
+        ("10,...,100", "two leading values"),
+        ("10,20,...", "two leading values"),
+        ("20,10,...,100", "step must be positive"),
+        ("10,10,...,100", "step must be positive"),
+        ("10,20,...,95", "95 is not reached by step 10"),
+        ("10,x,...,100", "must be integers"),
+        ("10,20.5", "must be integers"),
+        ("0,50", "must be in 1..100, got 0"),
+        ("50,101", "must be in 1..100, got 101"),
+        ("10,20,...,110", "must be in 1..100, got 110"),
+        ("50,20,50", "duplicate fractions"),
+    ],
+)
+def test_parse_fractions_rejects(text, needle):
+    with pytest.raises(BenchError) as err:
+        parse_fractions(text)
+    assert needle in str(err.value)
+
+
+def _answers(reports):
+    """Everything in the reports but wall-clock time and memory."""
+    return [
+        (r.fraction, r.db_states, r.goals_found, [
+            (row.index, row.state, *(
+                (arm.status, arm.cost, arm.length, arm.makespan)
+                for arm in (row.planner, row.greedy, row.oracle)
+            ))
+            for row in r.instances
+        ])
+        for r in reports
+    ]
+
+
+def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_params):
+    settings = BenchSettings(params=toy_params, l_max=2, n_instances=3, sample_seed=4)
+    reports = run_bench(toy_forest, toy_table, unit_library, settings, fractions=(50, 100))
+    n = toy_table.state_count
+    assert [r.fraction for r in reports] == [50, 100]
+    assert [r.db_states for r in reports] == [n // 2, n]
+    assert reports[0].goals_found <= reports[0].db_states
+    # both databases answer the same instances
+    states = [[row.state for row in r.instances] for r in reports]
+    assert states[0] == states[1] and len(states[0]) == 3
+    again = run_bench(toy_forest, toy_table, unit_library, settings, fractions=(50, 100))
+    assert _answers(again) == _answers(reports)

@@ -19,10 +19,11 @@ import pytest
 from conftest import DATA
 from rfplan.baselines import greedy_plan, oracle_plan
 from rfplan.cli import main
-from rfplan.discretize import build_partitions, enumerate_states
+from rfplan.data import ingest, load_schema
+from rfplan.discretize import build_partitions, enumerate_states, state_proba, to_state
 from rfplan.encoder import NoGoalsError, build_sas, encode, plan_actions
 from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split, fingerprint, persist, restore
-from rfplan.maxsat import wcnf_read, wcnf_write
+from rfplan.maxsat import OPTIMAL, solve, wcnf_read, wcnf_write
 from rfplan.offline import GoalDatabase, SearchParams, db_persist, db_restore, preprocess
 from rfplan.sas_core import load_action_spec
 
@@ -306,6 +307,12 @@ _INPUT_ERROR_CASES = {
     "bench-instances": "n_instances must be >= 1, got 0",
     "bench-negative-instances": "n_instances must be >= 1, got -3",
     "plan-params": ":1: bad search params (search params must be a JSON object",
+    "oracle-cap": "cap must be >= 1, got 0",
+    "bench-oracle-cap": "oracle_cap must be >= 1, got 0",
+    "bench-state-cap": "state_cap must be >= 1, got 0",
+    "bench-negative-state-cap": "state_cap must be >= 1, got -1",
+    "preprocess-state-cap": "cap must be >= 1, got 0",
+    "preprocess-negative-state-cap": "cap must be >= 1, got -1",
 }
 
 
@@ -326,6 +333,14 @@ def test_library_input_errors_exit_three(ws, tmp_path, case, message):
         "bench-negative-instances": ["bench", *model, "--target", 1, "--instances", -3],
         "plan-params": ["plan", *model, "--db", _bad_params_db(ws, tmp_path),
                         "--state", "0,0,0"],
+        "oracle-cap": ["oracle", *model, "--state", "0,0,0", "--target", 1, "--cap", 0],
+        "bench-oracle-cap": ["bench", *model, "--target", 1, "--oracle-cap", 0],
+        "bench-state-cap": ["bench", *model, "--target", 1, "--state-cap", 0],
+        "bench-negative-state-cap": ["bench", *model, "--target", 1, "--state-cap", -1],
+        "preprocess-state-cap": ["preprocess", *model, "--out", tmp_path / "db.jsonl",
+                                 "--target", 1, "--quiet", "--state-cap", 0],
+        "preprocess-negative-state-cap": ["preprocess", *model, "--out", tmp_path / "db.jsonl",
+                                          "--target", 1, "--quiet", "--state-cap", -1],
     }[case]
     rv, out, err = run(args)
     assert rv == 3
@@ -497,7 +512,7 @@ def test_oracle_unreachable_exits_two(hardws):
 
 def test_oracle_cap_exits_four(ws):
     rv, _, err = run(["oracle", "--model", ws["model"], "--state", "0,0,0",
-                      "--target", 1, "--cap", 0])
+                      "--target", 1, "--cap", 1])
     assert rv == 4
     assert "raise the cap" in err
 
@@ -534,6 +549,25 @@ def test_export_wcnf_writes_a_parseable_instance(ws, tmp_path):
     assert "variable map written to" in out
     first = vmap.read_text().splitlines()[0]
     assert first == "1 t=1 transition x0:0->0"
+
+
+def test_export_wcnf_at_an_already_reached_start_writes_the_one_goal_task(ws, tmp_path):
+    forest = restore(str(ws["model"]))
+    table = build_partitions(forest)
+    start = next(s for s in enumerate_states(table) if state_proba(forest, table, s, 1) >= 0.5)
+    text = ",".join(map(str, start))
+    rv, out, _ = run(["plan", "--model", ws["model"], "--db", ws["db"], "--state", text,
+                      "--json"])
+    assert rv == 0 and json.loads(out)["status"] == "already_goal"
+    wcnf, vmap = tmp_path / "x.wcnf", tmp_path / "x.map"
+    rv, out, err = run(["export-wcnf", "--model", ws["model"], "--db", ws["db"],
+                        "--state", text, "-L", 2, "--out", wcnf, "--map", vmap])
+    assert rv == 0 and err == "" and "1 goal state(s)" in out
+    assert [line for line in vmap.read_text().splitlines() if "goal state" in line] == [
+        f"{wcnf_read(str(wcnf)).nvars} goal state {start}"
+    ]
+    res = solve(wcnf_read(str(wcnf)))
+    assert res.status == OPTIMAL and res.cost == 0
 
 
 def test_export_wcnf_without_goals_exits_two(hardws, tmp_path):
@@ -689,6 +723,22 @@ def test_bench_writes_json_lines(ws, tmp_path):
     for arm in ("planner", "greedy", "oracle"):
         assert arm in first
         assert 0 <= summary[arm]["solved"] <= summary[arm]["total"] == 2
+
+
+def test_bench_data_instances_are_below_target_rows_in_file_order(ws, tmp_path):
+    forest = restore(str(ws["model"]))
+    table = build_partitions(forest)
+    schema = load_schema(DATA / "demo_schema.json")
+    rows = [to_state(table, x) for x in ingest(DATA / "demo.csv", "csv", schema).rows]
+    below = [list(s) for s in rows if state_proba(forest, table, s, 1) < 0.5]
+    assert 0 < len(below) < len(rows)
+    jl = tmp_path / "bench.jsonl"
+    rv, _, err = run(["bench", "--model", ws["model"], "--target", 1, "--l-max", 2,
+                      "--data", DATA / "demo.csv", "--schema", DATA / "demo_schema.json",
+                      "--json-out", jl])
+    assert rv == 0, err
+    records = [json.loads(line) for line in jl.read_text().splitlines()]
+    assert [r["state"] for r in records if r["kind"] == "instance"] == below
 
 
 # action catalogs

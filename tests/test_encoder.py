@@ -248,9 +248,9 @@ def test_one_compile_per_library_and_makespan(unit_library, monkeypatch):
                 instance, _ = encode(SasProblem((2, 2, 3), library, initial, goals), L)
                 solve(instance)
                 kept = instance._kept
-                assert kept is library._encodings[(2, 2, 3), L].clauses
+                assert kept is library._encodings[(2, 2, 3), L][1]
                 assert seen.setdefault(L, kept._compiled) is kept._compiled
-        kept = [library._encodings[(2, 2, 3), L].clauses for L in (2, 1)]
+        kept = [library._encodings[(2, 2, 3), L][1] for L in (2, 1)]
         assert len(compiled) == 2 and all(a is b for a, b in zip(compiled, kept))
     # an instance that was not extended is compiled whole and keeps nothing
     plain = WcnfInstance.build(instance.nvars, instance.hard, instance.soft)
@@ -359,7 +359,7 @@ def test_step_variables_are_the_transition_graph(unit_library, L):
             }
             for step in range(1, L + 1):
                 assert {(f, g) for t, u, f, g in varmap.trans if (t, u) == (step, v)} == graph
-        kept = sas.library._encodings[sas.sizes, L].clauses
+        kept = sas.library._encodings[sas.sizes, L][1]
         assert all(len(c) > 1 for c in kept.hard)
     for sas in _plus_minus_one_tasks():
         plan = _solve_at(sas, L)

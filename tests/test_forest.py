@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 
@@ -140,6 +141,24 @@ def test_fingerprint_tracks_content(toy_forest):
     doc = forest_to_dict(toy_forest)
     doc["trees"][0]["weight"] = 2.0
     assert fingerprint(forest_from_dict(doc)) != fingerprint(toy_forest)
+
+
+def test_fingerprint_is_computed_once_per_forest(toy_forest, tmp_path, monkeypatch):
+    from rfplan import forest as forest_mod
+
+    fresh = forest_from_dict(forest_to_dict(toy_forest))
+    calls = []
+    real = forest_mod.forest_to_dict
+    monkeypatch.setattr(forest_mod, "forest_to_dict", lambda f: calls.append(f) or real(f))
+    fp = fingerprint(fresh)
+    assert fingerprint(fresh) == fp and len(calls) == 1
+    monkeypatch.undo()
+    # kept beside the fields: equality, hash and repr do not see it
+    assert fresh == toy_forest and hash(fresh) == hash(toy_forest)
+    assert repr(fresh) == repr(toy_forest)
+    persist(fresh, tmp_path / "forest.json")
+    assert fingerprint(restore(tmp_path / "forest.json")) == fp
+    assert fingerprint(pickle.loads(pickle.dumps(fresh))) == fp
 
 
 def test_from_dict_diagnostics(toy_forest):

@@ -308,6 +308,12 @@ def _entry(body: str) -> str:
         ('{"id": "a", "cost": 1, "transitions": []}', "transitions"),
         (_entry('{"feature": "visits"}'), "'to'"),
         (_entry('{"feature": "visits", "to": "lots"}'), "index"),
+        (_entry('{"feature": "balance", "from": 0, "to": NaN}'),
+         ":2: action 'a': 'to' raw value nan is not finite"),
+        (_entry('{"feature": "balance", "from": 0, "to": Infinity}'),
+         ":2: action 'a': 'to' raw value inf is not finite"),
+        (_entry('{"feature": "balance", "from": 2, "to": -Infinity}'),
+         ":2: action 'a': 'to' raw value -inf is not finite"),
     ],
 )
 def test_action_spec_rejects(toy_table, tmp_path, entry, needle):
