@@ -273,6 +273,9 @@ def parse_fractions(text: str) -> tuple[int, ...]:
         step = head[1] - head[0]
         if step <= 0:
             raise BenchError(f"fraction step must be positive: {text!r}")
+        for k, v in enumerate(head):
+            if v != head[0] + k * step:
+                raise BenchError(f"leading value {v} is off the step {step}: {text!r}")
         values = list(head)
         while values[-1] + step <= last:
             values.append(values[-1] + step)

@@ -6,6 +6,18 @@ cells (-inf, b_1), [b_1, b_2), ..., [b_n, +inf).  Categorical features
 partition into one cell per category.  Two vectors in the same cell of
 every feature reach identical leaves in every tree, so the forest output
 is a function of the discretized state alone.
+
+A state is evaluated on its partition indices, without a concrete vector.
+Each tree is rewritten once per (forest, table, class) so that a split on
+feature i holds, for every cell j of feature i, the child that cell goes
+to: a numerical ``x < b_k`` sends the cells j < k left, a categorical
+split sends its categories' cells left.  A leaf holds its tree's weight
+if its label is the class, else 0.0.  ``state_proba`` walks these trees,
+sums the leaves in tree order and divides by the weight total, the same
+arithmetic as ``RandomForest.class_distribution``, so a state's share
+equals the share of any vector in its cell.  The rewritten trees are
+kept beside the forest's fields, like its fingerprint, out of its
+equality, hash and repr.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -50,9 +63,9 @@ class PartitionTable:
             if list(ths) != sorted(set(ths)):
                 raise ModelError(f"feature {meta.name!r}: thresholds must be sorted and distinct")
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
-        """Number of partitions per feature."""
+        """Number of partitions per feature (computed once, out of equality, hash and repr)."""
         return tuple(
             len(meta.categories) if meta.is_categorical else len(ths) + 1
             for meta, ths in zip(self.features, self.thresholds)
@@ -131,9 +144,71 @@ def representative(table: PartitionTable, s: Sequence[int]) -> tuple:
     return tuple(out)
 
 
+def _indexed_trees(
+    forest: RandomForest, table: PartitionTable, c: Label
+) -> tuple[PartitionTable, tuple, float]:
+    """The forest's trees as tests on ``table``'s partition indices, for class ``c``.
+
+    A split becomes ``(feature, branches)`` with ``branches[j]`` the child
+    that cell j of the feature goes to; a leaf becomes its tree's weight if
+    it votes ``c``, else 0.0.  Returns the table, the trees and the weight
+    total.  One set per class is kept beside the forest's fields, like its
+    fingerprint; it is rebuilt only for a table of other content.
+    """
+    slots = forest.__dict__.setdefault("_indexed_trees", {})
+    hit = slots.get(c)
+    if hit is not None and (hit[0] is table or hit[0] == table):
+        return hit
+    if c not in forest.classes:
+        raise ModelError(f"unknown class {c!r}")
+    if table.features != forest.features:
+        raise ModelError("partition table was not built over the forest's features")
+    cells = [{th: k + 1 for k, th in enumerate(ths)} for ths in table.thresholds]
+    trees = []
+    for tree, w in zip(forest.trees, forest.weights):
+        # post-order over (node, children done): each split reads its two
+        # compiled children off the top of ``done``
+        done: list = []
+        todo: list = [(tree, False)]
+        while todo:
+            node, ready = todo.pop()
+            if isinstance(node, Leaf):
+                done.append(w if node.label == c else 0.0)
+            elif not ready:
+                todo += ((node, True), (node.right, False), (node.left, False))
+            else:
+                right = done.pop()
+                left = done.pop()
+                meta = table.features[node.feature]
+                if node.threshold is not None:
+                    k = cells[node.feature].get(float(node.threshold))
+                    if k is None:
+                        raise ModelError(
+                            f"partition table lacks threshold {node.threshold} on {meta.name!r}"
+                        )
+                    size = len(table.thresholds[node.feature]) + 1
+                    branches = (left,) * k + (right,) * (size - k)
+                else:
+                    branches = tuple(
+                        left if cat in node.categories else right for cat in meta.categories
+                    )
+                # a split whose branches give the same share is left out
+                done.append(left if left == right else (node.feature, branches))
+        trees.append(done.pop())
+    hit = slots[c] = (table, tuple(trees), sum(forest.weights))
+    return hit
+
+
 def state_proba(forest: RandomForest, table: PartitionTable, s: Sequence[int], c: Label) -> float:
     """Vote share of class ``c`` anywhere in the cell of ``s``."""
-    return forest.class_proba(representative(table, s), c)
+    s = check_state(table, s)
+    _, trees, total = _indexed_trees(forest, table, c)
+    share = 0.0
+    for node in trees:
+        while node.__class__ is tuple:
+            node = node[1][s[node[0]]]
+        share += node
+    return share / total
 
 
 def enumerate_states(table: PartitionTable, cap: int | None = None) -> Iterator[State]:

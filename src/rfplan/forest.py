@@ -260,6 +260,11 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.dot(p, p))
 
 
+# Gains within this distance of a feature's top vectorised gain are re-scored
+# with _gini; rounding differences are a few ulps of 1.0, far below it.
+_NEAR_TOP = 1e-9
+
+
 def _grow(
     cols: list[np.ndarray],
     y: np.ndarray,
@@ -278,6 +283,8 @@ def _grow(
         return Leaf(majority)
 
     parent_gini = _gini(counts)
+    n = len(idx)
+    yi = y[idx]
     best = None  # (gain, feature, kind, payload, left_mask)
     tried = rng.permutation(len(features))[:mtry]
     for j in tried:
@@ -285,33 +292,41 @@ def _grow(
         if features[j].is_numerical:
             order = np.argsort(col, kind="stable")
             sv = col[order]
-            sy = y[idx][order]
-            onehot = np.zeros((len(idx), n_classes), dtype=np.int64)
-            onehot[np.arange(len(idx)), sy] = 1
-            prefix = np.cumsum(onehot, axis=0)
-            for i in range(1, len(idx)):
-                if sv[i] == sv[i - 1]:
-                    continue
-                ln, rn = i, len(idx) - i
-                if ln < params.min_leaf or rn < params.min_leaf:
-                    continue
-                lc = prefix[i - 1]
-                rc = counts - lc
-                child = (ln * _gini(lc) + rn * _gini(rc)) / len(idx)
+            # a threshold can fall only where the sorted values change
+            cand = np.flatnonzero(sv[1:] != sv[:-1]) + 1
+            cand = cand[(cand >= params.min_leaf) & (cand <= n - params.min_leaf)]
+            if not len(cand):
+                continue
+            onehot = np.zeros((n, n_classes), dtype=np.int64)
+            onehot[np.arange(n), yi[order]] = 1
+            lcs = np.cumsum(onehot, axis=0)[cand - 1]
+            rcs = counts - lcs
+            pl = lcs / cand[:, None]
+            pr = rcs / (n - cand)[:, None]
+            gains = parent_gini - (
+                cand * (1.0 - (pl * pl).sum(axis=1)) + (n - cand) * (1.0 - (pr * pr).sum(axis=1))
+            ) / n
+            # the vectorised gains may differ from _gini's (np.dot may fuse
+            # multiply-adds) in the last bits, so every candidate near the top
+            # is re-scored exactly; the split is the one a scan of all positions picks
+            for k in np.flatnonzero(gains >= gains.max() - _NEAR_TOP):
+                ln = int(cand[k])
+                rn = n - ln
+                child = (ln * _gini(lcs[k]) + rn * _gini(rcs[k])) / n
                 gain = parent_gini - child
                 if gain > 1e-12 and (best is None or gain > best[0]):
-                    th = (float(sv[i - 1]) + float(sv[i])) / 2.0
+                    th = (float(sv[ln - 1]) + float(sv[ln])) / 2.0
                     best = (gain, int(j), NUMERICAL, th, col < th)
         else:
             for code in np.unique(col):
                 mask = col == code
                 ln = int(mask.sum())
-                rn = len(idx) - ln
+                rn = n - ln
                 if ln < params.min_leaf or rn < params.min_leaf:
                     continue
-                lc = np.bincount(y[idx][mask], minlength=n_classes)
+                lc = np.bincount(yi[mask], minlength=n_classes)
                 rc = counts - lc
-                child = (ln * _gini(lc) + rn * _gini(rc)) / len(idx)
+                child = (ln * _gini(lc) + rn * _gini(rc)) / n
                 gain = parent_gini - child
                 if gain > 1e-12 and (best is None or gain > best[0]):
                     label = features[j].categories[int(code)]

@@ -8,10 +8,9 @@ any disagreement on a hard feature forces it to 0: a stored state that
 differs in an unchangeable attribute can never be reached.
 
 All similarity arithmetic is exact, so rankings and equality comparisons
-carry no rounding noise.  ``state_similarity`` computes one similarity
-with fractions.Fraction and is the reference; ``k_nearest`` scores every
-stored state with integers over one common denominator and returns the
-same Fractions.
+carry no rounding noise: ``k_nearest`` scores every stored state with
+integers over one common denominator and returns each similarity as a
+fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -66,35 +65,6 @@ class SimilarityWeights:
         if total == 0:
             return cls.uniform(len(forest.features))
         return cls(values=tuple(Fraction(c, total) for c in counts))
-
-
-def feature_similarity(s1: State, s2: State, i: int, table: PartitionTable) -> Fraction:
-    meta = table.features[i]
-    n = table.sizes[i]
-    if meta.is_categorical:
-        return Fraction(1) if s1[i] == s2[i] else Fraction(0)
-    if n == 1:
-        return Fraction(1)
-    return 1 - Fraction(abs(s1[i] - s2[i]), n - 1)
-
-
-def state_similarity(
-    s1: State, s2: State, weights: SimilarityWeights, table: PartitionTable
-) -> Fraction:
-    s1 = check_state(table, s1)
-    s2 = check_state(table, s2)
-    if len(weights.values) != len(table.features):
-        raise ModelError(
-            f"{len(weights.values)} similarity weights for {len(table.features)} features"
-        )
-    for i, meta in enumerate(table.features):
-        if not meta.is_soft and s1[i] != s2[i]:
-            return Fraction(0)
-    num = sum(
-        w * feature_similarity(s1, s2, i, table)
-        for i, w in enumerate(weights.values)
-    )
-    return num / sum(weights.values)
 
 
 def k_nearest(

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from rfplan.discretize import build_partitions
+from rfplan.discretize import build_partitions, check_state
 from rfplan.encoder import SasProblem
 from rfplan.forest import (
     CATEGORICAL,
@@ -22,6 +23,7 @@ from rfplan.forest import (
     SOFT,
     FeatureMeta,
     Leaf,
+    ModelError,
     RandomForest,
     Split,
     TrainParams,
@@ -121,6 +123,31 @@ def random_soft_forest(seed, m_range=(3, 5), cells_max=5, state_cap=150,
     return forest, build_partitions(forest)
 
 
+def random_weighted_forest(seed, depth_max=4):
+    """A three-class forest with categorical features and uneven tree weights.
+
+    The weights are not sums of powers of two, so a share depends on the
+    order its votes are added in.
+    """
+    rng = random.Random(seed)
+    features = (
+        FeatureMeta(name="colour", kind=CATEGORICAL, categories=("r", "g", "b", "w")),
+        FeatureMeta(name="a", kind=NUMERICAL),
+        FeatureMeta(name="kind", kind=CATEGORICAL, mutability=HARD, categories=("x", "y")),
+        FeatureMeta(name="b", kind=NUMERICAL),
+    )
+    classes = ("lo", "mid", "hi")
+    trees = []
+    for _ in range(rng.randint(3, 12)):
+        windows = [list(features[0].categories), (0, rng.randint(1, 5)),
+                   list(features[2].categories), (0, rng.randint(0, 3))]
+        trees.append(_grow_random_tree(rng, features, windows, classes, depth_max))
+    weights = [rng.choice((0.1, 0.3, 0.7, 1.0, 2.2, 5.9)) for _ in trees]
+    forest = RandomForest(features=features, classes=classes, trees=tuple(trees),
+                          weights=tuple(weights))
+    return forest, build_partitions(forest)
+
+
 def random_state(rng, table):
     return tuple(rng.randrange(n) for n in table.sizes)
 
@@ -143,6 +170,35 @@ def baseline_model():
     table = build_partitions(forest)
     cost = CostModel.random(4, np.random.default_rng(1), 1, 100)
     return forest, table, default_action_library(table, cost)
+
+
+# ---------------------------------------------------------------------------
+# exact state similarity, the reference k_nearest is checked against
+
+
+def feature_similarity(s1, s2, i, table):
+    meta = table.features[i]
+    n = table.sizes[i]
+    if meta.is_categorical:
+        return Fraction(1) if s1[i] == s2[i] else Fraction(0)
+    if n == 1:
+        return Fraction(1)
+    return 1 - Fraction(abs(s1[i] - s2[i]), n - 1)
+
+
+def state_similarity(s1, s2, weights, table):
+    """Weighted mean of the per-feature similarities, 0 on a hard mismatch."""
+    s1 = check_state(table, s1)
+    s2 = check_state(table, s2)
+    if len(weights.values) != len(table.features):
+        raise ModelError(
+            f"{len(weights.values)} similarity weights for {len(table.features)} features"
+        )
+    for i, meta in enumerate(table.features):
+        if not meta.is_soft and s1[i] != s2[i]:
+            return Fraction(0)
+    num = sum(w * feature_similarity(s1, s2, i, table) for i, w in enumerate(weights.values))
+    return num / sum(weights.values)
 
 
 # ---------------------------------------------------------------------------

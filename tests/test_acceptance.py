@@ -23,11 +23,12 @@ from helpers import (
     random_soft_forest,
     random_state,
     random_wcnf,
+    state_similarity,
 )
 from rfplan.baselines import greedy_plan, oracle_plan
 from rfplan.discretize import enumerate_states, to_state
 from rfplan.encoder import check_plan, decode, encode, plan_actions
-from rfplan.knn import SimilarityWeights, k_nearest, state_similarity
+from rfplan.knn import SimilarityWeights, k_nearest
 from rfplan.maxsat import HARD_UNSAT, OPTIMAL, solve
 from rfplan.offline import SearchParams, find_preferred_goal, preprocess
 from rfplan.sas_core import CostModel, default_action_library

@@ -14,6 +14,7 @@ from rfplan.bench import BenchError, BenchSettings, parse_fractions, run_bench
         ("r=25,50,100", (25, 50, 100)),
         ("r=10,30,…,90", (10, 30, 50, 70, 90)),
         (" 5, 10 ,...,20 ", (5, 10, 15, 20)),
+        ("10,20,30,...,60", (10, 20, 30, 40, 50, 60)),
         ("100", (100,)),
     ],
 )
@@ -31,6 +32,8 @@ def test_parse_fractions(text, fractions):
         ("20,10,...,100", "step must be positive"),
         ("10,10,...,100", "step must be positive"),
         ("10,20,...,95", "95 is not reached by step 10"),
+        ("10,20,25,...,95", "leading value 25 is off the step 10"),
+        ("10,20,30,45,...,100", "leading value 45 is off the step 10"),
         ("10,x,...,100", "must be integers"),
         ("10,20.5", "must be integers"),
         ("0,50", "must be in 1..100, got 0"),

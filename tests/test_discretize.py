@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from rfplan.discretize import (
+    PartitionTable,
     StateError,
     StateEvaluator,
     build_partitions,
@@ -16,7 +18,7 @@ from rfplan.discretize import (
 )
 from rfplan.forest import FeatureMeta, Leaf, ModelError, NUMERICAL, RandomForest, Split
 
-from helpers import random_soft_forest, random_state
+from helpers import random_soft_forest, random_state, random_weighted_forest
 
 
 def test_toy_partition_table(toy_table):
@@ -135,3 +137,63 @@ def test_state_evaluator_matches_direct(toy_forest, toy_table):
         direct = state_proba(toy_forest, toy_table, s, 1)
         assert ev.proba(s) == direct
         assert ev.proba(s) == direct  # cached second read
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_state_proba_equals_the_vector_walk_on_every_cell(seed):
+    forest, table = random_weighted_forest(seed)
+    for s in enumerate_states(table):
+        ref = forest.class_distribution(representative(table, s))
+        for c in forest.classes:
+            assert state_proba(forest, table, s, c) == ref[c]
+
+
+def test_state_proba_on_a_finer_table(toy_forest, toy_table):
+    # extra boundaries split cells; the shares still follow the forest
+    finer = PartitionTable(
+        features=toy_table.features,
+        thresholds=tuple(ths + (ths[-1] + 7.0,) if ths else ths for ths in toy_table.thresholds),
+    )
+    assert finer.sizes != toy_table.sizes
+    for s in enumerate_states(finer):
+        ref = toy_forest.class_distribution(representative(finer, s))
+        assert state_proba(toy_forest, finer, s, 1) == ref[1]
+
+
+def test_state_proba_rejects_a_table_of_another_forest(toy_forest, toy_table):
+    lacking = PartitionTable(
+        features=toy_table.features,
+        thresholds=tuple(ths[1:] if len(ths) > 1 else ths for ths in toy_table.thresholds),
+    )
+    with pytest.raises(ModelError, match="lacks threshold"):
+        state_proba(toy_forest, lacking, (0, 0, 0), 1)
+    renamed = PartitionTable(
+        features=(toy_table.features[0], FeatureMeta("other", NUMERICAL),
+                  toy_table.features[2]),
+        thresholds=toy_table.thresholds,
+    )
+    with pytest.raises(ModelError, match="features"):
+        state_proba(toy_forest, renamed, (0, 0, 0), 1)
+    with pytest.raises(ModelError, match="unknown class"):
+        state_proba(toy_forest, toy_table, (0, 0, 0), 7)
+    with pytest.raises(StateError):
+        state_proba(toy_forest, toy_table, (0, 2, 0), 1)
+    # the table the forest was paired with still evaluates afterwards
+    assert state_proba(toy_forest, toy_table, (0, 1, 2), 1) == 1.0
+
+
+def test_indexed_trees_stay_out_of_equality_hash_and_repr():
+    forest, table = random_weighted_forest(3)
+    fresh, _ = random_weighted_forest(3)
+    shares = [state_proba(forest, table, s, "mid") for s in enumerate_states(table)]
+    assert forest == fresh and hash(forest) == hash(fresh) and repr(forest) == repr(fresh)
+    again = pickle.loads(pickle.dumps(forest))
+    assert [state_proba(again, table, s, "mid") for s in enumerate_states(table)] == shares
+
+
+def test_table_sizes_stay_out_of_equality_hash_and_repr(toy_forest, toy_table):
+    fresh = build_partitions(toy_forest)
+    assert toy_table.sizes == (2, 2, 3)
+    assert fresh == toy_table and hash(fresh) == hash(toy_table)
+    assert repr(fresh) == repr(toy_table) and "sizes" not in repr(toy_table)
+    assert pickle.loads(pickle.dumps(toy_table)).sizes == (2, 2, 3)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import pickle
+import warnings
 
+import numpy as np
 import pytest
 
 from rfplan.forest import (
@@ -239,3 +241,152 @@ def test_training_declared_classes_order():
     with pytest.raises(ModelError, match="class"):
         train_forest(features, rows, labels, TrainParams(n_trees=3, rng_seed=0),
                      classes=(0,))
+
+
+# ---------------------------------------------------------------------------
+# training pins: every split of these forests is fixed by its fingerprint
+
+
+def _benchmark_rows():
+    # the benchmark's data set: x0 + x1 - x2 + N(0, 2) > 8 over 0..9 integers
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 10, size=(1500, 4))
+    y = x[:, 0] + x[:, 1] - x[:, 2] + rng.normal(0.0, 2.0, 1500) > 8
+    features = [FeatureMeta(f"x{i}", NUMERICAL) for i in range(4)]
+    return features, [tuple(float(v) for v in row) for row in x], [int(v) for v in y]
+
+
+def _three_class_rows():
+    # continuous, integer and categorical features; labels from a noisy score
+    rng = np.random.default_rng(3)
+    n = 600
+    u = rng.normal(0.0, 1.0, n)
+    k = rng.integers(0, 7, n)
+    colour = rng.integers(0, 4, n)
+    score = u + 0.4 * k - 0.8 * (colour == 2) + rng.normal(0.0, 0.5, n)
+    labels = ["low" if v < 0.8 else "mid" if v < 2.0 else "high" for v in score]
+    features = [
+        FeatureMeta("u", NUMERICAL),
+        FeatureMeta("k", NUMERICAL),
+        FeatureMeta("colour", CATEGORICAL, categories=("red", "green", "blue", "grey")),
+        FeatureMeta("w", NUMERICAL),
+    ]
+    names = features[2].categories
+    rows = [(float(a), int(b), names[c], round(float(d), 1))
+            for a, b, c, d in zip(u, k, colour, rng.normal(0.0, 3.0, n))]
+    return features, rows, labels
+
+
+def _ten_feature_rows():
+    # sum(first half) - sum(second half) + N(0, 2) > 0 over 0..9 integers
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 10, size=(1500, 10))
+    y = x[:, :5].sum(axis=1) - x[:, 5:].sum(axis=1) + rng.normal(0.0, 2.0, 1500) > 0
+    features = [FeatureMeta(f"x{i}", NUMERICAL) for i in range(10)]
+    return features, [tuple(float(v) for v in row) for row in x], [int(v) for v in y]
+
+
+TRAINING_PINS = {
+    "benchmark_baseline": (_benchmark_rows, TrainParams(n_trees=20, max_depth=3, rng_seed=0),
+                           "31531efb437f3aae0101a03b036e646aaf91514e54a0ca7727461c660ceb37c4"),
+    "benchmark_small": (_benchmark_rows, TrainParams(n_trees=5, max_depth=2, rng_seed=0),
+                        "a3f3315b4f20043d76ca3e2a6cb16a902366da6d537fb645ed9d82c1056efe1e"),
+    "three_class": (_three_class_rows,
+                    TrainParams(n_trees=10, max_depth=6, min_leaf=3, sample_size=500,
+                                mtry=2, rng_seed=7),
+                    "346b6331ca855b2f3c57f1c381e7c0ff60dafe124c76830b3b0836b344887ff1"),
+    "ten_feature": (_ten_feature_rows, TrainParams(n_trees=5, max_depth=5, rng_seed=0),
+                    "aeb4f70d857ce721ccaaf912faf90a8d2366fd67eb3c806b8cf0a2652633939e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_PINS))
+def test_training_fingerprints_pinned(name):
+    rows, params, pin = TRAINING_PINS[name]
+    features, data, labels = rows()
+    assert fingerprint(train_forest(features, data, labels, params)) == pin
+
+
+def _grow_scanning_every_position(cols, y, idx, features, classes, params, mtry, rng, depth):
+    """The split search as a scan over every sorted position: the reference
+    ``forest._grow`` must agree with split for split."""
+    from rfplan.forest import _gini
+
+    n_classes = len(classes)
+    counts = np.bincount(y[idx], minlength=n_classes)
+    majority = classes[int(np.argmax(counts))]
+    if depth >= params.max_depth or len(idx) < 2 * params.min_leaf or np.count_nonzero(counts) <= 1:
+        return Leaf(majority)
+    parent_gini = _gini(counts)
+    best = None
+    for j in rng.permutation(len(features))[:mtry]:
+        col = cols[j][idx]
+        if features[j].is_numerical:
+            order = np.argsort(col, kind="stable")
+            sv = col[order]
+            onehot = np.zeros((len(idx), n_classes), dtype=np.int64)
+            onehot[np.arange(len(idx)), y[idx][order]] = 1
+            prefix = np.cumsum(onehot, axis=0)
+            for i in range(1, len(idx)):
+                ln, rn = i, len(idx) - i
+                if sv[i] == sv[i - 1] or ln < params.min_leaf or rn < params.min_leaf:
+                    continue
+                lc = prefix[i - 1]
+                child = (ln * _gini(lc) + rn * _gini(counts - lc)) / len(idx)
+                gain = parent_gini - child
+                if gain > 1e-12 and (best is None or gain > best[0]):
+                    th = (float(sv[i - 1]) + float(sv[i])) / 2.0
+                    best = (gain, int(j), th, None, col < th)
+        else:
+            for code in np.unique(col):
+                mask = col == code
+                ln = int(mask.sum())
+                rn = len(idx) - ln
+                if ln < params.min_leaf or rn < params.min_leaf:
+                    continue
+                lc = np.bincount(y[idx][mask], minlength=n_classes)
+                child = (ln * _gini(lc) + rn * _gini(counts - lc)) / len(idx)
+                gain = parent_gini - child
+                if gain > 1e-12 and (best is None or gain > best[0]):
+                    cats = frozenset([features[j].categories[int(code)]])
+                    best = (gain, int(j), None, cats, mask)
+    if best is None:
+        return Leaf(majority)
+    _, j, th, cats, mask = best
+    args = (features, classes, params, mtry, rng, depth + 1)
+    return Split(feature=j, threshold=th, categories=cats,
+                 left=_grow_scanning_every_position(cols, y, idx[mask], *args),
+                 right=_grow_scanning_every_position(cols, y, idx[~mask], *args))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_training_equals_a_scan_of_every_position(seed, monkeypatch):
+    from rfplan import forest as forest_mod
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([6, 40, 150]))
+    features, columns = [], []
+    for j in range(int(rng.integers(1, 5))):
+        kind = ("int", "float", "rounded", "cat")[int(rng.integers(0, 4))]
+        if kind == "cat":
+            cats = tuple(f"c{i}" for i in range(int(rng.integers(2, 5))))
+            features.append(FeatureMeta(f"f{j}", CATEGORICAL, categories=cats))
+            columns.append([cats[v] for v in rng.integers(0, len(cats), n)])
+            continue
+        features.append(FeatureMeta(f"f{j}", NUMERICAL))
+        if kind == "int":
+            columns.append([int(v) for v in rng.integers(0, 10, n)])
+        elif kind == "float":
+            columns.append([float(v) for v in rng.normal(0.0, 1.0, n)])
+        else:
+            columns.append([round(float(v), 1) for v in rng.normal(0.0, 1.0, n)])
+    rows = list(zip(*columns))
+    labels = [int(v) for v in rng.integers(0, int(rng.integers(2, 6)), n)]
+    params = TrainParams(n_trees=3, max_depth=int(rng.integers(1, 7)),
+                         min_leaf=int(rng.choice([1, 2, 5])), rng_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a constant label set is a valid input here
+        forest = train_forest(features, rows, labels, params)
+        monkeypatch.setattr(forest_mod, "_grow", _grow_scanning_every_position)
+        reference = train_forest(features, rows, labels, params)
+    assert forest_to_dict(forest) == forest_to_dict(reference)

@@ -5,12 +5,9 @@ from fractions import Fraction
 import pytest
 
 from rfplan.forest import ModelError
-from rfplan.knn import (
-    SimilarityWeights,
-    feature_similarity,
-    k_nearest,
-    state_similarity,
-)
+from rfplan.knn import SimilarityWeights, k_nearest
+
+from helpers import feature_similarity, state_similarity
 
 
 # ---------------------------------------------------------------------------
