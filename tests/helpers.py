@@ -123,7 +123,7 @@ def random_soft_forest(seed, m_range=(3, 5), cells_max=5, state_cap=150,
     return forest, build_partitions(forest)
 
 
-def random_weighted_forest(seed, depth_max=4):
+def random_weighted_forest(seed):
     """A three-class forest with categorical features and uneven tree weights.
 
     The weights are not sums of powers of two, so a share depends on the
@@ -141,7 +141,7 @@ def random_weighted_forest(seed, depth_max=4):
     for _ in range(rng.randint(3, 12)):
         windows = [list(features[0].categories), (0, rng.randint(1, 5)),
                    list(features[2].categories), (0, rng.randint(0, 3))]
-        trees.append(_grow_random_tree(rng, features, windows, classes, depth_max))
+        trees.append(_grow_random_tree(rng, features, windows, classes, 4))
     weights = [rng.choice((0.1, 0.3, 0.7, 1.0, 2.2, 5.9)) for _ in trees]
     forest = RandomForest(features=features, classes=classes, trees=tuple(trees),
                           weights=tuple(weights))
@@ -152,21 +152,27 @@ def random_state(rng, table):
     return tuple(rng.randrange(n) for n in table.sizes)
 
 
-def baseline_model():
-    """The benchmark's baseline model: (forest, table, library).
+def benchmark_rows():
+    """The benchmark's data set: (features, rows, labels).
 
     Four integer features in 0..9, 1500 rows from ``default_rng(0)``
-    labelled ``x0 + x1 - x2 + N(0, 2) > 8``; 20 trees of depth 3, an
-    8x8x7x5 grid and 174 actions priced by ``CostModel.random`` with
-    ``default_rng(1)`` over [1, 100].
+    labelled ``x0 + x1 - x2 + N(0, 2) > 8``.
     """
     rng = np.random.default_rng(0)
     x = rng.integers(0, 10, size=(1500, 4))
     y = x[:, 0] + x[:, 1] - x[:, 2] + rng.normal(0.0, 2.0, 1500) > 8
     features = [FeatureMeta(f"x{i}", NUMERICAL) for i in range(4)]
-    rows = [tuple(float(v) for v in row) for row in x]
-    forest = train_forest(features, rows, [int(v) for v in y],
-                          TrainParams(n_trees=20, max_depth=3, rng_seed=0))
+    return features, [tuple(float(v) for v in row) for row in x], [int(v) for v in y]
+
+
+def baseline_model():
+    """The benchmark's baseline model: (forest, table, library).
+
+    20 trees of depth 3 over ``benchmark_rows``, an 8x8x7x5 grid and 174
+    actions priced by ``CostModel.random`` with ``default_rng(1)`` over
+    [1, 100].
+    """
+    forest = train_forest(*benchmark_rows(), TrainParams(n_trees=20, max_depth=3, rng_seed=0))
     table = build_partitions(forest)
     cost = CostModel.random(4, np.random.default_rng(1), 1, 100)
     return forest, table, default_action_library(table, cost)

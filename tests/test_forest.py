@@ -26,7 +26,7 @@ from rfplan.forest import (
     train_forest,
 )
 
-from helpers import random_soft_forest
+from helpers import benchmark_rows, random_soft_forest
 
 
 def test_toy_forest_shape(toy_forest):
@@ -247,15 +247,6 @@ def test_training_declared_classes_order():
 # training pins: every split of these forests is fixed by its fingerprint
 
 
-def _benchmark_rows():
-    # the benchmark's data set: x0 + x1 - x2 + N(0, 2) > 8 over 0..9 integers
-    rng = np.random.default_rng(0)
-    x = rng.integers(0, 10, size=(1500, 4))
-    y = x[:, 0] + x[:, 1] - x[:, 2] + rng.normal(0.0, 2.0, 1500) > 8
-    features = [FeatureMeta(f"x{i}", NUMERICAL) for i in range(4)]
-    return features, [tuple(float(v) for v in row) for row in x], [int(v) for v in y]
-
-
 def _three_class_rows():
     # continuous, integer and categorical features; labels from a noisy score
     rng = np.random.default_rng(3)
@@ -287,9 +278,9 @@ def _ten_feature_rows():
 
 
 TRAINING_PINS = {
-    "benchmark_baseline": (_benchmark_rows, TrainParams(n_trees=20, max_depth=3, rng_seed=0),
+    "benchmark_baseline": (benchmark_rows, TrainParams(n_trees=20, max_depth=3, rng_seed=0),
                            "31531efb437f3aae0101a03b036e646aaf91514e54a0ca7727461c660ceb37c4"),
-    "benchmark_small": (_benchmark_rows, TrainParams(n_trees=5, max_depth=2, rng_seed=0),
+    "benchmark_small": (benchmark_rows, TrainParams(n_trees=5, max_depth=2, rng_seed=0),
                         "a3f3315b4f20043d76ca3e2a6cb16a902366da6d537fb645ed9d82c1056efe1e"),
     "three_class": (_three_class_rows,
                     TrainParams(n_trees=10, max_depth=6, min_leaf=3, sample_size=500,
