@@ -14,8 +14,8 @@ from rfplan.bench import BenchError, BenchSettings, parse_fractions, run_bench
         ("r=25,50,100", (25, 50, 100)),
         ("r=10,30,…,90", (10, 30, 50, 70, 90)),
         (" 5, 10 ,...,20 ", (5, 10, 15, 20)),
-        ("10,20,30,...,60", (10, 20, 30, 40, 50, 60)),
         ("100", (100,)),
+        ("10,20,30,...,60", (10, 20, 30, 40, 50, 60)),
     ],
 )
 def test_parse_fractions(text, fractions):
