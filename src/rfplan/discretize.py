@@ -127,6 +127,8 @@ def representative(table: PartitionTable, s: Sequence[int]) -> tuple:
 
     Bounded numerical cells take their midpoint; the open end cells sit one
     unit beyond the boundary; features the forest never splits on map to 0.
+    A value that rounding puts outside its cell (from 2^53 up) gives way to
+    the float below the first bound, or to the cell's lower bound.
     """
     s = check_state(table, s)
     out = []
@@ -136,11 +138,12 @@ def representative(table: PartitionTable, s: Sequence[int]) -> tuple:
         elif not ths:
             out.append(0.0)
         elif j == 0:
-            out.append(ths[0] - 1.0)
+            out.append(min(ths[0] - 1.0, math.nextafter(ths[0], -math.inf)))
         elif j == len(ths):
             out.append(ths[-1] + 1.0)
         else:
-            out.append((ths[j - 1] + ths[j]) / 2.0)
+            mid = (ths[j - 1] + ths[j]) / 2.0
+            out.append(mid if ths[j - 1] <= mid < ths[j] else ths[j - 1])
     return tuple(out)
 
 

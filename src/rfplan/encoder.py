@@ -11,10 +11,11 @@ step), and per step and transition of a variable's graph: its prevailing
 ``(f, f)`` pairs, the actions' explicit ``(f, g)`` pairs and mechanical
 targets (``_transition_universe``).  Soft clauses price each action occurrence.
 The hard clause families: pin the start state; require a goal and pin its
-values at step L; chain each explicit transition to the previous and the
-next step; exclude clashing transitions of a variable; tie each action to
-its transitions; require one of its actions for every value change;
-exclude actions that contain the same non-prevailing transition.
+values at step L; chain each explicit transition back to an explicit one
+ending where it starts; exclude clashing transitions of a variable; tie
+each action to its transitions; require one of its actions for every
+value change; exclude actions that contain the same non-prevailing
+transition.
 
 Clashing actions need no clause of their own: when ``a`` contains ``t``,
 ``b`` contains ``u`` and ``t``, ``u`` are mutex, unit propagation derives
@@ -23,11 +24,16 @@ Chen & Zhang, "SAS+ Planning as Satisfiability", JAIR 2012).  Identical
 transitions never clash, so only a shared write needs an action pair.
 
 Per step and state variable exactly one explicit-endpoint transition is
-true, so a satisfying model decodes to one well-defined state trajectory.
-Mechanical (wildcard-source) transitions ride along only where an action
-introduces them; value changes available exclusively through mechanical
-transitions are not reachable in this compilation (the offline search
-handles those), which keeps decoded plans sound.
+true: the goal clauses make one true at step L, backward chaining one at
+each earlier step, the mutex leaves no other, and the start clause makes
+step 1's leave the start value.  So a model decodes to one well-defined
+state trajectory, and SASE's forward chaining (on to a next-step
+transition that starts where this one ends) holds in every model; that
+family is left out.  Mechanical (wildcard-source) transitions ride along
+only where an action introduces them and are never a predecessor; value
+changes available exclusively through mechanical transitions are not
+reachable in this compilation (the offline search handles those), which
+keeps decoded plans sound.
 
 Only the start, at-least-one-goal and goal-pin clauses, the goal
 variables and the reachability units (below) depend on the query.  The
@@ -212,19 +218,16 @@ def _build_skeleton(
         for a in actions:
             soft.append((weights[a.id], [-acts[(t, a.id)]]))
 
-    # chaining between consecutive steps, explicit-endpoint transitions only
+    # backward chaining, explicit-endpoint transitions only (see the module docstring)
     for t in range(1, L):
         for v in range(m):
             for f, g in universe[v]:
                 if f is None:
                     continue
                 hard.append(
-                    [-trans[(t, v, f, g)]]
-                    + [trans[(t + 1, v, f2, g2)] for f2, g2 in universe[v] if f2 == g]
-                )
-                hard.append(
                     [-trans[(t + 1, v, f, g)]]
-                    + [trans[(t, v, f2, g2)] for f2, g2 in universe[v] if g2 == f]
+                    + [trans[(t, v, f2, g2)] for f2, g2 in universe[v]
+                       if f2 is not None and g2 == f]
                 )
 
     # mutex transitions within a step (same variable only)

@@ -156,11 +156,11 @@ class RandomForest:
     def _validate_tree(self, d: int, tree: TreeNode) -> None:
         m = len(self.features)
         classes = set(self.classes)
-        # stack holds (node, numeric windows, remaining category sets)
+        # stack holds (node, numeric windows)
         windows = {i: (-math.inf, math.inf) for i in range(m)}
-        stack: list[tuple[TreeNode, dict, dict]] = [(tree, windows, {})]
+        stack: list[tuple[TreeNode, dict]] = [(tree, windows)]
         while stack:
-            node, win, cats = stack.pop()
+            node, win = stack.pop()
             where = f"trees[{d}]"
             if isinstance(node, Leaf):
                 if node.label not in classes:
@@ -184,8 +184,8 @@ class RandomForest:
                 lwin[node.feature] = (lo, th)
                 rwin = dict(win)
                 rwin[node.feature] = (th, hi)
-                stack.append((node.left, lwin, cats))
-                stack.append((node.right, rwin, cats))
+                stack.append((node.left, lwin))
+                stack.append((node.right, rwin))
             else:
                 if not meta.is_categorical:
                     raise ModelError(f"{where}: category split on numerical {meta.name!r}")
@@ -195,8 +195,8 @@ class RandomForest:
                     raise ModelError(
                         f"{where}: category subset on {meta.name!r} must be a non-empty proper subset"
                     )
-                stack.append((node.left, win, cats))
-                stack.append((node.right, win, cats))
+                stack.append((node.left, win))
+                stack.append((node.right, win))
 
     def class_distribution(self, x: Vector) -> dict:
         """Weighted vote share per class; shares sum to 1."""

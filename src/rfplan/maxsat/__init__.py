@@ -72,7 +72,7 @@ def solve(instance: WcnfInstance, timeout: float | None = None) -> SolveResult:
                 f"solver returned an inconsistent model (hard_ok={hard_ok}, "
                 f"reported cost {cost}, recomputed {true_cost})"
             )
-    return SolveResult(status=status, cost=cost, assignment=assignment, nodes=nodes, backend="pure")
+    return SolveResult(status=status, cost=cost, assignment=assignment, nodes=nodes)
 
 
 def solve_external(instance: WcnfInstance, command: str, timeout: float | None = None) -> SolveResult:
@@ -96,8 +96,7 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
                 argv + [path], capture_output=True, text=True, timeout=timeout
             )
         except subprocess.TimeoutExpired:
-            return SolveResult(status=TIMEOUT, cost=None, assignment=None, nodes=0,
-                               backend="external")
+            return SolveResult(status=TIMEOUT, cost=None, assignment=None, nodes=0)
         except FileNotFoundError:
             raise BackendError(f"external solver not found: {argv[0]!r}") from None
         except OSError as exc:

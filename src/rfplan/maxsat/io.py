@@ -143,16 +143,14 @@ def read_solver_output(text: str, instance: WcnfInstance) -> SolveResult:
     if status == HARD_UNSAT or not vtokens:
         if status == OPTIMAL:
             raise WcnfError("solver reported an optimum but printed no `v` line")
-        return SolveResult(status=status, cost=None, assignment=None, nodes=0, backend="external")
+        return SolveResult(status=status, cost=None, assignment=None, nodes=0)
     assignment = _read_model(vtokens, instance.nvars)
     hard_ok, true_cost = instance.check(assignment)
     if not hard_ok:
         raise BackendError("solver model falsifies a hard clause")
     if cost is not None and cost != true_cost:
         raise BackendError(f"solver objective {cost} disagrees with its model's cost {true_cost}")
-    return SolveResult(
-        status=status, cost=true_cost, assignment=assignment, nodes=0, backend="external"
-    )
+    return SolveResult(status=status, cost=true_cost, assignment=assignment, nodes=0)
 
 
 def _read_model(tokens: list[str], nvars: int) -> tuple[bool, ...]:

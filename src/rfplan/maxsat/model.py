@@ -151,7 +151,6 @@ class SolveResult:
     cost: int | None
     assignment: tuple[bool, ...] | None
     nodes: int
-    backend: str
 
 
 

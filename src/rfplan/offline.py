@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import forest as forest_mod
-from .discretize import PartitionTable, State, StateEvaluator, check_state, enumerate_states
+from .discretize import PartitionTable, State, StateEvaluator, check_state
 from .forest import Label, ModelError, RandomForest
 from .sas_core import Action, ActionLibrary, neighbors
 
@@ -291,9 +291,6 @@ class GoalDatabase:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def get(self, s: State) -> PreferredGoalEntry | None:
-        return self.entries.get(tuple(s))
-
 
 def _search_batch(
     states: list[State],
@@ -455,5 +452,4 @@ __all__ = [
     "db_persist",
     "db_restore",
     "check_pairing",
-    "enumerate_states",
 ]

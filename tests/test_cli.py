@@ -741,6 +741,40 @@ def test_bench_data_instances_are_below_target_rows_in_file_order(ws, tmp_path):
     assert [r["state"] for r in records if r["kind"] == "instance"] == below
 
 
+def test_bench_oracle_over_its_cap_reads_cap_exceeded(ws, tmp_path):
+    jl = tmp_path / "bench.jsonl"
+    rv, out, err = run(["bench", "--model", ws["model"], "--target", 1, "--instances", 2,
+                        "--l-max", 2, "--oracle-cap", 1, "--json-out", jl])
+    assert rv == 0, err
+    oracle_row = next(line for line in out.splitlines() if line.split()[0] == "oracle")
+    assert oracle_row.split() == ["oracle", "0/2", "-", "-", "-"]
+    records = [json.loads(line) for line in jl.read_text().splitlines()]
+    rows = [r["oracle"] for r in records if r["kind"] == "instance"]
+    assert [r["status"] for r in rows] == ["cap_exceeded"] * 2
+    assert all(r["cost"] is None for r in rows)
+    summary = records[-1]["oracle"]
+    assert summary == {"solved": 0, "total": 2, "mean_cost": None, "mean_length": None,
+                       "mean_seconds": None}
+
+
+def test_bench_data_rows_all_reaching_z_is_an_error(ws, tmp_path):
+    forest = restore(str(ws["model"]))
+    table = build_partitions(forest)
+    lines = (DATA / "demo.csv").read_text().splitlines()
+    schema = load_schema(DATA / "demo_schema.json")
+    rows = ingest(DATA / "demo.csv", "csv", schema).rows
+    assert len(rows) == len(lines) - 1
+    reached = [line for line, x in zip(lines[1:], rows)
+               if state_proba(forest, table, to_state(table, x), 1) >= 0.5]
+    assert reached
+    data = tmp_path / "reached.csv"
+    data.write_text("\n".join([lines[0], *reached]) + "\n")
+    rv, _, err = run(["bench", "--model", ws["model"], "--target", 1, "--l-max", 2,
+                      "--data", data, "--schema", DATA / "demo_schema.json"])
+    assert rv == 3
+    assert "no test instances" in err
+
+
 # action catalogs
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
@@ -91,6 +92,25 @@ def test_representative_roundtrip_random(seed):
     rng = random.Random(seed)
     for _ in range(20):
         s = random_state(rng, table)
+        assert to_state(table, representative(table, s)) == s
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [
+        (1e17,),
+        (2.0**53,),
+        (1e17, math.nextafter(1e17, math.inf)),
+        (-2.0**60, math.nextafter(-2.0**60, math.inf), 2.0**60),
+        (-1e308, 1e308),
+        (1e308, 1.5e308),
+        (-1.5e308, -1e308),
+    ],
+)
+def test_representative_roundtrip_huge_thresholds(thresholds):
+    table = PartitionTable(features=(FeatureMeta(name="x", kind=NUMERICAL),),
+                           thresholds=(thresholds,))
+    for s in enumerate_states(table):
         assert to_state(table, representative(table, s)) == s
 
 

@@ -179,14 +179,14 @@ def _encoding_digests(instance, varmap):
 # (clauses, variable tables) per (task, makespan)
 GOLDEN_ENCODINGS = {
     ("unit", 1): ("662d072a8ea53522", "a2682574defc34c3"),
-    ("unit", 2): ("21041b314bb0f666", "4d3c5c806d70d1a8"),
-    ("unit", 3): ("549c6521afa90b3c", "478234866a57b41d"),
+    ("unit", 2): ("17aeb43a9efca0d3", "4d3c5c806d70d1a8"),
+    ("unit", 3): ("45ecf2057a9a13e3", "478234866a57b41d"),
     ("mechanical", 1): ("272266a4f57255dd", "c70e529d5356da75"),
-    ("mechanical", 2): ("e64cb4a5cb4dbfd0", "b04bc37ebe3194ac"),
-    ("mechanical", 3): ("467e820dcc41ac37", "0188c39683ba4294"),
+    ("mechanical", 2): ("d628453d7892c05d", "b04bc37ebe3194ac"),
+    ("mechanical", 3): ("88e2f6dcf4fcda98", "0188c39683ba4294"),
     ("three_goals", 1): ("b1bf8ccc3f3f1646", "18fbae817136d01d"),
-    ("three_goals", 2): ("728d63febbb12a55", "1565fbfc6fd064df"),
-    ("three_goals", 3): ("dd15014535352bb0", "7820e54ea6c15695"),
+    ("three_goals", 2): ("ba91453240e7e94f", "1565fbfc6fd064df"),
+    ("three_goals", 3): ("bb2a22210e9a02dc", "7820e54ea6c15695"),
 }
 
 
@@ -445,6 +445,40 @@ def test_mechanical_only_move_is_outside_the_encoding():
     assert simulate_plan((0,), [[mech]]) == (1,)
     for L in (1, 2, 3):
         assert _solve_at(sas, L) is None
+
+
+def _forward_chaining_clauses(varmap):
+    """SASE's forward chaining, which the encoding leaves out: each explicit
+    step-t transition goes on with a step-(t+1) one that starts where it ends."""
+    for t in range(1, varmap.L):
+        for v, pairs in enumerate(varmap.universe):
+            for f, g in pairs:
+                if f is not None:
+                    yield [-varmap.trans[t, v, f, g]] + [
+                        varmap.trans[t + 1, v, f2, g2] for f2, g2 in pairs if f2 == g
+                    ]
+
+
+def test_forward_chaining_is_implied():
+    # the hard clauses with a forward clause negated have no model, so
+    # every model already chains forward; half the tasks carry a
+    # mechanical write
+    rng = random.Random(5)
+    checks = 0
+    for i in range(60):
+        sas = random_sas(rng)
+        if i % 2:
+            v = rng.randrange(len(sas.sizes))
+            tagger = _act("m", 2.0, (v, WILDCARD, rng.randrange(sas.sizes[v])))
+            sas = SasProblem(sas.sizes, _lib(*sas.library.actions, tagger), sas.initial, sas.goals)
+        for L in (2, 3):
+            instance, varmap = encode(sas, L)
+            for clause in _forward_chaining_clauses(varmap):
+                refuted = [[-lit] for lit in clause]
+                result = solve(WcnfInstance.build(instance.nvars, hard=[*refuted, *instance.hard]))
+                assert result.status == HARD_UNSAT, (sas, L, clause)
+                checks += 1
+    assert checks > 1000
 
 
 # ---------------------------------------------------------------------------

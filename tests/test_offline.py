@@ -226,7 +226,7 @@ def test_preprocess_covers_all_states(toy_db, toy_forest, toy_table):
     assert len(toy_db) == 12
     assert toy_db.fingerprint == fingerprint(toy_forest)
     for s in enumerate_states(toy_table):
-        e = toy_db.get(s)
+        e = toy_db.entries.get(s)
         assert e is not None and e.initial == s and e.found
 
 
@@ -271,7 +271,7 @@ def test_preprocess_workers_match_serial_with_mechanical_actions(
     parallel = preprocess(states, library, toy_forest, toy_table, toy_params, workers=2)
     assert parallel == serial
     for s in states:
-        assert parallel.get(s).path == serial.get(s).path
+        assert parallel.entries[s].path == serial.entries[s].path
     assert any(a in extra for e in serial.entries.values() for a in e.path)
 
 
@@ -347,7 +347,7 @@ def test_preprocess_matches_lone_searches_with_mechanical_actions(
     assert_same_as_lone_searches(serial, library, toy_forest, toy_table, params)
     parallel = preprocess(states, library, toy_forest, toy_table, params, workers=2)
     assert parallel == serial
-    assert all(parallel.get(s).path == serial.get(s).path for s in states)
+    assert all(parallel.entries[s].path == serial.entries[s].path for s in states)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +361,6 @@ def test_db_roundtrip(toy_db, tmp_path):
     assert back == toy_db
     # paths are in-process only; the restored entries drop them
     assert all(e.path is None for e in back.entries.values())
-
-
-def test_db_get_accepts_lists(toy_db):
-    assert toy_db.get([0, 1, 2]) is not None
-    assert toy_db.get((9, 9, 9)) is None
 
 
 def test_check_pairing(toy_db, toy_forest):
