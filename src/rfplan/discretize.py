@@ -23,6 +23,7 @@ equality, hash and repr.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,6 +63,10 @@ class PartitionTable:
                 raise ModelError(f"feature {meta.name!r}: categorical features take no thresholds")
             if list(ths) != sorted(set(ths)):
                 raise ModelError(f"feature {meta.name!r}: thresholds must be sorted and distinct")
+            if ths and ths[0] == -sys.float_info.max:
+                # cell 0 holds the values below it: no finite vector
+                raise ModelError(f"feature {meta.name!r}: threshold {ths[0]!r} leaves cell 0 "
+                                 f"without a finite value")
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
@@ -100,6 +105,13 @@ def build_partitions(forest: RandomForest) -> PartitionTable:
 
 def check_state(table: PartitionTable, s: Sequence[int]) -> State:
     sizes = table.sizes
+    if len(s) == len(sizes):
+        for v, n in zip(s, sizes):
+            if type(v) is not int or not 0 <= v < n:
+                break
+        else:
+            return tuple(s)
+    # names the first fault; it also accepts int subclasses other than bool
     if len(s) != len(sizes):
         raise StateError(f"state has {len(s)} coordinates, table declares {len(sizes)}")
     for i, (v, n) in enumerate(zip(s, sizes)):

@@ -1,9 +1,9 @@
 """Exact weighted partial Max-SAT solving.
 
-``solve`` hands the instance's own clause tuples, with the branching
-order and occurrence lists ``compile_instance`` derives (once per kept
-prefix for an extended instance), to the in-process branch-and-bound
-kernel of ``_pure``, and re-checks every model it returns.
+``solve`` hands the instance, filed by ``compile_instance`` into
+implication lists, literal weights and counter clauses with a branching
+order (once per kept prefix for an extended instance), to the in-process
+branch-and-bound kernel of ``_pure``, and re-checks every model it returns.
 ``solve_external`` runs a third-party solver process instead and checks
 its answer the same way.
 """

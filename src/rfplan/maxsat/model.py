@@ -8,9 +8,10 @@ removed; duplicate clauses are kept as given.
 
 ``WcnfInstance.extend`` puts more hard clauses ahead of an instance's own
 and remembers, outside the instance's fields, the kept prefix it started
-from.  ``compile_instance`` turns an instance into the lists the kernel
-searches; for an extended instance it compiles the kept prefix once, keeps
-that on the prefix, and per call appends only the added clauses.  Many
+from.  ``compile_instance`` files an instance's clauses by width into the
+lists the kernel searches; for an extended instance it compiles the kept
+prefix once, keeps that on the prefix, and per call files only the added
+clauses.  Many
 instances that share one large prefix, such as the encodings of many
 queries against one action library at one makespan, then pay for the
 prefix once.
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+_INF = float("inf")
 
 OPTIMAL = "optimal"
 HARD_UNSAT = "hard_unsat"
@@ -36,6 +39,11 @@ class BackendError(RuntimeError):
 
 def _normalize_clause(lits: Iterable[int], nvars: int, what: str) -> tuple[int, ...] | None:
     """Sorted distinct literals, or None for a tautology."""
+    if type(lits) is tuple and len(lits) == 1:
+        # a one-literal tuple, such as a reachability unit, is already normal
+        lit = lits[0]
+        if type(lit) is int and 0 < abs(lit) <= nvars:
+            return lits
     seen: set[int] = set()
     for lit in lits:
         if isinstance(lit, bool) or not isinstance(lit, int):
@@ -158,41 +166,45 @@ class SolveResult:
 class _Compiled(NamedTuple):
     """An instance in the kernel's shape, as ``_compile`` builds it."""
 
-    weights: list[int]
-    clauses: list[tuple[int, ...]]
     order: list[int]
     nhead: int  # order[:nhead] has soft weight; order[nhead:] is by index
+    used: list[bool]  # used[v]: variable v is in some clause
     polarity: list[int]
-    occ: list[list[tuple[int, int]]]
-    cnt: list[list[int]]
+    cost: float
+    imp: list[list[int]]
+    lw: list[int]
+    clauses: list[tuple[int, ...]]
+    weights: list[int]
+    occ: list[list[int]]
     nfree: list[int]
 
 
-def _file_clauses(occ, cnt, weights, clauses, start):
-    """Append clauses[start:] to the occurrence lists, in clause order.
-
-    occ[li] gets (c, other) for every clause c with literal li: other is
-    the partner literal of a two-literal hard clause and 0 otherwise.
-    cnt[li] gets the clauses with literal li that keep counters, i.e. all
-    but the two-literal hard ones.
-    """
-    for c in range(start, len(clauses)):
-        lits = clauses[c]
-        if weights[c] < 0 and len(lits) == 2:
-            a, b = lits
-            occ[a].append((c, b))
-            occ[b].append((c, a))
-        else:
-            entry = (c, 0)
+def _file_clauses(pairs, imp, lw, clauses, weights, occ):
+    """File (weight, literals) pairs, weight -1 for hard, by width (see
+    ``compile_instance``); returns the cost of the empty ones."""
+    cost = 0
+    for w, lits in pairs:
+        n = len(lits)
+        if n > 2 or n == 2 and w > 0:
             for li in lits:
-                occ[li].append(entry)
-                cnt[li].append(c)
+                occ[li].append(len(clauses))
+            clauses.append(lits)
+            weights.append(w)
+        elif n == 2:
+            a, b = lits
+            imp[-a].append(b)
+            imp[-b].append(a)
+        elif n:
+            if w < 0:
+                imp[0].append(lits[0])
+            else:
+                lw[-lits[0]] += w
+        else:
+            cost += w if w > 0 else _INF
+    return cost
 
 
 def _compile(instance: WcnfInstance) -> _Compiled:
-    weights = [-1] * len(instance.hard) + [w for w, _ in instance.soft]
-    clauses = [*instance.hard, *(c for _, c in instance.soft)]
-
     nv = instance.nvars
     score = [0] * (nv + 1)
     pos_w = [0] * (nv + 1)
@@ -215,38 +227,52 @@ def _compile(instance: WcnfInstance) -> _Compiled:
     polarity = [1 if pos_w[v] > neg_w[v] else 0 for v in range(nv + 1)]
 
     nl = 2 * nv + 1
-    occ: list[list[tuple[int, int]]] = [[] for _ in range(nl)]
-    cnt: list[list[int]] = [[] for _ in range(nl)]
-    _file_clauses(occ, cnt, weights, clauses, 0)
+    imp: list[list[int]] = [[] for _ in range(nl)]
+    occ: list[list[int]] = [[] for _ in range(nl)]
+    lw = [0] * nl
+    clauses: list[tuple[int, ...]] = []
+    weights: list[int] = []
+    cost = _file_clauses([*((-1, lits) for lits in instance.hard), *instance.soft],
+                         imp, lw, clauses, weights, occ)
     nfree = [len(lits) for lits in clauses]
-    return _Compiled(weights, clauses, order, nhead, polarity, occ, cnt, nfree)
+    return _Compiled(order, nhead, used, polarity, cost, imp, lw, clauses, weights, occ, nfree)
 
 
 def compile_instance(instance: WcnfInstance):
     """The instance in the shape ``_pure.solve_compiled`` searches.
 
-    Returns (weights, clauses, order, polarity, occ, cnt, nfree).  clauses
-    holds literal tuples and weights[c] is clause c's weight, -1 for a hard
-    clause.  The branching order tries variables by descending soft-weight
+    Returns (order, polarity, cost, imp, lw, clauses, weights, occ, nfree).
+    The branching order tries variables by descending soft-weight
     involvement (ties by index); the preferred polarity is whichever sign
-    carries the larger soft weight, 0 on ties.  occ and cnt have 2*nvars + 1
-    slots indexed by literal (see ``_file_clauses``); nfree[c] is the length
-    of clause c.
+    carries the larger soft weight, 0 on ties.  The clauses are filed by
+    width; imp, lw and occ have 2*nvars + 1 slots indexed by literal:
+
+    - a two-literal hard clause (a, b) puts b in imp[-a] and a in imp[-b],
+      so imp[li] lists the literals that li being true forces;
+    - a hard unit's literal goes in imp[0]: slot 0 stands for true;
+    - lw[li] is the weight of the soft units that li being true falsifies;
+    - cost is the weight of the empty soft clauses, infinite if a hard
+      clause is empty;
+    - every other clause c is a counter clause: clauses[c] holds its
+      literals, weights[c] its weight (-1 for hard), nfree[c] its length,
+      and occ[li] lists the counter clauses with literal li.
 
     An instance made by ``WcnfInstance.extend`` is compiled in two parts.
-    Its kept prefix is compiled on first use and the result is kept on the
-    prefix, for as long as the prefix lives.  Each call then appends only
-    the clauses ``extend`` added, numbered after the prefix's.  A slot of
-    occ or cnt that gains an entry is a copy; every other list is the
-    prefix's own, which the kernel only reads.  The added clauses carry no
-    soft weight, so a variable first named by them joins the weightless
-    tail of the order by index, with polarity 0.  Any other instance is
-    compiled whole and nothing is kept.
+    Its kept prefix is compiled on first use and the result, its units and
+    cost included, is kept on the prefix for as long as the prefix lives.
+    Each call then files only the clauses ``extend`` added, with counter
+    clauses numbered after the prefix's, so a solve reads no other clause
+    to find its units.  nfree and each slot of imp or occ that gains an
+    entry are copies; every other list is the prefix's own, which the
+    kernel only reads.  The added clauses carry no soft weight, so a
+    variable first named by them joins the weightless tail of the order by
+    index, with polarity 0.  Any other instance is compiled whole and
+    nothing is kept.
     """
     kept = instance.__dict__.get("_kept")
     if kept is None:
         c = _compile(instance)
-        return c.weights, c.clauses, c.order, c.polarity, c.occ, c.cnt, c.nfree
+        return c.order, c.polarity, c.cost, c.imp, c.lw, c.clauses, c.weights, c.occ, c.nfree
     c = kept.__dict__.get("_compiled")
     if c is None:
         c = _compile(kept)
@@ -254,13 +280,7 @@ def compile_instance(instance: WcnfInstance):
 
     extra = instance.hard[:len(instance.hard) - len(kept.hard)]
     nv, nv0 = instance.nvars, kept.nvars
-    weights = c.weights + [-1] * len(extra)
-    clauses = c.clauses + list(extra)
-    nfree = c.nfree + [len(lits) for lits in extra]
-
-    # variables in no kept clause: above nv0, or with both literals unlisted
-    fresh = sorted({v for lits in extra for v in map(abs, lits)
-                    if v > nv0 or not (c.occ[v] or c.occ[-v])})
+    fresh = sorted({v for lits in extra for v in map(abs, lits) if v > nv0 or not c.used[v]})
     order = c.order
     if fresh:
         order = order[:c.nhead] + sorted(order[c.nhead:] + fresh)
@@ -268,10 +288,15 @@ def compile_instance(instance: WcnfInstance):
 
     # slots 0..nv0 are positive literals and the last nv0 slots negative
     # ones; the new variables' 2 * (nv - nv0) slots go in between
-    occ = c.occ[:nv0 + 1] + [[] for _ in range(2 * (nv - nv0))] + c.occ[nv0 + 1:]
-    cnt = c.cnt[:nv0 + 1] + [[] for _ in range(2 * (nv - nv0))] + c.cnt[nv0 + 1:]
-    for li in {li for lits in extra for li in lits}:
+    gap = 2 * (nv - nv0)
+    imp = c.imp[:nv0 + 1] + [[] for _ in range(gap)] + c.imp[nv0 + 1:]
+    occ = c.occ[:nv0 + 1] + [[] for _ in range(gap)] + c.occ[nv0 + 1:]
+    lw = c.lw[:nv0 + 1] + [0] * gap + c.lw[nv0 + 1:]
+    for li in {0, *(-li for lits in extra if len(lits) == 2 for li in lits)}:
+        imp[li] = imp[li][:]
+    for li in {li for lits in extra if len(lits) > 2 for li in lits}:
         occ[li] = occ[li][:]
-        cnt[li] = cnt[li][:]
-    _file_clauses(occ, cnt, weights, clauses, len(c.clauses))
-    return weights, clauses, order, polarity, occ, cnt, nfree
+    clauses, weights = c.clauses[:], c.weights[:]
+    cost = c.cost + _file_clauses([(-1, lits) for lits in extra], imp, lw, clauses, weights, occ)
+    nfree = c.nfree + [len(lits) for lits in clauses[len(c.clauses):]]
+    return order, polarity, cost, imp, lw, clauses, weights, occ, nfree

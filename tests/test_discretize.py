@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import enum
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -17,7 +19,16 @@ from rfplan.discretize import (
     state_proba,
     to_state,
 )
-from rfplan.forest import FeatureMeta, Leaf, ModelError, NUMERICAL, RandomForest, Split
+from rfplan.forest import (
+    FeatureMeta,
+    Leaf,
+    ModelError,
+    NUMERICAL,
+    RandomForest,
+    Split,
+    persist,
+    restore,
+)
 
 from helpers import random_soft_forest, random_state, random_weighted_forest
 
@@ -59,6 +70,53 @@ def test_check_state(toy_table):
         check_state(toy_table, (0, 2, 0))
     with pytest.raises(StateError, match="outside"):
         check_state(toy_table, (0, -1, 0))
+
+
+@pytest.mark.parametrize(
+    "s,message",
+    [
+        ((0, 1), "state has 2 coordinates, table declares 3"),
+        ((0, True, 0), "coordinate 1: partition index must be an int, got True"),
+        ((0, 1, 1.0), "coordinate 2: partition index must be an int, got 1.0"),
+        ((0, 1, 3), "coordinate 2: index 3 outside [0, 3)"),
+    ],
+    ids=["length", "bool", "non-int", "out-of-range"],
+)
+def test_check_state_messages(toy_table, s, message):
+    with pytest.raises(StateError) as exc:
+        check_state(toy_table, s)
+    assert str(exc.value) == message
+
+
+def test_check_state_accepts_int_subclasses(toy_table):
+    class Index(enum.IntEnum):
+        ONE = 1
+
+    assert check_state(toy_table, (0, Index.ONE, 2)) == (0, 1, 2)
+
+
+def test_lowest_threshold_must_leave_cell_0_a_finite_value(tmp_path):
+    # below -float_info.max lies only -inf, which no vector may hold
+    meta = (FeatureMeta(name="x", kind=NUMERICAL),)
+    message = (f"feature 'x': threshold {-sys.float_info.max!r} leaves cell 0 "
+               f"without a finite value")
+    with pytest.raises(ModelError) as exc:
+        PartitionTable(features=meta, thresholds=((-sys.float_info.max, 0.0),))
+    assert str(exc.value) == message
+    forest = RandomForest(
+        features=meta, classes=(0, 1),
+        trees=(Split(feature=0, threshold=-sys.float_info.max,
+                     left=Leaf(label=0), right=Leaf(label=1)),),
+        weights=(1.0,),
+    )
+    persist(forest, tmp_path / "model.json")
+    with pytest.raises(ModelError) as exc:
+        build_partitions(restore(tmp_path / "model.json"))
+    assert str(exc.value) == message
+    # the next float up leaves cell 0 its lowest value
+    ths = (math.nextafter(-sys.float_info.max, 0.0),)
+    table = PartitionTable(features=meta, thresholds=(ths,))
+    assert representative(table, (0,)) == (-sys.float_info.max,)
 
 
 def test_representative_values(toy_table):

@@ -63,6 +63,24 @@ def test_build_rejects(kwargs, needle):
         WcnfInstance.build(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "unit,message",
+    [
+        ((1.0,), "hard clause 0: literal 1.0 is not an int"),
+        ((True,), "hard clause 0: literal True is not an int"),
+        ((0,), "hard clause 0: literal 0 is reserved"),
+        ((-4,), "hard clause 0: literal -4 exceeds declared variable count 3"),
+    ],
+    ids=["non-int", "bool", "zero", "out-of-range"],
+)
+def test_one_literal_clause_rejects(unit, message):
+    base = WcnfInstance.build(nvars=3, hard=[[1, 2]])
+    for make in (lambda: base.extend(3, [unit]), lambda: WcnfInstance.build(3, hard=[unit])):
+        with pytest.raises(WcnfError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
 def test_check_counts_falsified_weight():
     inst = WcnfInstance.build(nvars=2, hard=[[1, 2]], soft=[(3, [1]), (4, [-2])])
     hard_ok, cost = inst.check((False, True, True))
@@ -363,6 +381,40 @@ def test_kept_compile_with_variables_new_to_the_prefix():
             exists, best = brute_force_cost(ext)
             assert res.status == (OPTIMAL if exists else HARD_UNSAT)
             assert res.cost == best
+
+
+# (prefix, nvars, added hard clauses): each case files clauses of a kind the
+# kernel keeps apart from the counter clauses
+_FILING_CASES = {
+    "soft-units-on-one-literal-add": (
+        WcnfInstance.build(3, hard=[[1, 2]], soft=[(2, [-1]), (3, [-1]), (4, [-2])]),
+        3, [[-3, 1]]),
+    "empty-soft-clause": (
+        WcnfInstance.build(2, hard=[[1, 2]], soft=[(3, []), (1, [-1]), (2, [-2])]),
+        2, [[-1, 2]]),
+    "wide-soft-beside-units": (
+        WcnfInstance.build(3, hard=[[1, 2, 3]],
+                           soft=[(2, [1, -2]), (3, [-1]), (1, [-2, -3, 1]), (5, [-3])]),
+        4, [[4, -1], [-4, -2, 3]]),
+    "prefix-unit-against-added-unit": (
+        WcnfInstance.build(2, hard=[[1], [1, 2]], soft=[(1, [-2])]),
+        2, [[-1]]),
+    "added-binary-on-prefix-literal": (
+        WcnfInstance.build(3, hard=[[1, 2], [-2, 3]], soft=[(1, [-1]), (2, [-3]), (1, [2])]),
+        4, [[-1, -3], [-4, 2], [4]]),
+}
+
+
+@pytest.mark.parametrize("prefix,nvars,extra", _FILING_CASES.values(), ids=_FILING_CASES)
+def test_filed_clauses_match_brute_force(prefix, nvars, extra):
+    """The prefix, its extension, then the prefix again through its kept
+    lists: an extension that wrote into them would change that last solve."""
+    for inst in (prefix, prefix.extend(nvars, extra), prefix.extend(prefix.nvars, ())):
+        res = solve(inst)
+        assert _outcome(res) == _outcome(solve(_plain(inst)))
+        exists, best = brute_force_cost(inst)
+        assert res.status == (OPTIMAL if exists else HARD_UNSAT)
+        assert res.cost == best
 
 
 def test_extended_instance_is_the_plain_instance(tmp_path):
