@@ -13,7 +13,7 @@ is no model.
 
 The clauses arrive filed by width (``model.compile_instance``).  A
 two-literal hard clause, most of an encoding's hard clauses, is an entry
-in two implication lists, as in MiniSat (Een & Sorensson, SAT 2003), and
+in two implication lists, as in MiniSat (Eén & Sörensson, SAT 2003), and
 keeps no counters; a hard unit is an implication of slot 0, which stands
 for true and is the first literal queued.  A soft unit, the only soft
 clause the encoder makes, is a weight on the literal that falsifies it.
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import time
 
-from .model import HARD_UNSAT, OPTIMAL, TIMEOUT
+from .model import _INF, HARD_UNSAT, OPTIMAL, TIMEOUT
 
-_INF = float("inf")
 _CHECK_EVERY = 2048
 
 

@@ -11,10 +11,9 @@ and remembers, outside the instance's fields, the kept prefix it started
 from.  ``compile_instance`` files an instance's clauses by width into the
 lists the kernel searches; for an extended instance it compiles the kept
 prefix once, keeps that on the prefix, and per call files only the added
-clauses.  Many
-instances that share one large prefix, such as the encodings of many
-queries against one action library at one makespan, then pay for the
-prefix once.
+clauses.  Many instances that share one large prefix, such as the
+encodings of many queries against one action library at one makespan,
+then pay for the prefix once.
 """
 
 from __future__ import annotations
