@@ -8,6 +8,7 @@ Everything except wall-clock timings is determined by the seeds.
 
 from __future__ import annotations
 
+import math
 import random
 import resource
 import time
@@ -44,9 +45,11 @@ class BenchSettings:
     timeout: float | None = None
 
     def __post_init__(self):
-        for name in ("n_instances", "state_cap", "oracle_cap"):
+        for name in ("k", "l_max", "n_instances", "state_cap", "oracle_cap", "workers"):
             if getattr(self, name) < 1:
                 raise BenchError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise BenchError(f"timeout must be None or finite seconds > 0, got {self.timeout!r}")
 
 
 @dataclass(frozen=True)

@@ -670,7 +670,7 @@ def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_pat
 @click.pass_context
 def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
                 out_path, map_path, actions_path, cost_seed, beta_range, config_path):
-    """Write one planning step bound as a weighted partial CNF file."""
+    """Write the instance plan solves at one makespan as a weighted partial CNF file."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
     db = _load_db(db_path)
     s_init = _instance_state(table, x_text, state_text)
@@ -690,7 +690,7 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
         raise CliError(f"cannot write: {exc.strerror}") from None
     click.echo(f"wrote {out_path}: {instance.nvars} variables, "
                f"{len(instance.hard)} hard + {len(instance.soft)} soft clauses, "
-               f"{len(sas.goals)} goal state(s)")
+               f"{len(sas.goals)} goal state(s), {varmap.units} reachability unit(s)")
     if map_path is not None:
         click.echo(f"variable map written to {map_path}")
 

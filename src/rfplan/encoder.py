@@ -35,8 +35,8 @@ changes available exclusively through mechanical transitions are not
 reachable in this compilation (the offline search handles those), which
 keeps decoded plans sound.
 
-Only the start, at-least-one-goal and goal-pin clauses, the goal
-variables and the reachability units (below) depend on the query.  The
+Only the reachability units (below), the start, at-least-one-goal and
+goal-pin clauses and the goal variables depend on the query.  The
 rest (the action-cost soft clauses; the chaining, transition-mutex,
 shared-write, action-to-transition and support hard clauses; the
 transition graphs, variable tables and action weights) depends only on
@@ -52,12 +52,13 @@ kernel's compiled form of the kept clauses on it, and later solves add
 only their own clauses (``maxsat.compile_instance``).  Repeated queries against one library gain
 from this; a single ``plan`` call encodes each makespan once and does not.
 
-The reachability units are added by ``plan_actions``, not by ``encode``:
-one unit clause fixing false each explicit step transition that no plan
-from this start to these goals within L steps can use
-(``_reachability_units``), placed ahead of the hard clauses by one more
-``extend``.  They lose no model.  ``encode`` returns the unpruned
-encoding, which ``export-wcnf`` writes.
+The reachability units are one unit clause fixing false each explicit
+step transition that no plan from this start to these goals within L
+steps can use (``_reachability_units``).  They lose no model and spare
+the kernel the search through those transitions.  The instance ``encode``
+returns is the one every solve gets, in-process or external, and the one
+``export-wcnf`` writes: the units first, then the start and goal clauses,
+then the kept clauses; ``VarMap.units`` counts the units.
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ class VarMap:
     goals: dict[State, int]
     universe: tuple[tuple[tuple[int | None, int], ...], ...]  # per var: (frm, to) pairs
     weights: Mapping[str, int]  # action id -> soft weight (read-only)
+    units: int = 0  # reachability units: the instance's first hard clauses
 
     def write_map(self, path) -> None:
         """One line per variable: its number and what it stands for."""
@@ -276,8 +278,8 @@ def _build_skeleton(
 
 
 def encode(sas: SasProblem, L: int) -> tuple[WcnfInstance, VarMap]:
-    """Compile the task at makespan ``L``, reusing the clauses that
-    ``sas.library`` keeps for it (see the module docstring)."""
+    """Compile the task at makespan ``L``, reachability units included,
+    reusing the clauses ``sas.library`` keeps (see the module docstring)."""
     if L < 1:
         raise PlanningError(f"makespan must be >= 1, got {L}")
     store = sas.library._encodings
@@ -310,9 +312,10 @@ def encode(sas: SasProblem, L: int) -> tuple[WcnfInstance, VarMap]:
                 + [trans[(L, v, f, t_)] for f, t_ in universe[v] if f is not None and t_ == g[v]]
             )
 
-    # query clauses first, then the kept ones: the order of a one-pass build
-    instance = base.extend(nvars, hard)
-    return instance, dataclasses.replace(steps, nvars=nvars, goals=goal_vars)
+    # units, then query clauses, then the kept ones
+    units = _reachability_units(sas, steps)
+    instance = base.extend(nvars, [*units, *hard])
+    return instance, dataclasses.replace(steps, nvars=nvars, goals=goal_vars, units=len(units))
 
 
 def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ...]:
@@ -429,7 +432,7 @@ class PlanAttempt:
     L: int
     status: str  # "sat" | "unsat" | "timeout"
     cost: float | None  # on "timeout", the checked incumbent's cost, if any
-    # reachability units added to this makespan's instance; None if none was built
+    # reachability units in this makespan's instance; None if none was built
     units: int | None = field(default=None, compare=False)
 
 
@@ -516,8 +519,6 @@ def plan_actions(
                 attempts.append(PlanAttempt(L=L, status="timeout", cost=None))
                 break
         instance, varmap = encode(sas, L)
-        units = _reachability_units(sas, varmap)
-        instance = instance.extend(instance.nvars, units)
         result = solve(instance, timeout=budget)
         plan = None
         if result.assignment is not None:
@@ -530,7 +531,7 @@ def plan_actions(
                 best, best_weight = plan, weight
         status = _ATTEMPT_STATUS[result.status]
         attempts.append(PlanAttempt(L=L, status=status, cost=plan.cost if plan else None,
-                                    units=len(units)))
+                                    units=varmap.units))
         if status == "timeout" or (status == "sat" and not sweep):
             break
 

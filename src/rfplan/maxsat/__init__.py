@@ -2,10 +2,12 @@
 
 ``solve`` hands the instance, filed by ``compile_instance`` into
 implication lists, literal weights and counter clauses with a branching
-order (once per kept prefix for an extended instance), to the in-process
-branch-and-bound kernel of ``_pure``, and re-checks every model it returns.
-``solve_external`` runs a third-party solver process instead and checks
-its answer the same way.
+order (once per kept prefix), to the in-process branch-and-bound kernel
+of ``_pure``, and re-checks every model it returns.  ``solve_external``
+runs a third-party solver process instead and checks its answer the same
+way.  The planner hands either one ``encoder.encode``'s instance as is:
+the query's reachability units, start and goal clauses ahead of the
+clauses its action library keeps at that makespan.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ removed; duplicate clauses are kept as given.
 
 ``WcnfInstance.extend`` puts more hard clauses ahead of an instance's own
 and remembers, outside the instance's fields, the kept prefix it started
-from.  ``compile_instance`` files an instance's clauses by width into the
-lists the kernel searches; for an extended instance it compiles the kept
-prefix once, keeps that on the prefix, and per call files only the added
-clauses.  Many instances that share one large prefix, such as the
-encodings of many queries against one action library at one makespan,
-then pay for the prefix once.
+from (an instance not made by ``extend`` is its own).  ``compile_instance``
+files an instance's clauses by width into the lists the kernel searches:
+it compiles the kept prefix once, keeps that on the prefix, and per call
+files only the added clauses.  Many instances that share one large prefix,
+such as the encodings of many queries against one action library at one
+makespan (reachability units, start and goal clauses ahead of the kept
+clauses), then pay for the prefix once.
 """
 
 from __future__ import annotations
@@ -256,22 +257,19 @@ def compile_instance(instance: WcnfInstance):
       literals, weights[c] its weight (-1 for hard), nfree[c] its length,
       and occ[li] lists the counter clauses with literal li.
 
-    An instance made by ``WcnfInstance.extend`` is compiled in two parts.
-    Its kept prefix is compiled on first use and the result, its units and
-    cost included, is kept on the prefix for as long as the prefix lives.
-    Each call then files only the clauses ``extend`` added, with counter
-    clauses numbered after the prefix's, so a solve reads no other clause
-    to find its units.  nfree and each slot of imp or occ that gains an
-    entry are copies; every other list is the prefix's own, which the
-    kernel only reads.  The added clauses carry no soft weight, so a
-    variable first named by them joins the weightless tail of the order by
-    index, with polarity 0.  Any other instance is compiled whole and
-    nothing is kept.
+    Every instance is compiled as its kept prefix (itself, unless
+    ``WcnfInstance.extend`` made it) plus the clauses added to it.  The
+    prefix is compiled on first use and the result, its units and cost
+    included, is kept on the prefix for as long as the prefix lives.  Each
+    call then files only the added clauses, with counter clauses numbered
+    after the prefix's, so a solve reads no other clause to find its
+    units.  nfree and each slot of imp or occ that gains an entry are
+    copies; every other list is the prefix's own, which the kernel only
+    reads.  The added clauses carry no soft weight, so a variable first
+    named by them joins the weightless tail of the order by index, with
+    polarity 0.
     """
-    kept = instance.__dict__.get("_kept")
-    if kept is None:
-        c = _compile(instance)
-        return c.order, c.polarity, c.cost, c.imp, c.lw, c.clauses, c.weights, c.occ, c.nfree
+    kept = instance.__dict__.get("_kept", instance)
     c = kept.__dict__.get("_compiled")
     if c is None:
         c = _compile(kept)

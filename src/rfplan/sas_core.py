@@ -114,14 +114,6 @@ class Action:
     def applicable(self, s: State) -> bool:
         return all(t.is_mechanical or s[t.var] == t.frm for t in self.transitions)
 
-    def apply(self, s: State) -> State:
-        if not self.applicable(s):
-            raise ActionError(f"action {self.id!r} is not applicable in state {s}")
-        out = list(s)
-        for t in self.transitions:
-            out[t.var] = t.to
-        return tuple(out)
-
 
 def action_mutex(a1: Action, a2: Action) -> bool:
     """Whether two actions cannot share a step.

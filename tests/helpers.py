@@ -293,6 +293,12 @@ def encoder_tasks():
     return tasks
 
 
+def without_units(instance, varmap):
+    """``encode``'s instance without its reachability units, its first
+    ``varmap.units`` hard clauses: the SASE encoding alone."""
+    return WcnfInstance(instance.nvars, instance.hard[varmap.units:], instance.soft)
+
+
 def min_plan_cost(sas, max_steps):
     """Cheapest cost reaching any goal within ``max_steps`` parallel steps.
 

@@ -15,7 +15,13 @@ from rfplan.baselines import (
 from rfplan.discretize import build_partitions, enumerate_states
 from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split
 from rfplan.offline import SearchParams, find_preferred_goal
-from rfplan.sas_core import ActionError, ActionLibrary, CostModel, default_action_library
+from rfplan.sas_core import (
+    ActionError,
+    ActionLibrary,
+    CostModel,
+    default_action_library,
+    simulate_step,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_oracle_plan_executes(toy_forest, toy_table, unit_library, toy_params):
     assert res.status == SOLVED and res.plan.cost == 3.0
     s = (0, 0, 0)
     for (action,) in res.plan.steps:
-        s = action.apply(s)
+        s = simulate_step(s, (action,))
     assert s == res.plan.goal == (0, 1, 2)
     assert res.expansions > 0
 

@@ -74,3 +74,21 @@ def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_param
     assert states[0] == states[1] and len(states[0]) == 3
     again = run_bench(toy_forest, toy_table, unit_library, settings, fractions=(50, 100))
     assert _answers(again) == _answers(reports)
+
+
+@pytest.mark.parametrize(
+    "field,value,needle",
+    [
+        ("k", 0, "k must be >= 1, got 0"),
+        ("l_max", 0, "l_max must be >= 1, got 0"),
+        ("workers", 0, "workers must be >= 1, got 0"),
+        ("timeout", 0.0, "timeout must be None or finite seconds > 0, got 0.0"),
+        ("timeout", float("inf"), "timeout must be None or finite seconds > 0, got inf"),
+    ],
+    ids=["k", "l_max", "workers", "timeout-zero", "timeout-inf"],
+)
+def test_bench_settings_reject_planner_settings(toy_params, field, value, needle):
+    # rejected on construction, before run_bench spends a preprocessing pass
+    with pytest.raises(BenchError) as err:
+        BenchSettings(params=toy_params, **{field: value})
+    assert needle in str(err.value)

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import DATA
 from rfplan.baselines import greedy_plan, oracle_plan
-from rfplan.cli import main
+from rfplan.cli import _catalog, main
 from rfplan.data import ingest, load_schema
 from rfplan.discretize import build_partitions, enumerate_states, state_proba, to_state
 from rfplan.encoder import NoGoalsError, build_sas, encode, plan_actions
@@ -549,6 +549,30 @@ def test_export_wcnf_writes_a_parseable_instance(ws, tmp_path):
     assert "variable map written to" in out
     first = vmap.read_text().splitlines()[0]
     assert first == "1 t=1 transition x0:0->0"
+
+
+def test_export_wcnf_writes_the_instance_plan_solves(ws, tmp_path):
+    # the library the CLI builds by default: cost seed 0, beta range 1..100
+    forest, table, library = _catalog(str(ws["model"]), None, 0, (1, 100))
+    solves = []
+
+    def recording(instance, timeout=None):
+        solves.append(solve(instance, timeout=timeout))
+        return solves[-1]
+
+    out = plan_actions(forest, table, library, ws["gdb"], state=(0, 0, 0), sweep=True,
+                       l_max=3, solver=recording)
+    assert [a.L for a in out.attempts] == [1, 2, 3] and len(solves) == 3
+    for L, planned, attempt in zip((1, 2, 3), solves, out.attempts):
+        wcnf = tmp_path / f"L{L}.wcnf"
+        rv, text, _ = run(["export-wcnf", "--model", ws["model"], "--db", ws["db"],
+                           "--state", "0,0,0", "-L", L, "--out", wcnf])
+        assert rv == 0 and f", {attempt.units} reachability unit(s)" in text
+        inst = wcnf_read(str(wcnf))
+        assert attempt.units > 0
+        assert all(len(c) == 1 and c[0] < 0 for c in inst.hard[:attempt.units])
+        res = solve(inst)
+        assert (res.status, res.cost, res.nodes) == (planned.status, planned.cost, planned.nodes)
 
 
 def test_export_wcnf_at_an_already_reached_start_writes_the_one_goal_task(ws, tmp_path):

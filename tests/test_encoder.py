@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from helpers import encoder_tasks, min_plan_cost, random_sas
+from helpers import encoder_tasks, min_plan_cost, random_sas, without_units
 from rfplan import maxsat
 from rfplan.encoder import (
     ALREADY_GOAL,
@@ -37,6 +37,7 @@ from rfplan.sas_core import (
     Plan,
     Transition,
     simulate_plan,
+    simulate_step,
 )
 
 
@@ -176,17 +177,17 @@ def _encoding_digests(instance, varmap):
     return _digest([instance.nvars, instance.hard, instance.soft]), _digest([varmap.nvars, tables])
 
 
-# (clauses, variable tables) per (task, makespan)
+# (clauses, reachability units included; variable tables) per (task, makespan)
 GOLDEN_ENCODINGS = {
-    ("unit", 1): ("662d072a8ea53522", "a2682574defc34c3"),
-    ("unit", 2): ("17aeb43a9efca0d3", "4d3c5c806d70d1a8"),
-    ("unit", 3): ("45ecf2057a9a13e3", "478234866a57b41d"),
-    ("mechanical", 1): ("272266a4f57255dd", "c70e529d5356da75"),
-    ("mechanical", 2): ("d628453d7892c05d", "b04bc37ebe3194ac"),
-    ("mechanical", 3): ("88e2f6dcf4fcda98", "0188c39683ba4294"),
-    ("three_goals", 1): ("b1bf8ccc3f3f1646", "18fbae817136d01d"),
-    ("three_goals", 2): ("ba91453240e7e94f", "1565fbfc6fd064df"),
-    ("three_goals", 3): ("bb2a22210e9a02dc", "7820e54ea6c15695"),
+    ("unit", 1): ("b3173b5366fd8175", "a2682574defc34c3"),
+    ("unit", 2): ("c2ab6ef4969819c2", "4d3c5c806d70d1a8"),
+    ("unit", 3): ("8846256962619faf", "478234866a57b41d"),
+    ("mechanical", 1): ("5c2e243facb95b95", "c70e529d5356da75"),
+    ("mechanical", 2): ("3062c7f53432d682", "b04bc37ebe3194ac"),
+    ("mechanical", 3): ("a893167953b066fe", "0188c39683ba4294"),
+    ("three_goals", 1): ("f10c0cac4767e9af", "18fbae817136d01d"),
+    ("three_goals", 2): ("c3fdb54efddd7e02", "1565fbfc6fd064df"),
+    ("three_goals", 3): ("5326c39a3ec413b6", "7820e54ea6c15695"),
 }
 
 
@@ -252,10 +253,10 @@ def test_one_compile_per_library_and_makespan(unit_library, monkeypatch):
                 assert seen.setdefault(L, kept._compiled) is kept._compiled
         kept = [library._encodings[(2, 2, 3), L][1] for L in (2, 1)]
         assert len(compiled) == 2 and all(a is b for a, b in zip(compiled, kept))
-    # an instance that was not extended is compiled whole and keeps nothing
+    # an instance that extend did not make is its own kept prefix, compiled once
     plain = WcnfInstance.build(instance.nvars, instance.hard, instance.soft)
-    solve(plain)
-    assert compiled[-1] is plain and set(vars(plain)) == {"nvars", "hard", "soft"}
+    assert solve(plain) == solve(plain) == solve(instance)
+    assert [c for c in compiled if c is plain] == [plain] and "_kept" not in vars(plain)
 
 
 def test_varmap_step_tables_are_read_only(unit_library):
@@ -460,9 +461,9 @@ def _forward_chaining_clauses(varmap):
 
 
 def test_forward_chaining_is_implied():
-    # the hard clauses with a forward clause negated have no model, so
-    # every model already chains forward; half the tasks carry a
-    # mechanical write
+    # the hard clauses, without the reachability units, with a forward
+    # clause negated have no model, so every model already chains forward;
+    # half the tasks carry a mechanical write
     rng = random.Random(5)
     checks = 0
     for i in range(60):
@@ -473,6 +474,7 @@ def test_forward_chaining_is_implied():
             sas = SasProblem(sas.sizes, _lib(*sas.library.actions, tagger), sas.initial, sas.goals)
         for L in (2, 3):
             instance, varmap = encode(sas, L)
+            instance = without_units(instance, varmap)
             for clause in _forward_chaining_clauses(varmap):
                 refuted = [[-lit] for lit in clause]
                 result = solve(WcnfInstance.build(instance.nvars, hard=[*refuted, *instance.hard]))
@@ -482,15 +484,15 @@ def test_forward_chaining_is_implied():
 
 
 # ---------------------------------------------------------------------------
-# reachability units: plan_actions fixes unusable step transitions false
+# reachability units: encode fixes unusable step transitions false
 
 
 def _pruned(sas, L):
-    """(unpruned instance, the instance plan_actions solves, units, varmap)."""
-    instance, varmap = encode(sas, L)
-    units = _reachability_units(sas, varmap)
-    pruned = WcnfInstance(nvars=instance.nvars, hard=units + instance.hard, soft=instance.soft)
-    return instance, pruned, units, varmap
+    """(the instance without its units, the instance encode returns, units, varmap)."""
+    pruned, varmap = encode(sas, L)
+    units = pruned.hard[:varmap.units]
+    assert units == _reachability_units(sas, varmap)
+    return without_units(pruned, varmap), pruned, units, varmap
 
 
 def _assert_pruning_keeps_answers(sas, L):
@@ -608,7 +610,8 @@ def test_check_plan_rejects_corruptions(unit_library):
     with pytest.raises(EncodingBug, match="sum of action costs"):
         check_plan(wrong_cost, sas)
 
-    short = Plan(steps=good.steps[:1], cost=1.0, goal=good.steps[0][0].apply(sas.initial))
+    short = Plan(steps=good.steps[:1], cost=1.0,
+                 goal=simulate_step(sas.initial, (good.steps[0][0],)))
     with pytest.raises(EncodingBug, match="not a goal state"):
         check_plan(short, sas)
 

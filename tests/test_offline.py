@@ -37,6 +37,7 @@ from rfplan.sas_core import (
     Transition,
     default_action_library,
     neighbors,
+    simulate_step,
 )
 
 
@@ -137,7 +138,7 @@ def test_preferred_goals_toy(toy_forest, toy_table, unit_library, toy_params):
         state = s
         total = 0.0
         for action in e.path:
-            state = action.apply(state)
+            state = simulate_step(state, (action,))
             total += action.cost
         assert state == e.goal and total == e.cost
 
@@ -209,7 +210,7 @@ def test_exhausted_search_is_alpha_independent(toy_forest, toy_table, unit_libra
         state, spent = s, 0.0
         for action in a.path:
             assert action.applicable(state)
-            state, spent = action.apply(state), spent + action.cost
+            state, spent = simulate_step(state, (action,)), spent + action.cost
         assert state == a.goal and spent == a.cost
 
 

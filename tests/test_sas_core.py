@@ -100,11 +100,11 @@ def test_action_apply_semantics():
         cost=2.0,
     )
     assert a.applicable((0, 2, 5))
-    assert a.apply((0, 2, 5)) == (1, 2, 0)
+    assert simulate_step((0, 2, 5), (a,)) == (1, 2, 0)
     assert not a.applicable((1, 2, 5))
     assert not a.applicable((0, 1, 5))
     with pytest.raises(ActionError, match="applicable"):
-        a.apply((1, 2, 5))
+        simulate_step((1, 2, 5), (a,))
 
 
 def test_action_mutex_rules():
@@ -182,7 +182,7 @@ def test_library_lookup(unit_library):
 
 def _scan(s, library):
     """Reference successor generation: every action, checked one by one."""
-    return [(a, a.apply(s), a.cost) for a in library.actions if a.applicable(s)]
+    return [(a, simulate_step(s, (a,)), a.cost) for a in library.actions if a.applicable(s)]
 
 
 # mechanical-only; mechanical plus prevailing; lowest-sorted transition
