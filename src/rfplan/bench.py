@@ -8,7 +8,6 @@ Everything except wall-clock timings is determined by the seeds.
 
 from __future__ import annotations
 
-import math
 import random
 import resource
 import time
@@ -19,6 +18,7 @@ from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions
 from .forest import RandomForest
+from .maxsat import valid_timeout
 from .offline import SearchParams, preprocess
 from .sas_core import ActionLibrary
 
@@ -48,7 +48,7 @@ class BenchSettings:
         for name in ("k", "l_max", "n_instances", "state_cap", "oracle_cap", "workers"):
             if getattr(self, name) < 1:
                 raise BenchError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.timeout is not None and not 0 < self.timeout < math.inf:
+        if not valid_timeout(self.timeout):
             raise BenchError(f"timeout must be None or finite seconds > 0, got {self.timeout!r}")
 
 

@@ -489,10 +489,7 @@ def plan_actions(
         raise PlanningError(f"k must be >= 1, got {k}")
     if l_max < 1:
         raise PlanningError(f"l_max must be >= 1, got {l_max}")
-    if timeout is not None and (
-        isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-        or not 0 < timeout < math.inf
-    ):
+    if not maxsat.valid_timeout(timeout):
         raise PlanningError(
             f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"
         )

@@ -7,6 +7,12 @@ broken in favour of the label declared first in ``classes``.
 Split conventions, fixed across the whole package:
   numerical  -- go left iff value <  threshold
   categorical -- go left iff value in the split's category subset
+
+Training splits a node on the candidate of largest Gini gain (> 1e-12,
+first one on ties) among ``mtry`` random features: a midpoint between
+distinct sorted values, or one category against the rest.  Gains come from
+integer class counts with no BLAS routine, so one data set and seed train
+the same forest on any CPU or BLAS build.
 """
 
 from __future__ import annotations
@@ -252,17 +258,18 @@ class TrainParams:
             raise ModelError("min_leaf must be >= 1")
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.dot(p, p))
+def _split_gains(lc: np.ndarray, ln: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Gini gain of each candidate split, from its left class counts ``lc``
+    (one int64 row per candidate) and left sizes ``ln``; both sides non-empty.
 
-
-# Gains within this distance of a feature's top vectorised gain are re-scored
-# with _gini; rounding differences are a few ulps of 1.0, far below it.
-_NEAR_TOP = 1e-9
+    The sums of squares are exact integers and the rest is one IEEE
+    division or subtraction each, so no gain depends on the CPU, the BLAS
+    build or a summation order.
+    """
+    rc = counts - lc
+    # n times the size-weighted Gini of the two children
+    child = n - (lc * lc).sum(axis=1) / ln - (rc * rc).sum(axis=1) / (n - ln)
+    return 1.0 - (counts * counts).sum() / (n * n) - child / n
 
 
 def _grow(
@@ -282,7 +289,6 @@ def _grow(
     if depth >= params.max_depth or len(idx) < 2 * params.min_leaf or np.count_nonzero(counts) <= 1:
         return Leaf(majority)
 
-    parent_gini = _gini(counts)
     n = len(idx)
     yi = y[idx]
     best = None  # (gain, feature, kind, payload, left_mask)
@@ -293,44 +299,30 @@ def _grow(
             order = np.argsort(col, kind="stable")
             sv = col[order]
             # a threshold can fall only where the sorted values change
-            cand = np.flatnonzero(sv[1:] != sv[:-1]) + 1
-            cand = cand[(cand >= params.min_leaf) & (cand <= n - params.min_leaf)]
-            if not len(cand):
-                continue
+            ln = np.flatnonzero(sv[1:] != sv[:-1]) + 1
             onehot = np.zeros((n, n_classes), dtype=np.int64)
             onehot[np.arange(n), yi[order]] = 1
-            lcs = np.cumsum(onehot, axis=0)[cand - 1]
-            rcs = counts - lcs
-            pl = lcs / cand[:, None]
-            pr = rcs / (n - cand)[:, None]
-            gains = parent_gini - (
-                cand * (1.0 - (pl * pl).sum(axis=1)) + (n - cand) * (1.0 - (pr * pr).sum(axis=1))
-            ) / n
-            # the vectorised gains may differ from _gini's (np.dot may fuse
-            # multiply-adds) in the last bits, so every candidate near the top
-            # is re-scored exactly; the split is the one a scan of all positions picks
-            for k in np.flatnonzero(gains >= gains.max() - _NEAR_TOP):
-                ln = int(cand[k])
-                rn = n - ln
-                child = (ln * _gini(lcs[k]) + rn * _gini(rcs[k])) / n
-                gain = parent_gini - child
-                if gain > 1e-12 and (best is None or gain > best[0]):
-                    th = (float(sv[ln - 1]) + float(sv[ln])) / 2.0
-                    best = (gain, int(j), NUMERICAL, th, col < th)
+            lc = np.cumsum(onehot, axis=0)[ln - 1]
         else:
-            for code in np.unique(col):
-                mask = col == code
-                ln = int(mask.sum())
-                rn = n - ln
-                if ln < params.min_leaf or rn < params.min_leaf:
-                    continue
-                lc = np.bincount(yi[mask], minlength=n_classes)
-                rc = counts - lc
-                child = (ln * _gini(lc) + rn * _gini(rc)) / n
-                gain = parent_gini - child
-                if gain > 1e-12 and (best is None or gain > best[0]):
-                    label = features[j].categories[int(code)]
-                    best = (gain, int(j), CATEGORICAL, frozenset([label]), mask)
+            # one candidate per category code: that code left, every other right
+            n_codes = len(features[j].categories)
+            lc = np.bincount(col * n_classes + yi, minlength=n_codes * n_classes)
+            lc = lc.reshape(n_codes, n_classes)
+            ln = lc.sum(axis=1)
+        cand = np.flatnonzero((ln >= params.min_leaf) & (ln <= n - params.min_leaf))
+        if not len(cand):
+            continue
+        gains = _split_gains(lc[cand], ln[cand], counts, n)
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if gain > 1e-12 and (best is None or gain > best[0]):
+            c = int(cand[k])
+            if features[j].is_numerical:
+                th = (float(sv[ln[c] - 1]) + float(sv[ln[c]])) / 2.0
+                best = (gain, int(j), NUMERICAL, th, col < th)
+            else:
+                label = features[j].categories[c]
+                best = (gain, int(j), CATEGORICAL, frozenset([label]), col == c)
 
     if best is None:
         return Leaf(majority)

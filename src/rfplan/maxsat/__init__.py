@@ -44,12 +44,17 @@ def default_backend() -> str:
     return "pure"
 
 
+def valid_timeout(timeout) -> bool:
+    """Whether ``timeout`` is a planner or solver time limit: ``None`` (no
+    limit), or an int or float, not a bool, of finite seconds > 0."""
+    return timeout is None or (
+        not isinstance(timeout, bool) and isinstance(timeout, (int, float))
+        and 0 < timeout < math.inf
+    )
+
+
 def _check_timeout(timeout) -> None:
-    """``None`` means no limit; anything else must be a finite number of seconds > 0."""
-    if timeout is not None and (
-        isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-        or not 0 < timeout < math.inf
-    ):
+    if not valid_timeout(timeout):
         raise BackendError(
             f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"
         )

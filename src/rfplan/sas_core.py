@@ -146,10 +146,6 @@ class CostModel:
                 raise ActionError(f"weight {j} must be positive, got {w}")
 
     @classmethod
-    def unit(cls, m: int) -> "CostModel":
-        return cls(weights=(1.0,) * m)
-
-    @classmethod
     def random(cls, m: int, rng, low: int = 1, high: int = 100) -> "CostModel":
         """Integer weights drawn uniformly from [low, high]."""
         return cls(weights=tuple(float(rng.integers(low, high + 1)) for _ in range(m)))

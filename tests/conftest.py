@@ -29,7 +29,7 @@ def toy_table(toy_forest):
 
 @pytest.fixture(scope="session")
 def unit_library(toy_table):
-    return default_action_library(toy_table, CostModel.unit(3))
+    return default_action_library(toy_table, CostModel((1.0,) * 3))
 
 
 @pytest.fixture(scope="session")

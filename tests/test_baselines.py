@@ -101,7 +101,7 @@ def steep_forest():
 def steep_setup(steep_forest):
     table = build_partitions(steep_forest)
     assert table.sizes == (3, 2)
-    lib = default_action_library(table, CostModel.unit(2))
+    lib = default_action_library(table, CostModel((1.0,) * 2))
     params = SearchParams(target=1, z=0.7)
     return steep_forest, table, lib, params
 

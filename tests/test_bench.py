@@ -84,8 +84,10 @@ def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_param
         ("workers", 0, "workers must be >= 1, got 0"),
         ("timeout", 0.0, "timeout must be None or finite seconds > 0, got 0.0"),
         ("timeout", float("inf"), "timeout must be None or finite seconds > 0, got inf"),
+        ("timeout", True, "timeout must be None or finite seconds > 0, got True"),
+        ("timeout", "5", "timeout must be None or finite seconds > 0, got '5'"),
     ],
-    ids=["k", "l_max", "workers", "timeout-zero", "timeout-inf"],
+    ids=["k", "l_max", "workers", "timeout-zero", "timeout-inf", "timeout-bool", "timeout-str"],
 )
 def test_bench_settings_reject_planner_settings(toy_params, field, value, needle):
     # rejected on construction, before run_bench spends a preprocessing pass

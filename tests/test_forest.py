@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,17 +303,48 @@ def test_training_fingerprints_pinned(name):
     assert fingerprint(train_forest(features, data, labels, params)) == pin
 
 
-def _grow_scanning_every_position(cols, y, idx, features, classes, params, mtry, rng, depth):
-    """The split search as a scan over every sorted position: the reference
-    ``forest._grow`` must agree with split for split."""
-    from rfplan.forest import _gini
+def test_training_fingerprints_hold_on_a_blas_without_fused_multiply_add():
+    """The pins hold with OpenBLAS's Nehalem kernels, which have no fused
+    multiply-add: training calls no BLAS routine.  OpenBLAS reads
+    ``OPENBLAS_CORETYPE`` when it loads, hence the child process.  A BLAS
+    built without ``DYNAMIC_ARCH`` ignores the variable, and there this test
+    repeats ``test_training_fingerprints_pinned``."""
+    import rfplan
 
+    child = (
+        "import json\n"
+        "from rfplan.forest import fingerprint, train_forest\n"
+        "from test_forest import TRAINING_PINS\n"
+        "out = {}\n"
+        "for name, (rows, params, _) in TRAINING_PINS.items():\n"
+        "    out[name] = fingerprint(train_forest(*rows(), params))\n"
+        "print(json.dumps(out))\n"
+    )
+    paths = [str(Path(__file__).parent), str(Path(rfplan.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: pin for name, (_, _, pin) in TRAINING_PINS.items()}
+
+
+def _scan_gain(lc, counts):
+    """One split's Gini gain, scalar: the formula ``forest._grow`` scores with."""
+    n, ln = int(sum(counts)), int(sum(lc))
+    rc = [int(c) - int(v) for c, v in zip(counts, lc)]
+    child = n - sum(int(v) * int(v) for v in lc) / ln - sum(v * v for v in rc) / (n - ln)
+    return 1.0 - sum(int(c) * int(c) for c in counts) / (n * n) - child / n
+
+
+def _grow_scanning_every_position(cols, y, idx, features, classes, params, mtry, rng, depth):
+    """The split search as a scan over every sorted position and every
+    category: the reference ``forest._grow`` must agree with split for split."""
     n_classes = len(classes)
     counts = np.bincount(y[idx], minlength=n_classes)
     majority = classes[int(np.argmax(counts))]
     if depth >= params.max_depth or len(idx) < 2 * params.min_leaf or np.count_nonzero(counts) <= 1:
         return Leaf(majority)
-    parent_gini = _gini(counts)
     best = None
     for j in rng.permutation(len(features))[:mtry]:
         col = cols[j][idx]
@@ -322,9 +358,7 @@ def _grow_scanning_every_position(cols, y, idx, features, classes, params, mtry,
                 ln, rn = i, len(idx) - i
                 if sv[i] == sv[i - 1] or ln < params.min_leaf or rn < params.min_leaf:
                     continue
-                lc = prefix[i - 1]
-                child = (ln * _gini(lc) + rn * _gini(counts - lc)) / len(idx)
-                gain = parent_gini - child
+                gain = _scan_gain(prefix[i - 1], counts)
                 if gain > 1e-12 and (best is None or gain > best[0]):
                     th = (float(sv[i - 1]) + float(sv[i])) / 2.0
                     best = (gain, int(j), th, None, col < th)
@@ -335,9 +369,7 @@ def _grow_scanning_every_position(cols, y, idx, features, classes, params, mtry,
                 rn = len(idx) - ln
                 if ln < params.min_leaf or rn < params.min_leaf:
                     continue
-                lc = np.bincount(y[idx][mask], minlength=n_classes)
-                child = (ln * _gini(lc) + rn * _gini(counts - lc)) / len(idx)
-                gain = parent_gini - child
+                gain = _scan_gain(np.bincount(y[idx][mask], minlength=n_classes), counts)
                 if gain > 1e-12 and (best is None or gain > best[0]):
                     cats = frozenset([features[j].categories[int(code)]])
                     best = (gain, int(j), None, cats, mask)

@@ -177,7 +177,7 @@ def test_patience_gives_up_before_any_goal(toy_forest, toy_table, unit_library):
 
 def test_patience_stop_after_goal():
     forest, table = random_soft_forest(0)
-    lib = default_action_library(table, CostModel.unit(len(table.features)))
+    lib = default_action_library(table, CostModel((1.0,) * len(table.features)))
     eager = SearchParams(target=1, z=0.5, alpha=0.0, patience=1)
     e = find_preferred_goal((0, 0, 0, 2), lib, forest, table, eager)
     assert e.status == PATIENCE_STOP and e.found

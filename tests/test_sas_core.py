@@ -133,7 +133,6 @@ def test_cost_model():
     cm = CostModel(weights=(2.0, 5.0))
     assert cm.step_cost(0, 0, 3) == 18.0
     assert cm.step_cost(1, 3, 1) == 20.0
-    assert CostModel.unit(3).weights == (1.0, 1.0, 1.0)
     with pytest.raises(ActionError):
         CostModel(weights=(1.0, -1.0))
 
