@@ -225,6 +225,8 @@ def _key_option(key: str, help=None, default=None):
                         default=key_default if default is None else default)
 
 
+_WORKERS_HELP = "Worker processes, at most one per CPU this process may use."
+
 _model_option = click.option("--model", "model_path", required=True, type=click.Path(),
                              help="Model file written by train.")
 
@@ -517,7 +519,7 @@ def partitions(model_path, as_json):
 @click.option("--schema", "schema_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv", show_default=True)
 @click.option("--state-cap", type=int, default=250_000, show_default=True)
-@_key_option("workers", help="Worker processes.")
+@_key_option("workers", help=_WORKERS_HELP)
 @_catalog_options()
 @click.option("--quiet", is_flag=True, help="No progress output.")
 def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budget,
@@ -738,7 +740,7 @@ def _render_bench(report) -> None:
 @click.option("--sample-seed", type=int, default=0, show_default=True)
 @click.option("--state-cap", type=int, default=250_000, show_default=True)
 @click.option("--oracle-cap", type=int, default=2_000_000, show_default=True)
-@_key_option("workers")
+@_key_option("workers", help=_WORKERS_HELP)
 @click.option("--sweep", "sweep_text", default="100", show_default=True,
               help="Preprocessing fractions, e.g. 'r=10,20,...,100'.")
 @click.option("--json-out", "json_path", type=click.Path(), default=None,

@@ -76,6 +76,18 @@ class PartitionTable:
             for meta, ths in zip(self.features, self.thresholds)
         )
 
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Row-major strides: state ``s`` has rank ``Σ s[i]·strides[i]`` in the grid.
+
+        Ranks number the states ``0 .. state_count - 1`` in the tuples'
+        lexicographic order (computed once, like ``sizes``).
+        """
+        out = [1] * len(self.sizes)
+        for i in range(len(out) - 2, -1, -1):
+            out[i] = out[i + 1] * self.sizes[i + 1]
+        return tuple(out)
+
     @property
     def state_count(self) -> int:
         return math.prod(self.sizes)

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import shlex
-import subprocess
-import tempfile
 
 from .io import read_solver_output, wcnf_read, wcnf_write  # noqa: F401
 from .model import (  # noqa: F401
@@ -91,6 +88,10 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
     ``timeout``.  An exit code other than 0/10/20/30 raises BackendError;
     the printed answer is read and checked by ``read_solver_output``.
     """
+    import shlex
+    import subprocess
+    import tempfile
+
     _check_timeout(timeout)
     argv = shlex.split(command)
     if not argv:

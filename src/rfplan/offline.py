@@ -11,12 +11,20 @@ which proves the stored cost optimal for every alpha; when more than
 ``patience`` expansions pass without a cheaper goal; or when the
 expansion budget is exhausted.  Re-expansions count as expansions.
 
+The search works on integer state ranks: a state's row-major rank in the
+partition grid (``PartitionTable.strides``).  Rank order is the tuples'
+lexicographic order, so frontier entries ``(f, g, rank)`` pop in the
+order ``(f, g, state)`` would, and a rank becomes a tuple again only for
+the entry's goal.
+
 ``preprocess`` searches its states in batches, one batch in process or
-one per worker process with ``workers > 1``; each batch builds one
-evaluator and one successor table and searches its states in order.
-A state's successors are generated once per batch, however many
-searches expand it.  The table holds one row per expanded state and is
-freed with its batch; a lone ``find_preferred_goal`` call builds none.
+one per worker process with ``workers > 1`` (at most one per usable
+CPU); each batch builds one evaluator and one state table
+(``SuccessorTable``) and searches its states in order.  The table maps
+ranks to states and target shares and holds one row per expanded state:
+its actions, successor ranks and action costs.  A state's row is built
+once per batch, however many searches expand it, and the table is freed
+with its batch.  A lone ``find_preferred_goal`` call is a batch of one.
 
 Results are stored in a goal database keyed by start state and stamped
 with the model fingerprint so stale pairings are rejected.
@@ -29,7 +37,7 @@ import heapq
 import json
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -161,37 +169,56 @@ class PreferredGoalEntry:
         return self.status != NO_GOAL
 
 
-_cost = operator.attrgetter("cost")
-
-
 class SuccessorTable:
-    """Successor rows shared by the searches of one ``preprocess`` call.
+    """The state table shared by the searches of one ``preprocess`` batch.
 
-    A state's first expansion stores ``neighbors(s, library)`` as two
-    parallel tuples, its actions and its successor states, in the same id
-    order; later expansions, in this search or another, reuse the row.
-    Successor states are interned, one object per state.  The table grows
-    by one row per state expanded through it and lives as long as its
-    owner, which for ``preprocess`` is one call.
+    A state is numbered by its row-major rank in the partition grid,
+    ``Σ s[i]·strides[i]`` (``PartitionTable.strides``).  Rank order is the
+    tuples' lexicographic order, so search entries keyed by rank pop in
+    the order entries keyed by the state would.  Ranks are interned, one
+    int object per state.  The table holds:
+
+    - ``state``: rank -> state, for every state it has ranked;
+    - ``share``: rank -> the state's target share, read through the
+      batch's ``StateEvaluator`` each time a row lists the state;
+    - one row per expanded state, from its first expansion's
+      ``neighbors(s, library)``: its actions, successor ranks and action
+      costs, as three parallel tuples in id order.  Later expansions, in
+      this search or another, reuse the row.
+
+    The table grows by one row per state expanded through it and lives as
+    long as its batch.  A lone ``find_preferred_goal`` call is a batch of
+    one: it builds its own table, which is freed when the call returns.
     """
 
-    def __init__(self, library: ActionLibrary):
+    def __init__(self, library: ActionLibrary, evaluator: StateEvaluator):
         self.library = library
-        self._rows: dict[State, tuple[tuple[Action, ...], tuple[State, ...]]] = {}
-        self._interned: dict[State, State] = {}
+        self.evaluator = evaluator
+        self.state: dict[int, State] = {}
+        self.share: dict[int, float] = {}
+        self._strides = evaluator.table.strides
+        self._interned: dict[int, int] = {}
+        self._rows: dict[int, tuple[tuple[Action, ...], tuple[int, ...], tuple[float, ...]]] = {}
 
-    def edges(self, s: State) -> Iterable[tuple[Action, State, float]]:
-        """``(action, successor, cost)`` triples, as ``neighbors`` yields them."""
-        row = self._rows.get(s)
+    def rank(self, s: State) -> int:
+        """The interned rank of ``s``; records ``s`` and reads its share."""
+        r = sum(map(operator.mul, s, self._strides))
+        r = self._interned.setdefault(r, r)
+        self.state.setdefault(r, s)
+        self.share[r] = self.evaluator.proba(s)
+        return r
+
+    def row(self, r: int) -> tuple[tuple[Action, ...], tuple[int, ...], tuple[float, ...]]:
+        """``(actions, successor ranks, costs)`` of the state ranked ``r``."""
+        row = self._rows.get(r)
         if row is None:
-            intern = self._interned.setdefault
-            found = neighbors(s, self.library)
-            row = self._rows[s] = (
+            found = neighbors(self.state[r], self.library)
+            row = self._rows[r] = (
                 tuple(a for a, _, _ in found),
-                tuple(intern(s2, s2) for _, s2, _ in found),
+                tuple(self.rank(s2) for _, s2, _ in found),
+                tuple(w for _, _, w in found),
             )
-        actions, states = row
-        return zip(actions, states, map(_cost, actions))
+        return row
 
 
 def find_preferred_goal(
@@ -205,47 +232,55 @@ def find_preferred_goal(
 ) -> PreferredGoalEntry:
     """Best-first anytime search from one start state.
 
-    ``successors`` is a table shared with other searches over the same
-    library; without one, every expansion calls ``neighbors``.
+    ``successors`` is a state table shared with other searches over the
+    same library and evaluator; without one, the search builds its own
+    from ``evaluator`` (or a new one).  Search entries are keyed by rank.
     """
     s_init = check_state(table, s_init)
-    if evaluator is None:
-        evaluator = StateEvaluator(forest, table, params.target)
-    if successors is not None and successors.library is not library:
+    if successors is None:
+        if evaluator is None:
+            evaluator = StateEvaluator(forest, table, params.target)
+        successors = SuccessorTable(library, evaluator)
+    elif successors.library is not library:
         raise SearchError("successor table was built for another action library")
+    elif evaluator is not None and evaluator is not successors.evaluator:
+        raise SearchError("successor table reads shares through another evaluator")
     alpha = resolve_alpha(params, library)
     z = params.z
+    share = successors.share
+    row = successors.row
 
-    best_goal: State | None = None
+    best_goal: int | None = None
     best_cost = math.inf
     best_path: tuple[Action, ...] = ()
     expansions = 0
     expansions_at_goal = 0
 
-    best_g: dict[State, float] = {s_init: 0.0}
-    parent: dict[State, tuple[State, Action]] = {}
-    p0 = evaluator.proba(s_init)
-    heap: list[tuple[float, float, State]] = [(heuristic(p0, z, alpha), 0.0, s_init)]
+    r_init = successors.rank(s_init)
+    best_g: dict[int, float] = {r_init: 0.0}
+    parent: dict[int, tuple[int, Action]] = {}
+    heap: list[tuple[float, float, int]] = [(heuristic(share[r_init], z, alpha), 0.0, r_init)]
     status = PROVED_EXHAUSTED
 
-    def path_to(s: State) -> tuple[Action, ...]:
+    def path_to(r: int) -> tuple[Action, ...]:
         steps: list[Action] = []
-        while s != s_init:
-            prev, action = parent[s]
+        while r != r_init:
+            r, action = parent[r]
             steps.append(action)
-            s = prev
         steps.reverse()
         return tuple(steps)
 
+    # local names for the loop that runs once per edge
+    g_of, inf, push, pop = best_g.get, math.inf, heapq.heappush, heapq.heappop
     while heap:
-        f, g, s = heapq.heappop(heap)
-        if g > best_g[s]:
-            continue  # stale: a cheaper route to s was pushed since
-        p = evaluator.proba(s)
+        f, g, r = pop(heap)
+        if g > best_g[r]:
+            continue  # stale: a cheaper route to r was pushed since
+        p = share[r]
         if p >= z and g < best_cost:
-            # an ancestor reopened after s was pushed may have a cheaper
+            # an ancestor reopened after r was pushed may have a cheaper
             # parent link now, so the path can cost less than g
-            best_goal, best_path = s, path_to(s)
+            best_goal, best_path = r, path_to(r)
             best_cost = sum((a.cost for a in best_path), 0.0)
             expansions_at_goal = expansions
         if expansions - expansions_at_goal > params.patience:
@@ -257,14 +292,14 @@ def find_preferred_goal(
         if expansions > params.node_budget:
             status = BUDGET_STOP
             break
-        edges = neighbors(s, library) if successors is None else successors.edges(s)
-        for action, s2, w in edges:
+        for action, r2, w in zip(*row(r)):
             g2 = g + w
-            if g2 < best_g.get(s2, math.inf):
-                best_g[s2] = g2
-                parent[s2] = (s, action)
-                p2 = evaluator.proba(s2)
-                heapq.heappush(heap, (g2 + heuristic(p2, z, alpha), g2, s2))
+            if g2 < g_of(r2, inf):
+                best_g[r2] = g2
+                parent[r2] = (r, action)
+                p2 = share[r2]
+                # heuristic(p2, z, alpha), inlined
+                push(heap, (g2 + (alpha * (z - p2) if p2 < z else 0.0), g2, r2))
 
     if best_goal is None:
         return PreferredGoalEntry(
@@ -272,7 +307,7 @@ def find_preferred_goal(
         )
     return PreferredGoalEntry(
         initial=s_init,
-        goal=best_goal,
+        goal=successors.state[best_goal],
         cost=best_cost,
         expansions=expansions,
         status=status,
@@ -302,16 +337,22 @@ def _search_batch(
 ) -> list[PreferredGoalEntry]:
     """Search ``states`` in order, sharing one evaluator and one successor
     table; ``on_each(done)`` runs after every state."""
-    evaluator = StateEvaluator(forest, table, params.target)
-    successors = SuccessorTable(library)
+    successors = SuccessorTable(library, StateEvaluator(forest, table, params.target))
     entries = []
     for s in states:
         entries.append(
-            find_preferred_goal(s, library, forest, table, params, evaluator, successors)
+            find_preferred_goal(s, library, forest, table, params, successors=successors)
         )
         if on_each:
             on_each(len(entries))
     return entries
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def preprocess(
@@ -328,22 +369,26 @@ def preprocess(
     Duplicate states are searched once, in sorted order, as one batch
     that shares a ``SuccessorTable`` until the call returns;
     ``on_progress(done, total)`` runs after every state.  With
-    ``workers > 1`` the states are dealt into one batch per process and
+    ``workers > 1`` the states are dealt into one batch per process, at
+    most one per CPU this process may use and one per state, and
     ``on_progress`` runs as each batch's results arrive.  Results are
     identical either way, and identical to lone ``find_preferred_goal``
     calls.
     """
     todo = sorted(set(check_state(table, s) for s in states))
     report = (lambda done: on_progress(done, len(todo))) if on_progress else None
-    if workers <= 1 or not todo:
+    batches = min(workers, len(todo), _usable_cpus())
+    if batches <= 1:
         found = _search_batch(todo, library, forest, table, params, report)
     else:
-        chunks = [c for c in (todo[i::workers] for i in range(workers)) if c]
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = [todo[i::batches] for i in range(batches)]
         search = functools.partial(
             _search_batch, library=library, forest=forest, table=table, params=params
         )
         found = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=batches) as pool:
             for batch in pool.map(search, chunks):
                 found.extend(batch)
                 if report:

@@ -20,6 +20,7 @@ from rfplan.discretize import (
     to_state,
 )
 from rfplan.forest import (
+    CATEGORICAL,
     FeatureMeta,
     Leaf,
     ModelError,
@@ -182,6 +183,55 @@ def test_enumerate_states(toy_table):
         list(enumerate_states(toy_table, cap=5))
 
 
+
+def _random_table(rng, sizes):
+    features, thresholds = [], []
+    for i, n in enumerate(sizes):
+        if rng.random() < 0.3:
+            features.append(FeatureMeta(f"c{i}", CATEGORICAL, categories=[str(k) for k in range(n)]))
+            thresholds.append(())
+        else:
+            features.append(FeatureMeta(f"x{i}", NUMERICAL))
+            thresholds.append(tuple(float(k) for k in range(n - 1)))
+    return PartitionTable(features=tuple(features), thresholds=tuple(thresholds))
+
+
+def _unrank(table, r):
+    """The state of rank ``r``, by mixed-radix digits (the test's own inverse)."""
+    digits = []
+    for n in reversed(table.sizes):
+        r, v = divmod(r, n)
+        digits.append(v)
+    assert r == 0
+    return tuple(reversed(digits))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_order_is_tuple_order(seed):
+    rng = random.Random(seed)
+    if seed < 5:
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+    else:
+        # grids of more than 2**64 cells: ranks are exact big ints
+        sizes = [rng.randint(300, 700) for _ in range(8)]
+    table = _random_table(rng, sizes)
+    assert table.sizes == tuple(sizes)
+    strides = table.strides
+    if table.state_count <= 2000:
+        states = list(enumerate_states(table))
+    else:
+        assert table.state_count > 2**64
+        states = [tuple(rng.randrange(n) for n in sizes) for _ in range(500)]
+        states += [tuple(n - 1 for n in sizes), (0,) * len(sizes)]
+    ranks = {s: sum(v * k for v, k in zip(s, strides)) for s in states}
+    assert sorted(states, key=ranks.__getitem__) == sorted(states)
+    assert len(set(ranks.values())) == len(set(states))
+    for s, r in ranks.items():
+        assert 0 <= r < table.state_count
+        assert _unrank(table, r) == s
+    assert ranks[tuple(n - 1 for n in sizes)] == table.state_count - 1
+
+
 def _random_point_in_cell(rng, table, s):
     x = []
     for meta, ths, idx in zip(table.features, table.thresholds, s):
@@ -275,3 +325,4 @@ def test_table_sizes_stay_out_of_equality_hash_and_repr(toy_forest, toy_table):
     assert fresh == toy_table and hash(fresh) == hash(toy_table)
     assert repr(fresh) == repr(toy_table) and "sizes" not in repr(toy_table)
     assert pickle.loads(pickle.dumps(toy_table)).sizes == (2, 2, 3)
+    assert toy_table.strides == (6, 3, 1) and "strides" not in repr(toy_table)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import concurrent.futures
+import hashlib
+import json
 import math
+import os
 import random
 
 import pytest
@@ -259,6 +263,47 @@ def test_preprocess_workers_match_serial(toy_forest, toy_table, unit_library, to
     assert parallel == toy_db
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool and maps in process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.batches: list = []
+        _SerialPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        for chunk in chunks:
+            self.batches.append(chunk)
+            yield fn(chunk)
+
+
+@pytest.mark.parametrize("cpus,workers,batches", [(3, 5000, 3), (3, 2, 2), (64, 5000, 12), (1, 8, 1)])
+def test_preprocess_starts_at_most_one_worker_per_cpu(
+    toy_forest, toy_table, unit_library, toy_params, toy_db, monkeypatch, cpus, workers, batches
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "made", [])
+    states = list(enumerate_states(toy_table))  # 12 states
+    db = preprocess(states, unit_library, toy_forest, toy_table, toy_params, workers=workers)
+    assert db == toy_db
+    assert all(db.entries[s].path == toy_db.entries[s].path for s in states)
+    if batches == 1:
+        assert _SerialPool.made == []  # one batch runs in process
+    else:
+        (pool,) = _SerialPool.made
+        assert pool.max_workers == len(pool.batches) == batches
+        assert sorted(s for b in pool.batches for s in b) == states
+
+
 def test_preprocess_workers_match_serial_with_mechanical_actions(
     toy_forest, toy_table, unit_library, toy_params
 ):
@@ -291,7 +336,8 @@ def test_preprocess_generates_each_successor_row_once(
     assert db == toy_db
     assert len(expanded) == len(set(expanded))
     assert sum(e.expansions for e in db.entries.values()) > len(expanded)
-    # a lone search keeps no table: a second one regenerates every row
+    # a lone search is a batch of one: its table goes with it, so a second
+    # search regenerates every row
     del expanded[:]
     for _ in range(2):
         find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params)
@@ -299,10 +345,58 @@ def test_preprocess_generates_each_successor_row_once(
 
 
 def test_successor_table_is_bound_to_its_library(toy_forest, toy_table, unit_library, toy_params):
+    evaluator = StateEvaluator(toy_forest, toy_table, 1)
+    successors = SuccessorTable(unit_library, evaluator)
     other = ActionLibrary(actions=unit_library.actions[:2])
     with pytest.raises(SearchError, match="another action library"):
         find_preferred_goal((0, 0, 0), other, toy_forest, toy_table, toy_params,
-                            successors=SuccessorTable(unit_library))
+                            successors=successors)
+    with pytest.raises(SearchError, match="another evaluator"):
+        find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params,
+                            evaluator=StateEvaluator(toy_forest, toy_table, 1),
+                            successors=successors)
+    e = find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params,
+                            evaluator=evaluator, successors=successors)
+    assert (e.goal, e.cost) == ((0, 1, 2), 3.0)
+
+
+def test_successor_table_numbers_states_by_rank():
+    forest, table, library = baseline_model()
+    evaluator = StateEvaluator(forest, table, 1)
+    successors = SuccessorTable(library, evaluator)
+    states = list(enumerate_states(table))
+    ranks = [successors.rank(s) for s in states]
+    assert ranks == list(range(table.state_count))
+    for s, r in zip(states, ranks):
+        assert successors.state[r] == s
+        assert successors.share[r] == evaluator.proba(s)
+        # interned: ranking a fresh copy of the state gives the same int object
+        assert successors.rank(tuple(list(s))) is r
+    s = (1, 4, 5, 3)
+    actions, succ, costs = successors.row(successors.rank(s))
+    assert [(a, successors.state[r2], w) for a, r2, w in zip(actions, succ, costs)] == (
+        neighbors(s, library)
+    )
+    assert all(r2 is ranks[r2] for r2 in succ)
+
+
+# the searches of 40 baseline non-goal states drawn by random.Random(0):
+# sha256 over (start, goal, cost, status, expansions, witness action ids)
+SEARCH_PINS = {AUTO: "4deed489bfafa1ba", 0.0: "be6ee3493d6ba300"}
+
+
+@pytest.mark.parametrize("alpha", [AUTO, 0.0])
+def test_search_entries_pinned_on_baseline(alpha):
+    forest, table, library = baseline_model()
+    params = SearchParams(target=1, z=0.5, alpha=alpha)
+    evaluator = StateEvaluator(forest, table, params.target)
+    nongoal = [s for s in enumerate_states(table) if evaluator.proba(s) < params.z]
+    db = preprocess(random.Random(0).sample(nongoal, 40), library, forest, table, params)
+    records = [
+        [list(s), list(e.goal), e.cost, e.status, e.expansions, [a.id for a in e.path]]
+        for s, e in sorted(db.entries.items())
+    ]
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == SEARCH_PINS[alpha]
 
 
 def assert_same_as_lone_searches(db, library, forest, table, params):
