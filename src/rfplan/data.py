@@ -2,7 +2,8 @@
 
 The schema declares the feature columns in vector order, their kind and
 mutability, and the label column; optionally a fixed ordered class list.
-All diagnostics carry file and line numbers.
+All diagnostics carry file and line numbers.  A file may start with a
+UTF-8 byte order mark.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def schema_from_dict(doc: dict, source: str = "<schema>") -> Schema:
 
 def load_schema(path) -> Schema:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
@@ -125,7 +126,7 @@ def _finish(schema: Schema, rows: list, labels: list, source: str) -> Dataset:
 
 
 def _ingest_csv(path, schema: Schema) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -197,7 +198,7 @@ def _ingest_libsvm(path, schema: Schema) -> Dataset:
     m = len(schema.features)
     rows: list[Vector] = []
     labels: list[Label] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

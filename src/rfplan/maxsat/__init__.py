@@ -4,10 +4,11 @@
 implication lists, literal weights and counter clauses with a branching
 order (once per kept prefix), to the in-process branch-and-bound kernel
 of ``_pure``, and re-checks every model it returns.  ``solve_external``
-runs a third-party solver process instead and checks its answer the same
-way.  The planner hands either one ``encoder.encode``'s instance as is:
-the query's reachability units, start and goal clauses ahead of the
-clauses its action library keeps at that makespan.
+writes the instance as a WCNF file for a third-party solver process and
+reads and checks its answer.  The planner hands either one
+``encoder.encode``'s instance as is: the query's reachability units,
+start and goal clauses ahead of the clauses its action library keeps at
+that makespan.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 
-from .io import read_solver_output, wcnf_read, wcnf_write  # noqa: F401
+from .io import read_solver_output, wcnf_write  # noqa: F401
 from .model import (  # noqa: F401
     HARD_UNSAT,
     OPTIMAL,
@@ -83,12 +84,15 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
     """Solve with an external Max-SAT solver process.
 
     ``command`` is split shell-style and the path of a temporary WCNF file
-    is appended as its last argument.  The process is killed after
-    ``timeout`` seconds (None: no limit, else finite and > 0), which reports
-    ``timeout``.  An exit code other than 0/10/20/30 raises BackendError;
-    the printed answer is read and checked by ``read_solver_output``.
+    is appended as its last argument.  The solver runs in its own process
+    group, which is killed when the call returns, so no process it started
+    outlives it.  After ``timeout`` seconds (None: no limit, else finite
+    and > 0) the call returns ``timeout``.  An exit code other than 0/10/20/30
+    raises BackendError; the printed answer is read and checked by
+    ``read_solver_output``.
     """
     import shlex
+    import signal
     import subprocess
     import tempfile
 
@@ -100,19 +104,28 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
         path = os.path.join(tmp, "instance.wcnf")
         wcnf_write(instance, path)
         try:
-            proc = subprocess.run(
-                argv + [path], capture_output=True, text=True, timeout=timeout
-            )
-        except subprocess.TimeoutExpired:
-            return SolveResult(status=TIMEOUT, cost=None, assignment=None, nodes=0)
+            # its own process group, so that a kill reaches the solver's children too
+            proc = subprocess.Popen(argv + [path], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, start_new_session=True)
         except FileNotFoundError:
             raise BackendError(f"external solver not found: {argv[0]!r}") from None
         except OSError as exc:
             raise BackendError(f"cannot run external solver: {exc}") from None
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return SolveResult(status=TIMEOUT, cost=None, assignment=None, nodes=0)
+        finally:
+            # finished, timed out or interrupted: nothing the solver started outlives it
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
     if proc.returncode not in _EXTERNAL_EXIT_CODES:
-        tail = proc.stderr.strip()[-500:]
+        tail = stderr.strip()[-500:]
         raise BackendError(
             f"external solver exited with code {proc.returncode}"
             + (f"; stderr ends: {tail}" if tail else "")
         )
-    return read_solver_output(proc.stdout, instance)
+    return read_solver_output(stdout, instance)

@@ -1,9 +1,8 @@
-"""DIMACS WCNF reading and writing, and reading a solver's answer.
+"""Writing an instance as a DIMACS WCNF file, and reading a solver's answer.
 
-Format: optional comment lines (``c ...``), one header
-``p wcnf <nvars> <nclauses> <top>``, then clauses as whitespace-separated
-ints terminated by 0, weight first.  A clause with weight == top is hard;
-below top is soft; above top is an error, as is weight 0.
+The file is one header ``p wcnf <nvars> <nclauses> <top>``, then one
+clause per line: its weight, its literals, and 0.  Hard clauses carry
+weight ``top``, one above the total soft weight.
 """
 
 from __future__ import annotations
@@ -37,75 +36,6 @@ def wcnf_write(instance: WcnfInstance, path) -> None:
             fh.write(" ".join([str(top), *map(str, lits), "0"]) + "\n")
         for w, lits in instance.soft:
             fh.write(" ".join([str(w), *map(str, lits), "0"]) + "\n")
-
-
-def wcnf_read(path) -> WcnfInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-
-    header = None
-    tokens: list[tuple[int, int]] = []  # (line number, value)
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("c"):
-            continue
-        if text.startswith("p"):
-            if header is not None:
-                raise WcnfError(f"{path}:{lineno}: duplicate header")
-            parts = text.split()
-            if len(parts) != 5 or parts[1] != "wcnf":
-                raise WcnfError(f"{path}:{lineno}: malformed header {text!r}")
-            try:
-                header = (lineno, int(parts[2]), int(parts[3]), int(parts[4]))
-            except ValueError:
-                raise WcnfError(f"{path}:{lineno}: non-integer header field in {text!r}") from None
-            if header[1] < 0 or header[2] < 0 or header[3] < 1:
-                raise WcnfError(f"{path}:{lineno}: header values out of range in {text!r}")
-            continue
-        if header is None:
-            raise WcnfError(f"{path}:{lineno}: clause before header")
-        for tok in text.split():
-            try:
-                tokens.append((lineno, int(tok)))
-            except ValueError:
-                raise WcnfError(f"{path}:{lineno}: non-integer token {tok!r}") from None
-
-    if header is None:
-        raise WcnfError(f"{path}: missing 'p wcnf' header")
-    _, nvars, nclauses, top = header
-
-    hard: list[list[int]] = []
-    soft: list[tuple[int, list[int]]] = []
-    i = 0
-    while i < len(tokens):
-        lineno, weight = tokens[i]
-        if weight <= 0:
-            raise WcnfError(f"{path}:{lineno}: clause weight must be positive, got {weight}")
-        if weight > top:
-            raise WcnfError(f"{path}:{lineno}: weight {weight} exceeds top {top}")
-        lits: list[int] = []
-        i += 1
-        closed = False
-        while i < len(tokens):
-            lineno, lit = tokens[i]
-            i += 1
-            if lit == 0:
-                closed = True
-                break
-            if abs(lit) > nvars:
-                raise WcnfError(f"{path}:{lineno}: literal {lit} exceeds declared {nvars} variables")
-            lits.append(lit)
-        if not closed:
-            raise WcnfError(f"{path}:{lineno}: clause not terminated by 0")
-        if weight == top:
-            hard.append(lits)
-        else:
-            soft.append((weight, lits))
-
-    found = len(hard) + len(soft)
-    if found != nclauses:
-        raise WcnfError(f"{path}: header declares {nclauses} clauses, found {found}")
-    return WcnfInstance.build(nvars=nvars, hard=hard, soft=soft)
 
 
 def read_solver_output(text: str, instance: WcnfInstance) -> SolveResult:

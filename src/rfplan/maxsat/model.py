@@ -30,7 +30,7 @@ TIMEOUT = "timeout"
 
 
 class WcnfError(ValueError):
-    """Ill-formed clause, weight, WCNF file, or solver output."""
+    """Ill-formed clause, weight, or solver output."""
 
 
 class BackendError(RuntimeError):

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -226,6 +227,23 @@ def random_wcnf(rng, nv_max=20, nv_min=3, hard_mult=1.5, soft_mult=1.5,
                   for v in rng.sample(range(1, nv + 1), width)]
         soft.append((rng.randint(1, weight_max), clause))
     return WcnfInstance.build(nv, hard, soft)
+
+
+def read_wcnf(path):
+    """The instance in a WCNF file that ``wcnf_write`` wrote: a header
+    ``p wcnf <nvars> <nclauses> <top>``, then one clause a line, weight
+    first and 0 last, hard at weight ``top``.  The format is trusted."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    _, _, nvars, nclauses, top = header.split()
+    hard, soft = [], []
+    for line in lines:
+        weight, *lits, _ = map(int, line.split())
+        if weight == int(top):
+            hard.append(lits)
+        else:
+            soft.append((weight, lits))
+    assert len(hard) + len(soft) == int(nclauses)
+    return WcnfInstance.build(int(nvars), hard, soft)
 
 
 def brute_force_cost(instance):

@@ -23,7 +23,7 @@ from rfplan.data import ingest, load_schema
 from rfplan.discretize import build_partitions, enumerate_states, state_proba, to_state
 from rfplan.encoder import NoGoalsError, build_sas, encode, plan_actions
 from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split, fingerprint, persist, restore
-from rfplan.maxsat import OPTIMAL, solve, wcnf_read, wcnf_write
+from rfplan.maxsat import OPTIMAL, solve, wcnf_write
 from rfplan.offline import GoalDatabase, SearchParams, db_persist, db_restore, preprocess
 from rfplan.sas_core import load_action_spec
 
@@ -535,6 +535,27 @@ def test_non_finite_numbers_exit_three(ws, tmp_path):
 # export-wcnf
 
 
+def _wcnf_bytes(instance, path):
+    wcnf_write(instance, path)
+    return path.read_bytes()
+
+
+def _plan_instances(ws, state, l_max):
+    """The instance ``plan --sweep`` solves at each makespan 1..l_max, with
+    the CLI's default catalog (cost seed 0, beta range 1..100)."""
+    forest, table, library = _catalog(str(ws["model"]), None, 0, (1, 100))
+    instances = []
+
+    def recording(instance, timeout=None):
+        instances.append(instance)
+        return solve(instance, timeout=timeout)
+
+    out = plan_actions(forest, table, library, ws["gdb"], state=state, sweep=True,
+                       l_max=l_max, solver=recording)
+    assert [a.L for a in out.attempts] == list(range(1, l_max + 1))
+    return list(zip(out.attempts, instances, strict=True))
+
+
 def test_export_wcnf_writes_a_parseable_instance(ws, tmp_path):
     wcnf, vmap = tmp_path / "x.wcnf", tmp_path / "x.map"
     rv, out, err = run(["export-wcnf", "--model", ws["model"], "--db", ws["db"],
@@ -543,7 +564,8 @@ def test_export_wcnf_writes_a_parseable_instance(ws, tmp_path):
     m = re.search(r"wrote .*: (\d+) variables, (\d+) hard \+ (\d+) soft clauses, "
                   r"(\d+) goal state\(s\)", out)
     assert m
-    inst = wcnf_read(str(wcnf))
+    _, inst = _plan_instances(ws, (0, 0, 0), 2)[1]
+    assert wcnf.read_bytes() == _wcnf_bytes(inst, tmp_path / "planned.wcnf")
     assert inst.nvars == int(m.group(1))
     assert len(inst.hard) == int(m.group(2)) and len(inst.soft) == int(m.group(3))
     assert "variable map written to" in out
@@ -552,32 +574,18 @@ def test_export_wcnf_writes_a_parseable_instance(ws, tmp_path):
 
 
 def test_export_wcnf_writes_the_instance_plan_solves(ws, tmp_path):
-    # the library the CLI builds by default: cost seed 0, beta range 1..100
-    forest, table, library = _catalog(str(ws["model"]), None, 0, (1, 100))
-    solves = []
-
-    def recording(instance, timeout=None):
-        solves.append(solve(instance, timeout=timeout))
-        return solves[-1]
-
-    out = plan_actions(forest, table, library, ws["gdb"], state=(0, 0, 0), sweep=True,
-                       l_max=3, solver=recording)
-    assert [a.L for a in out.attempts] == [1, 2, 3] and len(solves) == 3
-    for L, planned, attempt in zip((1, 2, 3), solves, out.attempts):
+    for L, (attempt, inst) in enumerate(_plan_instances(ws, (0, 0, 0), 3), start=1):
         wcnf = tmp_path / f"L{L}.wcnf"
         rv, text, _ = run(["export-wcnf", "--model", ws["model"], "--db", ws["db"],
                            "--state", "0,0,0", "-L", L, "--out", wcnf])
         assert rv == 0 and f", {attempt.units} reachability unit(s)" in text
-        inst = wcnf_read(str(wcnf))
+        assert wcnf.read_bytes() == _wcnf_bytes(inst, tmp_path / f"planned{L}.wcnf")
         assert attempt.units > 0
         assert all(len(c) == 1 and c[0] < 0 for c in inst.hard[:attempt.units])
-        res = solve(inst)
-        assert (res.status, res.cost, res.nodes) == (planned.status, planned.cost, planned.nodes)
 
 
 def test_export_wcnf_at_an_already_reached_start_writes_the_one_goal_task(ws, tmp_path):
-    forest = restore(str(ws["model"]))
-    table = build_partitions(forest)
+    forest, table, library = _catalog(str(ws["model"]), None, 0, (1, 100))
     start = next(s for s in enumerate_states(table) if state_proba(forest, table, s, 1) >= 0.5)
     text = ",".join(map(str, start))
     rv, out, _ = run(["plan", "--model", ws["model"], "--db", ws["db"], "--state", text,
@@ -587,10 +595,13 @@ def test_export_wcnf_at_an_already_reached_start_writes_the_one_goal_task(ws, tm
     rv, out, err = run(["export-wcnf", "--model", ws["model"], "--db", ws["db"],
                         "--state", text, "-L", 2, "--out", wcnf, "--map", vmap])
     assert rv == 0 and err == "" and "1 goal state(s)" in out
+    # plan solves nothing here; the file is the instance encode returns for this task
+    inst, _ = encode(build_sas(start, ws["gdb"], 3, forest, table, library), 2)
+    assert wcnf.read_bytes() == _wcnf_bytes(inst, tmp_path / "encoded.wcnf")
     assert [line for line in vmap.read_text().splitlines() if "goal state" in line] == [
-        f"{wcnf_read(str(wcnf)).nvars} goal state {start}"
+        f"{inst.nvars} goal state {start}"
     ]
-    res = solve(wcnf_read(str(wcnf)))
+    res = solve(inst)
     assert res.status == OPTIMAL and res.cost == 0
 
 
@@ -607,8 +618,9 @@ def test_export_wcnf_without_goals_exits_two(hardws, tmp_path):
 SOLVER_STUB = """\
 import sys
 import time
-sys.path.insert(0, {src!r})
-from rfplan.maxsat import HARD_UNSAT, OPTIMAL, solve, wcnf_read
+sys.path[:0] = [{src!r}, {tests!r}]
+from helpers import read_wcnf
+from rfplan.maxsat import HARD_UNSAT, OPTIMAL, solve
 
 mode = sys.argv[1:-1]  # optional misbehaviour, before the WCNF path
 if "sleep" in mode:
@@ -616,7 +628,7 @@ if "sleep" in mode:
 if "crash" in mode:
     print("solver ran out of memory", file=sys.stderr)
     sys.exit(1)
-inst = wcnf_read(sys.argv[-1])
+inst = read_wcnf(sys.argv[-1])
 res = solve(inst)
 if res.status == OPTIMAL:
     # "satisfiable": claim no optimum, as a solver stopped by its time limit
@@ -633,9 +645,10 @@ else:
 
 def _stub_command(tmp_path, mode=""):
     """Command line running SOLVER_STUB, optionally in a misbehaving mode."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
     stub = tmp_path / "solver.py"
-    stub.write_text(SOLVER_STUB.format(src=src))
+    stub.write_text(SOLVER_STUB.format(src=os.path.join(os.path.dirname(tests), "src"),
+                                       tests=tests))
     stub.chmod(stub.stat().st_mode | stat.S_IXUSR)
     return f"{sys.executable} {stub} {mode}".rstrip()
 

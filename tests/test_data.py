@@ -195,6 +195,19 @@ def test_libsvm_rejects(tmp_path, text, needle):
         ingest(_write(tmp_path, text, name="data.libsvm"), "libsvm", NUM2)
 
 
+def test_files_may_start_with_a_byte_order_mark(tmp_path, demo_schema, demo_ds):
+    # as Excel's "CSV UTF-8" and many Windows editors write them
+    def with_bom(name):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        return path
+
+    assert load_schema(with_bom("demo_schema.json")) == demo_schema
+    assert ingest(with_bom("demo.csv"), "csv", demo_schema) == demo_ds
+    assert (ingest(with_bom("demo.libsvm"), "libsvm", NUM2)
+            == ingest(DATA / "demo.libsvm", "libsvm", NUM2))
+
+
 def test_unknown_format(tmp_path):
     with pytest.raises(DataError, match="unknown format"):
         ingest(_write(tmp_path, "a,b,y\n1,2,0\n"), "parquet", NUM2)

@@ -4,10 +4,11 @@ import hashlib
 import pickle
 import random
 import re
+import time
 
 import pytest
 
-from helpers import brute_force_cost, encoder_tasks, random_wcnf, without_units
+from helpers import brute_force_cost, encoder_tasks, random_wcnf, read_wcnf, without_units
 from rfplan.encoder import SasProblem, encode
 from rfplan.maxsat import _pure
 from rfplan.maxsat import (
@@ -20,7 +21,6 @@ from rfplan.maxsat import (
     read_solver_output,
     solve,
     solve_external,
-    wcnf_read,
     wcnf_write,
 )
 
@@ -215,6 +215,40 @@ def test_solvers_reject_a_timeout_that_is_not_positive(timeout, tmp_path):
     marker = tmp_path / "ran"
     with pytest.raises(BackendError, match="timeout must be"):
         solve_external(inst, f"touch {marker}", timeout=timeout)
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("stop", ["timeout", "interrupt", "exit"])
+def test_external_solver_children_die_with_it(stop, tmp_path, monkeypatch):
+    # the solver's shell starts a child that would write MARK after 1 s
+    import subprocess
+
+    inst = WcnfInstance.build(nvars=1, soft=[(1, [1])])
+    marker = tmp_path / "MARK"
+    command = f"""sh -c 'sh -c "sleep 1; touch {marker}" & wait'"""
+    t0 = time.perf_counter()
+    if stop == "timeout":
+        assert solve_external(inst, command, timeout=0.3).status == TIMEOUT
+    elif stop == "interrupt":
+        communicate = subprocess.Popen.communicate
+        calls = []
+
+        def interrupted(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(0.3)
+                raise KeyboardInterrupt
+            return communicate(self, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            solve_external(inst, command)
+    else:
+        # the solver answers at once and leaves its child running, detached from its output
+        command = f"""sh -c '(sleep 1; touch {marker}) >/dev/null 2>&1 & echo "s UNKNOWN"'"""
+        assert solve_external(inst, command).status == TIMEOUT
+    assert time.perf_counter() - t0 < 1
+    time.sleep(max(0.0, t0 + 1.5 - time.perf_counter()))
     assert not marker.exists()
 
 
@@ -458,7 +492,7 @@ def test_wcnf_roundtrip(tmp_path):
         inst = random_wcnf(rng, nv_max=10)
         path = tmp_path / f"case{i}.wcnf"
         wcnf_write(inst, path)
-        back = wcnf_read(path)
+        back = read_wcnf(path)
         assert back == inst
 
 
@@ -470,54 +504,6 @@ def test_wcnf_write_format(tmp_path):
     assert lines[0] == "p wcnf 2 2 4"
     assert lines[1] == "4 1 -2 0"
     assert lines[2] == "3 2 0"
-
-
-def _read_text(tmp_path, text):
-    path = tmp_path / "bad.wcnf"
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-@pytest.mark.parametrize(
-    "text,needle",
-    [
-        ("c only a comment\n", "missing"),
-        ("1 1 0\np wcnf 1 1 2\n", "before header"),
-        ("p wcnf 1 1\n", "malformed"),
-        ("p cnf 1 1 2\n", "malformed"),
-        ("p wcnf 1 x 2\n", "non-integer header"),
-        ("p wcnf 1 1 0\n", "out of range"),
-        ("p wcnf 1 1 2\np wcnf 1 1 2\n", "duplicate header"),
-        ("p wcnf 1 1 2\n1 z 0\n", "non-integer token"),
-        ("p wcnf 1 1 2\n0 1 0\n", "positive"),
-        ("p wcnf 1 1 2\n9 1 0\n", "exceeds top"),
-        ("p wcnf 1 1 2\n1 5 0\n", "exceeds declared"),
-        ("p wcnf 1 1 2\n1 1\n", "not terminated"),
-        ("p wcnf 1 2 2\n1 1 0\n", "declares 2 clauses, found 1"),
-    ],
-)
-def test_wcnf_read_rejects(tmp_path, text, needle):
-    with pytest.raises(WcnfError, match=needle):
-        wcnf_read(_read_text(tmp_path, text))
-
-
-def test_wcnf_read_errors_carry_line_numbers(tmp_path):
-    path = _read_text(tmp_path, "c intro\np wcnf 1 1 2\n1 5 0\n")
-    with pytest.raises(WcnfError, match=r"bad\.wcnf:3"):
-        wcnf_read(path)
-
-
-def test_wcnf_read_accepts_comments_and_blank_lines(tmp_path):
-    text = "c header comment\n\np wcnf 2 2 4\nc between\n4 1 0\n\n3 -2 0\n"
-    inst = wcnf_read(_read_text(tmp_path, text))
-    assert inst.hard == ((1,),)
-    assert inst.soft == ((3, (-2,)),)
-
-
-def test_wcnf_read_multiline_clause(tmp_path):
-    text = "p wcnf 3 1 5\n4 1\n2 -3 0\n"
-    inst = wcnf_read(_read_text(tmp_path, text))
-    assert inst.soft == ((4, (1, 2, -3)),)
 
 
 # ---------------------------------------------------------------------------
