@@ -46,8 +46,11 @@ class BenchSettings:
 
     def __post_init__(self):
         for name in ("k", "l_max", "n_instances", "state_cap", "oracle_cap", "workers"):
-            if getattr(self, name) < 1:
-                raise BenchError(f"{name} must be >= 1, got {getattr(self, name)}")
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise BenchError(f"{name} must be an int, got {n!r}")
+            if n < 1:
+                raise BenchError(f"{name} must be >= 1, got {n}")
         if not valid_timeout(self.timeout):
             raise BenchError(f"timeout must be None or finite seconds > 0, got {self.timeout!r}")
 

@@ -8,32 +8,43 @@ vote threshold a task whose one goal is the start.
 
 At makespan L the encoding has one variable per goal state, per (action,
 step), and per step and transition of a variable's graph: its prevailing
-``(f, f)`` pairs, the actions' explicit ``(f, g)`` pairs and mechanical
-targets (``_transition_universe``).  Soft clauses price each action occurrence.
-The hard clause families: pin the start state; require a goal and pin its
-values at step L; chain each explicit transition back to an explicit one
-ending where it starts; exclude clashing transitions of a variable; tie
-each action to its transitions; require one of its actions for every
-value change; exclude actions that contain the same non-prevailing
-transition.
+``(f, f)`` pairs, the actions' explicit ``(f, g)`` pairs, and for each
+mechanical target ``g`` the pair ``(None, g)`` and an explicit ``(f, g)``
+from every value ``f`` (``_transition_universe``).  Soft clauses price
+each action occurrence.  The hard clause families: the reachability units
+(below); pin the start state; require a goal and pin its values at step
+L; chain each explicit transition back to an explicit one ending where it
+starts; exclude two transitions of a variable that leave the same value,
+and a mechanical one with any transition to another value; tie each
+action to its transitions; require for every value change one of its
+actions or one writing its target mechanically; exclude actions that
+contain the same non-prevailing transition.
+
+Per step and state variable exactly one explicit transition is true.  The
+units fix false every step-1 transition that does not leave the start
+value, the start clause makes one that does true, and the mutex leaves no
+other.  Backward chaining makes each true step-(t+1) transition start
+where a true step-t one ends, so by induction the true transitions of a
+step all leave one value and the mutex leaves one.  The mutex pairs of
+explicit transitions leaving different values, which SASE lists too, are
+thus implied and left out: the units are part of the encoding, not only
+a cut.  So a model decodes to one well-defined state trajectory, and
+SASE's forward chaining (on to a next-step transition that starts where
+this one ends) holds in every model; that family is left out as well.
+
+A mechanical transition rides along with its variable's explicit one: the
+mutex makes that one end at the mechanical target, and the explicit move
+there exists from every value and counts the mechanical write as its
+support.  So a value change that only a mechanical write makes is
+reachable too.  Chaining runs over the explicit transitions alone.
 
 Clashing actions need no clause of their own: when ``a`` contains ``t``,
-``b`` contains ``u`` and ``t``, ``u`` are mutex, unit propagation derives
-``-b`` from ``a`` through ``t`` and ``-u`` (the transition view of Huang,
-Chen & Zhang, "SAS+ Planning as Satisfiability", JAIR 2012).  Identical
-transitions never clash, so only a shared write needs an action pair.
-
-Per step and state variable exactly one explicit-endpoint transition is
-true: the goal clauses make one true at step L, backward chaining one at
-each earlier step, the mutex leaves no other, and the start clause makes
-step 1's leave the start value.  So a model decodes to one well-defined
-state trajectory, and SASE's forward chaining (on to a next-step
-transition that starts where this one ends) holds in every model; that
-family is left out.  Mechanical (wildcard-source) transitions ride along
-only where an action introduces them and are never a predecessor; value
-changes available exclusively through mechanical transitions are not
-reachable in this compilation (the offline search handles those), which
-keeps decoded plans sound.
+``b`` contains ``u`` and ``t``, ``u`` are mutex (``transition_mutex``),
+either a mutex clause excludes ``t`` with ``u`` or both are explicit and
+leave different values, which the invariant above excludes (the
+transition view of Huang, Chen & Zhang, "SAS+ Planning as
+Satisfiability", JAIR 2012).  Identical transitions never clash, so only
+a shared write needs an action pair.
 
 Only the reachability units (below), the start, at-least-one-goal and
 goal-pin clauses and the goal variables depend on the query.  The
@@ -54,11 +65,13 @@ from this; a single ``plan`` call encodes each makespan once and does not.
 
 The reachability units are one unit clause fixing false each explicit
 step transition that no plan from this start to these goals within L
-steps can use (``_reachability_units``).  They lose no model and spare
-the kernel the search through those transitions.  The instance ``encode``
-returns is the one every solve gets, in-process or external, and the one
-``export-wcnf`` writes: the units first, then the start and goal clauses,
-then the kept clauses; ``VarMap.units`` counts the units.
+steps can use (``_reachability_units``).  They lose no plan, spare the
+kernel the search through those transitions and, at step 1, stand in for
+the mutex pairs left out (above), so the clauses without them are no
+plan encoding.  The instance ``encode`` returns is the one every solve
+gets, in-process or external, and the one ``export-wcnf`` writes: the
+units first, then the start and goal clauses, then the kept clauses;
+``VarMap.units`` counts the units.
 """
 
 from __future__ import annotations
@@ -85,7 +98,6 @@ from .sas_core import (
     Plan,
     Transition,
     simulate_plan,
-    transition_mutex,
 )
 
 SOLVED = "solved"
@@ -161,16 +173,18 @@ class VarMap:
 def _transition_universe(
     library: ActionLibrary, sizes: tuple[int, ...]
 ) -> tuple[tuple[tuple[int | None, int], ...], ...]:
-    """Per variable, its transition graph: the prevailing ``(f, f)`` and the
-    actions' explicit ``(from, to)`` pairs, sorted, then the actions'
-    mechanical targets ``(None, to)``, sorted.  A catalog with every pair
-    gets the numbering of all n² pairs."""
+    """Per variable, its transition graph: the prevailing ``(f, f)``, the
+    actions' explicit ``(from, to)`` pairs and ``(f, to)`` from every value
+    ``f`` of a mechanical target ``to``, sorted, then the mechanical
+    targets ``(None, to)``, sorted.  A catalog with every pair gets the
+    numbering of all n² pairs."""
     explicit = [{(f, f) for f in range(n)} for n in sizes]
     mech_targets: list[set[int]] = [set() for _ in sizes]
     for a in library.actions:
         for t in a.transitions:
             if t.is_mechanical:
                 mech_targets[t.var].add(t.to)
+                explicit[t.var].update((f, t.to) for f in range(sizes[t.var]))
             else:
                 explicit[t.var].add((t.frm, t.to))
     return tuple(
@@ -232,13 +246,18 @@ def _build_skeleton(
                        if f2 is not None and g2 == f]
                 )
 
-    # mutex transitions within a step (same variable only)
+    # mutex transitions within a step, same variable only: those leaving one
+    # value, and a mechanical one against any other target; the units and
+    # backward chaining exclude the rest (see the module docstring)
     for v in range(m):
-        objs = [Transition(v, f, g) for f, g in universe[v]]
-        clashing = [(u, w) for u, w in itertools.combinations(objs, 2) if transition_mutex(u, w)]
+        clashing = [
+            ((f1, g1), (f2, g2))
+            for (f1, g1), (f2, g2) in itertools.combinations(universe[v], 2)
+            if f1 == f2 or (None in (f1, f2) and g1 != g2)
+        ]
         for t in steps:
             for u, w in clashing:
-                hard.append([-trans[(t, v, u.frm, u.to)], -trans[(t, v, w.frm, w.to)]])
+                hard.append([-trans[(t, v, *u)], -trans[(t, v, *w)]])
 
     # actions sharing a write exclude each other; other clashing actions are
     # excluded through their transitions (see the module docstring).  One
@@ -266,9 +285,10 @@ def _build_skeleton(
             for f, g in universe[v]:
                 if f is not None and f == g:
                     continue  # prevailing transitions hold by the frame rule
-                hard.append(
-                    [-trans[(t, v, f, g)]] + [acts[(t, a.id)] for a in support[(v, f, g)]]
-                )
+                backers = support.get((v, f, g), [])
+                if f is not None:  # a mechanical write of g makes any move to g
+                    backers = backers + support.get((v, None, g), [])
+                hard.append([-trans[(t, v, f, g)]] + [acts[(t, a.id)] for a in backers])
 
     return (
         VarMap(L=L, nvars=nsteps, trans=MappingProxyType(trans), acts=MappingProxyType(acts),
@@ -326,8 +346,12 @@ def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ..
     graph ``varmap.universe``.  ``fwd[t]`` holds the values reachable from
     the start in ``t`` steps, ``bwd[t]`` those from which some goal value is
     reachable by step ``L`` (the reachability half of Graphplan's planning
-    graph, one variable at a time).  Every model of the encoding walks such
-    edges, so the units lose no plan.  Mechanical transitions are left alone.
+    graph, one variable at a time).  Every plan walks such edges, so the
+    units lose none.  They are part of the encoding, not only a cut: the
+    step-1 units fix false every transition that does not leave the start
+    value, which the mutex pairs between transitions leaving different
+    values would otherwise have to do (see the module docstring).
+    Mechanical transitions are left alone.
     """
     L = varmap.L
     fwd, bwd = [], []
@@ -485,10 +509,11 @@ def plan_actions(
     """
     if (x is None) == (state is None):
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")
-    if k < 1:
-        raise PlanningError(f"k must be >= 1, got {k}")
-    if l_max < 1:
-        raise PlanningError(f"l_max must be >= 1, got {l_max}")
+    for name, n in (("k", k), ("l_max", l_max)):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise PlanningError(f"{name} must be an int, got {n!r}")
+        if n < 1:
+            raise PlanningError(f"{name} must be >= 1, got {n}")
     if not maxsat.valid_timeout(timeout):
         raise PlanningError(
             f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"

@@ -86,8 +86,14 @@ def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_param
         ("timeout", float("inf"), "timeout must be None or finite seconds > 0, got inf"),
         ("timeout", True, "timeout must be None or finite seconds > 0, got True"),
         ("timeout", "5", "timeout must be None or finite seconds > 0, got '5'"),
+        ("k", 2.5, "k must be an int, got 2.5"),
+        ("l_max", 2.0, "l_max must be an int, got 2.0"),
+        ("n_instances", 2.5, "n_instances must be an int, got 2.5"),
+        ("workers", True, "workers must be an int, got True"),
+        ("k", "3", "k must be an int, got '3'"),
     ],
-    ids=["k", "l_max", "workers", "timeout-zero", "timeout-inf", "timeout-bool", "timeout-str"],
+    ids=["k", "l_max", "workers", "timeout-zero", "timeout-inf", "timeout-bool", "timeout-str",
+         "k-float", "l_max-float", "n_instances-float", "workers-bool", "k-str"],
 )
 def test_bench_settings_reject_planner_settings(toy_params, field, value, needle):
     # rejected on construction, before run_bench spends a preprocessing pass

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -10,7 +11,7 @@ import weakref
 
 import pytest
 
-from helpers import encoder_tasks, min_plan_cost, random_sas, without_units
+from helpers import encoder_tasks, min_plan_cost, random_sas
 from rfplan import maxsat
 from rfplan.encoder import (
     ALREADY_GOAL,
@@ -179,15 +180,15 @@ def _encoding_digests(instance, varmap):
 
 # (clauses, reachability units included; variable tables) per (task, makespan)
 GOLDEN_ENCODINGS = {
-    ("unit", 1): ("b3173b5366fd8175", "a2682574defc34c3"),
-    ("unit", 2): ("c2ab6ef4969819c2", "4d3c5c806d70d1a8"),
-    ("unit", 3): ("8846256962619faf", "478234866a57b41d"),
-    ("mechanical", 1): ("5c2e243facb95b95", "c70e529d5356da75"),
-    ("mechanical", 2): ("3062c7f53432d682", "b04bc37ebe3194ac"),
-    ("mechanical", 3): ("a893167953b066fe", "0188c39683ba4294"),
-    ("three_goals", 1): ("f10c0cac4767e9af", "18fbae817136d01d"),
-    ("three_goals", 2): ("c3fdb54efddd7e02", "1565fbfc6fd064df"),
-    ("three_goals", 3): ("5326c39a3ec413b6", "7820e54ea6c15695"),
+    ("unit", 1): ("4d1dec782fe76c5d", "a2682574defc34c3"),
+    ("unit", 2): ("41df280293f3d2c0", "4d3c5c806d70d1a8"),
+    ("unit", 3): ("fdf9cad3a0af1426", "478234866a57b41d"),
+    ("mechanical", 1): ("56a18d72c730a43f", "c70e529d5356da75"),
+    ("mechanical", 2): ("3775918aeb17a4b9", "b04bc37ebe3194ac"),
+    ("mechanical", 3): ("2755ddcdef39a2d6", "0188c39683ba4294"),
+    ("three_goals", 1): ("818c7f3e1d000320", "18fbae817136d01d"),
+    ("three_goals", 2): ("abca3ee20a303c74", "1565fbfc6fd064df"),
+    ("three_goals", 3): ("3a17a9c55bd3a41c", "7820e54ea6c15695"),
 }
 
 
@@ -355,8 +356,10 @@ def test_step_variables_are_the_transition_graph(unit_library, L):
     for sas in tasks:
         _, varmap = encode(sas, L)
         for v, n in enumerate(sas.sizes):
-            graph = {(f, f) for f in range(n)} | {
-                (t.frm, t.to) for a in sas.library for t in a.transitions if t.var == v
+            moves = {(t.frm, t.to) for a in sas.library for t in a.transitions if t.var == v}
+            # a mechanical target is reached from every value
+            graph = moves | {(f, f) for f in range(n)} | {
+                (f, g) for frm, g in moves if frm is None for f in range(n)
             }
             for step in range(1, L + 1):
                 assert {(f, g) for t, u, f, g in varmap.trans if (t, u) == (step, v)} == graph
@@ -372,12 +375,15 @@ def test_step_variables_are_the_transition_graph(unit_library, L):
 
 
 def test_mechanical_write_rides_along_with_explicit_mover():
+    # the tagger's mechanical write makes x0's move on its own; the mover may
+    # come along, but costs one more
     mover = _act("a", 1.0, (0, 0, 1))
     tagger = _act("b", 1.0, (0, WILDCARD, 1), (1, 0, 1))
     sas = SasProblem(sizes=(2, 2), library=_lib(mover, tagger), initial=(0, 0), goals=((1, 1),))
+    assert min_plan_cost(sas, 1) == 1.0
     plan = _solve_at(sas, 1)
-    assert plan is not None and plan.cost == 2.0
-    assert plan.action_ids() == [["a", "b"]]
+    assert plan is not None and plan.cost == 1.0
+    assert plan.action_ids() == [["b"]]
 
 
 def test_prevailing_condition_blocks_parallel_move():
@@ -399,7 +405,8 @@ def _action_exclusions(instance, varmap):
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_clashing_actions_need_no_clause_of_their_own(unit_library, L):
     # single-transition actions clash only through their transitions, and the
-    # transition-mutex clauses already exclude those pairs
+    # transition-mutex clauses, or the units with backward chaining, already
+    # exclude those pairs
     sas = SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=((0, 1, 2),))
     instance, varmap = encode(sas, L)
     assert _action_exclusions(instance, varmap) == []
@@ -438,14 +445,16 @@ def test_decode_drops_empty_steps():
     assert solved.action_ids() == [["A", "C"]] and solved.cost == 6.0
 
 
-def test_mechanical_only_move_is_outside_the_encoding():
-    # an action whose only write is mechanical executes fine, but the
-    # encoding quantifies over explicit endpoints only and cannot use it
-    mech = _act("m", 1.0, (0, WILDCARD, 1))
-    sas = SasProblem(sizes=(2,), library=_lib(mech), initial=(0,), goals=((1,),))
-    assert simulate_plan((0,), [[mech]]) == (1,)
+def test_mechanical_only_move_is_planned():
+    # a value change that only a mechanical write makes: the explicit move
+    # 0->2 exists because x0 has the mechanical target 2
+    mech = _act("m", 3.0, (0, WILDCARD, 2))
+    sas = SasProblem(sizes=(3,), library=_lib(mech), initial=(0,), goals=((2,),))
+    assert simulate_plan((0,), [[mech]]) == (2,)
     for L in (1, 2, 3):
-        assert _solve_at(sas, L) is None
+        assert min_plan_cost(sas, L) == 3.0
+        plan = _solve_at(sas, L)
+        assert plan.action_ids() == [["m"]] and plan.cost == 3.0
 
 
 def _forward_chaining_clauses(varmap):
@@ -460,25 +469,63 @@ def _forward_chaining_clauses(varmap):
                     ]
 
 
+def _with_mechanical(rng, sas, count=1):
+    """``sas`` with ``count`` more actions, each one mechanical write."""
+    taggers = []
+    for j in range(count):
+        v = rng.randrange(len(sas.sizes))
+        taggers.append(_act(f"m{j}", 2.0, (v, WILDCARD, rng.randrange(sas.sizes[v]))))
+    return SasProblem(sas.sizes, _lib(*sas.library.actions, *taggers), sas.initial, sas.goals)
+
+
+def _refuted(instance, clause):
+    """Whether ``instance`` with every literal of ``clause`` negated has no model."""
+    hard = [*([-lit] for lit in clause), *instance.hard]
+    return solve(WcnfInstance.build(instance.nvars, hard=hard)).status == HARD_UNSAT
+
+
 def test_forward_chaining_is_implied():
-    # the hard clauses, without the reachability units, with a forward
-    # clause negated have no model, so every model already chains forward;
-    # half the tasks carry a mechanical write
+    # encode's instance with a forward clause negated has no model, so every
+    # model already chains forward; half the tasks carry a mechanical write
     rng = random.Random(5)
     checks = 0
     for i in range(60):
         sas = random_sas(rng)
         if i % 2:
-            v = rng.randrange(len(sas.sizes))
-            tagger = _act("m", 2.0, (v, WILDCARD, rng.randrange(sas.sizes[v])))
-            sas = SasProblem(sas.sizes, _lib(*sas.library.actions, tagger), sas.initial, sas.goals)
+            sas = _with_mechanical(rng, sas)
         for L in (2, 3):
             instance, varmap = encode(sas, L)
-            instance = without_units(instance, varmap)
             for clause in _forward_chaining_clauses(varmap):
-                refuted = [[-lit] for lit in clause]
-                result = solve(WcnfInstance.build(instance.nvars, hard=[*refuted, *instance.hard]))
-                assert result.status == HARD_UNSAT, (sas, L, clause)
+                assert _refuted(instance, clause), (sas, L, clause)
+                checks += 1
+    assert checks > 1000
+
+
+def _left_out_mutex_pairs(varmap):
+    """SASE's mutex pairs the encoding leaves out: two explicit transitions
+    of one variable and step that leave different values, as a clause."""
+    for t in range(1, varmap.L + 1):
+        for v, pairs in enumerate(varmap.universe):
+            explicit = [(f, g) for f, g in pairs if f is not None]
+            for u, w in itertools.combinations(explicit, 2):
+                if u[0] != w[0]:
+                    yield [-varmap.trans[(t, v, *u)], -varmap.trans[(t, v, *w)]]
+
+
+def test_left_out_mutex_pairs_are_implied():
+    # encode's instance with both transitions of such a pair true has no
+    # model: the units and backward chaining exclude them; half the tasks
+    # carry a mechanical write
+    rng = random.Random(29)
+    checks = 0
+    for i in range(60):
+        sas = random_sas(rng)
+        if i % 2:
+            sas = _with_mechanical(rng, sas)
+        for L in (1, 2, 3):
+            instance, varmap = encode(sas, L)
+            for clause in _left_out_mutex_pairs(varmap):
+                assert _refuted(instance, clause), (sas, L, clause)
                 checks += 1
     assert checks > 1000
 
@@ -487,50 +534,60 @@ def test_forward_chaining_is_implied():
 # reachability units: encode fixes unusable step transitions false
 
 
-def _pruned(sas, L):
-    """(the instance without its units, the instance encode returns, units, varmap)."""
-    pruned, varmap = encode(sas, L)
-    units = pruned.hard[:varmap.units]
+def _units(sas, L):
+    """(the instance encode returns, its units, varmap)."""
+    instance, varmap = encode(sas, L)
+    units = instance.hard[:varmap.units]
     assert units == _reachability_units(sas, varmap)
-    return without_units(pruned, varmap), pruned, units, varmap
+    return instance, units, varmap
 
 
-def _assert_pruning_keeps_answers(sas, L):
-    """Same status and cost with and without the units; the pruned cost is
-    the cheapest plan within L steps (integer costs weigh exactly
-    themselves).  Ties may pick another model."""
-    instance, pruned, _, varmap = _pruned(sas, L)
-    full, cut = solve(instance), solve(pruned)
-    assert (cut.status, cut.cost) == (full.status, full.cost)
+def _assert_keeps_answers(sas, L):
+    """The instance encode returns, units included, is unsatisfiable exactly
+    when no plan within L steps exists, and else decodes to a checked plan
+    as cheap as the cheapest one.  Ties may pick another model."""
+    instance, _, varmap = _units(sas, L)
+    result = solve(instance)
     reference = min_plan_cost(sas, L)
     if reference is None:
-        assert cut.status == HARD_UNSAT
+        assert result.status == HARD_UNSAT, (sas, L)
     else:
-        assert cut.cost == reference
-        check_plan(decode(cut.assignment, varmap, sas), sas)
-    return full.nodes, cut.nodes
+        plan = decode(result.assignment, varmap, sas)
+        check_plan(plan, sas)
+        assert abs(plan.cost - reference) <= 1e-9, (sas, L)
 
 
 def test_reachability_units_keep_answers_on_the_kernel_pin_tasks():
     # the tasks whose encodings test_maxsat pins
     for sas in encoder_tasks():
         for L in (1, 2, 3):
-            _assert_pruning_keeps_answers(sas, L)
+            _assert_keeps_answers(sas, L)
 
 
 def test_reachability_units_keep_answers_on_random_tasks():
     rng = random.Random(2024)
-    tasks = nodes_full = nodes_cut = 0
+    tasks = 0
     while tasks < 1000:
         sas = random_sas(rng)
         if sas.initial in sas.goals:
             continue  # the online pipeline never encodes these
         tasks += 1
         for L in (1, 2, 3, 4):
-            full, cut = _assert_pruning_keeps_answers(sas, L)
-            nodes_full += full
-            nodes_cut += cut
-    assert nodes_cut < nodes_full
+            _assert_keeps_answers(sas, L)
+
+
+def test_mechanical_tasks_match_the_step_bounded_reference():
+    # tasks with one or two mechanical writes, some of which make value
+    # changes that no explicit transition makes
+    rng = random.Random(7)
+    tasks = 0
+    while tasks < 300:
+        sas = _with_mechanical(rng, random_sas(rng), count=rng.randint(1, 2))
+        if sas.initial in sas.goals:
+            continue  # the online pipeline never encodes these
+        tasks += 1
+        for L in (1, 2, 3, 4):
+            _assert_keeps_answers(sas, L)
 
 
 def _mechanical_tasks(unit_library):
@@ -539,23 +596,19 @@ def _mechanical_tasks(unit_library):
     yield golden["three_goals"]
     rng = random.Random(11)
     for _ in range(40):
-        sas = random_sas(rng)
-        v = rng.randrange(len(sas.sizes))
-        tagger = _act("m", 2.0, (v, WILDCARD, rng.randrange(sas.sizes[v])))
-        yield SasProblem(sas.sizes, _lib(*sas.library.actions, tagger), sas.initial, sas.goals)
+        yield _with_mechanical(rng, random_sas(rng))
 
 
 def test_reachability_units_leave_mechanical_transitions_alone(unit_library):
     pruned_any = False
     for sas in _mechanical_tasks(unit_library):
         for L in (1, 2, 3):
-            instance, pruned, units, varmap = _pruned(sas, L)
+            _, units, varmap = _units(sas, L)
             meaning = {x: key for key, x in varmap.trans.items()}
             for (lit,) in units:
                 assert lit < 0 and meaning[-lit][2] is not None, meaning[-lit]
             pruned_any = pruned_any or bool(units)
-            full, cut = solve(instance), solve(pruned)
-            assert (cut.status, cut.cost) == (full.status, full.cost)
+            _assert_keeps_answers(sas, L)
     assert pruned_any
 
 
@@ -587,7 +640,7 @@ def test_unreachable_goal_value_is_unsat_without_search():
         for L in (1, 2, 3, 4):
             if all(n is not None and n <= L for n in need):
                 continue
-            result = solve(_pruned(sas, L)[1])
+            result = solve(encode(sas, L)[0])
             assert (result.status, result.nodes) == (HARD_UNSAT, 0), (sas, L)
             hits += 1
     assert hits >= 100
@@ -834,6 +887,28 @@ def test_plan_actions_validation(toy_forest, toy_table, unit_library, toy_db):
         plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0), k=0)
     with pytest.raises(PlanningError, match="l_max must be"):
         plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0), l_max=0)
+
+
+@pytest.mark.parametrize(
+    "field,value,needle",
+    [
+        ("k", 2.5, "k must be an int, got 2.5"),
+        ("k", True, "k must be an int, got True"),
+        ("k", "3", "k must be an int, got '3'"),
+        ("l_max", 2.5, "l_max must be an int, got 2.5"),
+        ("l_max", True, "l_max must be an int, got True"),
+        ("l_max", -1, "l_max must be >= 1, got -1"),
+    ],
+    ids=["k-float", "k-bool", "k-str", "l_max-float", "l_max-bool", "l_max-negative"],
+)
+def test_plan_actions_rejects_counts_that_are_not_positive_ints(
+    toy_forest, toy_table, unit_library, toy_db, field, value, needle
+):
+    # a float k used to fail inside k-NN and True ran as 1
+    with pytest.raises(PlanningError) as err:
+        plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0),
+                     **{field: value})
+    assert needle in str(err.value)
 
 
 def test_plan_actions_rejects_foreign_db(toy_forest, toy_table, unit_library, toy_db, toy_params):

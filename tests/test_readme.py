@@ -24,3 +24,26 @@ def test_readme_library_use_block_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(_library_use_block(), str(README), "exec"), {})
     assert capsys.readouterr().out == "solved 6.0 ['balance:0->1']\n"
+
+
+def test_readme_action_catalog_example_parses(tmp_path):
+    from bisect import bisect_right
+
+    from rfplan.discretize import build_partitions
+    from rfplan.forest import restore
+    from rfplan.sas_core import parse_action_spec
+
+    rv = main(["train", "--data", str(DATA / "demo.csv"),
+               "--schema", str(DATA / "demo_schema.json"),
+               "--out", str(tmp_path / "model.json"), "--trees", "5", "--seed", "0"])
+    assert rv == 0
+    table = build_partitions(restore(tmp_path / "model.json"))
+    text = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    library = parse_action_spec(text, table)
+    shown = {a.id: [(t.var, t.frm, t.to) for t in a.transitions] for a in library}
+    cell_1200 = bisect_right(table.thresholds[2], 1200.0)
+    assert shown == {
+        "deposit": [(2, 0, 1)],
+        "loyal-deposit": [(0, 1, 1), (2, cell_1200, 2)],
+        "visit-more": [(1, None, 1)],
+    }
