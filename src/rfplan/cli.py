@@ -12,6 +12,8 @@ Every planning command is set up the same way:
   --cost-seed and --beta-range.
 - One renderer prints the result of plan, greedy and oracle as text or,
   with --json, as one JSON object.
+- preprocess and bench share their search options and set-up: they search
+  (or draw instances from) the states of --data when it is given, else the grid.
 - One boundary turns the library's input errors into `error: ...`, exit 3.
 
 Exit codes: 0 success, 2 no plan exists, 3 invalid input, 4 timed out.
@@ -19,6 +21,7 @@ Exit codes: 0 success, 2 no plan exists, 3 invalid input, 4 timed out.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -233,27 +236,49 @@ _model_option = click.option("--model", "model_path", required=True, type=click.
 _SECONDS = click.FloatRange(min=0, min_open=True)
 
 
-def _state_options(f):
-    f = click.option("--state", "state_text", default=None,
-                     help="Cell indices, comma separated.")(f)
-    return click.option("-x", "--input", "x_text", default=None,
-                        help="Raw feature values, comma separated.")(f)
+def _options(*options):
+    """One decorator that adds ``options`` in the order listed."""
+    return lambda f: functools.reduce(lambda g, option: option(g), reversed(options), f)
 
 
-def _catalog_options(actions: bool = True):
-    """--actions (unless ``actions`` is False), --cost-seed, --beta-range and --config."""
+_state_options = _options(
+    click.option("-x", "--input", "x_text", default=None,
+                 help="Raw feature values, comma separated."),
+    click.option("--state", "state_text", default=None, help="Cell indices, comma separated."),
+)
 
-    def decorate(f):
-        f = click.option("--config", "config_path", type=click.Path(), default=None,
-                         help="JSON file of shared keys; flags win over it.")(f)
-        f = _key_option("beta_range", help="Cost weight range LOW,HIGH.")(f)
-        f = _key_option("cost_seed", help="Seed for the default action costs.")(f)
-        if actions:
-            f = click.option("--actions", "actions_path", type=click.Path(), default=None,
-                             help="Action spec JSON (default: one action per cell pair).")(f)
-        return f
 
-    return decorate
+def _search_options(data_help: str):
+    """The options of preprocess and bench: the search parameters, the data
+    whose states stand in for the grid, the grid cap and the worker count."""
+    return _options(
+        click.option("--target", "target_text", required=True,
+                     help="Class the plans must reach."),
+        _key_option("z", help="Vote share that counts as reached."),
+        _key_option("alpha", help="Heuristic scale, 'auto' or a number."),
+        _key_option("delta", help="Patience: extra expansions after the last improvement."),
+        click.option("--node-budget", type=int, default=5_000_000, show_default=True),
+        click.option("--data", "data_path", type=click.Path(), default=None, help=data_help),
+        click.option("--schema", "schema_path", type=click.Path(), default=None),
+        click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv",
+                     show_default=True),
+        click.option("--state-cap", type=int, default=250_000, show_default=True),
+        _key_option("workers", help=_WORKERS_HELP),
+    )
+
+
+# --cost-seed, --beta-range and --config; _catalog_options adds --actions
+_COST_OPTIONS = (
+    _key_option("cost_seed", help="Seed for the default action costs."),
+    _key_option("beta_range", help="Cost weight range LOW,HIGH."),
+    click.option("--config", "config_path", type=click.Path(), default=None,
+                 help="JSON file of shared keys; flags win over it."),
+)
+_catalog_options = _options(
+    click.option("--actions", "actions_path", type=click.Path(), default=None,
+                 help="Action spec JSON (default: one action per cell pair)."),
+    *_COST_OPTIONS,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +386,20 @@ def _load_dataset(data_path, schema_path, fmt) -> Dataset:
         return ingest(data_path, fmt, schema)
     except OSError as exc:
         raise CliError(f"cannot read {exc.filename}: {exc.strerror}") from None
+
+
+def _search_params(forest, target_text, z, alpha, delta, node_budget) -> SearchParams:
+    return SearchParams(target=_resolve_class(forest, target_text), z=z, alpha=alpha,
+                        patience=delta, node_budget=node_budget)
+
+
+def _data_states(table, data_path, schema_path, fmt):
+    """The states of the rows of --data, or None without --data."""
+    if data_path is None:
+        return None
+    if schema_path is None:
+        raise CliError("--data needs --schema")
+    return [to_state(table, x) for x in _load_dataset(data_path, schema_path, fmt).rows]
 
 
 def _jsonable(v):
@@ -482,12 +521,9 @@ def partitions(model_path, as_json):
     if as_json:
         feats = []
         for meta, ths, size in zip(table.features, table.thresholds, table.sizes):
-            rec = {"name": meta.name, "kind": meta.kind, "mutability": meta.mutability,
-                   "cells": size}
+            rec = {**meta.to_dict(), "cells": size}
             if meta.is_numerical:
                 rec["thresholds"] = list(ths)
-            else:
-                rec["categories"] = list(meta.categories)
             feats.append(rec)
         _echo_json({"state_count": table.state_count, "features": feats})
         return
@@ -508,34 +544,17 @@ def partitions(model_path, as_json):
 @cli.command("preprocess")
 @_model_option
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Goal database file.")
-@click.option("--target", "target_text", required=True, help="Class the plans must reach.")
-@_key_option("z", help="Vote share that counts as reached.")
-@_key_option("alpha", help="Heuristic scale, 'auto' or a number.")
-@_key_option("delta", help="Patience: extra expansions after the last improvement.")
-@click.option("--node-budget", type=int, default=5_000_000, show_default=True)
-@click.option("--states", "states_mode", type=click.Choice(["all", "data"]), default="all",
-              show_default=True, help="Search the whole state space or the states of data rows.")
-@click.option("--data", "data_path", type=click.Path(), default=None)
-@click.option("--schema", "schema_path", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv", show_default=True)
-@click.option("--state-cap", type=int, default=250_000, show_default=True)
-@_key_option("workers", help=_WORKERS_HELP)
-@_catalog_options()
+@_search_options("Search only the states of this file's rows (default: the whole grid).")
+@_catalog_options
 @click.option("--quiet", is_flag=True, help="No progress output.")
 def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budget,
-                   states_mode, data_path, schema_path, fmt, state_cap, actions_path,
+                   data_path, schema_path, fmt, state_cap, actions_path,
                    cost_seed, beta_range, workers, config_path, quiet):
     """Search every start state offline and store the goals found."""
     forest, table, library = _catalog(model_path, actions_path, cost_seed, beta_range)
-    params = SearchParams(target=_resolve_class(forest, target_text), z=z, alpha=alpha,
-                          patience=delta, node_budget=node_budget)
-
-    if states_mode == "data":
-        if data_path is None or schema_path is None:
-            raise CliError("--states data needs --data and --schema")
-        ds = _load_dataset(data_path, schema_path, fmt)
-        states = [to_state(table, x) for x in ds.rows]
-    else:
+    params = _search_params(forest, target_text, z, alpha, delta, node_budget)
+    states = _data_states(table, data_path, schema_path, fmt)
+    if states is None:
         states = list(enumerate_states(table, state_cap))
 
     total = len(set(states))
@@ -555,9 +574,7 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
         raise CliError(f"cannot write {out_path}: {exc.strerror}") from None
 
     found = sum(1 for e in db.entries.values() if e.found)
-    by_status: dict[str, int] = {}
-    for e in db.entries.values():
-        by_status[e.status] = by_status.get(e.status, 0) + 1
+    by_status = collections.Counter(e.status for e in db.entries.values())
     statuses = ", ".join(f"{k}={v}" for k, v in sorted(by_status.items()))
     click.echo(f"searched {len(db.entries)} states in {elapsed:.2f}s "
                f"({found} goals found; {statuses})")
@@ -578,7 +595,7 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
 @click.option("--timeout", type=_SECONDS, default=None, help="Total solver budget in seconds.")
 @click.option("--external-solver", "external_cmd", default=None,
               help="Shell command solving a WCNF file passed as its last argument.")
-@_catalog_options()
+@_catalog_options
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
@@ -615,7 +632,7 @@ def plan(ctx, model_path, db_path, x_text, state_text, k, l_max, sweep, timeout,
 @_key_option("z")
 @click.option("--rule", type=click.Choice(baselines.GREEDY_RULES), default="ratio",
               show_default=True)
-@_catalog_options()
+@_catalog_options
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def greedy(ctx, model_path, x_text, state_text, target_text, z, rule,
@@ -636,7 +653,7 @@ def greedy(ctx, model_path, x_text, state_text, target_text, z, rule,
 @_key_option("z")
 @click.option("--cap", type=int, default=1_000_000, show_default=True,
               help="Expansion limit before giving up.")
-@_catalog_options()
+@_catalog_options
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_path,
@@ -668,7 +685,7 @@ def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_pat
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--map", "map_path", type=click.Path(), default=None,
               help="Also write a variable map for reading models back.")
-@_catalog_options()
+@_catalog_options
 @click.pass_context
 def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
                 out_path, map_path, actions_path, cost_seed, beta_range, config_path):
@@ -722,38 +739,26 @@ def _render_bench(report) -> None:
 
 @cli.command("bench")
 @_model_option
-@click.option("--target", "target_text", required=True)
-@click.option("--data", "data_path", type=click.Path(), default=None,
-              help="Draw test instances from this file instead of the state space.")
-@click.option("--schema", "schema_path", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv",
-              show_default=True)
-@_key_option("z")
-@_key_option("alpha")
-@_key_option("delta")
-@click.option("--node-budget", type=int, default=5_000_000, show_default=True)
+@_search_options("Draw test instances from this file instead of the state space.")
 @_key_option("K")
 @_key_option("L_max", default=4)
 @click.option("--sweep-makespan", is_flag=True, help="Planner tries every makespan per instance.")
 @click.option("--instances", "n_instances", type=int, default=100, show_default=True)
 @click.option("--timeout", type=_SECONDS, default=None, help="Per-instance planner budget.")
 @click.option("--sample-seed", type=int, default=0, show_default=True)
-@click.option("--state-cap", type=int, default=250_000, show_default=True)
 @click.option("--oracle-cap", type=int, default=2_000_000, show_default=True)
-@_key_option("workers", help=_WORKERS_HELP)
 @click.option("--sweep", "sweep_text", default="100", show_default=True,
               help="Preprocessing fractions, e.g. 'r=10,20,...,100'.")
 @click.option("--json-out", "json_path", type=click.Path(), default=None,
               help="Also write instance and summary records as JSON lines.")
-@_catalog_options(actions=False)
+@_options(*_COST_OPTIONS)
 def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, delta,
               node_budget, k, l_max, sweep_makespan, n_instances, timeout, cost_seed,
               beta_range, sample_seed, state_cap, oracle_cap, workers, sweep_text,
               json_path, config_path):
     """Compare the planner against the baselines on many instances."""
     forest, table, library = _catalog(model_path, None, cost_seed, beta_range)
-    params = SearchParams(target=_resolve_class(forest, target_text), z=z, alpha=alpha,
-                          patience=delta, node_budget=node_budget)
+    params = _search_params(forest, target_text, z, alpha, delta, node_budget)
     fractions = parse_fractions(sweep_text)
     settings = BenchSettings(
         params=params,
@@ -768,13 +773,7 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, de
         timeout=timeout,
     )
 
-    candidates = None
-    if data_path is not None:
-        if schema_path is None:
-            raise CliError("--data needs --schema")
-        ds = _load_dataset(data_path, schema_path, fmt)
-        candidates = [to_state(table, x) for x in ds.rows]
-
+    candidates = _data_states(table, data_path, schema_path, fmt)
     reports = run_bench(
         forest, table, library, settings, fractions=fractions, candidates=candidates,
         on_event=lambda msg: click.echo(msg, err=True),

@@ -2,8 +2,10 @@
 
 The schema declares the feature columns in vector order, their kind and
 mutability, and the label column; optionally a fixed ordered class list.
-All diagnostics carry file and line numbers.  A file may start with a
-UTF-8 byte order mark.
+A schema takes no other key; a feature record is read as a model's is
+(``FeatureMeta.from_dict``), but ``kind`` defaults to numerical.  All
+diagnostics carry file and line numbers.  A file may start with a UTF-8
+byte order mark.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forest import CATEGORICAL, NUMERICAL, FeatureMeta, Label, ModelError, Vector
+from .forest import NUMERICAL, FeatureMeta, Label, ModelError, Vector
 
 
 class DataError(ValueError):
@@ -66,6 +68,9 @@ def schema_from_dict(doc: dict, source: str = "<schema>") -> Schema:
     for key in ("label", "features"):
         if key not in doc:
             raise DataError(f"{source}: schema missing {key!r}")
+    unknown = set(doc) - {"label", "features", "classes"}
+    if unknown:
+        raise DataError(f"{source}: schema has unknown keys {sorted(unknown)}")
     raw = doc["features"]
     if not isinstance(raw, list) or not raw:
         raise DataError(f"{source}: schema features must be a non-empty array")
@@ -74,14 +79,7 @@ def schema_from_dict(doc: dict, source: str = "<schema>") -> Schema:
         if not isinstance(rec, dict):
             raise DataError(f"{source}: features[{i}] must be an object")
         try:
-            features.append(
-                FeatureMeta(
-                    name=rec.get("name", ""),
-                    kind=rec.get("kind", NUMERICAL),
-                    mutability=rec.get("mutability", "soft"),
-                    categories=tuple(rec.get("categories", ())),
-                )
-            )
+            features.append(FeatureMeta.from_dict(rec, default_kind=NUMERICAL))
         except ModelError as exc:
             raise DataError(f"{source}: features[{i}]: {exc}") from None
     label = doc["label"]

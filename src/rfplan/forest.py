@@ -73,6 +73,25 @@ class FeatureMeta:
         elif self.categories:
             raise ModelError(f"feature {self.name!r}: numerical feature cannot list categories")
 
+    def to_dict(self) -> dict:
+        extra = {"categories": list(self.categories)} if self.is_categorical else {}
+        return {"name": self.name, "kind": self.kind, "mutability": self.mutability, **extra}
+
+    @classmethod
+    def from_dict(cls, rec: dict, default_kind: str = "") -> "FeatureMeta":
+        """Read a model or schema feature record.  It takes exactly the keys
+        ``name``, ``kind`` (``default_kind`` when absent), ``mutability``
+        (soft when absent) and ``categories``; any other key is rejected."""
+        unknown = set(rec) - {"name", "kind", "mutability", "categories"}
+        if unknown:
+            raise ModelError(f"unknown keys {sorted(unknown)}")
+        return cls(
+            name=rec.get("name", ""),
+            kind=rec.get("kind", default_kind),
+            mutability=rec.get("mutability", SOFT),
+            categories=tuple(rec.get("categories", ())),
+        )
+
     @property
     def is_numerical(self) -> bool:
         return self.kind == NUMERICAL
@@ -496,15 +515,7 @@ def forest_to_dict(forest: RandomForest) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "classes": list(forest.classes),
-        "features": [
-            {
-                "name": f.name,
-                "kind": f.kind,
-                "mutability": f.mutability,
-                **({"categories": list(f.categories)} if f.is_categorical else {}),
-            }
-            for f in forest.features
-        ],
+        "features": [f.to_dict() for f in forest.features],
         "trees": [
             {"weight": w, "nodes": _tree_to_nodes(tree)}
             for tree, w in zip(forest.trees, forest.weights)
@@ -525,18 +536,8 @@ def forest_from_dict(doc: dict) -> RandomForest:
     for i, rec in enumerate(doc["features"]):
         if not isinstance(rec, dict):
             raise ModelError(f"features[{i}]: expected an object")
-        unknown = set(rec) - {"name", "kind", "mutability", "categories"}
-        if unknown:
-            raise ModelError(f"features[{i}]: unknown keys {sorted(unknown)}")
         try:
-            features.append(
-                FeatureMeta(
-                    name=rec.get("name", ""),
-                    kind=rec.get("kind", ""),
-                    mutability=rec.get("mutability", SOFT),
-                    categories=tuple(rec.get("categories", ())),
-                )
-            )
+            features.append(FeatureMeta.from_dict(rec))
         except ModelError as exc:
             raise ModelError(f"features[{i}]: {exc}") from None
     trees = []
@@ -546,6 +547,9 @@ def forest_from_dict(doc: dict) -> RandomForest:
     for d, rec in enumerate(doc["trees"]):
         if not isinstance(rec, dict) or "nodes" not in rec:
             raise ModelError(f"trees[{d}]: expected an object with 'nodes'")
+        unknown = set(rec) - {"weight", "nodes"}
+        if unknown:
+            raise ModelError(f"trees[{d}]: unknown keys {sorted(unknown)}")
         weight = rec.get("weight", 1.0)
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise ModelError(f"trees[{d}]: weight must be a number")

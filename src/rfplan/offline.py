@@ -7,9 +7,11 @@ consistent (the default alpha is the mean action cost), so the search
 keeps one cost label per state and puts an already expanded state back
 on the frontier whenever a cheaper route reaches it.  Goal states are
 recorded but never expanded.  The search stops when the frontier empties,
-which proves the stored cost optimal for every alpha; when more than
-``patience`` expansions pass without a cheaper goal; or when the
-expansion budget is exhausted.  Re-expansions count as expansions.
+which proves the stored cost optimal for every alpha (or, with no goal
+found, proves none reachable: ``no_goal``); when ``patience`` expansions
+have passed without a cheaper goal; or when ``node_budget`` expansions are
+done.  A search cut off by either cap keeps its stop status, with or
+without a goal.  Re-expansions count as expansions.
 
 The search works on integer state ranks: a state's row-major rank in the
 partition grid (``PartitionTable.strides``).  Rank order is the tuples'
@@ -32,6 +34,7 @@ with the model fingerprint so stale pairings are rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import heapq
 import json
@@ -69,8 +72,9 @@ class SearchParams:
     alpha is safe for the ``proved_exhausted`` status, since expanded
     states reopen; a smaller alpha only makes the search less directed.
     ``patience`` is the number of expansions tolerated past the last goal
-    improvement; ``node_budget`` caps total expansions.  Both count
-    re-expansions of reopened states, as does the entry's ``expansions``.
+    improvement (or past the start, before any goal); ``node_budget`` caps
+    total expansions.  Both count re-expansions of reopened states, as does
+    the entry's ``expansions``.
     """
 
     target: Label
@@ -98,26 +102,14 @@ class SearchParams:
                 raise SearchError(f"{name} must be >= 1, got {n}")
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "z": self.z,
-            "alpha": self.alpha,
-            "patience": self.patience,
-            "node_budget": self.node_budget,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchParams":
         if not isinstance(doc, dict):
             raise SearchError(f"search params must be a JSON object, got {doc!r}")
         try:
-            return cls(
-                target=doc["target"],
-                z=doc["z"],
-                alpha=doc["alpha"],
-                patience=doc["patience"],
-                node_budget=doc["node_budget"],
-            )
+            return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
         except KeyError as exc:
             raise SearchError(f"search params missing {exc}") from None
 
@@ -138,8 +130,10 @@ def heuristic(p: float, z: float, alpha: float) -> float:
 class PreferredGoalEntry:
     """One database row: the cheapest goal found for a start state.
 
-    ``path`` carries the witnessing action sequence when the entry was
-    produced in-process; it is not persisted.
+    ``goal`` and ``cost`` are both set or both None: set for
+    ``proved_exhausted``, None for ``no_goal`` (the frontier emptied), and
+    either after a patience or budget stop.  ``path`` carries the witnessing
+    action sequence when the entry was produced in-process; not persisted.
     """
 
     initial: State
@@ -152,10 +146,12 @@ class PreferredGoalEntry:
     def __post_init__(self):
         if self.status not in (PROVED_EXHAUSTED, PATIENCE_STOP, BUDGET_STOP, NO_GOAL):
             raise SearchError(f"unknown status {self.status!r}")
-        if (self.goal is None) != (self.status == NO_GOAL):
-            raise SearchError("goal must be absent exactly when status is no_goal")
-        if (self.cost is None) != (self.status == NO_GOAL):
-            raise SearchError("cost must be absent exactly when status is no_goal")
+        if (self.goal is None) != (self.cost is None):
+            raise SearchError("goal and cost must be both set or both absent")
+        if self.status == NO_GOAL and self.goal is not None:
+            raise SearchError("a no_goal entry cannot have a goal")
+        if self.status == PROVED_EXHAUSTED and self.goal is None:
+            raise SearchError("a proved_exhausted entry needs a goal")
         cost, n = self.cost, self.expansions
         if cost is not None and (
             isinstance(cost, bool) or not isinstance(cost, (int, float)) or not 0 <= cost < math.inf
@@ -166,7 +162,7 @@ class PreferredGoalEntry:
 
     @property
     def found(self) -> bool:
-        return self.status != NO_GOAL
+        return self.goal is not None
 
 
 class SuccessorTable:
@@ -276,22 +272,21 @@ def find_preferred_goal(
         f, g, r = pop(heap)
         if g > best_g[r]:
             continue  # stale: a cheaper route to r was pushed since
-        p = share[r]
-        if p >= z and g < best_cost:
-            # an ancestor reopened after r was pushed may have a cheaper
-            # parent link now, so the path can cost less than g
-            best_goal, best_path = r, path_to(r)
-            best_cost = sum((a.cost for a in best_path), 0.0)
-            expansions_at_goal = expansions
-        if expansions - expansions_at_goal > params.patience:
+        if share[r] >= z:
+            if g < best_cost:
+                # an ancestor reopened after r was pushed may have a cheaper
+                # parent link now, so the path can cost less than g
+                best_goal, best_path = r, path_to(r)
+                best_cost = sum((a.cost for a in best_path), 0.0)
+                expansions_at_goal = expansions
+            continue  # goal states are recorded, never expanded
+        if expansions - expansions_at_goal >= params.patience:
             status = PATIENCE_STOP
             break
-        if p >= z:
-            continue  # goal states are recorded, never expanded
-        expansions += 1
-        if expansions > params.node_budget:
+        if expansions >= params.node_budget:
             status = BUDGET_STOP
             break
+        expansions += 1
         for action, r2, w in zip(*row(r)):
             g2 = g + w
             if g2 < g_of(r2, inf):
@@ -302,17 +297,11 @@ def find_preferred_goal(
                 push(heap, (g2 + (alpha * (z - p2) if p2 < z else 0.0), g2, r2))
 
     if best_goal is None:
-        return PreferredGoalEntry(
-            initial=s_init, goal=None, cost=None, expansions=expansions, status=NO_GOAL
-        )
-    return PreferredGoalEntry(
-        initial=s_init,
-        goal=successors.state[best_goal],
-        cost=best_cost,
-        expansions=expansions,
-        status=status,
-        path=best_path,
-    )
+        # only an emptied frontier proves that no goal is reachable
+        return PreferredGoalEntry(initial=s_init, goal=None, cost=None, expansions=expansions,
+                                  status=NO_GOAL if status == PROVED_EXHAUSTED else status)
+    return PreferredGoalEntry(initial=s_init, goal=successors.state[best_goal], cost=best_cost,
+                              expansions=expansions, status=status, path=best_path)
 
 
 @dataclass(frozen=True)
@@ -454,6 +443,9 @@ def db_restore(path) -> GoalDatabase:
             continue
         rec = parse(lineno, line)
         try:
+            unknown = set(rec) - {"initial", "goal", "cost", "expansions", "status"}
+            if unknown:
+                raise SearchError(f"unknown keys {sorted(unknown)}")
             entry = PreferredGoalEntry(
                 initial=tuple(rec["initial"]),
                 goal=tuple(rec["goal"]) if rec.get("goal") is not None else None,

@@ -7,8 +7,9 @@ indices.  A transition moves one variable between values.  Three shapes:
   prevailing  (f, f)               -- requires f, leaves it unchanged
   mechanical  (*, g)               -- produces g from any prior value
 
-An action is a set of pairwise compatible transitions over distinct
-variables, applied simultaneously, with a positive finite cost.
+An action is a set of compatible transitions, applied simultaneously, with
+a positive finite cost: at most one per variable, except that a mechanical
+write may sit next to another transition to the same value.
 
 ``ActionLibrary`` indexes its actions once, on construction, by the
 (variable, value) its first non-mechanical transition requires; actions
@@ -88,7 +89,8 @@ def transition_mutex(t1: Transition, t2: Transition) -> bool:
 
 @dataclass(frozen=True)
 class Action:
-    """Simultaneous compatible transitions on distinct variables, with a cost."""
+    """Simultaneous transitions with a cost: at most one per variable, except
+    that a mechanical write may sit next to another transition to the same value."""
 
     id: str
     transitions: tuple[Transition, ...]
@@ -425,6 +427,9 @@ def _parse_action_entry(entry, table: PartitionTable) -> Action:
         for key in ("feature", "to"):
             if key not in t:
                 raise ActionError(f"action {action_id!r}: transition missing {key!r}")
+        unknown = set(t) - {"feature", "from", "to"}
+        if unknown:
+            raise ActionError(f"action {action_id!r}: unknown transition keys {sorted(unknown)}")
         var = _resolve_feature(t["feature"], table.features)
         meta = table.features[var]
         frm_raw = t.get("from", "*")

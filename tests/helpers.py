@@ -311,14 +311,6 @@ def encoder_tasks():
     return tasks
 
 
-def without_units(instance, varmap):
-    """``encode``'s instance without its reachability units, its first
-    ``varmap.units`` hard clauses.  The units stand in for the mutex pairs
-    the encoding leaves out, so what remains is no plan encoding, only a
-    Max-SAT instance for the kernel to search."""
-    return WcnfInstance(instance.nvars, instance.hard[varmap.units:], instance.soft)
-
-
 def min_plan_cost(sas, max_steps):
     """Cheapest cost reaching any goal within ``max_steps`` parallel steps.
 

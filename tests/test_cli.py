@@ -188,21 +188,27 @@ def test_preprocess_workers_report_progress(ws, tmp_path):
     assert db_restore(out_path) == ws["gdb"]
 
 
-def test_preprocess_states_data_restricts_to_observed_rows(ws, tmp_path):
+def test_preprocess_data_restricts_to_observed_rows(ws, tmp_path):
     out_path = tmp_path / "db.jsonl"
-    rv, _, _ = run(["preprocess", "--model", ws["model"], "--out", out_path,
-                    "--target", 1, "--quiet", "--states", "data",
-                    "--data", DATA / "demo.csv", "--schema", DATA / "demo_schema.json"])
+    rv, out, _ = run(["preprocess", "--model", ws["model"], "--out", out_path,
+                      "--target", 1, "--quiet",
+                      "--data", DATA / "demo.csv", "--schema", DATA / "demo_schema.json"])
     assert rv == 0
     # 24 rows discretize onto 16 distinct states, far fewer than the 40-state space
+    assert re.search(r"searched 16 states in", out)
     assert len(db_restore(out_path)) == 16
 
 
-def test_preprocess_states_data_requires_the_dataset(ws, tmp_path):
+def test_data_requires_the_schema(ws, tmp_path):
+    for command in (["preprocess", "--out", tmp_path / "db.jsonl"], ["bench"]):
+        rv, _, err = run([*command, "--model", ws["model"], "--target", 1,
+                          "--data", DATA / "demo.csv"])
+        assert rv == 3
+        assert err == "error: --data needs --schema\n"
+    # the grid or the data's states: there is no --states option to choose
     rv, _, err = run(["preprocess", "--model", ws["model"], "--out", tmp_path / "db.jsonl",
                       "--target", 1, "--states", "data"])
-    assert rv == 3
-    assert "--states data needs --data and --schema" in err
+    assert rv == 3 and "No such option '--states'" in err
 
 
 # plan
@@ -526,7 +532,7 @@ def test_non_finite_numbers_exit_three(ws, tmp_path):
     data = tmp_path / "nan.csv"
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
     rv, _, err = run(["preprocess", "--model", ws["model"], "--out", tmp_path / "db.jsonl",
-                      "--target", 1, "--quiet", "--states", "data",
+                      "--target", 1, "--quiet",
                       "--data", data, "--schema", DATA / "demo_schema.json"])
     assert rv == 3
     assert f"{data}:3: column 'visits': 'nan' is not finite" in err and "Traceback" not in err
@@ -669,7 +675,7 @@ def test_external_solver_matches_internal_plan(ws, tmp_path):
 
 
 def test_external_solver_agrees_on_goal_states_missing_from_db(ws, tmp_path):
-    # a database without the goal states' own entries, as `--states data` can
+    # a database without the goal states' own entries, as `preprocess --data` can
     # leave: the neighbors' goals lie elsewhere, yet a goal state needs no plan
     gdb = ws["gdb"]
     goal_states = sorted(s for s, e in gdb.entries.items() if e.goal == s)

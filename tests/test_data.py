@@ -58,6 +58,11 @@ def test_load_schema(demo_schema):
         ({"label": True, "features": [{"name": "a"}]}, "label must be"),
         ({"label": "y", "features": [{"name": "a"}], "classes": []}, "classes"),
         ({"label": "y", "features": [{"name": "a"}], "classes": [0, 0]}, "duplicate classes"),
+        # a misspelled optional key would otherwise fall back to its default
+        ({"label": "y", "features": [{"name": "age", "kind": "numerical", "mutabilty": "hard"}]},
+         r"^<schema>: features\[0\]: unknown keys \['mutabilty'\]$"),
+        ({"label": "y", "features": [{"name": "a"}], "clases": [0, 1]},
+         r"^<schema>: schema has unknown keys \['clases'\]$"),
     ],
 )
 def test_schema_rejects(doc, needle):

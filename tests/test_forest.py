@@ -177,6 +177,15 @@ def test_from_dict_diagnostics(toy_forest):
     doc2["format_version"] = 99
     with pytest.raises(ModelError, match="format_version"):
         forest_from_dict(doc2)
+    # a misspelled optional key would otherwise fall back to its default
+    doc3 = forest_to_dict(toy_forest)
+    doc3["trees"][1]["wieght"] = doc3["trees"][1].pop("weight")
+    with pytest.raises(ModelError, match=r"^trees\[1\]: unknown keys \['wieght'\]$"):
+        forest_from_dict(doc3)
+    doc4 = forest_to_dict(toy_forest)
+    doc4["features"][0]["mutabilty"] = doc4["features"][0].pop("mutability")
+    with pytest.raises(ModelError, match=r"^features\[0\]: unknown keys \['mutabilty'\]$"):
+        forest_from_dict(doc4)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from helpers import brute_force_cost, encoder_tasks, random_wcnf, read_wcnf, without_units
+from helpers import brute_force_cost, encoder_tasks, random_wcnf, read_wcnf
 from rfplan.encoder import SasProblem, encode
 from rfplan.maxsat import _pure
 from rfplan.maxsat import (
@@ -287,12 +287,10 @@ def _random_cnf_instances():
 
 
 def _encoder_instances():
-    """Encodings of small random SAS+ tasks at makespans 1..3, without
-    their reachability units, which would leave the kernel little to search.
-    Without them the clauses are no plan encoding: staying put satisfies
-    them, so every instance is optimal at cost 0, and the pins below pin the
-    kernel's search for a first model."""
-    return [without_units(*encode(sas, L)) for sas in encoder_tasks() for L in (1, 2, 3)]
+    """``encode``'s instances of small random SAS+ tasks at makespans 1..3,
+    the instances ``plan`` solves: most have no plan that short and are
+    hard-unsatisfiable, and the rest are optimal at a positive cost."""
+    return [encode(sas, L)[0] for sas in encoder_tasks() for L in (1, 2, 3)]
 
 
 # (status, cost, nodes) of the kernel on the instances above.  Node counts
@@ -310,19 +308,19 @@ _RANDOM_CNF_PINS = [
     (O, 76, 14), (O, 0, 6),
 ]
 _ENCODER_PINS = [
-    (O, 0, 12), (O, 0, 22), (O, 0, 30), (O, 0, 8), (O, 0, 14), (O, 0, 18), (O, 0, 18),
-    (O, 0, 36), (O, 0, 52), (O, 0, 20), (O, 0, 42), (O, 0, 62), (O, 0, 28), (O, 0, 50),
-    (O, 0, 68), (O, 0, 8), (O, 0, 20), (O, 0, 24), (O, 0, 20), (O, 0, 40), (O, 0, 58),
-    (O, 0, 16), (O, 0, 36), (O, 0, 46), (O, 0, 10), (O, 0, 26), (O, 0, 34), (O, 0, 20),
-    (O, 0, 38), (O, 0, 46), (O, 0, 20), (O, 0, 40), (O, 0, 58), (O, 0, 20), (O, 0, 38),
-    (O, 0, 54), (O, 0, 18), (O, 0, 34), (O, 0, 46), (O, 0, 6), (O, 0, 20), (O, 0, 22),
-    (O, 0, 4), (O, 0, 10), (O, 0, 12), (O, 0, 10), (O, 0, 22), (O, 0, 28), (O, 0, 22),
-    (O, 0, 38), (O, 0, 50), (O, 0, 14), (O, 0, 28), (O, 0, 34), (O, 0, 16), (O, 0, 38),
-    (O, 0, 48), (O, 0, 10), (O, 0, 20), (O, 0, 26), (O, 0, 20), (O, 0, 38), (O, 0, 54),
-    (O, 0, 8), (O, 0, 16), (O, 0, 22), (O, 0, 10), (O, 0, 18), (O, 0, 22), (O, 0, 14),
-    (O, 0, 30), (O, 0, 38), (O, 0, 16), (O, 0, 34), (O, 0, 42), (O, 0, 4), (O, 0, 14),
-    (O, 0, 18), (O, 0, 24), (O, 0, 46), (O, 0, 66), (O, 0, 6), (O, 0, 14), (O, 0, 18),
-    (O, 0, 12), (O, 0, 22), (O, 0, 30), (O, 0, 10), (O, 0, 20), (O, 0, 26),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (O, 6, 0),
+    (O, 6, 10), (O, 6, 20), (O, 7, 10), (O, 7, 26), (O, 7, 46), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (O, 9, 0), (O, 9, 2), (O, 9, 4),
+    (U, None, 0), (U, None, 0), (U, None, 0), (O, 10, 0), (O, 10, 8), (O, 10, 24), (U, None, 0),
+    (U, None, 0), (U, None, 0), (O, 8, 2), (O, 5, 8), (O, 5, 24), (O, 3, 6), (O, 3, 14),
+    (O, 3, 24), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (O, 8, 2), (O, 8, 10), (O, 8, 24),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (O, 11, 8), (O, 11, 28), (U, None, 0), (U, None, 0), (U, None, 0),
+    (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0), (U, None, 0),
 ]
 
 
@@ -336,6 +334,12 @@ def test_node_counts_pinned(instances, pins):
     assert got == pins
 
 
+def test_encoder_pins_hold_both_outcomes():
+    # the kernel both refutes and optimizes on encoder instances
+    assert {status for status, _, _ in _ENCODER_PINS} == {O, U}
+    assert any(cost > 0 for status, cost, _ in _ENCODER_PINS if status == O)
+
+
 # sha256 over the pure kernel's models on the instances above, one
 # assignment (or "-" for none) per instance, each followed by ";".  This
 # pins the model itself, not only its cost.
@@ -345,7 +349,7 @@ def test_node_counts_pinned(instances, pins):
         (_random_cnf_instances,
          "a112e3a947d7d2a582a04e232e2c417c524f8542d09193092f40848f61acde59"),
         (_encoder_instances,
-         "3a8b4c43f59ff3f5f6fd42cf257b3016729963b91059fca8566902440406d3c4"),
+         "beffff1d3c593f00d5c7e8bf6d233c87cfd6ff8e6ee494b218ba485250616183"),
     ],
     ids=["random-cnf", "encoder"],
 )
@@ -476,9 +480,9 @@ def test_kernel_layers_keep_their_names_and_nodes():
     # perfbench's tracer rebinds these two and reads the nodes at result[3]
     from rfplan.maxsat import model
 
-    instance = without_units(*encode(encoder_tasks()[2], 2))
+    instance, _ = encode(encoder_tasks()[2], 2)
     result = _pure.solve_compiled(instance.nvars, *model.compile_instance(instance), None)
-    assert result[3] == solve(instance).nodes == 36
+    assert result[3] == solve(instance).nodes == 10
 
 
 # ---------------------------------------------------------------------------

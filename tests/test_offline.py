@@ -105,10 +105,21 @@ def test_heuristic_shape():
 def test_entry_validation():
     with pytest.raises(SearchError, match="unknown status"):
         PreferredGoalEntry(initial=(0,), goal=(1,), cost=1.0, expansions=0, status="weird")
-    with pytest.raises(SearchError, match="goal must be absent"):
-        PreferredGoalEntry(initial=(0,), goal=None, cost=1.0, expansions=0, status=PROVED_EXHAUSTED)
-    with pytest.raises(SearchError, match="cost must be absent"):
-        PreferredGoalEntry(initial=(0,), goal=(1,), cost=None, expansions=0, status=PROVED_EXHAUSTED)
+    with pytest.raises(SearchError, match="goal and cost must be both set or both absent"):
+        PreferredGoalEntry(initial=(0,), goal=None, cost=1.0, expansions=0, status=BUDGET_STOP)
+    with pytest.raises(SearchError, match="goal and cost must be both set or both absent"):
+        PreferredGoalEntry(initial=(0,), goal=(1,), cost=None, expansions=0, status=PATIENCE_STOP)
+    with pytest.raises(SearchError, match="a no_goal entry cannot have a goal"):
+        PreferredGoalEntry(initial=(0,), goal=(1,), cost=1.0, expansions=0, status=NO_GOAL)
+    with pytest.raises(SearchError, match="a proved_exhausted entry needs a goal"):
+        PreferredGoalEntry(initial=(0,), goal=None, cost=None, expansions=0,
+                           status=PROVED_EXHAUSTED)
+    # a search cut off by a cap may stop before or after its first goal
+    for status in (PATIENCE_STOP, BUDGET_STOP):
+        assert PreferredGoalEntry(initial=(0,), goal=(1,), cost=1.0, expansions=2,
+                                  status=status).found
+        assert not PreferredGoalEntry(initial=(0,), goal=None, cost=None, expansions=2,
+                                      status=status).found
     for cost in ("cheap", -1, -0.5, math.inf, math.nan, True):
         with pytest.raises(SearchError, match="cost must be a finite number >= 0"):
             PreferredGoalEntry(initial=(0,), goal=(1,), cost=cost, expansions=0,
@@ -170,13 +181,36 @@ def test_budget_stop(toy_forest, toy_table, unit_library):
     e = find_preferred_goal((0, 1, 1), unit_library, toy_forest, toy_table, params)
     assert e.status == BUDGET_STOP
     assert e.goal == (0, 1, 2) and e.cost == 1.0
-    assert e.expansions == 4
+    assert e.expansions == 3
 
 
 def test_patience_gives_up_before_any_goal(toy_forest, toy_table, unit_library):
     params = SearchParams(target=1, z=0.5, alpha=0.0, patience=1)
     e = find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, params)
-    assert e.status == NO_GOAL and e.expansions == 2
+    # cut off, not exhausted: no_goal would claim that no goal is reachable
+    assert e.status == PATIENCE_STOP and e.expansions == 1
+    assert e.goal is None and e.cost is None and not e.found
+
+
+def test_caps_count_the_expansions_done():
+    forest, table, library = baseline_model()
+    s = (0, 0, 0, 0)
+
+    def search(**caps):
+        return find_preferred_goal(s, library, forest, table,
+                                   SearchParams(target=1, alpha=0.0, **caps))
+
+    # the first goal pops after 48 expansions; popping it expands nothing
+    assert search(node_budget=47).goal is None
+    first = search(node_budget=48)
+    assert (first.status, first.expansions, first.cost) == (BUDGET_STOP, 48, 248.0)
+    for budget in (1, 2, 3, 5):
+        e = search(node_budget=budget)
+        assert (e.status, e.expansions, e.goal, e.cost) == (BUDGET_STOP, budget, None, None)
+    e = search(patience=1)
+    assert (e.status, e.expansions, e.goal) == (PATIENCE_STOP, 1, None)
+    e = search(patience=50)
+    assert (e.status, e.expansions, e.cost) == (PATIENCE_STOP, 48 + 50, 248.0)
 
 
 def test_patience_stop_after_goal():
@@ -458,6 +492,17 @@ def test_db_roundtrip(toy_db, tmp_path):
     assert all(e.path is None for e in back.entries.values())
 
 
+def test_db_roundtrip_keeps_a_cut_off_search_without_goal(toy_forest, toy_table, unit_library,
+                                                          tmp_path):
+    params = SearchParams(target=1, z=0.5, alpha=0.0, patience=1)
+    db = preprocess([(0, 0, 0)], unit_library, toy_forest, toy_table, params)
+    assert db.entries[(0, 0, 0)].status == PATIENCE_STOP
+    db_persist(db, tmp_path / "goals.jsonl")
+    back = db_restore(tmp_path / "goals.jsonl")
+    assert back == db
+    assert not back.entries[(0, 0, 0)].found
+
+
 def test_check_pairing(toy_db, toy_forest):
     check_pairing(toy_db, toy_forest)
     other, _ = random_soft_forest(3)
@@ -519,6 +564,8 @@ def test_db_restore_happy(tmp_path):
         ((HEADER.replace('"patience": 10', '"patience": null'),),
          r"db\.jsonl:1: bad search params \(patience must"),
         ((HEADER.replace('"z": 0.5, ', ''),), r"db\.jsonl:1: bad search params \(search params missing"),
+        ((HEADER, ROW.replace('"expansions"', '"expansion"')),
+         r"db\.jsonl:2: bad entry \(unknown keys \['expansion'\]\)"),
     ],
 )
 def test_db_restore_rejects(tmp_path, lines, needle):

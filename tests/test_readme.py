@@ -1,7 +1,9 @@
-"""The README's documented Python API runs as written."""
+"""The README's documented Python API runs as written, and its commands
+use only flags that the commands have."""
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 from conftest import DATA
@@ -47,3 +49,25 @@ def test_readme_action_catalog_example_parses(tmp_path):
         "loyal-deposit": [(0, 1, 1), (2, cell_1200, 2)],
         "visit-more": [(1, None, 1)],
     }
+
+
+def _readme_commands():
+    """Each ``rfplan <command> ...`` line of the README's shell blocks as its
+    arguments, continuation lines joined and quotes and comments honoured."""
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            args = shlex.split(line, comments=True)
+            if args[:1] == ["rfplan"]:
+                yield args[1:]
+
+
+def test_readme_commands_use_existing_flags(capsys):
+    commands = list(_readme_commands())
+    assert {c[0] for c in commands} == {"train", "partitions", "preprocess", "plan", "greedy",
+                                        "oracle", "export-wcnf", "bench"}
+    for command, *args in commands:
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out
+        for flag in (a for a in args if a.startswith("-")):
+            assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", usage), (command, flag)

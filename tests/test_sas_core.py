@@ -87,6 +87,12 @@ def test_action_validation():
     clash = (Transition(var=0, frm=0, to=1), Transition(var=0, frm=0, to=2))
     with pytest.raises(ActionError, match="mutually exclusive"):
         Action(id="a", transitions=clash, cost=1.0)
+    # a mechanical write may sit next to a transition to the same value only
+    same = (Transition(var=0, frm=0, to=1), Transition(var=0, frm=WILDCARD, to=1))
+    assert len(Action(id="a", transitions=same, cost=1.0).transitions) == 2
+    other = (Transition(var=0, frm=0, to=1), Transition(var=0, frm=WILDCARD, to=2))
+    with pytest.raises(ActionError, match="mutually exclusive"):
+        Action(id="a", transitions=other, cost=1.0)
 
 
 def test_action_apply_semantics():
@@ -313,6 +319,8 @@ def _entry(body: str) -> str:
          ":2: action 'a': 'to' raw value inf is not finite"),
         (_entry('{"feature": "balance", "from": 2, "to": -Infinity}'),
          ":2: action 'a': 'to' raw value -inf is not finite"),
+        (_entry('{"feature": "balance", "form": 0, "to": 1}'),
+         ":2: action 'a': unknown transition keys ['form']"),
     ],
 )
 def test_action_spec_rejects(toy_table, tmp_path, entry, needle):
