@@ -25,7 +25,6 @@ import collections
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -290,8 +289,6 @@ def _load_forest(path):
         return restore(path)
     except OSError as exc:
         raise CliError(f"cannot read model {path}: {exc.strerror}") from None
-    except (ModelError, json.JSONDecodeError) as exc:
-        raise CliError(f"model {path}: {exc}") from None
 
 
 def _catalog(model_path, actions_path, cost_seed, beta_range):
@@ -342,24 +339,7 @@ def _parse_vector(text, features):
         raise CliError(
             f"input has {len(tokens)} values but the model has {len(features)} features"
         )
-    values = []
-    for meta, token in zip(features, tokens):
-        if meta.is_numerical:
-            try:
-                value = float(token)
-            except ValueError:
-                raise CliError(f"feature {meta.name!r}: {token!r} is not a number") from None
-            if not math.isfinite(value):
-                raise CliError(f"feature {meta.name!r}: {token!r} is not finite")
-            values.append(value)
-        else:
-            if token not in meta.categories:
-                raise CliError(
-                    f"feature {meta.name!r}: unknown category {token!r}; "
-                    f"choices: {list(meta.categories)}"
-                )
-            values.append(token)
-    return tuple(values)
+    return tuple(meta.parse(token) for meta, token in zip(features, tokens))
 
 
 def _parse_state(text, table):

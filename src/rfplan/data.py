@@ -3,9 +3,12 @@
 The schema declares the feature columns in vector order, their kind and
 mutability, and the label column; optionally a fixed ordered class list.
 A schema takes no other key; a feature record is read as a model's is
-(``FeatureMeta.from_dict``), but ``kind`` defaults to numerical.  All
-diagnostics carry file and line numbers.  A file may start with a UTF-8
-byte order mark.
+(``FeatureMeta.from_dict``), but ``kind`` defaults to numerical.  Each
+feature value of a row is read by ``FeatureMeta.parse``, as ``-x`` values
+are, so a fault reads ``path:line: feature 'name': ...``.  A libsvm row
+names each feature index at most once; an index it leaves out reads 0.0.
+All diagnostics carry file and line numbers.  A file may start with a
+UTF-8 byte order mark.
 """
 
 from __future__ import annotations
@@ -160,28 +163,12 @@ def _ingest_csv(path, schema: Schema) -> Dataset:
                 raise DataError(
                     f"{path}:{lineno}: row has {len(rec)} fields, header has {len(header)}"
                 )
-            values = []
-            for meta, col in zip(schema.features, feat_cols):
-                token = rec[col].strip()
-                if meta.is_numerical:
-                    try:
-                        value = float(token)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: column {meta.name!r}: {token!r} is not a number"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{path}:{lineno}: column {meta.name!r}: {token!r} is not finite"
-                        )
-                    values.append(value)
-                else:
-                    if token not in meta.categories:
-                        raise DataError(
-                            f"{path}:{lineno}: column {meta.name!r}: unknown category {token!r}"
-                        )
-                    values.append(token)
-            rows.append(tuple(values))
+            try:
+                rows.append(tuple(
+                    meta.parse(rec[col].strip()) for meta, col in zip(schema.features, feat_cols)
+                ))
+            except ModelError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             labels.append(_coerce_label(rec[label_col].strip(), f"{path}:{lineno}"))
     return _finish(schema, rows, labels, str(path))
 
@@ -203,27 +190,24 @@ def _ingest_libsvm(path, schema: Schema) -> Dataset:
                 continue
             parts = text.split()
             labels.append(_coerce_label(parts[0], f"{path}:{lineno}"))
-            values = [0.0] * m
+            values: dict[int, float] = {}
             for part in parts[1:]:
                 if ":" not in part:
                     raise DataError(f"{path}:{lineno}: expected index:value, got {part!r}")
                 idx_s, val_s = part.split(":", 1)
                 try:
                     idx = int(idx_s)
-                    val = float(val_s)
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad index:value pair {part!r}") from None
+                    raise DataError(f"{path}:{lineno}: bad feature index {idx_s!r}") from None
                 if not 1 <= idx <= m:
-                    raise DataError(
-                        f"{path}:{lineno}: feature index {idx} outside 1..{m}"
-                    )
-                if not math.isfinite(val):
-                    raise DataError(
-                        f"{path}:{lineno}: column {schema.features[idx - 1].name!r}: "
-                        f"{val_s!r} is not finite"
-                    )
-                values[idx - 1] = val
-            rows.append(tuple(values))
+                    raise DataError(f"{path}:{lineno}: feature index {idx} outside 1..{m}")
+                if idx - 1 in values:
+                    raise DataError(f"{path}:{lineno}: feature index {idx} given twice")
+                try:
+                    values[idx - 1] = schema.features[idx - 1].parse(val_s)
+                except ModelError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+            rows.append(tuple(values.get(i, 0.0) for i in range(m)))
     return _finish(schema, rows, labels, str(path))
 
 

@@ -31,14 +31,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .forest import (
-    FeatureMeta,
-    Label,
-    Leaf,
-    ModelError,
-    RandomForest,
-    Split,
-    Vector,
-    _check_vector,
+    FeatureMeta, FeatureValue, Label, Leaf, ModelError, RandomForest, Split, Vector,
 )
 
 State = tuple[int, ...]
@@ -134,16 +127,22 @@ def check_state(table: PartitionTable, s: Sequence[int]) -> State:
     return tuple(s)
 
 
+def cell(table: PartitionTable, var: int, value: FeatureValue) -> int:
+    """The partition index of feature ``var`` that the raw ``value`` falls in,
+    after ``FeatureMeta.check``."""
+    meta = table.features[var]
+    meta.check(value)
+    if meta.is_categorical:
+        return meta.categories.index(value)
+    return bisect_right(table.thresholds[var], value)
+
+
 def to_state(table: PartitionTable, x: Vector) -> State:
     """Map a raw vector to its tuple of partition indices."""
-    _check_vector(table.features, x)
-    out = []
-    for meta, ths, value in zip(table.features, table.thresholds, x):
-        if meta.is_categorical:
-            out.append(meta.categories.index(value))
-        else:
-            out.append(bisect_right(ths, value))
-    return tuple(out)
+    m = len(table.features)
+    if len(x) != m:
+        raise ModelError(f"vector has {len(x)} values, table declares {m} features")
+    return tuple(cell(table, var, value) for var, value in enumerate(x))
 
 
 def representative(table: PartitionTable, s: Sequence[int]) -> tuple:

@@ -90,7 +90,7 @@ from .discretize import PartitionTable, State, StateEvaluator, check_state, to_s
 from .forest import RandomForest, Vector
 from .knn import SimilarityWeights, k_nearest
 from .maxsat import SolveResult, WcnfInstance
-from .offline import GoalDatabase, check_pairing, find_preferred_goal
+from .offline import GoalDatabase, SuccessorTable, check_pairing, find_preferred_goal
 from .sas_core import (
     Action,
     ActionError,
@@ -433,7 +433,8 @@ def build_sas(
     near = k_nearest(s_init, db, k, SimilarityWeights.from_forest(forest), table)
     goals = sorted({entry.goal for _, entry, _ in near})
     if not goals:
-        entry = find_preferred_goal(s_init, library, forest, table, db.params, evaluator=evaluator)
+        entry = find_preferred_goal(s_init, library, forest, table, db.params,
+                                    successors=SuccessorTable(library, evaluator))
         if entry.found:
             goals = [entry.goal]
     if not goals:

@@ -92,6 +92,29 @@ class FeatureMeta:
             categories=tuple(rec.get("categories", ())),
         )
 
+    def check(self, value: FeatureValue) -> FeatureValue:
+        """``value`` if it is a value of this feature: a finite int or float,
+        not a bool, for a numerical feature, else one of its categories."""
+        if self.kind == NUMERICAL:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ModelError(f"feature {self.name!r}: {value!r} is not a number")
+            if not math.isfinite(value):
+                raise ModelError(f"feature {self.name!r}: {value!r} is not finite")
+        elif value not in self.categories:
+            raise ModelError(f"feature {self.name!r}: unknown category {value!r}; "
+                             f"choices: {list(self.categories)}")
+        return value
+
+    def parse(self, token: str) -> FeatureValue:
+        """The checked value that the text ``token`` names: a float for a
+        numerical feature, else the category itself."""
+        if self.kind == NUMERICAL:
+            try:
+                token = float(token)
+            except ValueError:
+                raise ModelError(f"feature {self.name!r}: {token!r} is not a number") from None
+        return self.check(token)
+
     @property
     def is_numerical(self) -> bool:
         return self.kind == NUMERICAL
@@ -136,14 +159,7 @@ def _check_vector(features: Sequence[FeatureMeta], x: Vector) -> None:
     if len(x) != len(features):
         raise ModelError(f"vector has {len(x)} values, model declares {len(features)} features")
     for meta, value in zip(features, x):
-        if meta.is_numerical:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ModelError(f"feature {meta.name!r}: expected a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ModelError(f"feature {meta.name!r}: non-finite value {value!r}")
-        else:
-            if value not in meta.categories:
-                raise ModelError(f"feature {meta.name!r}: {value!r} not in {list(meta.categories)}")
+        meta.check(value)
 
 
 @dataclass(frozen=True)
@@ -574,7 +590,7 @@ def restore(path) -> RandomForest:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: not valid JSON ({exc})") from None
+        raise ModelError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
     try:
         return forest_from_dict(doc)
     except ModelError as exc:

@@ -223,24 +223,24 @@ def find_preferred_goal(
     forest: RandomForest,
     table: PartitionTable,
     params: SearchParams,
-    evaluator: StateEvaluator | None = None,
     successors: SuccessorTable | None = None,
 ) -> PreferredGoalEntry:
     """Best-first anytime search from one start state.
 
     ``successors`` is a state table shared with other searches over the
-    same library and evaluator; without one, the search builds its own
-    from ``evaluator`` (or a new one).  Search entries are keyed by rank.
+    same library, whose evaluator reads ``forest``, ``table`` and the
+    target of ``params``; without one, the search builds its own.  Search
+    entries are keyed by rank.
     """
     s_init = check_state(table, s_init)
     if successors is None:
-        if evaluator is None:
-            evaluator = StateEvaluator(forest, table, params.target)
-        successors = SuccessorTable(library, evaluator)
+        successors = SuccessorTable(library, StateEvaluator(forest, table, params.target))
     elif successors.library is not library:
         raise SearchError("successor table was built for another action library")
-    elif evaluator is not None and evaluator is not successors.evaluator:
-        raise SearchError("successor table reads shares through another evaluator")
+    else:
+        ev = successors.evaluator
+        if (ev.forest, ev.table, ev.target) != (forest, table, params.target):
+            raise SearchError("successor table reads shares of another forest, table or target")
     alpha = resolve_alpha(params, library)
     z = params.z
     share = successors.share
@@ -443,17 +443,19 @@ def db_restore(path) -> GoalDatabase:
             continue
         rec = parse(lineno, line)
         try:
-            unknown = set(rec) - {"initial", "goal", "cost", "expansions", "status"}
-            if unknown:
-                raise SearchError(f"unknown keys {sorted(unknown)}")
+            keys = {"initial", "goal", "cost", "expansions", "status"}
+            if set(rec) - keys:
+                raise SearchError(f"unknown keys {sorted(set(rec) - keys)}")
+            if keys - set(rec):
+                raise SearchError(f"missing keys {sorted(keys - set(rec))}")
             entry = PreferredGoalEntry(
                 initial=tuple(rec["initial"]),
-                goal=tuple(rec["goal"]) if rec.get("goal") is not None else None,
-                cost=rec.get("cost"),
-                expansions=rec.get("expansions", 0),
-                status=rec.get("status", ""),
+                goal=tuple(rec["goal"]) if rec["goal"] is not None else None,
+                cost=rec["cost"],
+                expansions=rec["expansions"],
+                status=rec["status"],
             )
-        except (KeyError, TypeError, SearchError) as exc:
+        except (TypeError, SearchError) as exc:
             raise SearchError(f"{path}:{lineno}: bad entry ({exc})") from None
         if entry.initial in entries:
             raise SearchError(f"{path}:{lineno}: duplicate entry for state {entry.initial}")

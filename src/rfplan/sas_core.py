@@ -21,14 +21,12 @@ only the actions that can fire there instead of the whole library.
 from __future__ import annotations
 
 import json
-import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .discretize import PartitionTable, State
-from .forest import FeatureMeta
+from .discretize import PartitionTable, State, cell
+from .forest import FeatureMeta, ModelError
 
 WILDCARD = None  # the "from anywhere" marker of a mechanical transition
 
@@ -99,7 +97,7 @@ class Action:
     def __post_init__(self):
         if not self.id:
             raise ActionError("action id must be non-empty")
-        if not 0 < self.cost < math.inf:
+        if not 0 < self.cost < float("inf"):
             raise ActionError(f"action {self.id!r}: cost must be finite and > 0, got {self.cost}")
         ts = tuple(sorted(set(self.transitions), key=lambda t: t.sort_key))
         if not ts:
@@ -353,26 +351,16 @@ def _resolve_feature(ref, features: Sequence[FeatureMeta]) -> int:
 
 
 def _resolve_value(value, var: int, table: PartitionTable, what: str) -> int:
-    """An int is a partition index; a float is a raw value to discretize."""
-    meta = table.features[var]
-    n = table.sizes[var]
-    if isinstance(value, bool):
-        raise ActionError(f"{what} must be an integer partition index or a raw number")
-    if isinstance(value, int):
+    """An int is a partition index; any other value is a raw value, put in its cell."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        n, name = table.sizes[var], table.features[var].name
         if not 0 <= value < n:
-            raise ActionError(f"{what} index {value} outside [0, {n}) for feature {meta.name!r}")
+            raise ActionError(f"{what} index {value} outside [0, {n}) for feature {name!r}")
         return value
-    if isinstance(value, float):
-        if meta.is_categorical:
-            raise ActionError(f"{what}: raw numbers are not valid for categorical {meta.name!r}")
-        if not math.isfinite(value):
-            raise ActionError(f"{what} raw value {value!r} is not finite")
-        return bisect_right(table.thresholds[var], value)
-    if isinstance(value, str) and meta.is_categorical:
-        if value not in meta.categories:
-            raise ActionError(f"{what}: {value!r} not a category of {meta.name!r}")
-        return meta.categories.index(value)
-    raise ActionError(f"{what} must be an integer partition index or a raw number, got {value!r}")
+    try:
+        return cell(table, var, value)
+    except ModelError as exc:
+        raise ActionError(f"{what}: {exc}") from None
 
 
 def parse_action_spec(text: str, table: PartitionTable, source: str = "<action spec>") -> ActionLibrary:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
+from rfplan import bench
 from rfplan.bench import BenchError, BenchSettings, parse_fractions, run_bench
 
 
@@ -62,9 +65,19 @@ def _answers(reports):
     ]
 
 
-def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_params):
+def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_params, monkeypatch):
+    calls = collections.Counter()
+    for name in ("greedy_plan", "oracle_plan"):
+        def counted(*args, _name=name, _run=getattr(bench, name), **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(bench, name, counted)
     settings = BenchSettings(params=toy_params, l_max=2, n_instances=3, sample_seed=4)
     reports = run_bench(toy_forest, toy_table, unit_library, settings, fractions=(50, 100))
+    # greedy and the oracle read no database: one run per instance serves both fractions
+    assert calls == {"greedy_plan": 3, "oracle_plan": 3}
+    for a, b in zip(reports[0].instances, reports[1].instances):
+        assert (a.greedy, a.oracle) == (b.greedy, b.oracle)
     n = toy_table.state_count
     assert [r.fraction for r in reports] == [50, 100]
     assert [r.db_states for r in reports] == [n // 2, n]

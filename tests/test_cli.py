@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -16,16 +17,18 @@ import time
 
 import pytest
 
-from conftest import DATA
+from conftest import DATA, FIXTURES
 from rfplan.baselines import greedy_plan, oracle_plan
 from rfplan.cli import _catalog, main
-from rfplan.data import ingest, load_schema
+from rfplan.data import DataError, Schema, ingest, load_schema
 from rfplan.discretize import build_partitions, enumerate_states, state_proba, to_state
 from rfplan.encoder import NoGoalsError, build_sas, encode, plan_actions
-from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split, fingerprint, persist, restore
+from rfplan.forest import (
+    FeatureMeta, Leaf, ModelError, RandomForest, Split, fingerprint, persist, restore,
+)
 from rfplan.maxsat import OPTIMAL, solve, wcnf_write
 from rfplan.offline import GoalDatabase, SearchParams, db_persist, db_restore, preprocess
-from rfplan.sas_core import load_action_spec
+from rfplan.sas_core import ActionError, load_action_spec
 
 
 def run(args):
@@ -162,6 +165,18 @@ def test_partitions_json_payload(ws):
     assert payload["state_count"] == cells[0] * cells[1] * cells[2] == 40
     gender = payload["features"][0]
     assert gender["kind"] == "categorical" and gender["mutability"] == "hard"
+
+
+def test_bad_model_file_is_named_once(tmp_path):
+    model = tmp_path / "broken.json"
+    model.write_text('{\n  "format_version": 1,\n  "classes": [0, 1\n}\n', encoding="utf-8")
+    rv, _, err = run(["partitions", "--model", model])
+    assert rv == 3
+    assert re.fullmatch(rf"error: {re.escape(str(model))}:4: not valid JSON \([^()]+\)\n", err)
+    model.write_text('{"format_version": 1, "classes": [0, 1], "features": []}', encoding="utf-8")
+    rv, _, err = run(["partitions", "--model", model])
+    assert rv == 3
+    assert err == f"error: {model}: model document missing 'trees'\n"
 
 
 # preprocess
@@ -526,7 +541,7 @@ def test_oracle_cap_exits_four(ws):
 def test_non_finite_numbers_exit_three(ws, tmp_path):
     rv, _, err = run(["oracle", "--model", ws["model"], "-x", "male,nan,2000", "--target", 1])
     assert rv == 3
-    assert "feature 'visits': 'nan' is not finite" in err and "Traceback" not in err
+    assert "feature 'visits': nan is not finite" in err and "Traceback" not in err
     rows = (DATA / "demo.csv").read_text(encoding="utf-8").splitlines()
     rows[2] = "female,nan,1800,1"
     data = tmp_path / "nan.csv"
@@ -535,7 +550,52 @@ def test_non_finite_numbers_exit_three(ws, tmp_path):
                       "--target", 1, "--quiet",
                       "--data", data, "--schema", DATA / "demo_schema.json"])
     assert rv == 3
-    assert f"{data}:3: column 'visits': 'nan' is not finite" in err and "Traceback" not in err
+    assert f"{data}:3: feature 'visits': nan is not finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name,token,value,fault",
+    [
+        ("visits", "x", "x", "'x' is not a number"),
+        ("visits", "nan", math.nan, "nan is not finite"),
+        ("gender", "robot", "robot", "unknown category 'robot'; choices: ['male', 'female']"),
+    ],
+    ids=["not-a-number", "not-finite", "unknown-category"],
+)
+def test_raw_value_faults_read_alike(tmp_path, toy_table, name, token, value, fault):
+    """One fault reads the same after each path's location prefix: -x, a CSV
+    row, a libsvm row, a catalog's raw 'to' value and ``to_state``."""
+    text = f"feature {name!r}: {fault}"
+    raw = {"gender": "male", "visits": "2", "balance": "500", name: token}
+    rv, _, err = run(["oracle", "--model", FIXTURES / "toy_forest.json", "--target", 1,
+                      "-x", ",".join(raw.values())])
+    assert (rv, err) == (3, f"error: {text}\n")
+
+    csv = tmp_path / "data.csv"
+    csv.write_text("gender,visits,balance,churn\n" + ",".join(raw.values()) + ",1\n",
+                   encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        ingest(csv, "csv", load_schema(DATA / "demo_schema.json"))
+    assert str(exc.value) == f"{csv}:2: {text}"
+
+    if name == "visits":  # libsvm rows carry numbers only
+        svm = tmp_path / "data.libsvm"
+        svm.write_text(f"1 2:1500 1:{token}\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            ingest(svm, "libsvm", Schema(features=toy_table.features[1:], label=0))
+        assert str(exc.value) == f"{svm}:1: {text}"
+
+    spec = tmp_path / "actions.json"
+    spec.write_text(f'[\n  {{"id": "a", "cost": 1, "transitions": '
+                    f'[{{"feature": "{name}", "to": {json.dumps(value)}}}]}}\n]', encoding="utf-8")
+    with pytest.raises(ActionError) as exc:
+        load_action_spec(spec, toy_table)
+    assert str(exc.value) == f"{spec}:2: action 'a': 'to': {text}"
+
+    vector = {"gender": "male", "visits": 2.0, "balance": 500.0, name: value}
+    with pytest.raises(ModelError) as exc:
+        to_state(toy_table, tuple(vector.values()))
+    assert str(exc.value) == text
 
 
 # export-wcnf

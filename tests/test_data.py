@@ -127,8 +127,8 @@ def test_csv_column_order_free(tmp_path):
         ("a,y\n1,0\n", "missing feature column 'b'"),
         ("a,b\n1,2\n", "missing label column 'y'"),
         ("a,b,y\n1,2\n", r":2: row has 2 fields, header has 3"),
-        ("a,b,y\n1,2,0\n1,x,0\n", r":3: column 'b': 'x' is not a number"),
-        ("a,b,y\n1,2,0\nnan,2,0\n", r":3: column 'a': 'nan' is not finite"),
+        ("a,b,y\n1,2,0\n1,x,0\n", r":3: feature 'b': 'x' is not a number"),
+        ("a,b,y\n1,2,0\nnan,2,0\n", r":3: feature 'a': nan is not finite"),
         ("a,b,y\n1,2,0\n1,2,nan\n", r":3: label 'nan' is not finite"),
         ("a,b,y\n", "no data rows"),
     ],
@@ -140,7 +140,7 @@ def test_csv_rejects(tmp_path, text, needle):
 
 def test_csv_unknown_category(tmp_path, demo_schema):
     path = _write(tmp_path, "gender,visits,balance,churn\nrobot,1,2,0\n")
-    with pytest.raises(DataError, match=r":2: column 'gender': unknown category 'robot'"):
+    with pytest.raises(DataError, match=r":2: feature 'gender': unknown category 'robot'"):
         ingest(path, "csv", demo_schema)
 
 
@@ -187,12 +187,14 @@ def test_libsvm_rejects_categorical(demo_schema):
     "text,needle",
     [
         ("+1 1=2.5\n", r":1: expected index:value"),
-        ("+1 1:x\n", r":1: bad index:value pair"),
-        ("+1 1:0.5\n-1 2:inf\n", r":2: column 'b': 'inf' is not finite"),
+        ("+1 1:x\n", r":1: feature 'a': 'x' is not a number"),
+        ("+1 1:0.5\n-1 2:inf\n", r":2: feature 'b': inf is not finite"),
         ("+1 1:0.5\n-inf 2:1\n", r":2: label '-inf' is not finite"),
         ("+1 3:1.0\n", r":1: feature index 3 outside 1\.\.2"),
         ("+1 0:1.0\n", "outside"),
         ("# nothing\n", "no data rows"),
+        ("+1 x:1\n", r":1: bad feature index 'x'"),
+        ("+1 1:0.5\n-1 1:2.0 1:7.0\n", r":2: feature index 1 given twice"),
     ],
 )
 def test_libsvm_rejects(tmp_path, text, needle):

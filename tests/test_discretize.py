@@ -59,7 +59,7 @@ def test_to_state_validates(toy_table):
     # raw-vector problems surface as model errors, index problems as state errors
     with pytest.raises(ModelError, match="3 features"):
         to_state(toy_table, ("male", 2))
-    with pytest.raises(ModelError, match="not in"):
+    with pytest.raises(ModelError, match="feature 'gender': unknown category 'robot'"):
         to_state(toy_table, ("robot", 2, 500))
 
 

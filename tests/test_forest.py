@@ -100,7 +100,7 @@ def test_weighted_votes():
 def test_vector_validation(toy_forest):
     with pytest.raises(ModelError, match="3 features"):
         toy_forest.predict(("male", 2))
-    with pytest.raises(ModelError, match="not in"):
+    with pytest.raises(ModelError, match="feature 'gender': unknown category 'robot'"):
         toy_forest.predict(("robot", 2, 500))
     with pytest.raises(ModelError, match="finite"):
         toy_forest.predict(("male", math.nan, 500))

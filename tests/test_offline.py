@@ -379,18 +379,18 @@ def test_preprocess_generates_each_successor_row_once(
 
 
 def test_successor_table_is_bound_to_its_library(toy_forest, toy_table, unit_library, toy_params):
-    evaluator = StateEvaluator(toy_forest, toy_table, 1)
-    successors = SuccessorTable(unit_library, evaluator)
+    successors = SuccessorTable(unit_library, StateEvaluator(toy_forest, toy_table, 1))
     other = ActionLibrary(actions=unit_library.actions[:2])
     with pytest.raises(SearchError, match="another action library"):
         find_preferred_goal((0, 0, 0), other, toy_forest, toy_table, toy_params,
                             successors=successors)
-    with pytest.raises(SearchError, match="another evaluator"):
+    # shares of class 0 would make the search prove a goal of the wrong class
+    other_target = SuccessorTable(unit_library, StateEvaluator(toy_forest, toy_table, 0))
+    with pytest.raises(SearchError, match="another forest, table or target"):
         find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params,
-                            evaluator=StateEvaluator(toy_forest, toy_table, 1),
-                            successors=successors)
+                            successors=other_target)
     e = find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params,
-                            evaluator=evaluator, successors=successors)
+                            successors=successors)
     assert (e.goal, e.cost) == ((0, 1, 2), 3.0)
 
 
@@ -566,6 +566,14 @@ def test_db_restore_happy(tmp_path):
         ((HEADER.replace('"z": 0.5, ', ''),), r"db\.jsonl:1: bad search params \(search params missing"),
         ((HEADER, ROW.replace('"expansions"', '"expansion"')),
          r"db\.jsonl:2: bad entry \(unknown keys \['expansion'\]\)"),
+        ((HEADER, ROW.replace('"expansions": 2, ', '')),
+         r"db\.jsonl:2: bad entry \(missing keys \['expansions'\]\)"),
+        ((HEADER, '{"expansions": 2, "initial": [0, 0], "status": "no_goal"}'),
+         r"db\.jsonl:2: bad entry \(missing keys \['cost', 'goal'\]\)"),
+        ((HEADER, ROW.replace(', "status": "proved_exhausted"', '')),
+         r"db\.jsonl:2: bad entry \(missing keys \['status'\]\)"),
+        ((HEADER, ROW.replace(', "initial": [0, 0]', '')),
+         r"db\.jsonl:2: bad entry \(missing keys \['initial'\]\)"),
     ],
 )
 def test_db_restore_rejects(tmp_path, lines, needle):

@@ -312,13 +312,14 @@ def _entry(body: str) -> str:
          ":2: action 'a': cost must be finite"),
         ('{"id": "a", "cost": 1, "transitions": []}', "transitions"),
         (_entry('{"feature": "visits"}'), "'to'"),
-        (_entry('{"feature": "visits", "to": "lots"}'), "index"),
+        (_entry('{"feature": "visits", "to": "lots"}'),
+         ":2: action 'a': 'to': feature 'visits': 'lots' is not a number"),
         (_entry('{"feature": "balance", "from": 0, "to": NaN}'),
-         ":2: action 'a': 'to' raw value nan is not finite"),
+         ":2: action 'a': 'to': feature 'balance': nan is not finite"),
         (_entry('{"feature": "balance", "from": 0, "to": Infinity}'),
-         ":2: action 'a': 'to' raw value inf is not finite"),
+         ":2: action 'a': 'to': feature 'balance': inf is not finite"),
         (_entry('{"feature": "balance", "from": 2, "to": -Infinity}'),
-         ":2: action 'a': 'to' raw value -inf is not finite"),
+         ":2: action 'a': 'to': feature 'balance': -inf is not finite"),
         (_entry('{"feature": "balance", "form": 0, "to": 1}'),
          ":2: action 'a': unknown transition keys ['form']"),
     ],
