@@ -14,7 +14,11 @@ Every planning command is set up the same way:
   with --json, as one JSON object.
 - preprocess and bench share their search options and set-up: they search
   (or draw instances from) the states of --data when it is given, else the grid.
-- One boundary turns the library's input errors into `error: ...`, exit 3.
+- One boundary turns the library's input errors into `error: ...`, exit 3,
+  and a file that cannot be opened, read or written into
+  `error: <path>: <reason>`.  Every input file is read by one reader
+  (``forest.read_text``), so undecodable text reads `<path>:<line>: not
+  UTF-8 text (...)` and bad JSON `<path>:<line>: not valid JSON (...)`.
 
 Exit codes: 0 success, 2 no plan exists, 3 invalid input, 4 timed out.
 """
@@ -38,7 +42,7 @@ from . import baselines
 from . import encoder
 from . import maxsat
 from .bench import BenchError, BenchSettings, parse_fractions, run_bench
-from .data import DataError, Dataset, ingest, load_schema, train_test_split
+from .data import DataError, ingest, load_schema, train_test_split
 from .discretize import (
     StateError,
     build_partitions,
@@ -52,6 +56,7 @@ from .forest import (
     ModelError,
     TrainParams,
     fingerprint,
+    read_json,
     restore,
     persist,
     train_forest,
@@ -170,13 +175,7 @@ def _convert(key: str, value, where: str):
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
+    doc = read_json(path, CliError)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - set(_KEYS))
@@ -187,22 +186,26 @@ def _load_config(path) -> dict:
 
 class _Command(click.Command):
     """A command whose shared-key parameters reach its body already resolved,
-    and whose library input errors leave it as `error: <message>`, exit 3."""
+    and whose library input errors and file faults leave it as
+    `error: <message>`, exit 3."""
 
     def invoke(self, ctx):
-        config = _load_config(ctx.params.get("config_path"))
-        for key, (flag, *_) in _KEYS.items():
-            name = flag[2:].replace("-", "_")
-            if name not in ctx.params:
-                continue
-            if key in config and ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
-                ctx.params[name] = config[key]
-            else:
-                ctx.params[name] = _convert(key, ctx.params[name], flag)
         try:
+            config = _load_config(ctx.params.get("config_path"))
+            for key, (flag, *_) in _KEYS.items():
+                name = flag[2:].replace("-", "_")
+                if name not in ctx.params:
+                    continue
+                if key in config and ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
+                    ctx.params[name] = config[key]
+                else:
+                    ctx.params[name] = _convert(key, ctx.params[name], flag)
             return super().invoke(ctx)
         except _INPUT_ERRORS as exc:
             raise CliError(str(exc)) from None
+        except OSError as exc:
+            message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+            raise CliError(message) from None
 
 
 class _Group(click.Group):
@@ -284,25 +287,15 @@ _catalog_options = _options(
 # shared plumbing
 
 
-def _load_forest(path):
-    try:
-        return restore(path)
-    except OSError as exc:
-        raise CliError(f"cannot read model {path}: {exc.strerror}") from None
-
-
 def _catalog(model_path, actions_path, cost_seed, beta_range):
     """The model, its partition table and the action catalog to plan with."""
-    forest = _load_forest(model_path)
+    forest = restore(model_path)
     table = build_partitions(forest)
     if actions_path is None:
         cost = CostModel.random(len(table.features), np.random.default_rng(cost_seed),
                                 *beta_range)
         return forest, table, default_action_library(table, cost)
-    try:
-        return forest, table, load_action_spec(actions_path, table)
-    except OSError as exc:
-        raise CliError(f"cannot read actions {actions_path}: {exc.strerror}") from None
+    return forest, table, load_action_spec(actions_path, table)
 
 
 def _load_db(path):
@@ -311,10 +304,7 @@ def _load_db(path):
             f"goal database {path} not found; run `rfplan preprocess --out {path} ...` "
             "against this model first"
         )
-    try:
-        return db_restore(path)
-    except OSError as exc:
-        raise CliError(f"cannot read goal database {path}: {exc.strerror}") from None
+    return db_restore(path)
 
 
 def _resolve_class(forest, token: str):
@@ -360,14 +350,6 @@ def _instance_state(table, x_text, state_text):
     return _parse_state(state_text, table)
 
 
-def _load_dataset(data_path, schema_path, fmt) -> Dataset:
-    try:
-        schema = load_schema(schema_path)
-        return ingest(data_path, fmt, schema)
-    except OSError as exc:
-        raise CliError(f"cannot read {exc.filename}: {exc.strerror}") from None
-
-
 def _search_params(forest, target_text, z, alpha, delta, node_budget) -> SearchParams:
     return SearchParams(target=_resolve_class(forest, target_text), z=z, alpha=alpha,
                         patience=delta, node_budget=node_budget)
@@ -379,7 +361,7 @@ def _data_states(table, data_path, schema_path, fmt):
         return None
     if schema_path is None:
         raise CliError("--data needs --schema")
-    return [to_state(table, x) for x in _load_dataset(data_path, schema_path, fmt).rows]
+    return [to_state(table, x) for x in ingest(data_path, fmt, load_schema(schema_path)).rows]
 
 
 def _jsonable(v):
@@ -465,7 +447,7 @@ def _exit_for_result(ctx, res, failure: str) -> None:
 def train(data_path, schema_path, fmt, out_path, trees, max_depth, min_leaf, mtry,
           sample_size, seed, test_fraction, split_seed):
     """Fit a random forest on a dataset and save it as JSON."""
-    ds = _load_dataset(data_path, schema_path, fmt)
+    ds = ingest(data_path, fmt, load_schema(schema_path))
     ds_train, test = ds, None
     if test_fraction is not None:
         ds_train, test = train_test_split(ds, test_fraction, split_seed)
@@ -475,10 +457,7 @@ def train(data_path, schema_path, fmt, out_path, trees, max_depth, min_leaf, mtr
     )
     forest = train_forest(ds_train.features, ds_train.rows, ds_train.labels, params,
                           classes=ds_train.classes)
-    try:
-        persist(forest, out_path)
-    except OSError as exc:
-        raise CliError(f"cannot write model {out_path}: {exc.strerror}") from None
+    persist(forest, out_path)
     click.echo(f"trained {len(forest.trees)} trees on {len(ds_train)} rows "
                f"({len(forest.features)} features, classes {[str(c) for c in forest.classes]})")
     if test is not None:
@@ -496,7 +475,7 @@ def train(data_path, schema_path, fmt, out_path, trees, max_depth, min_leaf, mtr
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def partitions(model_path, as_json):
     """Show the partition each feature is split into."""
-    forest = _load_forest(model_path)
+    forest = restore(model_path)
     table = build_partitions(forest)
     if as_json:
         feats = []
@@ -548,10 +527,7 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
     db = preprocess(states, library, forest, table, params, workers=workers,
                     on_progress=progress)
     elapsed = time.perf_counter() - t0
-    try:
-        db_persist(db, out_path)
-    except OSError as exc:
-        raise CliError(f"cannot write {out_path}: {exc.strerror}") from None
+    db_persist(db, out_path)
 
     found = sum(1 for e in db.entries.values() if e.found)
     by_status = collections.Counter(e.status for e in db.entries.values())
@@ -681,12 +657,9 @@ def export_wcnf(ctx, model_path, db_path, x_text, state_text, makespan, k,
         ctx.exit(EXIT_UNSOLVABLE)
     except StateError as exc:
         raise CliError(f"goal database {db_path}: {exc}") from None
-    try:
-        wcnf_write(instance, out_path)
-        if map_path is not None:
-            varmap.write_map(map_path)
-    except OSError as exc:
-        raise CliError(f"cannot write: {exc.strerror}") from None
+    wcnf_write(instance, out_path)
+    if map_path is not None:
+        varmap.write_map(map_path)
     click.echo(f"wrote {out_path}: {instance.nvars} variables, "
                f"{len(instance.hard)} hard + {len(instance.soft)} soft clauses, "
                f"{len(sas.goals)} goal state(s), {varmap.units} reachability unit(s)")
@@ -774,17 +747,14 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, de
             "fractions": list(fractions),
             "model_fingerprint": fingerprint(forest),
         })
-        try:
-            with open(json_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(settings_doc, sort_keys=True, default=_jsonable) + "\n")
-                for report in reports:
-                    for row in report.instances:
-                        fh.write(json.dumps(row.to_dict(), sort_keys=True,
-                                            default=_jsonable) + "\n")
-                    fh.write(json.dumps(report.to_dict(), sort_keys=True,
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(settings_doc, sort_keys=True, default=_jsonable) + "\n")
+            for report in reports:
+                for row in report.instances:
+                    fh.write(json.dumps(row.to_dict(), sort_keys=True,
                                         default=_jsonable) + "\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {json_path}: {exc.strerror}") from None
+                fh.write(json.dumps(report.to_dict(), sort_keys=True,
+                                    default=_jsonable) + "\n")
         click.echo(f"report written to {json_path}", err=True)
 
 

@@ -7,20 +7,20 @@ A schema takes no other key; a feature record is read as a model's is
 feature value of a row is read by ``FeatureMeta.parse``, as ``-x`` values
 are, so a fault reads ``path:line: feature 'name': ...``.  A libsvm row
 names each feature index at most once; an index it leaves out reads 0.0.
-All diagnostics carry file and line numbers.  A file may start with a
-UTF-8 byte order mark.
+All diagnostics carry file and line numbers.  Every file is read by
+``forest.read_text``: UTF-8, with or without a byte order mark.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forest import NUMERICAL, FeatureMeta, Label, ModelError, Vector
+from .forest import NUMERICAL, FeatureMeta, Label, ModelError, Vector, read_json, read_text
 
 
 class DataError(ValueError):
@@ -99,12 +99,7 @@ def schema_from_dict(doc: dict, source: str = "<schema>") -> Schema:
 
 
 def load_schema(path) -> Schema:
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
-    return schema_from_dict(doc, source=str(path))
+    return schema_from_dict(read_json(path, DataError), source=str(path))
 
 
 def _finish(schema: Schema, rows: list, labels: list, source: str) -> Dataset:
@@ -127,49 +122,48 @@ def _finish(schema: Schema, rows: list, labels: list, source: str) -> Dataset:
 
 
 def _ingest_csv(path, schema: Schema) -> Dataset:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}:1: empty file") from None
-        header = [h.strip() for h in header]
-        col_of: dict[str, int] = {}
-        for i, name in enumerate(header):
-            if name in col_of:
-                raise DataError(f"{path}:1: duplicate column {name!r}")
-            col_of[name] = i
-        feat_cols = []
-        for meta in schema.features:
-            if meta.name not in col_of:
-                raise DataError(f"{path}:1: missing feature column {meta.name!r}")
-            feat_cols.append(col_of[meta.name])
-        if isinstance(schema.label, int):
-            if not 0 <= schema.label < len(header):
-                raise DataError(f"{path}:1: label column index {schema.label} out of range")
-            label_col = schema.label
-        else:
-            if schema.label not in col_of:
-                raise DataError(f"{path}:1: missing label column {schema.label!r}")
-            label_col = col_of[schema.label]
+    reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}:1: empty file") from None
+    header = [h.strip() for h in header]
+    col_of: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in col_of:
+            raise DataError(f"{path}:1: duplicate column {name!r}")
+        col_of[name] = i
+    feat_cols = []
+    for meta in schema.features:
+        if meta.name not in col_of:
+            raise DataError(f"{path}:1: missing feature column {meta.name!r}")
+        feat_cols.append(col_of[meta.name])
+    if isinstance(schema.label, int):
+        if not 0 <= schema.label < len(header):
+            raise DataError(f"{path}:1: label column index {schema.label} out of range")
+        label_col = schema.label
+    else:
+        if schema.label not in col_of:
+            raise DataError(f"{path}:1: missing label column {schema.label!r}")
+        label_col = col_of[schema.label]
 
-        rows: list[Vector] = []
-        labels: list[Label] = []
-        for rec in reader:
-            lineno = reader.line_num
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            if len(rec) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: row has {len(rec)} fields, header has {len(header)}"
-                )
-            try:
-                rows.append(tuple(
-                    meta.parse(rec[col].strip()) for meta, col in zip(schema.features, feat_cols)
-                ))
-            except ModelError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            labels.append(_coerce_label(rec[label_col].strip(), f"{path}:{lineno}"))
+    rows: list[Vector] = []
+    labels: list[Label] = []
+    for rec in reader:
+        lineno = reader.line_num
+        if not rec or (len(rec) == 1 and not rec[0].strip()):
+            continue
+        if len(rec) != len(header):
+            raise DataError(
+                f"{path}:{lineno}: row has {len(rec)} fields, header has {len(header)}"
+            )
+        try:
+            rows.append(tuple(
+                meta.parse(rec[col].strip()) for meta, col in zip(schema.features, feat_cols)
+            ))
+        except ModelError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        labels.append(_coerce_label(rec[label_col].strip(), f"{path}:{lineno}"))
     return _finish(schema, rows, labels, str(path))
 
 
@@ -183,31 +177,31 @@ def _ingest_libsvm(path, schema: Schema) -> Dataset:
     m = len(schema.features)
     rows: list[Vector] = []
     labels: list[Label] = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            labels.append(_coerce_label(parts[0], f"{path}:{lineno}"))
-            values: dict[int, float] = {}
-            for part in parts[1:]:
-                if ":" not in part:
-                    raise DataError(f"{path}:{lineno}: expected index:value, got {part!r}")
-                idx_s, val_s = part.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad feature index {idx_s!r}") from None
-                if not 1 <= idx <= m:
-                    raise DataError(f"{path}:{lineno}: feature index {idx} outside 1..{m}")
-                if idx - 1 in values:
-                    raise DataError(f"{path}:{lineno}: feature index {idx} given twice")
-                try:
-                    values[idx - 1] = schema.features[idx - 1].parse(val_s)
-                except ModelError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-            rows.append(tuple(values.get(i, 0.0) for i in range(m)))
+    lines = io.StringIO(read_text(path, DataError), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        labels.append(_coerce_label(parts[0], f"{path}:{lineno}"))
+        values: dict[int, float] = {}
+        for part in parts[1:]:
+            if ":" not in part:
+                raise DataError(f"{path}:{lineno}: expected index:value, got {part!r}")
+            idx_s, val_s = part.split(":", 1)
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad feature index {idx_s!r}") from None
+            if not 1 <= idx <= m:
+                raise DataError(f"{path}:{lineno}: feature index {idx} outside 1..{m}")
+            if idx - 1 in values:
+                raise DataError(f"{path}:{lineno}: feature index {idx} given twice")
+            try:
+                values[idx - 1] = schema.features[idx - 1].parse(val_s)
+            except ModelError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+        rows.append(tuple(values.get(i, 0.0) for i in range(m)))
     return _finish(schema, rows, labels, str(path))
 
 

@@ -13,6 +13,10 @@ first one on ties) among ``mtry`` random features: a midpoint between
 distinct sorted values, or one category against the rest.  Gains come from
 integer class counts with no BLAS routine, so one data set and seed train
 the same forest on any CPU or BLAS build.
+
+``read_text`` and ``read_json`` read every input file of the package:
+UTF-8 with or without a byte order mark, and each fault names its file
+and line in the caller's error class.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence, Union
@@ -32,6 +37,10 @@ SOFT = "soft"
 HARD = "hard"
 
 FORMAT_VERSION = 1
+
+# what FeatureMeta.parse reads as a number: no '_' separators, no non-ASCII digits
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
+                     re.ASCII | re.IGNORECASE)
 
 Label = Any
 FeatureValue = Any
@@ -107,12 +116,13 @@ class FeatureMeta:
 
     def parse(self, token: str) -> FeatureValue:
         """The checked value that the text ``token`` names: a float for a
-        numerical feature, else the category itself."""
+        numerical feature, else the category itself.  A number is written
+        in plain ASCII decimal, with an optional exponent; ``nan`` and
+        ``inf`` read as numbers, so that ``check`` rejects them as not finite."""
         if self.kind == NUMERICAL:
-            try:
-                token = float(token)
-            except ValueError:
-                raise ModelError(f"feature {self.name!r}: {token!r} is not a number") from None
+            if not _NUMBER.fullmatch(token):
+                raise ModelError(f"feature {self.name!r}: {token!r} is not a number")
+            token = float(token)
         return self.check(token)
 
     @property
@@ -281,16 +291,15 @@ class TrainParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ModelError("n_trees must be >= 1")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise ModelError("sample_size must be >= 1")
-        if self.mtry is not None and self.mtry < 1:
-            raise ModelError("mtry must be >= 1")
-        if self.max_depth < 1:
-            raise ModelError("max_depth must be >= 1")
-        if self.min_leaf < 1:
-            raise ModelError("min_leaf must be >= 1")
+        for name in ("n_trees", "sample_size", "mtry", "max_depth", "min_leaf", "rng_seed"):
+            n = getattr(self, name)
+            if n is None and name in ("sample_size", "mtry"):
+                continue
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ModelError(f"{name} must be an int, got {n!r}")
+            low = 0 if name == "rng_seed" else 1
+            if n < low:
+                raise ModelError(f"{name} must be >= {low}")
 
 
 def _split_gains(lc: np.ndarray, ln: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
@@ -585,12 +594,35 @@ def persist(forest: RandomForest, path) -> None:
         fh.write("\n")
 
 
-def restore(path) -> RandomForest:
+def read_text(path, error: type[Exception]) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 with or without a
+    leading byte order mark.  A byte that is not UTF-8 raises ``error`` as
+    ``path:line: not UTF-8 text (reason at byte N)``, N counted from 0; an
+    ``OSError`` passes through."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text[1:] if text.startswith("\ufeff") else text
+
+
+def read_json(path, error: type[Exception], text: str | None = None, line: int = 1):
+    """The JSON document in the file at ``path`` (``read_text``), or in
+    ``text``, the part of that file that starts on line ``line``.  Bad JSON
+    raises ``error`` as ``path:line: not valid JSON (msg)``."""
+    if text is None:
+        text = read_text(path, error)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
+        raise error(f"{path}:{line + exc.lineno - 1}: not valid JSON ({exc.msg})") from None
+
+
+def restore(path) -> RandomForest:
+    doc = read_json(path, ModelError)
     try:
         return forest_from_dict(doc)
     except ModelError as exc:

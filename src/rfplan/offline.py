@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import io
 import json
 import math
 import operator
@@ -46,7 +47,7 @@ from typing import Callable, Iterable
 
 from . import forest as forest_mod
 from .discretize import PartitionTable, State, StateEvaluator, check_state
-from .forest import Label, ModelError, RandomForest
+from .forest import Label, ModelError, RandomForest, read_json, read_text
 from .sas_core import Action, ActionLibrary, neighbors
 
 AUTO = "auto"
@@ -108,6 +109,9 @@ class SearchParams:
     def from_dict(cls, doc: dict) -> "SearchParams":
         if not isinstance(doc, dict):
             raise SearchError(f"search params must be a JSON object, got {doc!r}")
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise SearchError(f"search params have unknown keys {sorted(unknown)}")
         try:
             return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
         except KeyError as exc:
@@ -411,16 +415,12 @@ def db_persist(db: GoalDatabase, path) -> None:
 
 
 def db_restore(path) -> GoalDatabase:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = io.StringIO(read_text(path, SearchError), newline=None).readlines()
     if not lines:
         raise SearchError(f"{path}: empty database file")
 
     def parse(lineno: int, text: str) -> dict:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SearchError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+        doc = read_json(path, SearchError, text, lineno)
         if not isinstance(doc, dict):
             raise SearchError(f"{path}:{lineno}: expected a JSON object")
         return doc
@@ -437,6 +437,9 @@ def db_restore(path) -> GoalDatabase:
         params = SearchParams.from_dict(header["params"])
     except SearchError as exc:
         raise SearchError(f"{path}:1: bad search params ({exc})") from None
+    unknown = set(header) - {"format_version", "fingerprint", "params"}
+    if unknown:
+        raise SearchError(f"{path}:1: header has unknown keys {sorted(unknown)}")
     entries: dict[State, PreferredGoalEntry] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

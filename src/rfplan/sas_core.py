@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .discretize import PartitionTable, State, cell
-from .forest import FeatureMeta, ModelError
+from .forest import FeatureMeta, ModelError, read_json, read_text
 
 WILDCARD = None  # the "from anywhere" marker of a mechanical transition
 
@@ -372,10 +372,7 @@ def parse_action_spec(text: str, table: PartitionTable, source: str = "<action s
     transition, and values are integer partition indices, raw numbers, or
     category labels.  Errors name the offending entry's line.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ActionError(f"{source}:{exc.lineno}: not valid JSON ({exc.msg})") from None
+    doc = read_json(source, ActionError, text)
     if not isinstance(doc, list):
         raise ActionError(f"{source}:1: action spec must be a JSON array")
     actions = []
@@ -436,6 +433,4 @@ def _parse_action_entry(entry, table: PartitionTable) -> Action:
 
 
 def load_action_spec(path, table: PartitionTable) -> ActionLibrary:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_action_spec(text, table, source=str(path))
+    return parse_action_spec(read_text(path, ActionError), table, source=str(path))

@@ -322,6 +322,7 @@ def _bad_params_db(ws, tmp_path):
 _INPUT_ERROR_CASES = {
     "train-trees": "n_trees must be >= 1",
     "train-min-leaf": "min_leaf must be >= 1",
+    "train-seed": "rng_seed must be >= 0",
     "preprocess-node-budget": "node_budget must be >= 1, got 0",
     "greedy-z": "z must be in (0, 1], got 2.0",
     "bench-sweep": "fractions must be in 1..100, got 0",
@@ -346,6 +347,7 @@ def test_library_input_errors_exit_three(ws, tmp_path, case, message):
     args = {
         "train-trees": [*train, "--trees", 0],
         "train-min-leaf": [*train, "--min-leaf", 0],
+        "train-seed": [*train, "--seed", -1],
         "preprocess-node-budget": ["preprocess", *model, "--out", tmp_path / "db.jsonl",
                                    "--target", 1, "--quiet", "--node-budget", 0],
         "greedy-z": ["greedy", *model, "--state", "0,0,0", "--target", 1, "--z", 2],
@@ -557,10 +559,12 @@ def test_non_finite_numbers_exit_three(ws, tmp_path):
     "name,token,value,fault",
     [
         ("visits", "x", "x", "'x' is not a number"),
+        ("visits", "1_000", "1_000", "'1_000' is not a number"),
+        ("visits", "\u0661\u0660", "\u0661\u0660", "'\u0661\u0660' is not a number"),
         ("visits", "nan", math.nan, "nan is not finite"),
         ("gender", "robot", "robot", "unknown category 'robot'; choices: ['male', 'female']"),
     ],
-    ids=["not-a-number", "not-finite", "unknown-category"],
+    ids=["not-a-number", "underscore", "non-ascii-digits", "not-finite", "unknown-category"],
 )
 def test_raw_value_faults_read_alike(tmp_path, toy_table, name, token, value, fault):
     """One fault reads the same after each path's location prefix: -x, a CSV
@@ -1035,3 +1039,77 @@ def test_flag_and_config_follow_one_rule(ws, tmp_path, key, value, code):
         assert rv == code, (form, err)
         if code == 3:
             assert key.lower().replace("_", "-") in err.lower().replace("_", "-"), err
+
+
+# file faults: one reader for every input file, one boundary for every fault
+
+
+def _readers(ws, tmp_path):
+    """Per input file: its good bytes, and the command that reads it from a path."""
+    schema = DATA / "demo_schema.json"
+    numbers = tmp_path / "numbers.json"
+    numbers.write_text('{"label": 0, "features": [{"name": "a"}, {"name": "b"}]}')
+    train = ["train", "--out", tmp_path / "m.json", "--trees", 2]
+    model = ["--model", ws["model"]]
+    greedy = ["greedy", *model, "--state", "0,0,0", "--target", 1]
+    return {
+        "model": (ws["model"].read_bytes(), lambda p: ["partitions", "--model", p]),
+        "schema": (schema.read_bytes(), lambda p: [*train, "--data", DATA / "demo.csv",
+                                                   "--schema", p]),
+        "csv": ((DATA / "demo.csv").read_bytes(), lambda p: [*train, "--data", p,
+                                                             "--schema", schema]),
+        "libsvm": ((DATA / "demo.libsvm").read_bytes(),
+                   lambda p: [*train, "--format", "libsvm", "--data", p, "--schema", numbers]),
+        "catalog": (json.dumps(ACTION_SPEC, indent=1).encode(),
+                    lambda p: [*greedy, "--actions", p]),
+        "database": (ws["db"].read_bytes(),
+                     lambda p: ["plan", *model, "--db", p, "--state", "0,0,0"]),
+        "config": (b'{\n "cost_seed": 3\n}\n', lambda p: [*greedy, "--config", p]),
+    }
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8", "bom"])
+@pytest.mark.parametrize("reader", ["model", "schema", "csv", "libsvm", "catalog", "database",
+                                    "config"])
+def test_input_file_faults_exit_three(ws, tmp_path, reader, fault):
+    good, command = _readers(ws, tmp_path)[reader]
+    path = tmp_path / "input"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not-utf8":
+        path.write_bytes(good.replace(b"\n", b"\n\xff", 1))
+    elif fault == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + good)
+    rv, out, err = run(command(path))
+    if fault == "bom":
+        assert (rv, err) == (0, "")
+        return
+    assert (rv, out) == (3, ""), err
+    if fault == "missing" and reader == "database":
+        assert err.startswith(f"error: goal database {path} not found; run `rfplan preprocess")
+    elif fault == "missing":
+        assert err == f"error: {path}: No such file or directory\n"
+    elif fault == "directory":
+        assert err == f"error: {path}: Is a directory\n"
+    else:
+        assert re.fullmatch(rf"error: {re.escape(str(path))}:2: not UTF-8 text "
+                            r"\(invalid start byte at byte \d+\)\n", err), err
+
+
+@pytest.mark.parametrize("writer", ["train", "preprocess", "export-wcnf", "export-wcnf-map",
+                                    "bench"])
+def test_unwritable_output_is_named(ws, tmp_path, writer):
+    bad = tmp_path / "no-such-dir" / "out"
+    model = ["--model", ws["model"]]
+    export = ["export-wcnf", *model, "--db", ws["db"], "--state", "0,0,0", "-L", 1]
+    args = {
+        "train": ["train", "--data", DATA / "demo.csv", "--schema", DATA / "demo_schema.json",
+                  "--trees", 2, "--out", bad],
+        "preprocess": ["preprocess", *model, "--target", 1, "--quiet", "--out", bad],
+        "export-wcnf": [*export, "--out", bad],
+        "export-wcnf-map": [*export, "--out", tmp_path / "x.wcnf", "--map", bad],
+        "bench": ["bench", *model, "--target", 1, "--instances", 1, "--l-max", 1,
+                  "--json-out", bad],
+    }[writer]
+    rv, _, err = run(args)
+    assert (rv, err.splitlines()[-1]) == (3, f"error: {bad}: No such file or directory")

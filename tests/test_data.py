@@ -128,6 +128,8 @@ def test_csv_column_order_free(tmp_path):
         ("a,b\n1,2\n", "missing label column 'y'"),
         ("a,b,y\n1,2\n", r":2: row has 2 fields, header has 3"),
         ("a,b,y\n1,2,0\n1,x,0\n", r":3: feature 'b': 'x' is not a number"),
+        ("a,b,y\n1,2,0\n1_000,2,0\n", r":3: feature 'a': '1_000' is not a number"),
+        ("a,b,y\n1,2,0\n1,\u0661\u0660,0\n", r":3: feature 'b': '\u0661\u0660' is not a number"),
         ("a,b,y\n1,2,0\nnan,2,0\n", r":3: feature 'a': nan is not finite"),
         ("a,b,y\n1,2,0\n1,2,nan\n", r":3: label 'nan' is not finite"),
         ("a,b,y\n", "no data rows"),

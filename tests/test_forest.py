@@ -247,6 +247,27 @@ def test_training_thresholds_are_midpoints():
         assert forest.predict(x) == y
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_trees": True}, "n_trees must be an int, got True"),
+    ({"n_trees": 0}, "n_trees must be >= 1"),
+    ({"sample_size": 2.0}, "sample_size must be an int, got 2.0"),
+    ({"sample_size": 0}, "sample_size must be >= 1"),
+    ({"mtry": 1.5}, "mtry must be an int, got 1.5"),
+    ({"mtry": 0}, "mtry must be >= 1"),
+    ({"max_depth": 2.5}, "max_depth must be an int, got 2.5"),
+    ({"max_depth": None}, "max_depth must be an int, got None"),
+    ({"min_leaf": "1"}, "min_leaf must be an int, got '1'"),
+    ({"min_leaf": 0}, "min_leaf must be >= 1"),
+    ({"rng_seed": False}, "rng_seed must be an int, got False"),
+    ({"rng_seed": 0.0}, "rng_seed must be an int, got 0.0"),
+    ({"rng_seed": -1}, "rng_seed must be >= 0"),
+])
+def test_train_params_reject(kwargs, message):
+    with pytest.raises(ModelError) as exc:
+        TrainParams(**kwargs)
+    assert str(exc.value) == message
+
+
 def test_training_declared_classes_order():
     features, rows, labels = _blob_dataset()
     forest = train_forest(features, rows, labels, TrainParams(n_trees=3, rng_seed=0),

@@ -574,6 +574,10 @@ def test_db_restore_happy(tmp_path):
          r"db\.jsonl:2: bad entry \(missing keys \['status'\]\)"),
         ((HEADER, ROW.replace(', "initial": [0, 0]', '')),
          r"db\.jsonl:2: bad entry \(missing keys \['initial'\]\)"),
+        ((HEADER.replace('"patience"', '"patiense"'),),
+         r"db\.jsonl:1: bad search params \(search params have unknown keys \['patiense'\]\)"),
+        ((HEADER.replace('"format_version"', '"extra": 0, "format_version"'),),
+         r"db\.jsonl:1: header has unknown keys \['extra'\]"),
     ],
 )
 def test_db_restore_rejects(tmp_path, lines, needle):
