@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .discretize import PartitionTable, State, StateEvaluator, check_state
-from .forest import RandomForest
+from .forest import RandomForest, check_count
 from .offline import SearchError, SearchParams
 from .sas_core import Action, ActionLibrary, ActionError, Plan, neighbors
 
@@ -128,8 +128,7 @@ def oracle_plan(
     OracleCapExceeded once more than ``cap`` states have been expanded,
     and SearchError for a ``cap`` below 1.
     """
-    if cap < 1:
-        raise SearchError(f"cap must be >= 1, got {cap}")
+    check_count("cap", cap, 1, SearchError)
     s_init = check_state(table, s_init)
     if evaluator is None:
         evaluator = StateEvaluator(forest, table, params.target)

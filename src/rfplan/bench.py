@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions
-from .forest import RandomForest
+from .forest import RandomForest, check_count
 from .maxsat import valid_timeout
 from .offline import SearchParams, preprocess
 from .sas_core import ActionLibrary
@@ -48,11 +48,7 @@ class BenchSettings:
 
     def __post_init__(self):
         for name in ("k", "l_max", "n_instances", "state_cap", "oracle_cap", "workers"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise BenchError(f"{name} must be an int, got {n!r}")
-            if n < 1:
-                raise BenchError(f"{name} must be >= 1, got {n}")
+            check_count(name, getattr(self, name), 1, BenchError)
         if not valid_timeout(self.timeout):
             raise BenchError(f"timeout must be None or finite seconds > 0, got {self.timeout!r}")
 

@@ -15,10 +15,11 @@ Every planning command is set up the same way:
 - preprocess and bench share their search options and set-up: they search
   (or draw instances from) the states of --data when it is given, else the grid.
 - One boundary turns the library's input errors into `error: ...`, exit 3,
-  and a file that cannot be opened, read or written into
-  `error: <path>: <reason>`.  Every input file is read by one reader
-  (``forest.read_text``), so undecodable text reads `<path>:<line>: not
-  UTF-8 text (...)` and bad JSON `<path>:<line>: not valid JSON (...)`.
+  and a file that cannot be opened, read or written (an output path's
+  directory is checked before any work) into `error: <path>: <reason>`.
+  Every input file is read by one reader (``forest.read_text``), so
+  undecodable text reads `<path>:<line>: not UTF-8 text (...)` and bad
+  JSON `<path>:<line>: not valid JSON (...)`.
 
 Exit codes: 0 success, 2 no plan exists, 3 invalid input, 4 timed out.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import errno
 import functools
 import json
 import os
@@ -184,10 +186,22 @@ def _load_config(path) -> dict:
     return {key: _convert(key, value, f"{path}: {key}") for key, value in doc.items()}
 
 
+def _check_output(path) -> None:
+    """Raise, naming ``path``, the OSError that writing it meets at its
+    directory (missing, not a directory, not writable); creates no file."""
+    folder = os.path.dirname(os.path.abspath(path))
+    try:
+        os.scandir(folder).close()
+        if not os.access(folder, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 class _Command(click.Command):
     """A command whose shared-key parameters reach its body already resolved,
-    and whose library input errors and file faults leave it as
-    `error: <message>`, exit 3."""
+    whose output paths are checked before its body runs, and whose library
+    input errors and file faults leave it as `error: <message>`, exit 3."""
 
     def invoke(self, ctx):
         try:
@@ -200,6 +214,9 @@ class _Command(click.Command):
                     ctx.params[name] = config[key]
                 else:
                     ctx.params[name] = _convert(key, ctx.params[name], flag)
+            for name in ("out_path", "json_path", "map_path"):
+                if ctx.params.get(name) is not None:
+                    _check_output(ctx.params[name])
             return super().invoke(ctx)
         except _INPUT_ERRORS as exc:
             raise CliError(str(exc)) from None

@@ -18,9 +18,10 @@ import io
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
-from .forest import NUMERICAL, FeatureMeta, Label, ModelError, Vector, read_json, read_text
+from .forest import (
+    NUMERICAL, FeatureMeta, Label, ModelError, Vector, class_order, read_json, read_text,
+)
 
 
 class DataError(ValueError):
@@ -105,17 +106,10 @@ def load_schema(path) -> Schema:
 def _finish(schema: Schema, rows: list, labels: list, source: str) -> Dataset:
     if not rows:
         raise DataError(f"{source}: no data rows")
-    if schema.classes is not None:
-        classes = schema.classes
-        bad = [l for l in labels if l not in classes]
-        if bad:
-            raise DataError(f"{source}: labels outside declared classes: {sorted(set(map(str, bad)))}")
-    else:
-        seen = set(labels)
-        try:
-            classes = tuple(sorted(seen))
-        except TypeError:
-            classes = tuple(sorted(seen, key=str))
+    try:
+        classes = class_order(labels, schema.classes)
+    except ModelError as exc:
+        raise DataError(f"{source}: {exc}") from None
     return Dataset(
         features=schema.features, rows=tuple(rows), labels=tuple(labels), classes=classes
     )

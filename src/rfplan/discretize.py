@@ -31,7 +31,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .forest import (
-    FeatureMeta, FeatureValue, Label, Leaf, ModelError, RandomForest, Split, Vector,
+    FeatureMeta, FeatureValue, Label, Leaf, ModelError, RandomForest, Vector, check_count, splits,
 )
 
 State = tuple[int, ...]
@@ -89,16 +89,9 @@ class PartitionTable:
 def build_partitions(forest: RandomForest) -> PartitionTable:
     """Collect the distinct thresholds each numerical feature is tested against."""
     per_feature: list[set[float]] = [set() for _ in forest.features]
-    for tree in forest.trees:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                continue
-            if node.threshold is not None:
-                per_feature[node.feature].add(float(node.threshold))
-            stack.append(node.left)
-            stack.append(node.right)
+    for node in splits(forest):
+        if node.threshold is not None:
+            per_feature[node.feature].add(float(node.threshold))
     return PartitionTable(
         features=forest.features,
         thresholds=tuple(
@@ -239,8 +232,8 @@ def state_proba(forest: RandomForest, table: PartitionTable, s: Sequence[int], c
 
 def enumerate_states(table: PartitionTable, cap: int | None = None) -> Iterator[State]:
     """All states in lexicographic order; refuses to run past ``cap`` states."""
-    if cap is not None and cap < 1:
-        raise StateError(f"cap must be >= 1, got {cap}")
+    if cap is not None:
+        check_count("cap", cap, 1, StateError)
     total = table.state_count
     if cap is not None and total > cap:
         raise StateError(f"state space has {total} states, above the cap of {cap}")

@@ -87,7 +87,7 @@ from typing import Callable, Mapping
 
 from . import maxsat
 from .discretize import PartitionTable, State, StateEvaluator, check_state, to_state
-from .forest import RandomForest, Vector
+from .forest import RandomForest, Vector, check_count
 from .knn import SimilarityWeights, k_nearest
 from .maxsat import SolveResult, WcnfInstance
 from .offline import GoalDatabase, SuccessorTable, check_pairing, find_preferred_goal
@@ -300,8 +300,7 @@ def _build_skeleton(
 def encode(sas: SasProblem, L: int) -> tuple[WcnfInstance, VarMap]:
     """Compile the task at makespan ``L``, reachability units included,
     reusing the clauses ``sas.library`` keeps (see the module docstring)."""
-    if L < 1:
-        raise PlanningError(f"makespan must be >= 1, got {L}")
+    check_count("makespan", L, 1, PlanningError)
     store = sas.library._encodings
     key = (sas.sizes, L)
     kept = store.get(key)
@@ -510,11 +509,8 @@ def plan_actions(
     """
     if (x is None) == (state is None):
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")
-    for name, n in (("k", k), ("l_max", l_max)):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise PlanningError(f"{name} must be an int, got {n!r}")
-        if n < 1:
-            raise PlanningError(f"{name} must be >= 1, got {n}")
+    check_count("k", k, 1, PlanningError)
+    check_count("l_max", l_max, 1, PlanningError)
     if not maxsat.valid_timeout(timeout):
         raise PlanningError(
             f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"

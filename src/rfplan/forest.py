@@ -27,7 +27,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,32 @@ Vector = Sequence[FeatureValue]
 
 class ModelError(ValueError):
     """Malformed model structure, file, or input vector."""
+
+
+def check_count(name: str, n: Any, low: int, error: type[Exception]) -> int:
+    """``n`` when it is an int, not a bool, and at least ``low``; else
+    ``error`` as ``<name> must be an int, got …`` or ``<name> must be >=
+    <low>, got …``.  Every count the package takes is checked here."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise error(f"{name} must be an int, got {n!r}")
+    if n < low:
+        raise error(f"{name} must be >= {low}, got {n}")
+    return n
+
+
+def class_order(labels: Iterable[Label], declared: Sequence[Label] | None = None) -> tuple:
+    """The classes of ``labels``: ``declared``, which must hold every label,
+    else the distinct labels sorted, by their text when they do not compare."""
+    seen = set(labels)
+    if declared is not None:
+        missing = sorted(map(str, seen - set(declared)))
+        if missing:
+            raise ModelError(f"labels outside declared classes: {missing}")
+        return tuple(declared)
+    try:
+        return tuple(sorted(seen))
+    except TypeError:
+        return tuple(sorted(seen, key=str))
 
 
 @dataclass(frozen=True)
@@ -163,6 +189,18 @@ class Split:
 
 
 TreeNode = Union[Leaf, Split]
+
+
+def splits(forest: RandomForest) -> Iterator[Split]:
+    """Every split node of every tree of ``forest``."""
+    for tree in forest.trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Split):
+                yield node
+                stack.append(node.left)
+                stack.append(node.right)
 
 
 def _check_vector(features: Sequence[FeatureMeta], x: Vector) -> None:
@@ -292,14 +330,8 @@ class TrainParams:
 
     def __post_init__(self):
         for name in ("n_trees", "sample_size", "mtry", "max_depth", "min_leaf", "rng_seed"):
-            n = getattr(self, name)
-            if n is None and name in ("sample_size", "mtry"):
-                continue
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise ModelError(f"{name} must be an int, got {n!r}")
-            low = 0 if name == "rng_seed" else 1
-            if n < low:
-                raise ModelError(f"{name} must be >= {low}")
+            if getattr(self, name) is not None or name not in ("sample_size", "mtry"):
+                check_count(name, getattr(self, name), 0 if name == "rng_seed" else 1, ModelError)
 
 
 def _split_gains(lc: np.ndarray, ln: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
@@ -398,17 +430,7 @@ def train_forest(
             _check_vector(features, row)
         except ModelError as exc:
             raise ModelError(f"row {r}: {exc}") from None
-    if classes is None:
-        seen = set(labels)
-        try:
-            classes = tuple(sorted(seen))
-        except TypeError:
-            classes = tuple(sorted(seen, key=str))
-    else:
-        classes = tuple(classes)
-        missing = set(labels) - set(classes)
-        if missing:
-            raise ModelError(f"labels outside declared classes: {sorted(map(str, missing))}")
+    classes = class_order(labels, classes)
     if len(set(labels)) == 1:
         warnings.warn("training labels are constant; forest degenerates to one leaf per tree")
 

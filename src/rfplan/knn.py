@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .discretize import PartitionTable, State, check_state
-from .forest import ModelError, RandomForest
+from .forest import ModelError, RandomForest, check_count, splits
 from .offline import GoalDatabase, PreferredGoalEntry
 
 
@@ -49,18 +49,9 @@ class SimilarityWeights:
 
         Falls back to uniform when the forest contains no splits at all.
         """
-        from .forest import Leaf
-
         counts = [0] * len(forest.features)
-        for tree in forest.trees:
-            stack = [tree]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Leaf):
-                    continue
-                counts[node.feature] += 1
-                stack.append(node.left)
-                stack.append(node.right)
+        for node in splits(forest):
+            counts[node.feature] += 1
         total = sum(counts)
         if total == 0:
             return cls.uniform(len(forest.features))
@@ -80,8 +71,7 @@ def k_nearest(
     break toward the lower stored cost, then the lexicographically
     smaller state.
     """
-    if k < 1:
-        raise ModelError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1, ModelError)
     s = check_state(table, s)
     features, sizes = table.features, table.sizes
     if len(weights.values) != len(features):
@@ -105,16 +95,12 @@ def k_nearest(
             step = fden // (n - 1)
             gain.append([wi * (fden - abs(u - v) * step) for u in range(n)])
     hard = [i for i, meta in enumerate(features) if not meta.is_soft]
-    domains = [range(n) for n in sizes]
 
     scored = []
     for cand, entry in db.entries.items():
         if not entry.found:
             continue
-        if len(cand) != len(domains) or not all(
-            type(u) is int and u in r for u, r in zip(cand, domains)
-        ):
-            cand = check_state(table, cand)  # raises for a state off the grid
+        cand = check_state(table, cand)  # raises for a state off the grid
         if any(cand[i] != s[i] for i in hard):
             continue
         score = sum([row[u] for row, u in zip(gain, cand)])

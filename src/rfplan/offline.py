@@ -47,7 +47,7 @@ from typing import Callable, Iterable
 
 from . import forest as forest_mod
 from .discretize import PartitionTable, State, StateEvaluator, check_state
-from .forest import Label, ModelError, RandomForest, read_json, read_text
+from .forest import Label, RandomForest, check_count, read_json, read_text
 from .sas_core import Action, ActionLibrary, neighbors
 
 AUTO = "auto"
@@ -96,11 +96,7 @@ class SearchParams:
                 raise SearchError(f"alpha must be >= 0, got {self.alpha}")
             object.__setattr__(self, "alpha", float(self.alpha))
         for name in ("patience", "node_budget"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise SearchError(f"{name} must be an int, got {n!r}")
-            if n < 1:
-                raise SearchError(f"{name} must be >= 1, got {n}")
+            check_count(name, getattr(self, name), 1, SearchError)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -156,13 +152,12 @@ class PreferredGoalEntry:
             raise SearchError("a no_goal entry cannot have a goal")
         if self.status == PROVED_EXHAUSTED and self.goal is None:
             raise SearchError("a proved_exhausted entry needs a goal")
-        cost, n = self.cost, self.expansions
+        cost = self.cost
         if cost is not None and (
             isinstance(cost, bool) or not isinstance(cost, (int, float)) or not 0 <= cost < math.inf
         ):
             raise SearchError(f"cost must be a finite number >= 0, got {cost!r}")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise SearchError(f"expansions must be an int >= 0, got {n!r}")
+        check_count("expansions", self.expansions, 0, SearchError)
 
     @property
     def found(self) -> bool:
@@ -368,6 +363,7 @@ def preprocess(
     identical either way, and identical to lone ``find_preferred_goal``
     calls.
     """
+    check_count("workers", workers, 1, SearchError)
     todo = sorted(set(check_state(table, s) for s in states))
     report = (lambda done: on_progress(done, len(todo))) if on_progress else None
     batches = min(workers, len(todo), _usable_cpus())

@@ -1105,11 +1105,12 @@ def test_unwritable_output_is_named(ws, tmp_path, writer):
     args = {
         "train": ["train", "--data", DATA / "demo.csv", "--schema", DATA / "demo_schema.json",
                   "--trees", 2, "--out", bad],
-        "preprocess": ["preprocess", *model, "--target", 1, "--quiet", "--out", bad],
+        "preprocess": ["preprocess", *model, "--target", 1, "--out", bad],
         "export-wcnf": [*export, "--out", bad],
         "export-wcnf-map": [*export, "--out", tmp_path / "x.wcnf", "--map", bad],
         "bench": ["bench", *model, "--target", 1, "--instances", 1, "--l-max", 1,
                   "--json-out", bad],
     }[writer]
-    rv, _, err = run(args)
-    assert (rv, err.splitlines()[-1]) == (3, f"error: {bad}: No such file or directory")
+    rv, out, err = run(args)
+    # the path is checked before the work: no progress line, arm table or report
+    assert (rv, out, err) == (3, "", f"error: {bad}: No such file or directory\n")

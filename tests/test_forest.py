@@ -31,7 +31,14 @@ from rfplan.forest import (
     train_forest,
 )
 
-from helpers import benchmark_rows, random_soft_forest
+from rfplan.baselines import oracle_plan
+from rfplan.bench import BenchError, BenchSettings
+from rfplan.discretize import StateError, enumerate_states
+from rfplan.encoder import PlanningError, encode, plan_actions
+from rfplan.knn import SimilarityWeights, k_nearest
+from rfplan.offline import NO_GOAL, PreferredGoalEntry, SearchError, SearchParams, preprocess
+
+from helpers import benchmark_rows, encoder_tasks, random_soft_forest
 
 
 def test_toy_forest_shape(toy_forest):
@@ -249,23 +256,75 @@ def test_training_thresholds_are_midpoints():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"n_trees": True}, "n_trees must be an int, got True"),
-    ({"n_trees": 0}, "n_trees must be >= 1"),
+    ({"n_trees": 0}, "n_trees must be >= 1, got 0"),
     ({"sample_size": 2.0}, "sample_size must be an int, got 2.0"),
-    ({"sample_size": 0}, "sample_size must be >= 1"),
+    ({"sample_size": 0}, "sample_size must be >= 1, got 0"),
     ({"mtry": 1.5}, "mtry must be an int, got 1.5"),
-    ({"mtry": 0}, "mtry must be >= 1"),
+    ({"mtry": 0}, "mtry must be >= 1, got 0"),
     ({"max_depth": 2.5}, "max_depth must be an int, got 2.5"),
     ({"max_depth": None}, "max_depth must be an int, got None"),
     ({"min_leaf": "1"}, "min_leaf must be an int, got '1'"),
-    ({"min_leaf": 0}, "min_leaf must be >= 1"),
+    ({"min_leaf": 0}, "min_leaf must be >= 1, got 0"),
     ({"rng_seed": False}, "rng_seed must be an int, got False"),
     ({"rng_seed": 0.0}, "rng_seed must be an int, got 0.0"),
-    ({"rng_seed": -1}, "rng_seed must be >= 0"),
+    ({"rng_seed": -1}, "rng_seed must be >= 0, got -1"),
 ])
 def test_train_params_reject(kwargs, message):
     with pytest.raises(ModelError) as exc:
         TrainParams(**kwargs)
     assert str(exc.value) == message
+
+
+# every count the package takes: (entry, count name, least value, error class)
+_COUNTS = [
+    *[("TrainParams", name, 0 if name == "rng_seed" else 1, ModelError)
+      for name in ("n_trees", "sample_size", "mtry", "max_depth", "min_leaf", "rng_seed")],
+    *[("SearchParams", name, 1, SearchError) for name in ("patience", "node_budget")],
+    *[("BenchSettings", name, 1, BenchError)
+      for name in ("k", "l_max", "n_instances", "state_cap", "oracle_cap", "workers")],
+    *[("plan_actions", name, 1, PlanningError) for name in ("k", "l_max")],
+    ("preprocess", "workers", 1, SearchError),
+    ("k_nearest", "k", 1, ModelError),
+    ("oracle_plan", "cap", 1, SearchError),
+    ("enumerate_states", "cap", 1, StateError),
+    ("encode", "makespan", 1, PlanningError),
+    ("PreferredGoalEntry", "expansions", 0, SearchError),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "low-1"])
+@pytest.mark.parametrize("entry, name, low, error", _COUNTS,
+                         ids=[f"{entry}.{name}" for entry, name, *_ in _COUNTS])
+def test_every_count_takes_one_rule(entry, name, low, error, bad, toy_forest, toy_table,
+                                    unit_library, toy_db, toy_params):
+    # a bool, a float and a value below the least each raise the entry's own
+    # error class with check_count's wording
+    n = low - 1 if bad == "low-1" else bad
+    s = (0, 0, 0)
+    call = {
+        "TrainParams": lambda: TrainParams(**{name: n}),
+        "SearchParams": lambda: SearchParams(target=1, **{name: n}),
+        "BenchSettings": lambda: BenchSettings(params=toy_params, **{name: n}),
+        "plan_actions": lambda: plan_actions(toy_forest, toy_table, unit_library, toy_db,
+                                             state=s, **{name: n}),
+        "preprocess": lambda: preprocess([s], unit_library, toy_forest, toy_table, toy_params,
+                                         workers=n),
+        "k_nearest": lambda: k_nearest(s, toy_db, n, SimilarityWeights.from_forest(toy_forest),
+                                       toy_table),
+        "oracle_plan": lambda: oracle_plan(s, unit_library, toy_forest, toy_table, toy_params,
+                                           cap=n),
+        "enumerate_states": lambda: list(enumerate_states(toy_table, n)),
+        "encode": lambda: encode(encoder_tasks()[0], n),
+        "PreferredGoalEntry": lambda: PreferredGoalEntry(initial=s, goal=None, cost=None,
+                                                         expansions=n, status=NO_GOAL),
+    }[entry]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    if bad == "low-1":
+        assert str(exc.value) == f"{name} must be >= {low}, got {n}"
+    else:
+        assert str(exc.value) == f"{name} must be an int, got {n!r}"
 
 
 def test_training_declared_classes_order():
