@@ -57,6 +57,7 @@ from .encoder import NoGoalsError, PlanningError, build_sas, encode
 from .forest import (
     ModelError,
     TrainParams,
+    check_record,
     fingerprint,
     read_json,
     restore,
@@ -177,12 +178,9 @@ def _convert(key: str, value, where: str):
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    doc = read_json(path, CliError)
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(_KEYS))
-    if unknown:
-        raise CliError(f"{path}: unknown config keys {unknown}; known: {list(_KEYS)}")
+    # each key's converter checks its value's type
+    doc = check_record(read_json(path, CliError), str(path), CliError, {},
+                       dict.fromkeys(_KEYS, object))
     return {key: _convert(key, value, f"{path}: {key}") for key, value in doc.items()}
 
 

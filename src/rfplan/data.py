@@ -2,12 +2,13 @@
 
 The schema declares the feature columns in vector order, their kind and
 mutability, and the label column; optionally a fixed ordered class list.
-A schema takes no other key; a feature record is read as a model's is
-(``FeatureMeta.from_dict``), but ``kind`` defaults to numerical.  Each
-feature value of a row is read by ``FeatureMeta.parse``, as ``-x`` values
-are, so a fault reads ``path:line: feature 'name': ...``.  A libsvm row
-names each feature index at most once; an index it leaves out reads 0.0.
-All diagnostics carry file and line numbers.  Every file is read by
+A schema takes no other key (``forest.check_record``); a feature record
+is read as a model's is (``FeatureMeta.from_dict``), but ``kind``
+defaults to numerical.  Each feature value of a row is read by
+``FeatureMeta.parse``, as ``-x`` values are, so a fault reads
+``path:line: feature 'name': ...``.  A libsvm row names each feature
+index at most once; an index it leaves out reads 0.0.  All diagnostics
+carry file and line numbers.  Every file is read by
 ``forest.read_text``: UTF-8, with or without a byte order mark.
 """
 
@@ -20,7 +21,8 @@ import random
 from dataclasses import dataclass
 
 from .forest import (
-    NUMERICAL, FeatureMeta, Label, ModelError, Vector, class_order, read_json, read_text,
+    NUMERICAL, FeatureMeta, Label, ModelError, Vector, check_label, check_record, class_order,
+    read_json, read_text,
 )
 
 
@@ -67,36 +69,26 @@ def _coerce_label(token: str, where: str):
 
 
 def schema_from_dict(doc: dict, source: str = "<schema>") -> Schema:
-    if not isinstance(doc, dict):
-        raise DataError(f"{source}: schema must be a JSON object")
-    for key in ("label", "features"):
-        if key not in doc:
-            raise DataError(f"{source}: schema missing {key!r}")
-    unknown = set(doc) - {"label", "features", "classes"}
-    if unknown:
-        raise DataError(f"{source}: schema has unknown keys {sorted(unknown)}")
-    raw = doc["features"]
-    if not isinstance(raw, list) or not raw:
-        raise DataError(f"{source}: schema features must be a non-empty array")
+    check_record(doc, source, DataError, {"label": (str, int), "features": list},
+                 {"classes": (list, type(None))})
+    if not doc["features"]:
+        raise DataError(f"{source}: 'features' must be a non-empty array")
     features = []
-    for i, rec in enumerate(raw):
-        if not isinstance(rec, dict):
-            raise DataError(f"{source}: features[{i}] must be an object")
+    for i, rec in enumerate(doc["features"]):
         try:
             features.append(FeatureMeta.from_dict(rec, default_kind=NUMERICAL))
         except ModelError as exc:
             raise DataError(f"{source}: features[{i}]: {exc}") from None
-    label = doc["label"]
-    if not isinstance(label, (str, int)) or isinstance(label, bool):
-        raise DataError(f"{source}: label must be a column name or index")
     classes = doc.get("classes")
     if classes is not None:
-        if not isinstance(classes, list) or not classes:
-            raise DataError(f"{source}: classes must be a non-empty array")
+        if not classes:
+            raise DataError(f"{source}: 'classes' must be a non-empty array")
+        for i, c in enumerate(classes):
+            check_label(c, f"{source}: classes[{i}]", DataError)
         if len(set(map(str, classes))) != len(classes):
             raise DataError(f"{source}: duplicate classes")
         classes = tuple(classes)
-    return Schema(features=tuple(features), label=label, classes=classes)
+    return Schema(features=tuple(features), label=doc["label"], classes=classes)
 
 
 def load_schema(path) -> Schema:

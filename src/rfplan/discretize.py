@@ -101,8 +101,10 @@ def build_partitions(forest: RandomForest) -> PartitionTable:
     )
 
 
-def check_state(table: PartitionTable, s: Sequence[int]) -> State:
-    sizes = table.sizes
+def check_indices(sizes: Sequence[int], s: Sequence[int], error: type[Exception]) -> State:
+    """``s`` as a tuple when it holds one int, not a bool, in ``[0, n)`` for
+    each size ``n`` of ``sizes``; else ``error`` naming the first fault.  Every
+    state the package takes is checked here, in one pass when it is valid."""
     if len(s) == len(sizes):
         for v, n in zip(s, sizes):
             if type(v) is not int or not 0 <= v < n:
@@ -111,13 +113,17 @@ def check_state(table: PartitionTable, s: Sequence[int]) -> State:
             return tuple(s)
     # names the first fault; it also accepts int subclasses other than bool
     if len(s) != len(sizes):
-        raise StateError(f"state has {len(s)} coordinates, table declares {len(sizes)}")
+        raise error(f"state has {len(s)} coordinates, table declares {len(sizes)}")
     for i, (v, n) in enumerate(zip(s, sizes)):
         if isinstance(v, bool) or not isinstance(v, int):
-            raise StateError(f"coordinate {i}: partition index must be an int, got {v!r}")
+            raise error(f"coordinate {i}: partition index must be an int, got {v!r}")
         if not 0 <= v < n:
-            raise StateError(f"coordinate {i}: index {v} outside [0, {n})")
+            raise error(f"coordinate {i}: index {v} outside [0, {n})")
     return tuple(s)
+
+
+def check_state(table: PartitionTable, s: Sequence[int]) -> State:
+    return check_indices(table.sizes, s, StateError)
 
 
 def cell(table: PartitionTable, var: int, value: FeatureValue) -> int:

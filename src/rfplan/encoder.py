@@ -86,7 +86,9 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from . import maxsat
-from .discretize import PartitionTable, State, StateEvaluator, check_state, to_state
+from .discretize import (
+    PartitionTable, State, StateEvaluator, check_indices, check_state, to_state,
+)
 from .forest import RandomForest, Vector, check_count
 from .knn import SimilarityWeights, k_nearest
 from .maxsat import SolveResult, WcnfInstance
@@ -130,13 +132,8 @@ class SasProblem:
     def __post_init__(self):
         if not self.goals:
             raise PlanningError("a planning task needs at least one goal state")
-        goals = tuple(sorted(set(self.goals)))
-        for g in (self.initial, *goals):
-            if len(g) != len(self.sizes):
-                raise PlanningError(f"state {g} does not match {len(self.sizes)} variables")
-            for i, (v, n) in enumerate(zip(g, self.sizes)):
-                if not 0 <= v < n:
-                    raise PlanningError(f"state {g}: value {v} outside domain of variable {i}")
+        object.__setattr__(self, "initial", check_indices(self.sizes, self.initial, PlanningError))
+        goals = tuple(sorted({check_indices(self.sizes, g, PlanningError) for g in self.goals}))
         for a in self.library.actions:
             for t in a.transitions:
                 if t.var >= len(self.sizes):

@@ -16,7 +16,8 @@ the same forest on any CPU or BLAS build.
 
 ``read_text`` and ``read_json`` read every input file of the package:
 UTF-8 with or without a byte order mark, and each fault names its file
-and line in the caller's error class.
+and line in the caller's error class.  ``check_record`` checks the keys
+and field types of every JSON record the package reads.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import hashlib
 import json
 import math
 import re
+import reprlib
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence, Union
@@ -43,6 +46,7 @@ _NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf
                      re.ASCII | re.IGNORECASE)
 
 Label = Any
+LABEL = (str, float)  # the types of a class label: a string or a number
 FeatureValue = Any
 Vector = Sequence[FeatureValue]
 
@@ -60,6 +64,59 @@ def check_count(name: str, n: Any, low: int, error: type[Exception]) -> int:
     if n < low:
         raise error(f"{name} must be >= {low}, got {n}")
     return n
+
+
+# what a record names each type its fields may take; ``object`` takes any value
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _is_a(value: Any, types: tuple) -> bool:
+    """Whether ``value`` has one of ``types``: a bool is never an int or a
+    float, and an int is a float when a float can hold it."""
+    if isinstance(value, bool):
+        return bool in types or object in types
+    return isinstance(value, types) or (
+        float in types and isinstance(value, int) and abs(value) <= sys.float_info.max)
+
+
+def _type_names(types: tuple) -> str:
+    return " or ".join(_TYPE_NAMES.get(t, t.__name__) for t in types)
+
+
+def check_record(rec: Any, where: str, error: type[Exception], required: dict,
+                 optional: dict = {}) -> dict:
+    """``rec`` when it is a dict with every key of ``required``, no key
+    outside ``required`` and ``optional``, and each value of a type (or
+    tuple of types) its key maps to; ``None`` passes only where listed.
+    Else ``error`` after ``where``: ``expected a JSON object, got …``,
+    ``unknown keys [...]; known: [...]``, ``missing keys [...]`` or
+    ``'<key>' must be <type>, got …``.  Every JSON record the package
+    reads is checked here."""
+    at = f"{where}: " if where else ""
+    if not isinstance(rec, dict):
+        raise error(f"{at}expected a JSON object, got {_type_names((type(rec),))}")
+    known = {**required, **optional}
+    unknown = sorted((k for k in rec if k not in known), key=str)
+    if unknown:
+        raise error(f"{at}unknown keys {unknown}; known: {list(known)}")
+    missing = sorted(k for k in required if k not in rec)
+    if missing:
+        raise error(f"{at}missing keys {missing}")
+    for key, value in rec.items():
+        types = known[key] if isinstance(known[key], tuple) else (known[key],)
+        if not _is_a(value, types):
+            raise error(f"{at}{key!r} must be {_type_names(types)}, got {reprlib.repr(value)}")
+    return rec
+
+
+def check_label(label: Any, where: str, error: type[Exception]) -> Label:
+    """``label`` when it is a string or a number, not a bool; else ``error``
+    after ``where``.  Every class label the package takes is checked here."""
+    if not _is_a(label, LABEL):
+        raise error(f"{where}: class label must be a string or a number, "
+                    f"got {reprlib.repr(label)}")
+    return label
 
 
 def class_order(labels: Iterable[Label], declared: Sequence[Label] | None = None) -> tuple:
@@ -93,8 +150,8 @@ class FeatureMeta:
     categories: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.name:
-            raise ModelError("feature name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ModelError(f"feature name must be a non-empty string, got {self.name!r}")
         if self.kind not in (NUMERICAL, CATEGORICAL):
             raise ModelError(f"feature {self.name!r}: unknown kind {self.kind!r}")
         if self.mutability not in (SOFT, HARD):
@@ -103,6 +160,8 @@ class FeatureMeta:
         if self.kind == CATEGORICAL:
             if not self.categories:
                 raise ModelError(f"feature {self.name!r}: categorical feature needs categories")
+            if not all(isinstance(c, str) for c in self.categories):
+                raise ModelError(f"feature {self.name!r}: categories must be strings")
             if len(set(self.categories)) != len(self.categories):
                 raise ModelError(f"feature {self.name!r}: duplicate categories")
         elif self.categories:
@@ -113,15 +172,15 @@ class FeatureMeta:
         return {"name": self.name, "kind": self.kind, "mutability": self.mutability, **extra}
 
     @classmethod
-    def from_dict(cls, rec: dict, default_kind: str = "") -> "FeatureMeta":
-        """Read a model or schema feature record.  It takes exactly the keys
-        ``name``, ``kind`` (``default_kind`` when absent), ``mutability``
-        (soft when absent) and ``categories``; any other key is rejected."""
-        unknown = set(rec) - {"name", "kind", "mutability", "categories"}
-        if unknown:
-            raise ModelError(f"unknown keys {sorted(unknown)}")
+    def from_dict(cls, rec: Any, default_kind: str | None = None) -> "FeatureMeta":
+        """Read a model or schema feature record (``check_record``): a
+        ``name``, a ``kind`` (``default_kind`` when absent; required
+        without one), a ``mutability`` (soft when absent) and ``categories``."""
+        required = {"name": str} if default_kind else {"name": str, "kind": str}
+        check_record(rec, "", ModelError, required,
+                     {"kind": str, "mutability": str, "categories": list})
         return cls(
-            name=rec.get("name", ""),
+            name=rec["name"],
             kind=rec.get("kind", default_kind),
             mutability=rec.get("mutability", SOFT),
             categories=tuple(rec.get("categories", ())),
@@ -186,6 +245,10 @@ class Split:
     def __post_init__(self):
         if (self.threshold is None) == (self.categories is None):
             raise ModelError("split needs exactly one of threshold / categories")
+        if self.categories is not None:
+            if not all(isinstance(c, str) for c in self.categories):
+                raise ModelError("split categories must be strings")
+            object.__setattr__(self, "categories", frozenset(self.categories))
 
 
 TreeNode = Union[Leaf, Split]
@@ -231,6 +294,8 @@ class RandomForest:
             raise ModelError("forest has no trees")
         if len(self.trees) != len(self.weights):
             raise ModelError("one weight per tree required")
+        for i, c in enumerate(self.classes):
+            check_label(c, f"classes[{i}]", ModelError)
         if len(set(self.classes)) != len(self.classes) or not self.classes:
             raise ModelError("classes must be non-empty and distinct")
         names = [f.name for f in self.features]
@@ -252,7 +317,7 @@ class RandomForest:
             node, win = stack.pop()
             where = f"trees[{d}]"
             if isinstance(node, Leaf):
-                if node.label not in classes:
+                if check_label(node.label, where, ModelError) not in classes:
                     raise ModelError(f"{where}: leaf label {node.label!r} not in classes")
                 continue
             if not 0 <= node.feature < m:
@@ -487,75 +552,60 @@ def _tree_to_nodes(tree: TreeNode) -> list[dict]:
     return nodes
 
 
+# a tree node record's keys by its kind: (required, optional)
+_NODE_KEYS = {
+    "split": ({"kind": str, "feature": int, "left": int, "right": int},
+              {"threshold": float, "categories": list}),
+    "leaf": ({"kind": str, "label": LABEL}, {}),
+}
+# every key a node of some kind takes
+_ANY_NODE_KEYS = {k: t for keys in _NODE_KEYS.values() for part in keys for k, t in part.items()}
+
+
 def _nodes_to_tree(nodes: list, where: str) -> TreeNode:
-    if not isinstance(nodes, list) or not nodes:
-        raise ModelError(f"{where}: nodes must be a non-empty array")
+    if not nodes:
+        raise ModelError(f"{where}: 'nodes' must be a non-empty array")
     built: list[TreeNode | None] = [None] * len(nodes)
     seen: set[int] = set()
-
-    def link(slot: int) -> TreeNode:
-        # iterative post-order over the node array
-        order: list[int] = []
-        stack = [slot]
-        while stack:
-            i = stack.pop()
-            if not isinstance(i, int) or not 0 <= i < len(nodes):
-                raise ModelError(f"{where}: child index {i!r} out of range")
-            if i in seen:
-                raise ModelError(f"{where}.nodes[{i}]: node referenced twice")
-            seen.add(i)
-            order.append(i)
-            rec = nodes[i]
-            if not isinstance(rec, dict) or "kind" not in rec:
-                raise ModelError(f"{where}.nodes[{i}]: expected an object with a 'kind'")
-            if rec["kind"] == "split":
-                for key in ("feature", "left", "right"):
-                    if key not in rec:
-                        raise ModelError(f"{where}.nodes[{i}]: split missing {key!r}")
-                stack.append(rec["right"])
-                stack.append(rec["left"])
-            elif rec["kind"] == "leaf":
-                if "label" not in rec:
-                    raise ModelError(f"{where}.nodes[{i}]: leaf missing 'label'")
-            else:
-                raise ModelError(f"{where}.nodes[{i}]: unknown kind {rec['kind']!r}")
-        for i in reversed(order):
-            rec = nodes[i]
-            if rec["kind"] == "leaf":
-                built[i] = Leaf(rec["label"])
-            else:
-                has_th = "threshold" in rec
-                has_cat = "categories" in rec
-                if has_th == has_cat:
-                    raise ModelError(
-                        f"{where}.nodes[{i}]: split needs exactly one of threshold / categories"
-                    )
-                left = built[rec["left"]]
-                right = built[rec["right"]]
-                if left is None or right is None:
-                    raise ModelError(f"{where}.nodes[{i}]: children must come after the split")
-                if has_th:
-                    th = rec["threshold"]
-                    if isinstance(th, bool) or not isinstance(th, (int, float)):
-                        raise ModelError(f"{where}.nodes[{i}]: threshold must be a number")
-                    built[i] = Split(
-                        feature=rec["feature"], left=left, right=right, threshold=float(th)
-                    )
-                else:
-                    cats = rec["categories"]
-                    if not isinstance(cats, list):
-                        raise ModelError(f"{where}.nodes[{i}]: categories must be an array")
-                    built[i] = Split(
-                        feature=rec["feature"], left=left, right=right,
-                        categories=frozenset(cats),
-                    )
-        return built[slot]
-
-    root = link(0)
+    # iterative post-order over the node array
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if not 0 <= i < len(nodes):
+            raise ModelError(f"{where}: child index {i} out of range")
+        if i in seen:
+            raise ModelError(f"{where}.nodes[{i}]: node referenced twice")
+        seen.add(i)
+        order.append(i)
+        at = f"{where}.nodes[{i}]"
+        rec = check_record(nodes[i], at, ModelError, {"kind": str}, _ANY_NODE_KEYS)
+        if rec["kind"] not in _NODE_KEYS:
+            raise ModelError(f"{at}: unknown kind {rec['kind']!r}")
+        check_record(rec, at, ModelError, *_NODE_KEYS[rec["kind"]])
+        if rec["kind"] == "split":
+            stack.append(rec["right"])
+            stack.append(rec["left"])
+    for i in reversed(order):
+        rec = nodes[i]
+        if rec["kind"] == "leaf":
+            built[i] = Leaf(rec["label"])
+            continue
+        left = built[rec["left"]]
+        right = built[rec["right"]]
+        if left is None or right is None:
+            raise ModelError(f"{where}.nodes[{i}]: children must come after the split")
+        th = rec.get("threshold")
+        try:
+            built[i] = Split(feature=rec["feature"], left=left, right=right,
+                             threshold=None if th is None else float(th),
+                             categories=rec.get("categories"))
+        except ModelError as exc:
+            raise ModelError(f"{where}.nodes[{i}]: {exc}") from None
     if len(seen) != len(nodes):
         unused = sorted(set(range(len(nodes))) - seen)
         raise ModelError(f"{where}: unreachable nodes {unused}")
-    return root
+    return built[0]
 
 
 def forest_to_dict(forest: RandomForest) -> dict:
@@ -570,43 +620,29 @@ def forest_to_dict(forest: RandomForest) -> dict:
     }
 
 
-def forest_from_dict(doc: dict) -> RandomForest:
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be a JSON object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ModelError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
-    for key in ("classes", "features", "trees"):
-        if key not in doc:
-            raise ModelError(f"model document missing {key!r}")
+def forest_from_dict(doc: Any) -> RandomForest:
+    check_record(doc, "", ModelError,
+                 {"format_version": int, "classes": list, "features": list, "trees": list})
+    if doc["format_version"] != FORMAT_VERSION:
+        raise ModelError(f"unsupported format_version {doc['format_version']!r} "
+                         f"(expected {FORMAT_VERSION})")
     features = []
     for i, rec in enumerate(doc["features"]):
-        if not isinstance(rec, dict):
-            raise ModelError(f"features[{i}]: expected an object")
         try:
             features.append(FeatureMeta.from_dict(rec))
         except ModelError as exc:
             raise ModelError(f"features[{i}]: {exc}") from None
+    if not doc["trees"]:
+        raise ModelError("'trees' must be a non-empty array")
     trees = []
-    weights = []
-    if not isinstance(doc["trees"], list) or not doc["trees"]:
-        raise ModelError("trees must be a non-empty array")
     for d, rec in enumerate(doc["trees"]):
-        if not isinstance(rec, dict) or "nodes" not in rec:
-            raise ModelError(f"trees[{d}]: expected an object with 'nodes'")
-        unknown = set(rec) - {"weight", "nodes"}
-        if unknown:
-            raise ModelError(f"trees[{d}]: unknown keys {sorted(unknown)}")
-        weight = rec.get("weight", 1.0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise ModelError(f"trees[{d}]: weight must be a number")
+        check_record(rec, f"trees[{d}]", ModelError, {"nodes": list}, {"weight": float})
         trees.append(_nodes_to_tree(rec["nodes"], f"trees[{d}]"))
-        weights.append(float(weight))
     return RandomForest(
         features=tuple(features),
         classes=tuple(doc["classes"]),
         trees=tuple(trees),
-        weights=tuple(weights),
+        weights=tuple(rec.get("weight", 1.0) for rec in doc["trees"]),
     )
 
 

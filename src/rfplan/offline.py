@@ -43,11 +43,13 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from . import forest as forest_mod
 from .discretize import PartitionTable, State, StateEvaluator, check_state
-from .forest import Label, RandomForest, check_count, read_json, read_text
+from .forest import (
+    LABEL, Label, RandomForest, check_count, check_record, read_json, read_text,
+)
 from .sas_core import Action, ActionLibrary, neighbors
 
 AUTO = "auto"
@@ -102,16 +104,11 @@ class SearchParams:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SearchParams":
-        if not isinstance(doc, dict):
-            raise SearchError(f"search params must be a JSON object, got {doc!r}")
-        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise SearchError(f"search params have unknown keys {sorted(unknown)}")
-        try:
-            return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
-        except KeyError as exc:
-            raise SearchError(f"search params missing {exc}") from None
+    def from_dict(cls, doc: Any) -> "SearchParams":
+        """Read a search params record: every field, each of its type."""
+        check_record(doc, "", SearchError, {"target": LABEL, "z": float, "alpha": (float, str),
+                                            "patience": int, "node_budget": int})
+        return cls(**doc)
 
 
 def resolve_alpha(params: SearchParams, library: ActionLibrary) -> float:
@@ -414,47 +411,37 @@ def db_restore(path) -> GoalDatabase:
     lines = io.StringIO(read_text(path, SearchError), newline=None).readlines()
     if not lines:
         raise SearchError(f"{path}: empty database file")
-
-    def parse(lineno: int, text: str) -> dict:
-        doc = read_json(path, SearchError, text, lineno)
-        if not isinstance(doc, dict):
-            raise SearchError(f"{path}:{lineno}: expected a JSON object")
-        return doc
-
-    header = parse(1, lines[0])
-    if header.get("format_version") != DB_FORMAT_VERSION:
-        raise SearchError(
-            f"{path}:1: unsupported format_version {header.get('format_version')!r}"
-        )
-    for key in ("fingerprint", "params"):
-        if key not in header:
-            raise SearchError(f"{path}:1: header missing {key!r}")
+    header = check_record(read_json(path, SearchError, lines[0]), f"{path}:1", SearchError,
+                          {"format_version": int, "fingerprint": str, "params": dict})
+    if header["format_version"] != DB_FORMAT_VERSION:
+        raise SearchError(f"{path}:1: unsupported format_version {header['format_version']!r}")
     try:
         params = SearchParams.from_dict(header["params"])
     except SearchError as exc:
         raise SearchError(f"{path}:1: bad search params ({exc})") from None
-    unknown = set(header) - {"format_version", "fingerprint", "params"}
-    if unknown:
-        raise SearchError(f"{path}:1: header has unknown keys {sorted(unknown)}")
+
+    def state(rec: dict, key: str) -> State:
+        return tuple(check_count(f"{key}[{i}]", v, 0, SearchError)
+                     for i, v in enumerate(rec[key]))
+
     entries: dict[State, PreferredGoalEntry] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rec = parse(lineno, line)
+        rec = read_json(path, SearchError, line, lineno)
         try:
-            keys = {"initial", "goal", "cost", "expansions", "status"}
-            if set(rec) - keys:
-                raise SearchError(f"unknown keys {sorted(set(rec) - keys)}")
-            if keys - set(rec):
-                raise SearchError(f"missing keys {sorted(keys - set(rec))}")
+            check_record(rec, "", SearchError, {
+                "initial": list, "goal": (list, type(None)), "cost": (float, type(None)),
+                "expansions": int, "status": str,
+            })
             entry = PreferredGoalEntry(
-                initial=tuple(rec["initial"]),
-                goal=tuple(rec["goal"]) if rec["goal"] is not None else None,
+                initial=state(rec, "initial"),
+                goal=state(rec, "goal") if rec["goal"] is not None else None,
                 cost=rec["cost"],
                 expansions=rec["expansions"],
                 status=rec["status"],
             )
-        except (TypeError, SearchError) as exc:
+        except SearchError as exc:
             raise SearchError(f"{path}:{lineno}: bad entry ({exc})") from None
         if entry.initial in entries:
             raise SearchError(f"{path}:{lineno}: duplicate entry for state {entry.initial}")

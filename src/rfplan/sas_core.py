@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .discretize import PartitionTable, State, cell
-from .forest import FeatureMeta, ModelError, read_json, read_text
+from .forest import FeatureMeta, ModelError, check_record, read_json, read_text
 
 WILDCARD = None  # the "from anywhere" marker of a mechanical transition
 
@@ -335,24 +335,20 @@ def _element_lines(text: str) -> list[int]:
     return lines
 
 
-def _resolve_feature(ref, features: Sequence[FeatureMeta]) -> int:
-    if isinstance(ref, bool):
-        raise ActionError(f"feature reference {ref!r} is not a name or index")
+def _resolve_feature(ref: str | int, features: Sequence[FeatureMeta]) -> int:
     if isinstance(ref, int):
         if not 0 <= ref < len(features):
             raise ActionError(f"feature index {ref} out of range")
         return ref
-    if isinstance(ref, str):
-        for i, meta in enumerate(features):
-            if meta.name == ref:
-                return i
-        raise ActionError(f"unknown feature {ref!r}")
-    raise ActionError(f"feature reference {ref!r} is not a name or index")
+    for i, meta in enumerate(features):
+        if meta.name == ref:
+            return i
+    raise ActionError(f"unknown feature {ref!r}")
 
 
 def _resolve_value(value, var: int, table: PartitionTable, what: str) -> int:
     """An int is a partition index; any other value is a raw value, put in its cell."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, int):  # the record rule lets no bool through
         n, name = table.sizes[var], table.features[var].name
         if not 0 <= value < n:
             raise ActionError(f"{what} index {value} outside [0, {n}) for feature {name!r}")
@@ -388,48 +384,22 @@ def parse_action_spec(text: str, table: PartitionTable, source: str = "<action s
 
 
 def _parse_action_entry(entry, table: PartitionTable) -> Action:
-    if not isinstance(entry, dict):
-        raise ActionError("each action must be an object")
-    unknown = set(entry) - {"id", "cost", "transitions"}
-    if unknown:
-        raise ActionError(f"unknown keys {sorted(unknown)}")
-    for key in ("id", "cost", "transitions"):
-        if key not in entry:
-            raise ActionError(f"action missing {key!r}")
-    action_id = entry["id"]
-    if not isinstance(action_id, str) or not action_id:
-        raise ActionError("action id must be a non-empty string")
-    cost = entry["cost"]
-    if isinstance(cost, bool) or not isinstance(cost, (int, float)):
-        raise ActionError(f"action {action_id!r}: cost must be a number")
-    raw = entry["transitions"]
-    if not isinstance(raw, list) or not raw:
-        raise ActionError(f"action {action_id!r}: transitions must be a non-empty array")
+    check_record(entry, "", ActionError, {"id": str, "cost": float, "transitions": list})
+    what = f"action {entry['id']!r}"
     transitions = []
-    for t in raw:
-        if not isinstance(t, dict):
-            raise ActionError(f"action {action_id!r}: each transition must be an object")
-        for key in ("feature", "to"):
-            if key not in t:
-                raise ActionError(f"action {action_id!r}: transition missing {key!r}")
-        unknown = set(t) - {"feature", "from", "to"}
-        if unknown:
-            raise ActionError(f"action {action_id!r}: unknown transition keys {sorted(unknown)}")
+    for j, t in enumerate(entry["transitions"]):
+        check_record(t, f"{what}: transitions[{j}]", ActionError,
+                     {"feature": (str, int), "to": (float, str)}, {"from": (float, str)})
         var = _resolve_feature(t["feature"], table.features)
         meta = table.features[var]
-        frm_raw = t.get("from", "*")
-        if frm_raw == "*":
-            frm: int | None = WILDCARD
-        else:
-            frm = _resolve_value(frm_raw, var, table, f"action {action_id!r}: 'from'")
-        to = _resolve_value(t["to"], var, table, f"action {action_id!r}: 'to'")
+        frm = t.get("from", "*")
+        frm = WILDCARD if frm == "*" else _resolve_value(frm, var, table, f"{what}: 'from'")
+        to = _resolve_value(t["to"], var, table, f"{what}: 'to'")
         tr = Transition(var, frm, to)
         if not meta.is_soft and not tr.is_prevailing:
-            raise ActionError(
-                f"action {action_id!r}: transition {tr} mutates hard feature {meta.name!r}"
-            )
+            raise ActionError(f"{what}: transition {tr} mutates hard feature {meta.name!r}")
         transitions.append(tr)
-    return Action(id=action_id, transitions=tuple(transitions), cost=cost)
+    return Action(id=entry["id"], transitions=tuple(transitions), cost=entry["cost"])
 
 
 def load_action_spec(path, table: PartitionTable) -> ActionLibrary:

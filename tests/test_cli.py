@@ -176,7 +176,7 @@ def test_bad_model_file_is_named_once(tmp_path):
     model.write_text('{"format_version": 1, "classes": [0, 1], "features": []}', encoding="utf-8")
     rv, _, err = run(["partitions", "--model", model])
     assert rv == 3
-    assert err == f"error: {model}: model document missing 'trees'\n"
+    assert err == f"error: {model}: missing keys ['trees']\n"
 
 
 # preprocess
@@ -328,7 +328,7 @@ _INPUT_ERROR_CASES = {
     "bench-sweep": "fractions must be in 1..100, got 0",
     "bench-instances": "n_instances must be >= 1, got 0",
     "bench-negative-instances": "n_instances must be >= 1, got -3",
-    "plan-params": ":1: bad search params (search params must be a JSON object",
+    "plan-params": ":1: 'params' must be an object, got 'x'",
     "oracle-cap": "cap must be >= 1, got 0",
     "bench-oracle-cap": "oracle_cap must be >= 1, got 0",
     "bench-state-cap": "state_cap must be >= 1, got 0",
@@ -450,7 +450,8 @@ def test_plan_rejects_unknown_config_key(ws, tmp_path):
     rv, _, err = run(["plan", "--model", ws["model"], "--db", ws["db"],
                       "--state", "0,0,0", "--config", cfg])
     assert rv == 3
-    assert "unknown config keys ['bogus']" in err
+    assert err == (f"error: {cfg}: unknown keys ['bogus']; known: ['z', 'alpha', 'delta', 'K', "
+                   "'L_max', 'cost_seed', 'beta_range', 'workers']\n")
 
 
 def test_plan_rejects_malformed_config(ws, tmp_path):

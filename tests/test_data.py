@@ -49,20 +49,30 @@ def test_load_schema(demo_schema):
 
 @pytest.mark.parametrize(
     "doc,needle",
+    # an explicit id keeps the name a case had before the record rule's wording
     [
-        ({"features": [{"name": "a"}]}, "missing 'label'"),
-        ({"label": "y"}, "missing 'features'"),
+        pytest.param({"features": [{"name": "a"}]}, r"^<schema>: missing keys \['label'\]$",
+                     id="doc0-missing 'label'"),
+        pytest.param({"label": "y"}, r"^<schema>: missing keys \['features'\]$",
+                     id="doc1-missing 'features'"),
         ({"label": "y", "features": []}, "non-empty array"),
-        ({"label": "y", "features": ["a"]}, r"features\[0\] must be an object"),
+        pytest.param({"label": "y", "features": ["a"]},
+                     r"^<schema>: features\[0\]: expected a JSON object, got a string$",
+                     id=r"doc3-features\[0\] must be an object"),
         ({"label": "y", "features": [{"name": "a", "kind": "text"}]}, r"features\[0\]"),
-        ({"label": True, "features": [{"name": "a"}]}, "label must be"),
+        pytest.param({"label": True, "features": [{"name": "a"}]},
+                     r"^<schema>: 'label' must be a string or an integer, got True$",
+                     id="doc5-label must be"),
         ({"label": "y", "features": [{"name": "a"}], "classes": []}, "classes"),
         ({"label": "y", "features": [{"name": "a"}], "classes": [0, 0]}, "duplicate classes"),
         # a misspelled optional key would otherwise fall back to its default
         ({"label": "y", "features": [{"name": "age", "kind": "numerical", "mutabilty": "hard"}]},
-         r"^<schema>: features\[0\]: unknown keys \['mutabilty'\]$"),
-        ({"label": "y", "features": [{"name": "a"}], "clases": [0, 1]},
-         r"^<schema>: schema has unknown keys \['clases'\]$"),
+         r"^<schema>: features\[0\]: unknown keys \['mutabilty'\]; "
+         r"known: \['name', 'kind', 'mutability', 'categories'\]$"),
+        pytest.param({"label": "y", "features": [{"name": "a"}], "clases": [0, 1]},
+                     r"^<schema>: unknown keys \['clases'\]; "
+                     r"known: \['label', 'features', 'classes'\]$",
+                     id=r"doc9-^<schema>: schema has unknown keys \['clases'\]$"),
     ],
 )
 def test_schema_rejects(doc, needle):

@@ -67,15 +67,26 @@ def _solve_at(sas, L):
 def test_sas_problem_validation(unit_library):
     with pytest.raises(PlanningError, match="at least one goal"):
         SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 0), goals=())
-    with pytest.raises(PlanningError, match="does not match"):
+    with pytest.raises(PlanningError, match="state has 2 coordinates, table declares 3"):
         SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0), goals=((0, 1, 2),))
-    with pytest.raises(PlanningError, match="outside domain"):
+    with pytest.raises(PlanningError, match=r"coordinate 2: index 9 outside \[0, 3\)"):
         SasProblem(sizes=(2, 2, 3), library=unit_library, initial=(0, 0, 9), goals=((0, 1, 2),))
     with pytest.raises(PlanningError, match="out of range"):
         SasProblem(sizes=(2,), library=unit_library, initial=(0,), goals=((1,),))
     lib = _lib(_act("a", 1.0, (0, 0, 5)))
     with pytest.raises(PlanningError, match="outside variable domain"):
         SasProblem(sizes=(2,), library=lib, initial=(0,), goals=((1,),))
+
+
+@pytest.mark.parametrize("initial, goal, message", [
+    ((0, 0, 0.5), (0, 1, 2), "coordinate 2: partition index must be an int, got 0.5"),
+    ((0, 0, 0), (0, True, 2), "coordinate 1: partition index must be an int, got True"),
+    ((0, 0, -1), (0, 1, 2), r"coordinate 2: index -1 outside \[0, 3\)"),
+])
+def test_sas_problem_takes_only_partition_indices(unit_library, initial, goal, message):
+    # the task's states follow discretize.check_state's rule
+    with pytest.raises(PlanningError, match=message):
+        SasProblem(sizes=(2, 2, 3), library=unit_library, initial=initial, goals=(goal,))
 
 
 def test_sas_problem_dedupes_goals(unit_library):

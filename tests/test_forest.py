@@ -187,11 +187,13 @@ def test_from_dict_diagnostics(toy_forest):
     # a misspelled optional key would otherwise fall back to its default
     doc3 = forest_to_dict(toy_forest)
     doc3["trees"][1]["wieght"] = doc3["trees"][1].pop("weight")
-    with pytest.raises(ModelError, match=r"^trees\[1\]: unknown keys \['wieght'\]$"):
+    with pytest.raises(ModelError, match=r"^trees\[1\]: unknown keys \['wieght'\]; "
+                                         r"known: \['nodes', 'weight'\]$"):
         forest_from_dict(doc3)
     doc4 = forest_to_dict(toy_forest)
     doc4["features"][0]["mutabilty"] = doc4["features"][0].pop("mutability")
-    with pytest.raises(ModelError, match=r"^features\[0\]: unknown keys \['mutabilty'\]$"):
+    with pytest.raises(ModelError, match=r"^features\[0\]: unknown keys \['mutabilty'\]; "
+                                         r"known: \['name', 'kind', 'mutability', 'categories'\]$"):
         forest_from_dict(doc4)
 
 

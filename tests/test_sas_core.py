@@ -310,7 +310,10 @@ def _entry(body: str) -> str:
         ('{"id": "a", "cost": -2, "transitions": [{"feature": "visits", "to": 1}]}', "cost"),
         ('{"id": "a", "cost": Infinity, "transitions": [{"feature": "visits", "to": 1}]}',
          ":2: action 'a': cost must be finite"),
-        ('{"id": "a", "cost": 1, "transitions": []}', "transitions"),
+        # the id keeps the case's name from before the record rule's wording
+        pytest.param('{"id": "a", "cost": 1, "transitions": []}',
+                     ":2: action 'a': needs at least one transition",
+                     id='{"id": "a", "cost": 1, "transitions": []}-transitions'),
         (_entry('{"feature": "visits"}'), "'to'"),
         (_entry('{"feature": "visits", "to": "lots"}'),
          ":2: action 'a': 'to': feature 'visits': 'lots' is not a number"),
@@ -321,7 +324,7 @@ def _entry(body: str) -> str:
         (_entry('{"feature": "balance", "from": 2, "to": -Infinity}'),
          ":2: action 'a': 'to': feature 'balance': -inf is not finite"),
         (_entry('{"feature": "balance", "form": 0, "to": 1}'),
-         ":2: action 'a': unknown transition keys ['form']"),
+         ":2: action 'a': transitions[0]: unknown keys ['form']; known: ['feature', 'to', 'from']"),
     ],
 )
 def test_action_spec_rejects(toy_table, tmp_path, entry, needle):
