@@ -85,17 +85,24 @@ def _type_names(types: tuple) -> str:
 
 
 def check_record(rec: Any, where: str, error: type[Exception], required: dict,
-                 optional: dict = {}) -> dict:
+                 optional: dict = {}, version: int | None = None) -> dict:
     """``rec`` when it is a dict with every key of ``required``, no key
     outside ``required`` and ``optional``, and each value of a type (or
     tuple of types) its key maps to; ``None`` passes only where listed.
     Else ``error`` after ``where``: ``expected a JSON object, got …``,
     ``unknown keys [...]; known: [...]``, ``missing keys [...]`` or
-    ``'<key>' must be <type>, got …``.  Every JSON record the package
-    reads is checked here."""
+    ``'<key>' must be <type>, got …``.  With ``version``, ``rec`` also
+    needs an int ``format_version``, compared before any other key, so a
+    file of another format fails as ``unsupported format_version N``.
+    Every JSON record the package reads is checked here."""
     at = f"{where}: " if where else ""
     if not isinstance(rec, dict):
         raise error(f"{at}expected a JSON object, got {_type_names((type(rec),))}")
+    if version is not None:
+        if "format_version" in rec and rec["format_version"] != version:
+            raise error(f"{at}unsupported format_version {reprlib.repr(rec['format_version'])} "
+                        f"(expected {version})")
+        required = {"format_version": int, **required}
     known = {**required, **optional}
     unknown = sorted((k for k in rec if k not in known), key=str)
     if unknown:
@@ -621,11 +628,8 @@ def forest_to_dict(forest: RandomForest) -> dict:
 
 
 def forest_from_dict(doc: Any) -> RandomForest:
-    check_record(doc, "", ModelError,
-                 {"format_version": int, "classes": list, "features": list, "trees": list})
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ModelError(f"unsupported format_version {doc['format_version']!r} "
-                         f"(expected {FORMAT_VERSION})")
+    check_record(doc, "", ModelError, {"classes": list, "features": list, "trees": list},
+                 version=FORMAT_VERSION)
     features = []
     for i, rec in enumerate(doc["features"]):
         try:

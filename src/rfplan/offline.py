@@ -42,13 +42,14 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from . import forest as forest_mod
 from .discretize import PartitionTable, State, StateEvaluator, check_state
 from .forest import (
-    LABEL, Label, RandomForest, check_count, check_record, read_json, read_text,
+    Label, RandomForest, check_count, check_label, check_record, read_json, read_text,
 )
 from .sas_core import Action, ActionLibrary, neighbors
 
@@ -87,6 +88,7 @@ class SearchParams:
     node_budget: int = 5_000_000
 
     def __post_init__(self):
+        check_label(self.target, "target", SearchError)
         if isinstance(self.z, bool) or not isinstance(self.z, (int, float)):
             raise SearchError(f"z must be a number, got {self.z!r}")
         if not 0.0 < self.z <= 1.0:
@@ -94,8 +96,8 @@ class SearchParams:
         if self.alpha != AUTO:
             if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
                 raise SearchError(f"alpha must be a number or 'auto', got {self.alpha!r}")
-            if self.alpha < 0 or not math.isfinite(self.alpha):
-                raise SearchError(f"alpha must be >= 0, got {self.alpha}")
+            if not 0 <= self.alpha <= sys.float_info.max:
+                raise SearchError(f"alpha must be a finite number >= 0, got {self.alpha}")
             object.__setattr__(self, "alpha", float(self.alpha))
         for name in ("patience", "node_budget"):
             check_count(name, getattr(self, name), 1, SearchError)
@@ -105,9 +107,8 @@ class SearchParams:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "SearchParams":
-        """Read a search params record: every field, each of its type."""
-        check_record(doc, "", SearchError, {"target": LABEL, "z": float, "alpha": (float, str),
-                                            "patience": int, "node_budget": int})
+        """Read a search params record: every field, each checked by the constructor."""
+        check_record(doc, "", SearchError, {f.name: object for f in dataclasses.fields(cls)})
         return cls(**doc)
 
 
@@ -151,7 +152,8 @@ class PreferredGoalEntry:
             raise SearchError("a proved_exhausted entry needs a goal")
         cost = self.cost
         if cost is not None and (
-            isinstance(cost, bool) or not isinstance(cost, (int, float)) or not 0 <= cost < math.inf
+            isinstance(cost, bool) or not isinstance(cost, (int, float))
+            or not 0 <= cost <= sys.float_info.max
         ):
             raise SearchError(f"cost must be a finite number >= 0, got {cost!r}")
         check_count("expansions", self.expansions, 0, SearchError)
@@ -412,9 +414,7 @@ def db_restore(path) -> GoalDatabase:
     if not lines:
         raise SearchError(f"{path}: empty database file")
     header = check_record(read_json(path, SearchError, lines[0]), f"{path}:1", SearchError,
-                          {"format_version": int, "fingerprint": str, "params": dict})
-    if header["format_version"] != DB_FORMAT_VERSION:
-        raise SearchError(f"{path}:1: unsupported format_version {header['format_version']!r}")
+                          {"fingerprint": str, "params": object}, version=DB_FORMAT_VERSION)
     try:
         params = SearchParams.from_dict(header["params"])
     except SearchError as exc:
@@ -430,10 +430,9 @@ def db_restore(path) -> GoalDatabase:
             continue
         rec = read_json(path, SearchError, line, lineno)
         try:
-            check_record(rec, "", SearchError, {
-                "initial": list, "goal": (list, type(None)), "cost": (float, type(None)),
-                "expansions": int, "status": str,
-            })
+            check_record(rec, "", SearchError, {"initial": list, "goal": (list, type(None)),
+                                                "cost": object, "expansions": object,
+                                                "status": object})
             entry = PreferredGoalEntry(
                 initial=state(rec, "initial"),
                 goal=state(rec, "goal") if rec["goal"] is not None else None,

@@ -328,7 +328,7 @@ _INPUT_ERROR_CASES = {
     "bench-sweep": "fractions must be in 1..100, got 0",
     "bench-instances": "n_instances must be >= 1, got 0",
     "bench-negative-instances": "n_instances must be >= 1, got -3",
-    "plan-params": ":1: 'params' must be an object, got 'x'",
+    "plan-params": ":1: bad search params (expected a JSON object, got a string)",
     "oracle-cap": "cap must be >= 1, got 0",
     "bench-oracle-cap": "oracle_cap must be >= 1, got 0",
     "bench-state-cap": "state_cap must be >= 1, got 0",

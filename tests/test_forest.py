@@ -184,6 +184,10 @@ def test_from_dict_diagnostics(toy_forest):
     doc2["format_version"] = 99
     with pytest.raises(ModelError, match="format_version"):
         forest_from_dict(doc2)
+    # a model of another format fails on its version, whatever else it holds
+    for other in ({"format_version": 99}, {**doc2, "extra": 0}):
+        with pytest.raises(ModelError, match=r"^unsupported format_version 99 \(expected 1\)$"):
+            forest_from_dict(other)
     # a misspelled optional key would otherwise fall back to its default
     doc3 = forest_to_dict(toy_forest)
     doc3["trees"][1]["wieght"] = doc3["trees"][1].pop("weight")
