@@ -20,7 +20,7 @@ from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions
 from .forest import RandomForest, check_count
-from .maxsat import valid_timeout
+from .maxsat import check_timeout
 from .offline import SearchParams, preprocess
 from .sas_core import ActionLibrary
 
@@ -49,8 +49,7 @@ class BenchSettings:
     def __post_init__(self):
         for name in ("k", "l_max", "n_instances", "state_cap", "oracle_cap", "workers"):
             check_count(name, getattr(self, name), 1, BenchError)
-        if not valid_timeout(self.timeout):
-            raise BenchError(f"timeout must be None or finite seconds > 0, got {self.timeout!r}")
+        check_timeout("timeout", self.timeout, BenchError)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Every planning command is set up the same way:
 
 - Shared keys (z, alpha, delta, K, L_max, cost_seed, beta_range, workers)
   take the flag when it is given, else the value in the JSON file passed
-  as --config, else the flag's default.  One converter per key checks a
-  flag and a config value alike; the range of z and alpha is left to
-  SearchParams, as in the library.
+  as --config, else the flag's default.  Each key's value is checked when
+  it is read, flag and config value alike, by the library's one rule for
+  it, and a fault names where the value came from (`--k`, `<path>: K`).
 - One loader reads the model and builds its partition table and action
   catalog: the --actions spec, or the default catalog costed by
   --cost-seed and --beta-range.
@@ -57,6 +57,7 @@ from .encoder import NoGoalsError, PlanningError, build_sas, encode
 from .forest import (
     ModelError,
     TrainParams,
+    check_count,
     check_record,
     fingerprint,
     read_json,
@@ -64,11 +65,13 @@ from .forest import (
     persist,
     train_forest,
 )
-from .maxsat import BackendError, WcnfError, wcnf_write
+from .maxsat import BackendError, WcnfError, check_timeout, wcnf_write
 from .offline import (
     AUTO,
     SearchError,
     SearchParams,
+    check_alpha,
+    check_z,
     db_persist,
     db_restore,
     preprocess,
@@ -115,27 +118,7 @@ def main(argv=None) -> int:
 # shared keys: the flag, else --config, else the flag's default
 
 
-def _integer(low):
-    def convert(v):
-        if isinstance(v, bool) or not isinstance(v, int) or v < low:
-            raise ValueError(f"must be an integer >= {low}")
-        return v
-    return convert
-
-
-def _number(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError("must be a number")
-    return v
-
-
-def _auto_or_number(v):
-    if v != AUTO and (isinstance(v, bool) or not isinstance(v, (int, float))):
-        raise ValueError(f"must be '{AUTO}' or a number")
-    return v
-
-
-def _beta_range(v):
+def _beta_range(name, v):
     ok = (
         isinstance(v, (list, tuple))
         and len(v) == 2
@@ -143,7 +126,7 @@ def _beta_range(v):
         and 1 <= v[0] <= v[1]
     )
     if not ok:
-        raise ValueError("must be two integers LOW,HIGH with 1 <= LOW <= HIGH")
+        raise CliError(f"{name} must be two integers LOW,HIGH with 1 <= LOW <= HIGH, got {v!r}")
     return tuple(v)
 
 
@@ -155,33 +138,30 @@ def _int_pair(text):
     return [int(p) for p in text.split(",")]
 
 
-# key: (flag, how click reads the flag's text, converter, default)
+def _count(low):
+    return functools.partial(check_count, low=low, error=CliError)
+
+
+# key: (flag, how click reads the flag's text, the library's rule for the
+# value, default); the rule takes the value's origin, as in `--k` or `c.json: K`
 _KEYS = {
-    "z": ("--z", float, _number, 0.5),
-    "alpha": ("--alpha", _auto_or_float, _auto_or_number, AUTO),
-    "delta": ("--delta", int, _integer(1), 10_000_000),
-    "K": ("--k", int, _integer(1), 3),
-    "L_max": ("--l-max", int, _integer(1), 8),
-    "cost_seed": ("--cost-seed", int, _integer(0), 0),
+    "z": ("--z", float, functools.partial(check_z, error=CliError), 0.5),
+    "alpha": ("--alpha", _auto_or_float, functools.partial(check_alpha, error=CliError), AUTO),
+    "delta": ("--delta", int, _count(1), 10_000_000),
+    "K": ("--k", int, _count(1), 3),
+    "L_max": ("--l-max", int, _count(1), 8),
+    "cost_seed": ("--cost-seed", int, _count(0), 0),
     "beta_range": ("--beta-range", _int_pair, _beta_range, "1,100"),
-    "workers": ("--workers", int, _integer(1), 1),
+    "workers": ("--workers", int, _count(1), 1),
 }
-
-
-def _convert(key: str, value, where: str):
-    try:
-        return _KEYS[key][2](value)
-    except ValueError as exc:
-        raise CliError(f"{where} {exc}, got {value!r}") from None
 
 
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    # each key's converter checks its value's type
     doc = check_record(read_json(path, CliError), str(path), CliError, {},
                        dict.fromkeys(_KEYS, object))
-    return {key: _convert(key, value, f"{path}: {key}") for key, value in doc.items()}
+    return {key: _KEYS[key][2](f"{path}: {key}", value) for key, value in doc.items()}
 
 
 def _check_output(path) -> None:
@@ -211,7 +191,7 @@ class _Command(click.Command):
                 if key in config and ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
                     ctx.params[name] = config[key]
                 else:
-                    ctx.params[name] = _convert(key, ctx.params[name], flag)
+                    ctx.params[name] = _KEYS[key][2](flag, ctx.params[name])
             for name in ("out_path", "json_path", "map_path"):
                 if ctx.params.get(name) is not None:
                     _check_output(ctx.params[name])
@@ -250,7 +230,11 @@ _WORKERS_HELP = "Worker processes, at most one per CPU this process may use."
 _model_option = click.option("--model", "model_path", required=True, type=click.Path(),
                              help="Model file written by train.")
 
-_SECONDS = click.FloatRange(min=0, min_open=True)
+
+def _timeout_option(help: str):
+    """--timeout, checked by the library's one rule for a time limit."""
+    return click.option("--timeout", type=float, default=None, help=help,
+                        callback=lambda ctx, param, v: check_timeout("--timeout", v, CliError))
 
 
 def _options(*options):
@@ -563,7 +547,7 @@ def preprocess_cmd(model_path, out_path, target_text, z, alpha, delta, node_budg
 @_key_option("K", help="Stored neighbors consulted for goals.")
 @_key_option("L_max", help="Largest makespan tried.")
 @click.option("--sweep", is_flag=True, help="Try every makespan and keep the cheapest plan.")
-@click.option("--timeout", type=_SECONDS, default=None, help="Total solver budget in seconds.")
+@_timeout_option("Total solver budget in seconds.")
 @click.option("--external-solver", "external_cmd", default=None,
               help="Shell command solving a WCNF file passed as its last argument.")
 @_catalog_options
@@ -712,7 +696,7 @@ def _render_bench(report) -> None:
 @_key_option("L_max", default=4)
 @click.option("--sweep-makespan", is_flag=True, help="Planner tries every makespan per instance.")
 @click.option("--instances", "n_instances", type=int, default=100, show_default=True)
-@click.option("--timeout", type=_SECONDS, default=None, help="Per-instance planner budget.")
+@_timeout_option("Per-instance planner budget.")
 @click.option("--sample-seed", type=int, default=0, show_default=True)
 @click.option("--oracle-cap", type=int, default=2_000_000, show_default=True)
 @click.option("--sweep", "sweep_text", default="100", show_default=True,

@@ -89,8 +89,8 @@ from . import maxsat
 from .discretize import (
     PartitionTable, State, StateEvaluator, check_indices, check_state, to_state,
 )
-from .forest import RandomForest, Vector, check_count
-from .knn import SimilarityWeights, k_nearest
+from .forest import RandomForest, Vector, check_count, splits
+from .knn import k_nearest
 from .maxsat import SolveResult, WcnfInstance
 from .offline import GoalDatabase, SuccessorTable, check_pairing, find_preferred_goal
 from .sas_core import (
@@ -417,7 +417,8 @@ def build_sas(
     The whole set-up of one query: ``db`` must pair with ``forest``, and one
     ``StateEvaluator`` serves the query.  A start that already reaches the
     vote threshold is the task's one goal.  Else neighbors are ranked with
-    the forest's similarity weights; when none is usable, the offline search
+    each feature weighed by how often the forest splits on it (every
+    feature 1 when it never splits); when none is usable, the offline search
     runs for this one state (slow path).  Every goal is re-checked against
     the vote threshold.
     """
@@ -426,7 +427,12 @@ def build_sas(
     evaluator = StateEvaluator(forest, table, db.params.target)
     if evaluator.proba(s_init) >= db.params.z:
         return SasProblem(sizes=table.sizes, library=library, initial=s_init, goals=(s_init,))
-    near = k_nearest(s_init, db, k, SimilarityWeights.from_forest(forest), table)
+    weights = [0] * len(table.features)
+    for node in splits(forest):
+        weights[node.feature] += 1
+    if not any(weights):
+        weights = [1] * len(weights)
+    near = k_nearest(s_init, db, k, tuple(weights), table)
     goals = sorted({entry.goal for _, entry, _ in near})
     if not goals:
         entry = find_preferred_goal(s_init, library, forest, table, db.params,
@@ -448,7 +454,7 @@ def build_sas(
 _ATTEMPT_STATUS = {maxsat.OPTIMAL: "sat", maxsat.HARD_UNSAT: "unsat", maxsat.TIMEOUT: "timeout"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanAttempt:
     L: int
     status: str  # "sat" | "unsat" | "timeout"
@@ -457,7 +463,7 @@ class PlanAttempt:
     units: int | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanOutcome:
     status: str
     plan: Plan | None
@@ -508,10 +514,7 @@ def plan_actions(
         raise PlanningError("pass exactly one of x (raw vector) or state (partition indices)")
     check_count("k", k, 1, PlanningError)
     check_count("l_max", l_max, 1, PlanningError)
-    if not maxsat.valid_timeout(timeout):
-        raise PlanningError(
-            f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"
-        )
+    maxsat.check_timeout("timeout", timeout, PlanningError)
     s_init = to_state(table, x) if x is not None else check_state(table, state)
     try:
         sas = build_sas(s_init, db, k, forest, table, library)

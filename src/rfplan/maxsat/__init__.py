@@ -42,20 +42,14 @@ def default_backend() -> str:
     return "pure"
 
 
-def valid_timeout(timeout) -> bool:
-    """Whether ``timeout`` is a planner or solver time limit: ``None`` (no
-    limit), or an int or float, not a bool, of finite seconds > 0."""
-    return timeout is None or (
-        not isinstance(timeout, bool) and isinstance(timeout, (int, float))
-        and 0 < timeout < math.inf
-    )
-
-
-def _check_timeout(timeout) -> None:
-    if not valid_timeout(timeout):
-        raise BackendError(
-            f"timeout must be None or a finite number of seconds > 0, got {timeout!r}"
-        )
+def check_timeout(name: str, timeout, error: type[Exception]) -> float | None:
+    """``timeout`` when it is a planner or solver time limit: ``None`` (no
+    limit), or an int or float, not a bool, of finite seconds > 0; else
+    ``error`` as ``<name> must be …``.  Every time limit is checked here."""
+    if timeout is not None and (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+                                or not 0 < timeout < math.inf):
+        raise error(f"{name} must be None or a finite number of seconds > 0, got {timeout!r}")
+    return timeout
 
 
 def solve(instance: WcnfInstance, timeout: float | None = None) -> SolveResult:
@@ -66,7 +60,7 @@ def solve(instance: WcnfInstance, timeout: float | None = None) -> SolveResult:
     Every model is re-checked against the clause set before being
     returned; one that fails raises BackendError.
     """
-    _check_timeout(timeout)
+    check_timeout("timeout", timeout, BackendError)
     status, cost, assignment, nodes = _pure.solve_compiled(
         instance.nvars, *compile_instance(instance), timeout
     )
@@ -96,7 +90,7 @@ def solve_external(instance: WcnfInstance, command: str, timeout: float | None =
     import subprocess
     import tempfile
 
-    _check_timeout(timeout)
+    check_timeout("timeout", timeout, BackendError)
     argv = shlex.split(command)
     if not argv:
         raise BackendError("external solver command is empty")

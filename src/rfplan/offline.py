@@ -67,6 +67,28 @@ class SearchError(ValueError):
     """Bad search parameters or an inconsistent goal database."""
 
 
+def check_z(name: str, z: Any, error: type[Exception]) -> float:
+    """``z`` when it is a number in (0, 1]; else ``error`` as ``<name> must
+    be …``.  The one rule for a vote-share threshold."""
+    if isinstance(z, bool) or not isinstance(z, (int, float)):
+        raise error(f"{name} must be a number, got {z!r}")
+    if not 0.0 < z <= 1.0:
+        raise error(f"{name} must be in (0, 1], got {z}")
+    return z
+
+
+def check_alpha(name: str, alpha: Any, error: type[Exception]) -> float | str:
+    """``"auto"``, or ``alpha`` as a float when it is a finite number >= 0;
+    else ``error`` as ``<name> must be …``.  The one rule for a heuristic scale."""
+    if alpha == AUTO:
+        return alpha
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise error(f"{name} must be a number or '{AUTO}', got {alpha!r}")
+    if not 0 <= alpha <= sys.float_info.max:
+        raise error(f"{name} must be a finite number >= 0, got {alpha}")
+    return float(alpha)
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Offline search knobs.
@@ -89,16 +111,8 @@ class SearchParams:
 
     def __post_init__(self):
         check_label(self.target, "target", SearchError)
-        if isinstance(self.z, bool) or not isinstance(self.z, (int, float)):
-            raise SearchError(f"z must be a number, got {self.z!r}")
-        if not 0.0 < self.z <= 1.0:
-            raise SearchError(f"z must be in (0, 1], got {self.z}")
-        if self.alpha != AUTO:
-            if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
-                raise SearchError(f"alpha must be a number or 'auto', got {self.alpha!r}")
-            if not 0 <= self.alpha <= sys.float_info.max:
-                raise SearchError(f"alpha must be a finite number >= 0, got {self.alpha}")
-            object.__setattr__(self, "alpha", float(self.alpha))
+        check_z("z", self.z, SearchError)
+        object.__setattr__(self, "alpha", check_alpha("alpha", self.alpha, SearchError))
         for name in ("patience", "node_budget"):
             check_count(name, getattr(self, name), 1, SearchError)
 

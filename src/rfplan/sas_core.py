@@ -269,7 +269,7 @@ def neighbors(s: State, library: ActionLibrary) -> list[tuple[Action, State, flo
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """Action steps executed in order; actions within a step fire together."""
 

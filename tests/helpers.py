@@ -197,15 +197,13 @@ def state_similarity(s1, s2, weights, table):
     """Weighted mean of the per-feature similarities, 0 on a hard mismatch."""
     s1 = check_state(table, s1)
     s2 = check_state(table, s2)
-    if len(weights.values) != len(table.features):
-        raise ModelError(
-            f"{len(weights.values)} similarity weights for {len(table.features)} features"
-        )
+    if len(weights) != len(table.features):
+        raise ModelError(f"{len(weights)} similarity weights for {len(table.features)} features")
     for i, meta in enumerate(table.features):
         if not meta.is_soft and s1[i] != s2[i]:
             return Fraction(0)
-    num = sum(w * feature_similarity(s1, s2, i, table) for i, w in enumerate(weights.values))
-    return num / sum(weights.values)
+    num = sum(w * feature_similarity(s1, s2, i, table) for i, w in enumerate(weights))
+    return num / sum(weights)
 
 
 # ---------------------------------------------------------------------------

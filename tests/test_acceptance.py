@@ -28,7 +28,7 @@ from helpers import (
 from rfplan.baselines import greedy_plan, oracle_plan
 from rfplan.discretize import enumerate_states, to_state
 from rfplan.encoder import check_plan, decode, encode, plan_actions
-from rfplan.knn import SimilarityWeights, k_nearest
+from rfplan.knn import k_nearest
 from rfplan.maxsat import HARD_UNSAT, OPTIMAL, solve
 from rfplan.offline import SearchParams, find_preferred_goal, preprocess
 from rfplan.sas_core import CostModel, default_action_library
@@ -105,7 +105,7 @@ def test_worked_example_golden_suite(toy_forest, toy_table, unit_library, toy_pa
         assert to_state(toy_table, ("male", 2.0, 500.0)) == (0, 0, 0)
         assert to_state(toy_table, ("male", 2.0, 1200.0)) == (0, 0, 1)
 
-        w = SimilarityWeights.uniform(3)
+        w = (1, 1, 1)
         s_i = (0, 0, 1)
         assert state_similarity(s_i, (0, 0, 0), w, toy_table) == Fraction(5, 6)
         assert state_similarity(s_i, (0, 1, 0), w, toy_table) == Fraction(1, 2)

@@ -95,10 +95,10 @@ def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_param
         ("k", 0, "k must be >= 1, got 0"),
         ("l_max", 0, "l_max must be >= 1, got 0"),
         ("workers", 0, "workers must be >= 1, got 0"),
-        ("timeout", 0.0, "timeout must be None or finite seconds > 0, got 0.0"),
-        ("timeout", float("inf"), "timeout must be None or finite seconds > 0, got inf"),
-        ("timeout", True, "timeout must be None or finite seconds > 0, got True"),
-        ("timeout", "5", "timeout must be None or finite seconds > 0, got '5'"),
+        ("timeout", 0.0, "timeout must be None or a finite number of seconds > 0, got 0.0"),
+        ("timeout", float("inf"), "timeout must be None or a finite number of seconds > 0, got inf"),
+        ("timeout", True, "timeout must be None or a finite number of seconds > 0, got True"),
+        ("timeout", "5", "timeout must be None or a finite number of seconds > 0, got '5'"),
         ("k", 2.5, "k must be an int, got 2.5"),
         ("l_max", 2.0, "l_max must be an int, got 2.0"),
         ("n_instances", 2.5, "n_instances must be an int, got 2.5"),

@@ -1040,6 +1040,8 @@ def test_flag_and_config_follow_one_rule(ws, tmp_path, key, value, code):
         assert rv == code, (form, err)
         if code == 3:
             assert key.lower().replace("_", "-") in err.lower().replace("_", "-"), err
+            # a fault names where the value came from: the flag, or the config file
+            assert (str(cfg) if form[0] == "--config" else flag) in err, err
 
 
 # file faults: one reader for every input file, one boundary for every fault

@@ -35,7 +35,7 @@ from rfplan.baselines import oracle_plan
 from rfplan.bench import BenchError, BenchSettings
 from rfplan.discretize import StateError, enumerate_states
 from rfplan.encoder import PlanningError, encode, plan_actions
-from rfplan.knn import SimilarityWeights, k_nearest
+from rfplan.knn import k_nearest
 from rfplan.offline import NO_GOAL, PreferredGoalEntry, SearchError, SearchParams, preprocess
 
 from helpers import benchmark_rows, encoder_tasks, random_soft_forest
@@ -315,8 +315,7 @@ def test_every_count_takes_one_rule(entry, name, low, error, bad, toy_forest, to
                                              state=s, **{name: n}),
         "preprocess": lambda: preprocess([s], unit_library, toy_forest, toy_table, toy_params,
                                          workers=n),
-        "k_nearest": lambda: k_nearest(s, toy_db, n, SimilarityWeights.from_forest(toy_forest),
-                                       toy_table),
+        "k_nearest": lambda: k_nearest(s, toy_db, n, (0, 2, 3), toy_table),
         "oracle_plan": lambda: oracle_plan(s, unit_library, toy_forest, toy_table, toy_params,
                                            cap=n),
         "enumerate_states": lambda: list(enumerate_states(toy_table, n)),

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rfplan.forest import ModelError
-from rfplan.knn import SimilarityWeights, k_nearest
+from rfplan import encoder
+from rfplan.discretize import build_partitions
+from rfplan.encoder import build_sas
+from rfplan.forest import Leaf, ModelError, RandomForest, fingerprint
+from rfplan.knn import k_nearest
+from rfplan.offline import GoalDatabase
 
 from helpers import feature_similarity, state_similarity
 
@@ -14,25 +18,42 @@ from helpers import feature_similarity, state_similarity
 # weights
 
 
-def test_uniform_weights():
-    w = SimilarityWeights.uniform(3)
-    assert w.values == (Fraction(1, 3),) * 3
-    assert sum(w.values) == 1
+class _Seen(Exception):
+    """Raised by the k_nearest spy once it has the weights build_sas passes."""
 
 
-def test_weights_validation():
-    with pytest.raises(ModelError, match=">= 0"):
-        SimilarityWeights(values=(Fraction(1), Fraction(-1)))
-    with pytest.raises(ModelError, match="all be zero"):
-        SimilarityWeights(values=(Fraction(0), Fraction(0)))
-    w = SimilarityWeights(values=(1, 2))  # coerced to Fraction
-    assert w.values == (Fraction(1), Fraction(2))
+def _build_sas_weights(monkeypatch, s, db, forest, table, library):
+    def spy(s, db, k, weights, table):
+        raise _Seen(weights)
+    monkeypatch.setattr(encoder, "k_nearest", spy)
+    with pytest.raises(_Seen) as seen:
+        build_sas(s, db, 3, forest, table, library)
+    return seen.value.args[0]
 
 
-def test_split_frequency_weights(toy_forest):
+def test_uniform_weights(monkeypatch, toy_forest, unit_library, toy_params):
+    # a forest that never splits weighs every feature 1
+    flat = RandomForest(features=toy_forest.features, classes=toy_forest.classes,
+                        trees=(Leaf(label=0),), weights=(1.0,))
+    db = GoalDatabase(fingerprint=fingerprint(flat), params=toy_params, entries={})
+    assert _build_sas_weights(monkeypatch, (0, 0, 0), db, flat, build_partitions(flat),
+                              unit_library) == (1, 1, 1)
+
+
+def test_weights_validation(toy_db, toy_table):
+    for bad, needle in [((1, -1, 1), "similarity weight 1 must be >= 0, got -1"),
+                        ((0, 0, 0), "similarity weights must not all be zero"),
+                        ((1, Fraction(1, 2), 1), "similarity weight 1 must be an int"),
+                        ((1, True, 1), "similarity weight 1 must be an int"),
+                        ((1, 1), "2 similarity weights for 3 features")]:
+        with pytest.raises(ModelError, match=needle):
+            k_nearest((0, 0, 1), toy_db, 3, bad, toy_table)
+
+
+def test_split_frequency_weights(monkeypatch, toy_forest, toy_table, unit_library, toy_db):
     # gender never splits, visits twice, balance three times
-    w = SimilarityWeights.from_forest(toy_forest)
-    assert w.values == (Fraction(0), Fraction(2, 5), Fraction(3, 5))
+    assert _build_sas_weights(monkeypatch, (0, 0, 1), toy_db, toy_forest, toy_table,
+                              unit_library) == (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +86,7 @@ def test_feature_similarity_single_cell_is_one():
 
 
 def test_state_similarity_toy_values(toy_table):
-    w = SimilarityWeights.uniform(3)
+    w = (1, 1, 1)
     # same gender cell keeps the hard feature at similarity 1
     assert state_similarity((0, 0, 1), (0, 0, 0), w, toy_table) == Fraction(5, 6)
     assert state_similarity((0, 0, 1), (0, 1, 0), w, toy_table) == Fraction(1, 2)
@@ -74,13 +95,13 @@ def test_state_similarity_toy_values(toy_table):
 
 
 def test_state_similarity_hard_mismatch_is_zero(toy_table):
-    w = SimilarityWeights.uniform(3)
+    w = (1, 1, 1)
     # disagreeing on gender zeroes everything else out
     assert state_similarity((0, 1, 2), (1, 1, 2), w, toy_table) == 0
 
 
 def test_state_similarity_is_symmetric_and_exact(toy_table):
-    w = SimilarityWeights(values=(Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)))
+    w = (1, 2, 4)
     a, b = (0, 0, 2), (0, 1, 0)
     left = state_similarity(a, b, w, toy_table)
     right = state_similarity(b, a, w, toy_table)
@@ -92,7 +113,7 @@ def test_state_similarity_is_symmetric_and_exact(toy_table):
 
 def test_state_similarity_weight_count_mismatch(toy_table):
     with pytest.raises(ModelError, match="3 features"):
-        state_similarity((0, 0, 0), (0, 0, 0), SimilarityWeights.uniform(2), toy_table)
+        state_similarity((0, 0, 0), (0, 0, 0), (1, 1), toy_table)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +121,7 @@ def test_state_similarity_weight_count_mismatch(toy_table):
 
 
 def test_k_nearest_ranking(toy_db, toy_table):
-    w = SimilarityWeights.uniform(3)
+    w = (1, 1, 1)
     out = k_nearest((0, 0, 1), toy_db, 3, w, toy_table)
     states = [cand for cand, _, _ in out]
     sims = [sim for _, _, sim in out]
@@ -111,7 +132,7 @@ def test_k_nearest_ranking(toy_db, toy_table):
 
 
 def test_k_nearest_excludes_other_gender(toy_db, toy_table):
-    w = SimilarityWeights.uniform(3)
+    w = (1, 1, 1)
     out = k_nearest((0, 0, 1), toy_db, 100, w, toy_table)
     assert len(out) == 6, "only the six same-gender states can score above zero"
     assert all(cand[0] == 0 for cand, _, _ in out)
@@ -125,17 +146,17 @@ def test_k_nearest_excludes_entries_without_goal(toy_db, toy_table, toy_params):
         initial=(0, 0, 2), goal=None, cost=None, expansions=1, status=NO_GOAL
     )
     db = GoalDatabase(fingerprint=toy_db.fingerprint, params=toy_params, entries=entries)
-    out = k_nearest((0, 0, 1), db, 3, SimilarityWeights.uniform(3), toy_table)
+    out = k_nearest((0, 0, 1), db, 3, (1, 1, 1), toy_table)
     assert [cand for cand, _, _ in out] == [(0, 0, 1), (0, 0, 0), (0, 1, 1)]
 
 
 def test_k_nearest_k_validation(toy_db, toy_table):
     with pytest.raises(ModelError, match="k must be"):
-        k_nearest((0, 0, 1), toy_db, 0, SimilarityWeights.uniform(3), toy_table)
+        k_nearest((0, 0, 1), toy_db, 0, (1, 1, 1), toy_table)
 
 
 def test_k_nearest_handles_small_db(toy_db, toy_table):
-    w = SimilarityWeights.uniform(3)
+    w = (1, 1, 1)
     out = k_nearest((1, 0, 0), toy_db, 50, w, toy_table)
     assert 0 < len(out) <= 6
     sims = [sim for _, _, sim in out]
@@ -162,8 +183,8 @@ def test_k_nearest_equals_a_sort_on_state_similarity():
         ),
         thresholds=((), (), (1.0, 2.0, 3.0), (5.0,), (), (0.5, 1.5)),
     )
-    weights = SimilarityWeights(values=(Fraction(1, 3), Fraction(2, 7), Fraction(0),
-                                        Fraction(1, 5), Fraction(1, 2), Fraction(3, 11)))
+    # 1/3, 2/7, 0, 1/5, 1/2 and 3/11, scaled by their lcm 2310
+    weights = (770, 660, 0, 462, 1155, 630)
     cells = list(enumerate_states(table))
     entries = {}
     for i, c in enumerate(cells):
@@ -186,8 +207,10 @@ def test_k_nearest_equals_a_sort_on_state_similarity():
         assert got == ref
         assert all(type(sim) is Fraction for _, _, sim in got)
         assert k_nearest(s, db, 3, weights, table) == ref[:3]
+        # scaling every weight moves neither the ranking nor a similarity
+        assert k_nearest(s, db, len(cells), tuple(3 * w for w in weights), table) == got
     with pytest.raises(ModelError, match="6 features"):
-        k_nearest(cells[0], db, 3, SimilarityWeights.uniform(5), table)
+        k_nearest(cells[0], db, 3, (1,) * 5, table)
     # a stored state off the grid is rejected, not scored
     from rfplan.discretize import StateError
 
