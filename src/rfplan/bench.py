@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
 from .encoder import plan_actions
-from .forest import RandomForest, check_count
+from .forest import RandomForest, check_count, parse_int
 from .maxsat import check_timeout
 from .offline import SearchParams, preprocess
 from .sas_core import ActionLibrary
@@ -273,8 +273,8 @@ def parse_fractions(text: str) -> tuple[int, ...]:
                 f"ellipsis needs two leading values and one trailing value: {text!r}"
             )
         try:
-            head = [int(p) for p in parts[:i]]
-            last = int(parts[-1])
+            head = [parse_int(p) for p in parts[:i]]
+            last = parse_int(parts[-1])
         except ValueError:
             raise BenchError(f"fractions must be integers: {text!r}") from None
         step = head[1] - head[0]
@@ -290,7 +290,7 @@ def parse_fractions(text: str) -> tuple[int, ...]:
             raise BenchError(f"{last} is not reached by step {step}: {text!r}")
     else:
         try:
-            values = [int(p) for p in parts]
+            values = [parse_int(p) for p in parts]
         except ValueError:
             raise BenchError(f"fractions must be integers: {text!r}") from None
     for v in values:

@@ -7,6 +7,9 @@ Every planning command is set up the same way:
   as --config, else the flag's default.  Each key's value is checked when
   it is read, flag and config value alike, by the library's one rule for
   it, and a fault names where the value came from (`--k`, `<path>: K`).
+- Every number in a flag's text is plain ASCII decimal, read by the
+  library's one rule (``forest.parse_int``, ``forest.parse_number``), and
+  a fault names the flag.
 - One loader reads the model and builds its partition table and action
   catalog: the --actions spec, or the default catalog costed by
   --cost-seed and --beta-range.
@@ -60,6 +63,8 @@ from .forest import (
     check_count,
     check_record,
     fingerprint,
+    parse_int,
+    parse_number,
     read_json,
     restore,
     persist,
@@ -130,12 +135,21 @@ def _beta_range(name, v):
     return tuple(v)
 
 
-def _auto_or_float(text):
-    return text if text == AUTO else float(text)
+def _text(name: str, read):
+    """The click type of a flag whose text ``read`` turns into its value; a
+    ValueError from ``read`` becomes a fault that names the flag."""
+    def convert(value):
+        return read(value) if isinstance(value, str) else value  # a default is a value
+
+    text_type = click.types.FuncParamType(convert)
+    text_type.name = name  # --help shows it as the metavar
+    return text_type
 
 
-def _int_pair(text):
-    return [int(p) for p in text.split(",")]
+_INT = _text("integer", parse_int)
+_FLOAT = _text("float", parse_number)
+_AUTO_OR_FLOAT = _text("auto|float", lambda text: text if text == AUTO else parse_number(text))
+_INT_PAIR = _text("low,high", lambda text: [parse_int(p.strip()) for p in text.split(",")])
 
 
 def _count(low):
@@ -145,14 +159,14 @@ def _count(low):
 # key: (flag, how click reads the flag's text, the library's rule for the
 # value, default); the rule takes the value's origin, as in `--k` or `c.json: K`
 _KEYS = {
-    "z": ("--z", float, functools.partial(check_z, error=CliError), 0.5),
-    "alpha": ("--alpha", _auto_or_float, functools.partial(check_alpha, error=CliError), AUTO),
-    "delta": ("--delta", int, _count(1), 10_000_000),
-    "K": ("--k", int, _count(1), 3),
-    "L_max": ("--l-max", int, _count(1), 8),
-    "cost_seed": ("--cost-seed", int, _count(0), 0),
-    "beta_range": ("--beta-range", _int_pair, _beta_range, "1,100"),
-    "workers": ("--workers", int, _count(1), 1),
+    "z": ("--z", _FLOAT, functools.partial(check_z, error=CliError), 0.5),
+    "alpha": ("--alpha", _AUTO_OR_FLOAT, functools.partial(check_alpha, error=CliError), AUTO),
+    "delta": ("--delta", _INT, _count(1), 10_000_000),
+    "K": ("--k", _INT, _count(1), 3),
+    "L_max": ("--l-max", _INT, _count(1), 8),
+    "cost_seed": ("--cost-seed", _INT, _count(0), 0),
+    "beta_range": ("--beta-range", _INT_PAIR, _beta_range, "1,100"),
+    "workers": ("--workers", _INT, _count(1), 1),
 }
 
 
@@ -233,7 +247,7 @@ _model_option = click.option("--model", "model_path", required=True, type=click.
 
 def _timeout_option(help: str):
     """--timeout, checked by the library's one rule for a time limit."""
-    return click.option("--timeout", type=float, default=None, help=help,
+    return click.option("--timeout", type=_FLOAT, default=None, help=help,
                         callback=lambda ctx, param, v: check_timeout("--timeout", v, CliError))
 
 
@@ -258,12 +272,12 @@ def _search_options(data_help: str):
         _key_option("z", help="Vote share that counts as reached."),
         _key_option("alpha", help="Heuristic scale, 'auto' or a number."),
         _key_option("delta", help="Patience: extra expansions after the last improvement."),
-        click.option("--node-budget", type=int, default=5_000_000, show_default=True),
+        click.option("--node-budget", type=_INT, default=5_000_000, show_default=True),
         click.option("--data", "data_path", type=click.Path(), default=None, help=data_help),
         click.option("--schema", "schema_path", type=click.Path(), default=None),
         click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv",
                      show_default=True),
-        click.option("--state-cap", type=int, default=250_000, show_default=True),
+        click.option("--state-cap", type=_INT, default=250_000, show_default=True),
         _key_option("workers", help=_WORKERS_HELP),
     )
 
@@ -310,7 +324,7 @@ def _resolve_class(forest, token: str):
     for c in forest.classes:
         if str(c) == token:
             return c
-    for cast in (int, float):
+    for cast in (parse_int, parse_number):
         try:
             v = cast(token)
         except ValueError:
@@ -334,7 +348,7 @@ def _parse_vector(text, features):
 def _parse_state(text, table):
     tokens = [t.strip() for t in text.split(",")]
     try:
-        s = tuple(int(t) for t in tokens)
+        s = tuple(parse_int(t) for t in tokens)
     except ValueError:
         raise CliError(f"--state must be comma-separated integers, got {text!r}") from None
     return check_state(table, s)
@@ -435,14 +449,14 @@ def _exit_for_result(ctx, res, failure: str) -> None:
 @click.option("--schema", "schema_path", required=True, type=click.Path(), help="JSON schema file.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "libsvm"]), default="csv", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Where to write the model.")
-@click.option("--trees", type=int, default=100, show_default=True)
-@click.option("--max-depth", type=int, default=64, show_default=True)
-@click.option("--min-leaf", type=int, default=1, show_default=True)
-@click.option("--mtry", type=int, default=None, help="Features tried per split (default sqrt).")
-@click.option("--sample-size", type=int, default=None, help="Bootstrap sample size (default n).")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--test-fraction", type=float, default=None, help="Hold out a test split and report accuracy.")
-@click.option("--split-seed", type=int, default=0, show_default=True)
+@click.option("--trees", type=_INT, default=100, show_default=True)
+@click.option("--max-depth", type=_INT, default=64, show_default=True)
+@click.option("--min-leaf", type=_INT, default=1, show_default=True)
+@click.option("--mtry", type=_INT, default=None, help="Features tried per split (default sqrt).")
+@click.option("--sample-size", type=_INT, default=None, help="Bootstrap sample size (default n).")
+@click.option("--seed", type=_INT, default=0, show_default=True)
+@click.option("--test-fraction", type=_FLOAT, default=None, help="Hold out a test split and report accuracy.")
+@click.option("--split-seed", type=_INT, default=0, show_default=True)
 def train(data_path, schema_path, fmt, out_path, trees, max_depth, min_leaf, mtry,
           sample_size, seed, test_fraction, split_seed):
     """Fit a random forest on a dataset and save it as JSON."""
@@ -606,7 +620,7 @@ def greedy(ctx, model_path, x_text, state_text, target_text, z, rule,
 @_state_options
 @click.option("--target", "target_text", required=True)
 @_key_option("z")
-@click.option("--cap", type=int, default=1_000_000, show_default=True,
+@click.option("--cap", type=_INT, default=1_000_000, show_default=True,
               help="Expansion limit before giving up.")
 @_catalog_options
 @click.option("--json", "as_json", is_flag=True)
@@ -635,7 +649,7 @@ def oracle(ctx, model_path, x_text, state_text, target_text, z, cap, actions_pat
 @_model_option
 @click.option("--db", "db_path", required=True, type=click.Path())
 @_state_options
-@click.option("--makespan", "-L", type=int, required=True, help="Number of parallel steps.")
+@click.option("--makespan", "-L", type=_INT, required=True, help="Number of parallel steps.")
 @_key_option("K")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--map", "map_path", type=click.Path(), default=None,
@@ -695,23 +709,23 @@ def _render_bench(report) -> None:
 @_key_option("K")
 @_key_option("L_max", default=4)
 @click.option("--sweep-makespan", is_flag=True, help="Planner tries every makespan per instance.")
-@click.option("--instances", "n_instances", type=int, default=100, show_default=True)
+@click.option("--instances", "n_instances", type=_INT, default=100, show_default=True)
 @_timeout_option("Per-instance planner budget.")
-@click.option("--sample-seed", type=int, default=0, show_default=True)
-@click.option("--oracle-cap", type=int, default=2_000_000, show_default=True)
-@click.option("--sweep", "sweep_text", default="100", show_default=True,
+@click.option("--sample-seed", type=_INT, default=0, show_default=True)
+@click.option("--oracle-cap", type=_INT, default=2_000_000, show_default=True)
+@click.option("--sweep", "fractions", type=_text("fractions", parse_fractions), default="100",
+              show_default=True,
               help="Preprocessing fractions, e.g. 'r=10,20,...,100'.")
 @click.option("--json-out", "json_path", type=click.Path(), default=None,
               help="Also write instance and summary records as JSON lines.")
 @_options(*_COST_OPTIONS)
 def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, delta,
               node_budget, k, l_max, sweep_makespan, n_instances, timeout, cost_seed,
-              beta_range, sample_seed, state_cap, oracle_cap, workers, sweep_text,
+              beta_range, sample_seed, state_cap, oracle_cap, workers, fractions,
               json_path, config_path):
     """Compare the planner against the baselines on many instances."""
     forest, table, library = _catalog(model_path, None, cost_seed, beta_range)
     params = _search_params(forest, target_text, z, alpha, delta, node_budget)
-    fractions = parse_fractions(sweep_text)
     settings = BenchSettings(
         params=params,
         k=k,

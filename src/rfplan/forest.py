@@ -41,9 +41,11 @@ HARD = "hard"
 
 FORMAT_VERSION = 1
 
-# what FeatureMeta.parse reads as a number: no '_' separators, no non-ASCII digits
+# plain ASCII decimal, as parse_number and parse_int read it: no '_' separators,
+# no non-ASCII digits, no surrounding spaces
 _NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
                      re.ASCII | re.IGNORECASE)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 Label = Any
 LABEL = (str, float)  # the types of a class label: a string or a number
@@ -53,6 +55,26 @@ Vector = Sequence[FeatureValue]
 
 class ModelError(ValueError):
     """Malformed model structure, file, or input vector."""
+
+
+def parse_number(token: str) -> float:
+    """The float that ``token`` writes in plain ASCII decimal, with an
+    optional exponent; else ValueError ``'<token>' is not a number``.
+    ``nan`` and ``inf`` read as numbers, so that the caller's range rule
+    rejects them.  Python's ``float`` also reads '_' separators, non-ASCII
+    digits and surrounding spaces; raw feature values and every number in
+    the command line's text are read here or by ``parse_int``."""
+    if not _NUMBER.fullmatch(token):
+        raise ValueError(f"{token!r} is not a number")
+    return float(token)
+
+
+def parse_int(token: str) -> int:
+    """The int that ``token`` writes as an optional sign and ASCII digits;
+    else ValueError ``'<token>' is not an integer``."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
 
 
 def check_count(name: str, n: Any, low: int, error: type[Exception]) -> int:
@@ -208,13 +230,13 @@ class FeatureMeta:
 
     def parse(self, token: str) -> FeatureValue:
         """The checked value that the text ``token`` names: a float for a
-        numerical feature, else the category itself.  A number is written
-        in plain ASCII decimal, with an optional exponent; ``nan`` and
-        ``inf`` read as numbers, so that ``check`` rejects them as not finite."""
+        numerical feature, else the category itself.  A number is read by
+        ``parse_number``, so ``check`` rejects ``nan`` and ``inf`` as not finite."""
         if self.kind == NUMERICAL:
-            if not _NUMBER.fullmatch(token):
-                raise ModelError(f"feature {self.name!r}: {token!r} is not a number")
-            token = float(token)
+            try:
+                token = parse_number(token)
+            except ValueError as exc:
+                raise ModelError(f"feature {self.name!r}: {exc}") from None
         return self.check(token)
 
     @property

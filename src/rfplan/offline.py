@@ -6,12 +6,17 @@ threshold z.  Its heuristic is alpha * (z - p), which need not be
 consistent (the default alpha is the mean action cost), so the search
 keeps one cost label per state and puts an already expanded state back
 on the frontier whenever a cheaper route reaches it.  Goal states are
-recorded but never expanded.  The search stops when the frontier empties,
-which proves the stored cost optimal for every alpha (or, with no goal
-found, proves none reachable: ``no_goal``); when ``patience`` expansions
-have passed without a cheaper goal; or when ``node_budget`` expansions are
-done.  A search cut off by either cap keeps its stop status, with or
-without a goal.  Re-expansions count as expansions.
+recorded but never expanded, and a goal reached at a cost no lower than
+the best goal's is not queued.  A goal is recorded only when it pops
+cheaper than the best, the best cost only falls, and a goal's pop expands
+and counts nothing, so this skip changes no entry, expansion count or stop
+status.  Non-goal states are queued whatever their cost.  The search
+stops when the frontier empties, which proves the stored cost optimal for
+every alpha (or, with no goal found, proves none reachable: ``no_goal``);
+when ``patience`` expansions have passed without a cheaper goal; or when
+``node_budget`` expansions are done.  A search cut off by either cap keeps
+its stop status, with or without a goal.  Re-expansions count as
+expansions.
 
 The search works on integer state ranks: a state's row-major rank in the
 partition grid (``PartitionTable.strides``).  Rank order is the tuples'
@@ -243,6 +248,14 @@ def find_preferred_goal(
     same library, whose evaluator reads ``forest``, ``table`` and the
     target of ``params``; without one, the search builds its own.  Search
     entries are keyed by rank.
+
+    A goal successor whose cost reaches the best goal's is not pushed, and
+    its cost label and parent link are not written.  It could never be
+    recorded, and any later route to it that its label would have blocked
+    costs at least as much and is skipped too.  Keys ``(f, g, rank)`` are
+    unique, so every other entry pops in the same order, and the entry, its
+    expansions and its witness path are those of a search that queues
+    every goal.
     """
     s_init = check_state(table, s_init)
     if successors is None:
@@ -302,9 +315,11 @@ def find_preferred_goal(
         for action, r2, w in zip(*row(r)):
             g2 = g + w
             if g2 < g_of(r2, inf):
+                p2 = share[r2]
+                if p2 >= z and g2 >= best_cost:
+                    continue  # a goal no cheaper than the best one is never recorded
                 best_g[r2] = g2
                 parent[r2] = (r, action)
-                p2 = share[r2]
                 # heuristic(p2, z, alpha), inlined
                 push(heap, (g2 + (alpha * (z - p2) if p2 < z else 0.0), g2, r2))
 

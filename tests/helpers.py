@@ -7,6 +7,8 @@ results are cross-checked against exhaustive enumeration.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rfplan.discretize import build_partitions, check_state
+from rfplan.discretize import StateEvaluator, build_partitions, check_state, enumerate_states
 from rfplan.encoder import SasProblem
 from rfplan.forest import (
     CATEGORICAL,
@@ -149,6 +151,41 @@ def random_weighted_forest(seed):
     return forest, build_partitions(forest)
 
 
+def random_action_spec(rng, table, n_actions):
+    """A JSON action catalog over ``table``, as ``load_action_spec`` reads it:
+    ``n_actions`` actions of one to three features each, with integer costs
+    in 1..9.
+
+    Each action writes one soft feature, by a regular ``from -> to`` move or
+    a mechanical ``* -> to`` write, and may add transitions on up to two
+    other features: regular, mechanical or prevailing (``from == to``) on a
+    soft feature, prevailing only on a hard one.  Features are named and
+    cells given as indices.  With no soft feature of two or more cells the
+    catalog is empty.
+    """
+    def transition(i, kinds):
+        kind, n = rng.choice(kinds), table.sizes[i]
+        frm = rng.randrange(n)
+        to = {"regular": (frm + rng.randrange(1, n)) % n if n > 1 else frm,
+              "mechanical": rng.randrange(n), "prevailing": frm}[kind]
+        return {"feature": table.features[i].name,
+                "from": "*" if kind == "mechanical" else frm, "to": to}
+
+    m = len(table.features)
+    writable = [i for i in range(m) if table.features[i].is_soft and table.sizes[i] > 1]
+    actions = []
+    for j in range(n_actions if writable else 0):
+        writer = rng.choice(writable)
+        others = rng.sample([i for i in range(m) if i != writer], rng.randint(0, min(2, m - 1)))
+        transitions = [transition(writer, ("regular", "mechanical"))] + [
+            transition(i, ("regular", "mechanical", "prevailing")
+                       if table.features[i].is_soft else ("prevailing",))
+            for i in others
+        ]
+        actions.append({"id": f"a{j}", "cost": rng.randint(1, 9), "transitions": transitions})
+    return json.dumps(actions, indent=1)
+
+
 def random_state(rng, table):
     return tuple(rng.randrange(n) for n in table.sizes)
 
@@ -177,6 +214,25 @@ def baseline_model():
     table = build_partitions(forest)
     cost = CostModel.random(4, np.random.default_rng(1), 1, 100)
     return forest, table, default_action_library(table, cost)
+
+
+def baseline_search_sample(forest, table, params):
+    """The 40 non-goal states of ``params``' target and z that
+    ``random.Random(0)`` draws from the grid, in draw order."""
+    evaluator = StateEvaluator(forest, table, params.target)
+    nongoal = [s for s in enumerate_states(table) if evaluator.proba(s) < params.z]
+    return random.Random(0).sample(nongoal, 40)
+
+
+def entries_digest(db):
+    """16 hex digits of sha256 over each entry's (start, goal, cost, status,
+    expansions, witness action ids), in start order."""
+    records = [
+        [list(s), list(e.goal) if e.found else None, e.cost, e.status, e.expansions,
+         [a.id for a in e.path or ()]]
+        for s, e in sorted(db.entries.items())
+    ]
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

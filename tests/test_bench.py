@@ -43,6 +43,9 @@ def test_parse_fractions(text, fractions):
         ("50,101", "must be in 1..100, got 101"),
         ("10,20,...,110", "must be in 1..100, got 110"),
         ("50,20,50", "duplicate fractions"),
+        # int() reads '_' separators and non-ASCII digits; a fraction is plain ASCII decimal
+        ("1_0,\u0665\u0660", "must be integers"),
+        ("10,20,...,1_00", "must be integers"),
     ],
 )
 def test_parse_fractions_rejects(text, needle):

@@ -1044,6 +1044,40 @@ def test_flag_and_config_follow_one_rule(ws, tmp_path, key, value, code):
             assert (str(cfg) if form[0] == "--config" else flag) in err, err
 
 
+# numbers in a flag's text: plain ASCII decimal, as in a raw feature value;
+# Python's int() and float() would read each of these
+
+
+@pytest.mark.parametrize("cmd, flag, text", [
+    ("plan", "--state", "\u0660,0,0"),
+    ("plan", "--state", "0_0,0,0"),
+    ("plan", "--k", "\u0661"),
+    ("plan", "--timeout", "\u0661.5"),
+    ("preprocess", "--delta", "\u0661_0"),
+    ("preprocess", "--z", "0_0.5"),
+    ("preprocess", "--node-budget", "1_000"),
+    ("greedy", "--beta-range", "1,\u0665"),
+    ("bench", "--sweep", "1_0,\u0665\u0660"),
+])
+def test_numbers_in_flag_text_are_ascii_decimal(ws, tmp_path, cmd, flag, text):
+    base = {
+        "plan": ["--db", ws["db"]],
+        "preprocess": ["--out", tmp_path / "db.jsonl", "--target", 1, "--quiet"],
+        "greedy": ["--target", 1],
+        "bench": ["--target", 1, "--instances", 1],
+    }[cmd]
+    state = [] if flag == "--state" or cmd in ("preprocess", "bench") else ["--state", "0,0,0"]
+    rv, out, err = run([cmd, "--model", ws["model"], *base, *state, flag, text])
+    assert rv == 3, err
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err, err
+    assert out == ""
+
+
+def test_target_class_in_text_is_ascii_decimal(ws):
+    rv, _, err = run(["greedy", "--model", ws["model"], "--state", "0,0,0", "--target", "\u0661"])
+    assert (rv, err) == (3, "error: unknown class '\u0661'; model classes: ['0', '1']\n")
+
+
 # file faults: one reader for every input file, one boundary for every fault
 
 

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import collections
 import concurrent.futures
-import hashlib
-import json
 import math
 import os
 import random
 
 import pytest
 
-from helpers import baseline_model, random_soft_forest
+from helpers import (
+    baseline_model, baseline_search_sample, entries_digest, random_action_spec,
+    random_soft_forest, random_weighted_forest,
+)
 from rfplan import offline
 from rfplan.baselines import oracle_plan
 from rfplan.discretize import StateError, StateEvaluator, enumerate_states
@@ -40,6 +42,7 @@ from rfplan.sas_core import (
     CostModel,
     Transition,
     default_action_library,
+    load_action_spec,
     neighbors,
     simulate_step,
 )
@@ -414,23 +417,46 @@ def test_successor_table_numbers_states_by_rank():
     assert all(r2 is ranks[r2] for r2 in succ)
 
 
-# the searches of 40 baseline non-goal states drawn by random.Random(0):
-# sha256 over (start, goal, cost, status, expansions, witness action ids)
+# the searches of the 40 baseline non-goal states that random.Random(0) draws
+# (baseline_search_sample), pinned by entries_digest: sha256 over (start,
+# goal, cost, status, expansions, witness action ids)
 SEARCH_PINS = {AUTO: "4deed489bfafa1ba", 0.0: "be6ee3493d6ba300"}
+# the same searches cut off by a cap: at alpha 0, patience 50 stops 10 of
+# them before their first goal and 30 after it; every other run below stops
+# after its first goal
+CAPPED_SEARCH_PINS = {
+    ("patience", 50, AUTO): "1d7b0fa4f042d918",
+    ("patience", 50, 0.0): "57f5f307d648ed10",
+    ("node_budget", 200, AUTO): "1b653d0539a04a88",
+    ("node_budget", 200, 0.0): "42181379c7329300",
+}
+
+
+def _baseline_sample_digest(params):
+    """The searches' pin digest and their entries, as one ``preprocess`` call."""
+    forest, table, library = baseline_model()
+    states = baseline_search_sample(forest, table, params)
+    db = preprocess(states, library, forest, table, params)
+    return entries_digest(db), db.entries.values()
 
 
 @pytest.mark.parametrize("alpha", [AUTO, 0.0])
 def test_search_entries_pinned_on_baseline(alpha):
-    forest, table, library = baseline_model()
-    params = SearchParams(target=1, z=0.5, alpha=alpha)
-    evaluator = StateEvaluator(forest, table, params.target)
-    nongoal = [s for s in enumerate_states(table) if evaluator.proba(s) < params.z]
-    db = preprocess(random.Random(0).sample(nongoal, 40), library, forest, table, params)
-    records = [
-        [list(s), list(e.goal), e.cost, e.status, e.expansions, [a.id for a in e.path]]
-        for s, e in sorted(db.entries.items())
-    ]
-    assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == SEARCH_PINS[alpha]
+    digest, _ = _baseline_sample_digest(SearchParams(target=1, z=0.5, alpha=alpha))
+    assert digest == SEARCH_PINS[alpha]
+
+
+@pytest.mark.parametrize("cap, limit, alpha", list(CAPPED_SEARCH_PINS))
+def test_capped_search_entries_pinned_on_baseline(cap, limit, alpha):
+    digest, entries = _baseline_sample_digest(
+        SearchParams(target=1, z=0.5, alpha=alpha, **{cap: limit}))
+    stops = collections.Counter((e.status, e.found) for e in entries)
+    status = PATIENCE_STOP if cap == "patience" else BUDGET_STOP
+    if (cap, alpha) == ("patience", 0.0):
+        assert stops == {(status, True): 30, (status, False): 10}
+    else:
+        assert stops == {(status, True): 40}
+    assert digest == CAPPED_SEARCH_PINS[cap, limit, alpha]
 
 
 def assert_same_as_lone_searches(db, library, forest, table, params):
@@ -477,6 +503,58 @@ def test_preprocess_matches_lone_searches_with_mechanical_actions(
     parallel = preprocess(states, library, toy_forest, toy_table, params, workers=2)
     assert parallel == serial
     assert all(parallel.entries[s].path == serial.entries[s].path for s in states)
+
+
+# ---------------------------------------------------------------------------
+# the paper's action model under the oracle: multi-feature actions with
+# prevailing conditions and mechanical writes, on worlds with a hard feature
+
+
+def _small_world(kind, seed, tmp_path):
+    """(forest, table, library, target) of one seeded world; its catalog is
+    written as JSON and read back through ``load_action_spec``."""
+    if kind == "soft":
+        forest, table = random_soft_forest(seed, hard_chance=1.0)
+        target = 1
+    else:
+        forest, table = random_weighted_forest(seed)
+        target = "hi"
+    rng = random.Random(seed)
+    spec = tmp_path / f"{kind}-{seed}.json"
+    spec.write_text(random_action_spec(rng, table, rng.randint(4, 10)), encoding="utf-8")
+    return forest, table, load_action_spec(spec, table), target
+
+
+@pytest.mark.parametrize("kind", ["soft", "weighted"])
+def test_exhausted_entries_match_the_oracle_with_multi_feature_actions(kind, tmp_path):
+    proved = multi = 0
+    for seed in range(30):
+        forest, table, library, target = _small_world(kind, seed, tmp_path)
+        states = list(enumerate_states(table))
+        base = SearchParams(target=target, z=0.5)
+        evaluator = StateEvaluator(forest, table, target)
+        oracle = {s: oracle_plan(s, library, forest, table, base, evaluator=evaluator)
+                  for s in states}
+        for alpha in (0.0, AUTO):
+            params = SearchParams(target=target, z=0.5, alpha=alpha)
+            db = preprocess(states, library, forest, table, params)
+            for s, e in db.entries.items():
+                where = (kind, seed, alpha, s)
+                assert e.status in (PROVED_EXHAUSTED, NO_GOAL), where
+                if e.status == NO_GOAL:
+                    assert not oracle[s].solved, where
+                    continue
+                assert e.cost == oracle[s].cost, where
+                state, spent = s, 0.0
+                for action in e.path:
+                    assert action.applicable(state), where
+                    state, spent = simulate_step(state, (action,)), spent + action.cost
+                assert (state, spent) == (e.goal, e.cost), where
+                assert evaluator.proba(e.goal) >= params.z, where
+                proved += e.cost > 0
+                multi += any(len(a.transitions) > 1 for a in e.path)
+    # the worlds are not vacuous: many entries need a plan, some a multi-feature action
+    assert proved >= 100 and multi >= 20, (proved, multi)
 
 
 # ---------------------------------------------------------------------------
