@@ -331,9 +331,8 @@ def _resolve_class(forest, token: str):
             continue
         if v in forest.classes:
             return v
-    raise CliError(
-        f"unknown class {token!r}; model classes: {[str(c) for c in forest.classes]}"
-    )
+    classes = [str(c) for c in forest.classes]
+    raise CliError(f"--target must be one of the model's classes {classes}, got {token!r}")
 
 
 def _parse_vector(text, features):

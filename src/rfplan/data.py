@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .forest import (
     NUMERICAL, FeatureMeta, Label, ModelError, Vector, check_label, check_record, class_order,
-    read_json, read_text,
+    parse_int, parse_number, read_json, read_text,
 )
 
 
@@ -49,18 +49,19 @@ class Dataset:
 
 
 def _coerce_label(token: str, where: str):
-    """Labels: int when possible, then float, else the raw string.
+    """Labels: an int when ``parse_int`` reads one, then a float when
+    ``parse_number`` does, else the raw string.
 
     A token that parses to a non-finite float (``nan``, ``inf``) is
     rejected: nan equals no label, not even itself, so each such row would
     become its own class.
     """
     try:
-        return int(token)
+        return parse_int(token)
     except ValueError:
         pass
     try:
-        value = float(token)
+        value = parse_number(token)
     except ValueError:
         return token
     if not math.isfinite(value):
@@ -176,7 +177,7 @@ def _ingest_libsvm(path, schema: Schema) -> Dataset:
                 raise DataError(f"{path}:{lineno}: expected index:value, got {part!r}")
             idx_s, val_s = part.split(":", 1)
             try:
-                idx = int(idx_s)
+                idx = parse_int(idx_s)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad feature index {idx_s!r}") from None
             if not 1 <= idx <= m:

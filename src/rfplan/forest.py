@@ -466,19 +466,17 @@ def _grow(
     for j in tried:
         col = cols[j][idx]
         if features[j].is_numerical:
-            order = np.argsort(col, kind="stable")
-            sv = col[order]
-            # a threshold can fall only where the sorted values change
-            ln = np.flatnonzero(sv[1:] != sv[:-1]) + 1
-            onehot = np.zeros((n, n_classes), dtype=np.int64)
-            onehot[np.arange(n), yi[order]] = 1
-            lc = np.cumsum(onehot, axis=0)[ln - 1]
+            # one candidate per distinct value but the largest: that value
+            # and every smaller one left, the rest right
+            sv, code = np.unique(col, return_inverse=True)
+            lc = np.bincount(code * n_classes + yi, minlength=len(sv) * n_classes)
+            lc = np.cumsum(lc.reshape(len(sv), n_classes), axis=0)[:-1]
         else:
             # one candidate per category code: that code left, every other right
             n_codes = len(features[j].categories)
             lc = np.bincount(col * n_classes + yi, minlength=n_codes * n_classes)
             lc = lc.reshape(n_codes, n_classes)
-            ln = lc.sum(axis=1)
+        ln = lc.sum(axis=1)
         cand = np.flatnonzero((ln >= params.min_leaf) & (ln <= n - params.min_leaf))
         if not len(cand):
             continue
@@ -488,7 +486,7 @@ def _grow(
         if gain > 1e-12 and (best is None or gain > best[0]):
             c = int(cand[k])
             if features[j].is_numerical:
-                th = (float(sv[ln[c] - 1]) + float(sv[ln[c]])) / 2.0
+                th = (float(sv[c]) + float(sv[c + 1])) / 2.0
                 best = (gain, int(j), NUMERICAL, th, col < th)
             else:
                 label = features[j].categories[c]

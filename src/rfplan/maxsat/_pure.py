@@ -17,14 +17,16 @@ in two implication lists, as in MiniSat (Eén & Sörensson, SAT 2003), and
 keeps no counters; a hard unit is an implication of slot 0, which stands
 for true and is the first literal queued.  A soft unit, the only soft
 clause the encoder makes, is a weight on the literal that falsifies it.
-Every other clause keeps counters of its true and not yet false literals.
+Every other clause keeps one counter, of its literals not yet read as
+false: at 0 none is true, and at 1 the last is queued only if unassigned.
 
 One loop assigns and propagates, with no call per literal.  A literal's
 value is set when it is queued; its lists are read, and its clauses'
 counters updated, when the queue reaches it.  On a conflict the queued
-literals not yet reached are unassigned and dropped, so undoing the
-trail undoes exactly the counter updates.  Each decision's stack frame
-keeps the cost before it, which backtracking restores.
+literals not yet reached are unassigned and dropped, so every literal
+left on the trail has been read, and undoing it undoes exactly the
+counter updates.  Each decision's stack frame keeps the cost before it,
+which backtracking restores.
 
 The lists are only read here: for an extended instance most of them are
 the kept prefix's own, shared by every solve over that prefix.  The
@@ -59,7 +61,6 @@ def solve_compiled(nv, order, polarity, cost, imp, lw, clauses, weights, occ, nf
 
     # lval[li] is literal li's value (-1 unassigned, 0 false, 1 true); the
     # lists of trail[:qhead] have been read and trail[qhead:] is the queue
-    nsat = [0] * len(clauses)
     lval = [-1] * (2 * nv + 1)
     trail = [0]
     qhead = 0
@@ -91,12 +92,10 @@ def solve_compiled(nv, order, polarity, cost, imp, lw, clauses, weights, occ, nf
                 break  # li's counters are untouched: it is dropped with the queue
             qhead += 1
             cost += lw[li]
-            for c in occ[li]:
-                nsat[c] += 1
             for c in occ[-li]:
                 f = nfree[c] - 1
                 nfree[c] = f
-                if f > 1 or nsat[c]:
+                if f > 1:
                     continue
                 w = weights[c]
                 if f == 0:
@@ -106,8 +105,8 @@ def solve_compiled(nv, order, polarity, cost, imp, lw, clauses, weights, occ, nf
                     else:
                         cost += w
                 elif w < 0 and ok:
-                    # one literal is not yet false: queue it unless it is
-                    # already queued true or queued false
+                    # one literal is not yet read as false: queue it unless
+                    # it is already true or queued false
                     for u in clauses[c]:
                         if lval[u] < 0:
                             lval[u] = 1
@@ -154,13 +153,11 @@ def solve_compiled(nv, order, polarity, cost, imp, lw, clauses, weights, occ, nf
         while stack:
             frame = stack[-1]
             mark = frame[3]
-            while len(trail) > mark:
-                li = trail.pop()
-                for c in occ[li]:
-                    nsat[c] -= 1
+            for li in trail[mark:]:
                 for c in occ[-li]:
                     nfree[c] += 1
                 lval[li] = lval[-li] = -1
+            del trail[mark:]
             qhead = mark
             cost = frame[5]
             if frame[2] == 1:

@@ -254,8 +254,9 @@ def compile_instance(instance: WcnfInstance):
     - cost is the weight of the empty soft clauses, infinite if a hard
       clause is empty;
     - every other clause c is a counter clause: clauses[c] holds its
-      literals, weights[c] its weight (-1 for hard), nfree[c] its length,
-      and occ[li] lists the counter clauses with literal li.
+      literals, weights[c] its weight (-1 for hard), and nfree[c] its
+      length, the start of the one counter the kernel keeps per clause;
+      occ[li] lists the counter clauses with literal li.
 
     Every instance is compiled as its kept prefix (itself, unless
     ``WcnfInstance.extend`` made it) plus the clauses added to it.  The

@@ -1075,7 +1075,8 @@ def test_numbers_in_flag_text_are_ascii_decimal(ws, tmp_path, cmd, flag, text):
 
 def test_target_class_in_text_is_ascii_decimal(ws):
     rv, _, err = run(["greedy", "--model", ws["model"], "--state", "0,0,0", "--target", "\u0661"])
-    assert (rv, err) == (3, "error: unknown class '\u0661'; model classes: ['0', '1']\n")
+    assert (rv, err) == (
+        3, "error: --target must be one of the model's classes ['0', '1'], got '\u0661'\n")
 
 
 # file faults: one reader for every input file, one boundary for every fault

@@ -172,10 +172,11 @@ def test_declared_classes_checked(tmp_path):
 
 
 def test_label_coercion(tmp_path):
-    path = _write(tmp_path, "a,b,y\n1,2,no\n3,4,1.5\n5,6,2\n")
+    # numbers are ASCII decimal: Python's int() would read the last two as 1 and 10
+    path = _write(tmp_path, "a,b,y\n1,2,no\n3,4,1.5\n5,6,2\n7,8,\u0661\n9,0,1_0\n")
     ds = ingest(path, "csv", NUM2)
-    assert ds.labels == ("no", 1.5, 2)
-    assert ds.classes == (1.5, 2, "no"), "mixed labels sort by string"
+    assert ds.labels == ("no", 1.5, 2, "\u0661", "1_0")
+    assert ds.classes == (1.5, "1_0", 2, "no", "\u0661"), "mixed labels sort by string"
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +207,7 @@ def test_libsvm_rejects_categorical(demo_schema):
         ("+1 0:1.0\n", "outside"),
         ("# nothing\n", "no data rows"),
         ("+1 x:1\n", r":1: bad feature index 'x'"),
+        ("1 \u0661:5 2:3\n", r":1: bad feature index '\u0661'"),
         ("+1 1:0.5\n-1 1:2.0 1:7.0\n", r":2: feature index 1 given twice"),
     ],
 )

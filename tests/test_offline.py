@@ -12,9 +12,10 @@ from helpers import (
     baseline_model, baseline_search_sample, entries_digest, random_action_spec,
     random_soft_forest, random_weighted_forest,
 )
-from rfplan import offline
+from rfplan import maxsat, offline
 from rfplan.baselines import oracle_plan
 from rfplan.discretize import StateError, StateEvaluator, enumerate_states
+from rfplan.encoder import SOLVED, plan_actions
 from rfplan.forest import fingerprint
 from rfplan.offline import (
     AUTO,
@@ -44,6 +45,7 @@ from rfplan.sas_core import (
     default_action_library,
     load_action_spec,
     neighbors,
+    simulate_plan,
     simulate_step,
 )
 
@@ -555,6 +557,43 @@ def test_exhausted_entries_match_the_oracle_with_multi_feature_actions(kind, tmp
                 multi += any(len(a.transitions) > 1 for a in e.path)
     # the worlds are not vacuous: many entries need a plan, some a multi-feature action
     assert proved >= 100 and multi >= 20, (proved, multi)
+
+
+@pytest.mark.parametrize("kind", ["soft", "weighted"])
+def test_sweep_plans_match_the_oracle_with_multi_feature_actions(kind, tmp_path):
+    """The online half: against the oracle-labelled database, a sweep up
+    to the oracle plan's length finds the oracle's cost."""
+    wide = []
+
+    def solver(instance, timeout):
+        wide.append(max(map(len, instance.hard), default=0) > 2)
+        return maxsat.solve(instance, timeout=timeout)
+
+    planned = multi = 0
+    for seed in range(30):
+        forest, table, library, target = _small_world(kind, seed, tmp_path)
+        params = SearchParams(target=target, z=0.5)
+        evaluator = StateEvaluator(forest, table, target)
+        oracle = {s: oracle_plan(s, library, forest, table, params, evaluator=evaluator)
+                  for s in enumerate_states(table)}
+        entries = {s: PreferredGoalEntry(initial=s, goal=res.plan.goal, cost=res.plan.cost,
+                                         expansions=res.expansions, status=PROVED_EXHAUSTED)
+                   for s, res in oracle.items() if res.solved}
+        db = GoalDatabase(fingerprint=fingerprint(forest), params=params, entries=entries)
+        starts = sorted(s for s, e in entries.items() if e.cost > 0)
+        for s in random.Random(seed).sample(starts, min(3, len(starts))):
+            where = (kind, seed, s)
+            out = plan_actions(forest, table, library, db, state=s,
+                               l_max=len(oracle[s].plan.steps), sweep=True, solver=solver)
+            assert out.status == SOLVED, where
+            assert out.plan.cost == oracle[s].cost, where
+            assert simulate_plan(s, out.plan.steps) == out.plan.goal, where
+            assert evaluator.proba(out.plan.goal) >= params.z, where
+            planned += 1
+            multi += any(len(a.transitions) > 1 for step in out.plan.steps for a in step)
+    # the worlds are not vacuous: many starts need a multi-feature action,
+    # and every solve has clauses wider than two literals
+    assert planned >= 60 and multi >= 20 and all(wide), (planned, multi)
 
 
 # ---------------------------------------------------------------------------
