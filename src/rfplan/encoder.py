@@ -435,8 +435,7 @@ def build_sas(
     near = k_nearest(s_init, db, k, tuple(weights), table)
     goals = sorted({entry.goal for _, entry, _ in near})
     if not goals:
-        entry = find_preferred_goal(s_init, library, forest, table, db.params,
-                                    successors=SuccessorTable(library, evaluator))
+        entry = find_preferred_goal(s_init, SuccessorTable(library, forest, table, db.params))
         if entry.found:
             goals = [entry.goal]
     if not goals:

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+from ..forest import check_count
+
 _INF = float("inf")
 
 OPTIMAL = "optimal"
@@ -80,8 +82,7 @@ class WcnfInstance:
         hard: Iterable[Sequence[int]] = (),
         soft: Iterable[tuple[int, Sequence[int]]] = (),
     ) -> "WcnfInstance":
-        if nvars < 0:
-            raise WcnfError(f"variable count must be >= 0, got {nvars}")
+        check_count("variable count", nvars, 0, WcnfError)
         nhard = _normalize_hard(hard, nvars)
         nsoft = []
         for i, (weight, lits) in enumerate(soft):
@@ -103,7 +104,7 @@ class WcnfInstance:
         compiles that prefix once and adds only the new clauses per solve.
         Equality, hashing, repr and pickling see only the fields.
         """
-        if nvars < self.nvars:
+        if check_count("variable count", nvars, 0, WcnfError) < self.nvars:
             raise WcnfError(f"cannot extend {self.nvars} variables to {nvars}")
         out = WcnfInstance(nvars=nvars, hard=_normalize_hard(hard, nvars) + self.hard,
                            soft=self.soft)

@@ -26,12 +26,13 @@ the entry's goal.
 
 ``preprocess`` searches its states in batches, one batch in process or
 one per worker process with ``workers > 1`` (at most one per usable
-CPU); each batch builds one evaluator and one state table
-(``SuccessorTable``) and searches its states in order.  The table maps
-ranks to states and target shares and holds one row per expanded state:
-its actions, successor ranks and action costs.  A state's row is built
-once per batch, however many searches expand it, and the table is freed
-with its batch.  A lone ``find_preferred_goal`` call is a batch of one.
+CPU); each batch builds one state table (``SuccessorTable``) and
+searches its states in order.  The table is the search's one view of the
+model: it holds the action library, the search parameters and an
+evaluator of the target's share, maps ranks to states and shares, and
+holds one row per expanded state: its actions, successor ranks and action
+costs.  A state's row is built once per batch, however many searches
+expand it, and the table is freed with its batch.
 
 Results are stored in a goal database keyed by start state and stamped
 with the model fingerprint so stale pairings are rejected.
@@ -183,7 +184,9 @@ class PreferredGoalEntry:
 
 
 class SuccessorTable:
-    """The state table shared by the searches of one ``preprocess`` batch.
+    """The state table shared by the searches of one ``preprocess`` batch:
+    the action library, the search parameters and an evaluator of the
+    target's share (``StateEvaluator(forest, table, params.target)``).
 
     A state is numbered by its row-major rank in the partition grid,
     ``Σ s[i]·strides[i]`` (``PartitionTable.strides``).  Rank order is the
@@ -200,16 +203,17 @@ class SuccessorTable:
       this search or another, reuse the row.
 
     The table grows by one row per state expanded through it and lives as
-    long as its batch.  A lone ``find_preferred_goal`` call is a batch of
-    one: it builds its own table, which is freed when the call returns.
+    long as its batch.
     """
 
-    def __init__(self, library: ActionLibrary, evaluator: StateEvaluator):
+    def __init__(self, library: ActionLibrary, forest: RandomForest, table: PartitionTable,
+                 params: SearchParams):
         self.library = library
-        self.evaluator = evaluator
+        self.params = params
+        self.evaluator = StateEvaluator(forest, table, params.target)
         self.state: dict[int, State] = {}
         self.share: dict[int, float] = {}
-        self._strides = evaluator.table.strides
+        self._strides = table.strides
         self._interned: dict[int, int] = {}
         self._rows: dict[int, tuple[tuple[Action, ...], tuple[int, ...], tuple[float, ...]]] = {}
 
@@ -234,20 +238,10 @@ class SuccessorTable:
         return row
 
 
-def find_preferred_goal(
-    s_init: State,
-    library: ActionLibrary,
-    forest: RandomForest,
-    table: PartitionTable,
-    params: SearchParams,
-    successors: SuccessorTable | None = None,
-) -> PreferredGoalEntry:
-    """Best-first anytime search from one start state.
-
-    ``successors`` is a state table shared with other searches over the
-    same library, whose evaluator reads ``forest``, ``table`` and the
-    target of ``params``; without one, the search builds its own.  Search
-    entries are keyed by rank.
+def find_preferred_goal(s_init: State, successors: SuccessorTable) -> PreferredGoalEntry:
+    """Best-first anytime search from one start state, on the library,
+    parameters and shares of ``successors``.  Search entries are keyed by
+    rank.
 
     A goal successor whose cost reaches the best goal's is not pushed, and
     its cost label and parent link are not written.  It could never be
@@ -257,16 +251,9 @@ def find_preferred_goal(
     expansions and its witness path are those of a search that queues
     every goal.
     """
-    s_init = check_state(table, s_init)
-    if successors is None:
-        successors = SuccessorTable(library, StateEvaluator(forest, table, params.target))
-    elif successors.library is not library:
-        raise SearchError("successor table was built for another action library")
-    else:
-        ev = successors.evaluator
-        if (ev.forest, ev.table, ev.target) != (forest, table, params.target):
-            raise SearchError("successor table reads shares of another forest, table or target")
-    alpha = resolve_alpha(params, library)
+    s_init = check_state(successors.evaluator.table, s_init)
+    params = successors.params
+    alpha = resolve_alpha(params, successors.library)
     z = params.z
     share = successors.share
     row = successors.row
@@ -351,14 +338,12 @@ def _search_batch(
     params: SearchParams,
     on_each: Callable[[int], None] | None = None,
 ) -> list[PreferredGoalEntry]:
-    """Search ``states`` in order, sharing one evaluator and one successor
-    table; ``on_each(done)`` runs after every state."""
-    successors = SuccessorTable(library, StateEvaluator(forest, table, params.target))
+    """Search ``states`` in order, sharing one state table; ``on_each(done)``
+    runs after every state."""
+    successors = SuccessorTable(library, forest, table, params)
     entries = []
     for s in states:
-        entries.append(
-            find_preferred_goal(s, library, forest, table, params, successors=successors)
-        )
+        entries.append(find_preferred_goal(s, successors))
         if on_each:
             on_each(len(entries))
     return entries
@@ -388,8 +373,8 @@ def preprocess(
     ``workers > 1`` the states are dealt into one batch per process, at
     most one per CPU this process may use and one per state, and
     ``on_progress`` runs as each batch's results arrive.  Results are
-    identical either way, and identical to lone ``find_preferred_goal``
-    calls.
+    identical either way, and identical to ``find_preferred_goal`` calls
+    that each have a table of their own.
     """
     check_count("workers", workers, 1, SearchError)
     todo = sorted(set(check_state(table, s) for s in states))
@@ -486,23 +471,3 @@ def check_pairing(db: GoalDatabase, forest: RandomForest) -> None:
             f"model {fp[:12]}..."
         )
 
-
-__all__ = [
-    "AUTO",
-    "PROVED_EXHAUSTED",
-    "PATIENCE_STOP",
-    "BUDGET_STOP",
-    "NO_GOAL",
-    "SearchError",
-    "SearchParams",
-    "PreferredGoalEntry",
-    "SuccessorTable",
-    "GoalDatabase",
-    "resolve_alpha",
-    "heuristic",
-    "find_preferred_goal",
-    "preprocess",
-    "db_persist",
-    "db_restore",
-    "check_pairing",
-]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .discretize import PartitionTable, State, cell
-from .forest import FeatureMeta, ModelError, check_record, read_json, read_text
+from .forest import FeatureMeta, ModelError, check_count, check_record, read_json, read_text
 
 WILDCARD = None  # the "from anywhere" marker of a mechanical transition
 
@@ -44,12 +44,10 @@ class Transition:
     to: int
 
     def __post_init__(self):
-        if self.var < 0:
-            raise ActionError(f"variable index must be >= 0, got {self.var}")
-        if self.to < 0:
-            raise ActionError(f"target value must be >= 0, got {self.to}")
-        if self.frm is not None and self.frm < 0:
-            raise ActionError(f"source value must be >= 0 or WILDCARD, got {self.frm}")
+        check_count("variable index", self.var, 0, ActionError)
+        check_count("target value", self.to, 0, ActionError)
+        if self.frm is not None:
+            check_count("source value", self.frm, 0, ActionError)
 
     @property
     def is_mechanical(self) -> bool:
@@ -97,6 +95,8 @@ class Action:
     def __post_init__(self):
         if not self.id:
             raise ActionError("action id must be non-empty")
+        if isinstance(self.cost, bool) or not isinstance(self.cost, (int, float)):
+            raise ActionError(f"action {self.id!r}: cost must be a number, got {self.cost!r}")
         if not 0 < self.cost < float("inf"):
             raise ActionError(f"action {self.id!r}: cost must be finite and > 0, got {self.cost}")
         ts = tuple(sorted(set(self.transitions), key=lambda t: t.sort_key))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from rfplan.baselines import oracle_plan
 from rfplan.discretize import StateEvaluator, build_partitions, check_state, enumerate_states
 from rfplan.encoder import SasProblem
 from rfplan.forest import (
@@ -30,9 +31,11 @@ from rfplan.forest import (
     RandomForest,
     Split,
     TrainParams,
+    fingerprint,
     train_forest,
 )
 from rfplan.maxsat.model import WcnfInstance
+from rfplan.offline import PROVED_EXHAUSTED, GoalDatabase, PreferredGoalEntry
 from rfplan.sas_core import (
     Action,
     ActionLibrary,
@@ -40,6 +43,7 @@ from rfplan.sas_core import (
     Transition,
     action_mutex,
     default_action_library,
+    load_action_spec,
     simulate_step,
 )
 
@@ -184,6 +188,39 @@ def random_action_spec(rng, table, n_actions):
         ]
         actions.append({"id": f"a{j}", "cost": rng.randint(1, 9), "transitions": transitions})
     return json.dumps(actions, indent=1)
+
+
+def small_world(kind, seed, tmp_path):
+    """One seeded world with the paper's action model: ``(forest, table,
+    library, target, spec path)``.
+
+    ``"soft"`` is a ``random_soft_forest`` with a hard feature and target 1,
+    ``"weighted"`` a ``random_weighted_forest`` with target ``"hi"``.  The
+    catalog is a ``random_action_spec`` written as JSON to ``tmp_path`` and
+    read back through ``load_action_spec``.
+    """
+    if kind == "soft":
+        forest, table = random_soft_forest(seed, hard_chance=1.0)
+        target = 1
+    else:
+        forest, table = random_weighted_forest(seed)
+        target = "hi"
+    rng = random.Random(seed)
+    spec = tmp_path / f"{kind}-{seed}.json"
+    spec.write_text(random_action_spec(rng, table, rng.randint(4, 10)), encoding="utf-8")
+    return forest, table, load_action_spec(spec, table), target, spec
+
+
+def oracle_database(forest, table, library, params):
+    """``(oracle, db)``: ``oracle_plan`` of every state, and a goal database
+    that stores each solved one as a ``proved_exhausted`` entry."""
+    evaluator = StateEvaluator(forest, table, params.target)
+    oracle = {s: oracle_plan(s, library, forest, table, params, evaluator=evaluator)
+              for s in enumerate_states(table)}
+    entries = {s: PreferredGoalEntry(initial=s, goal=res.plan.goal, cost=res.plan.cost,
+                                     expansions=res.expansions, status=PROVED_EXHAUSTED)
+               for s, res in oracle.items() if res.solved}
+    return oracle, GoalDatabase(fingerprint=fingerprint(forest), params=params, entries=entries)
 
 
 def random_state(rng, table):

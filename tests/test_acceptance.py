@@ -30,7 +30,7 @@ from rfplan.discretize import enumerate_states, to_state
 from rfplan.encoder import check_plan, decode, encode, plan_actions
 from rfplan.knn import k_nearest
 from rfplan.maxsat import HARD_UNSAT, OPTIMAL, solve
-from rfplan.offline import SearchParams, find_preferred_goal, preprocess
+from rfplan.offline import SearchParams, SuccessorTable, find_preferred_goal, preprocess
 from rfplan.sas_core import CostModel, default_action_library
 
 N_BENCH = 100
@@ -288,14 +288,14 @@ def test_anytime_patience_behavior():
             for delta in (1, 2, 5, 20, size):
                 params = SearchParams(target=1, z=0.5, alpha=0.0,
                                       patience=delta, node_budget=size + 1)
-                entry = find_preferred_goal(s, library, forest, table, params)
+                entry = find_preferred_goal(s, SuccessorTable(library, forest, table, params))
                 costs.append(entry.cost if entry.found else math.inf)
             for shorter, longer in zip(costs, costs[1:]):
                 assert longer <= shorter
 
             params = SearchParams(target=1, z=0.5, alpha=0.0,
                                   patience=size, node_budget=size + 1)
-            entry = find_preferred_goal(s, library, forest, table, params)
+            entry = find_preferred_goal(s, SuccessorTable(library, forest, table, params))
             orc = oracle_plan(s, library, forest, table, params, cap=size + 5)
             if math.isinf(orc.cost):
                 assert not entry.found

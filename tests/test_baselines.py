@@ -14,7 +14,7 @@ from rfplan.baselines import (
 )
 from rfplan.discretize import build_partitions, enumerate_states
 from rfplan.forest import FeatureMeta, Leaf, RandomForest, Split
-from rfplan.offline import SearchParams, find_preferred_goal
+from rfplan.offline import SearchParams, SuccessorTable, find_preferred_goal
 from rfplan.sas_core import (
     ActionError,
     ActionLibrary,
@@ -35,7 +35,8 @@ def test_greedy_fails_on_plateau(toy_forest, toy_table, unit_library, toy_params
     assert res.status == FAILED and not res.solved
     assert res.plan is None
     assert res.visited == ((0, 0, 0),)
-    exact = find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params)
+    successors = SuccessorTable(unit_library, toy_forest, toy_table, toy_params)
+    exact = find_preferred_goal((0, 0, 0), successors)
     assert exact.found and exact.cost == 3.0
 
 
@@ -135,7 +136,8 @@ def test_greedy_pays_for_its_shortsightedness(steep_setup):
 def test_oracle_matches_exhaustive_search(toy_forest, toy_table, unit_library, toy_params):
     for s in enumerate_states(toy_table):
         oracle = oracle_plan(s, unit_library, toy_forest, toy_table, toy_params)
-        exact = find_preferred_goal(s, unit_library, toy_forest, toy_table, toy_params)
+        exact = find_preferred_goal(
+            s, SuccessorTable(unit_library, toy_forest, toy_table, toy_params))
         assert oracle.solved == exact.found
         if oracle.solved:
             assert oracle.cost == exact.cost

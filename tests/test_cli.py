@@ -18,6 +18,7 @@ import time
 import pytest
 
 from conftest import DATA, FIXTURES
+from helpers import oracle_database, small_world
 from rfplan.baselines import greedy_plan, oracle_plan
 from rfplan.cli import _catalog, main
 from rfplan.data import DataError, Schema, ingest, load_schema
@@ -737,6 +738,34 @@ def test_external_solver_matches_internal_plan(ws, tmp_path):
         external = json.loads(out)
         assert external["status"] == "solved"
         assert external == internal
+
+
+@pytest.mark.parametrize("kind, seed", [("soft", 1), ("soft", 2), ("weighted", 0)])
+def test_plan_with_a_multi_feature_catalog_matches_the_library(kind, seed, tmp_path):
+    """The paper's action model end to end: `plan --actions --sweep` against
+    an oracle-labelled database answers as `plan_actions` does, and the stub
+    external solver gives the payload the internal kernel gives."""
+    forest, table, library, target, spec = small_world(kind, seed, tmp_path)
+    oracle, db = oracle_database(forest, table, library, SearchParams(target=target, z=0.5))
+    model, db_path = tmp_path / "model.json", tmp_path / "db.jsonl"
+    persist(forest, str(model))
+    db_persist(db, str(db_path))
+    # the start whose oracle plan is longest among those with a multi-feature action
+    s = max((len(oracle[s].plan.steps), s) for s in db.entries
+            if any(len(a.transitions) > 1 for step in oracle[s].plan.steps for a in step))[1]
+    l_max = len(oracle[s].plan.steps)
+    out = plan_actions(forest, table, library, db, state=s, l_max=l_max, sweep=True)
+    assert out.status == "solved" and out.plan.cost == oracle[s].cost
+    base = ["plan", "--model", model, "--db", db_path, "--actions", spec,
+            "--state", ",".join(map(str, s)), "--sweep", "--l-max", l_max, "--json"]
+    rv, stdout, _ = run(base)
+    assert rv == 0
+    internal = json.loads(stdout)
+    assert (internal["status"], internal["cost"], internal["steps"], internal["final"]) == (
+        out.status, out.plan.cost, out.plan.action_ids(), list(out.plan.goal))
+    rv, stdout, _ = run(base + ["--external-solver", _stub_command(tmp_path)])
+    assert rv == 0
+    assert json.loads(stdout) == internal
 
 
 def test_external_solver_agrees_on_goal_states_missing_from_db(ws, tmp_path):

@@ -56,6 +56,10 @@ def test_build_keeps_empty_hard_clause():
         (dict(nvars=2, soft=[(1.5, [1])]), "int"),
         (dict(nvars=2, soft=[(True, [1])]), "int"),
         (dict(nvars=2, hard=[["x"]]), "not an int"),
+        (dict(nvars=-1), "^variable count must be >= 0, got -1$"),
+        (dict(nvars=2.5, hard=[[1]]), "^variable count must be an int, got 2.5$"),
+        (dict(nvars=True, hard=[[1]]), "^variable count must be an int, got True$"),
+        (dict(nvars="2"), "^variable count must be an int, got '2'$"),
     ],
 )
 def test_build_rejects(kwargs, needle):
@@ -474,6 +478,9 @@ def test_extended_instance_is_the_plain_instance(tmp_path):
         base.extend(3, [[4]])
     with pytest.raises(WcnfError, match="cannot extend 3 variables to 2"):
         base.extend(2, [])
+    for nvars in (3.5, True):
+        with pytest.raises(WcnfError, match=f"^variable count must be an int, got {nvars}$"):
+            base.extend(nvars, [])
 
 
 def test_kernel_layers_keep_their_names_and_nodes():

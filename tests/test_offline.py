@@ -9,8 +9,8 @@ import random
 import pytest
 
 from helpers import (
-    baseline_model, baseline_search_sample, entries_digest, random_action_spec,
-    random_soft_forest, random_weighted_forest,
+    baseline_model, baseline_search_sample, entries_digest, oracle_database, random_soft_forest,
+    small_world,
 )
 from rfplan import maxsat, offline
 from rfplan.baselines import oracle_plan
@@ -23,7 +23,6 @@ from rfplan.offline import (
     NO_GOAL,
     PATIENCE_STOP,
     PROVED_EXHAUSTED,
-    GoalDatabase,
     PreferredGoalEntry,
     SearchError,
     SearchParams,
@@ -43,7 +42,6 @@ from rfplan.sas_core import (
     CostModel,
     Transition,
     default_action_library,
-    load_action_spec,
     neighbors,
     simulate_plan,
     simulate_step,
@@ -151,7 +149,7 @@ def test_preferred_goals_toy(toy_forest, toy_table, unit_library, toy_params):
         (1, 0, 0): ((1, 1, 2), 3.0),
     }
     for s, (goal, cost) in expect.items():
-        e = find_preferred_goal(s, unit_library, toy_forest, toy_table, toy_params)
+        e = find_preferred_goal(s, SuccessorTable(unit_library, toy_forest, toy_table, toy_params))
         assert e.status == PROVED_EXHAUSTED
         assert (e.goal, e.cost) == (goal, cost)
         # the recorded path witnesses the goal at the recorded cost
@@ -164,7 +162,8 @@ def test_preferred_goals_toy(toy_forest, toy_table, unit_library, toy_params):
 
 
 def test_already_goal_state(toy_forest, toy_table, unit_library, toy_params):
-    e = find_preferred_goal((0, 1, 2), unit_library, toy_forest, toy_table, toy_params)
+    e = find_preferred_goal(
+        (0, 1, 2), SuccessorTable(unit_library, toy_forest, toy_table, toy_params))
     assert e.status == PROVED_EXHAUSTED
     assert e.goal == (0, 1, 2) and e.cost == 0.0
     assert e.path == () and e.expansions == 0
@@ -172,18 +171,18 @@ def test_already_goal_state(toy_forest, toy_table, unit_library, toy_params):
 
 def test_no_actions_means_no_goal(toy_forest, toy_table, toy_params):
     empty = ActionLibrary(actions=())
-    e = find_preferred_goal((0, 0, 0), empty, toy_forest, toy_table, toy_params)
+    e = find_preferred_goal((0, 0, 0), SuccessorTable(empty, toy_forest, toy_table, toy_params))
     assert e.status == NO_GOAL
     assert e.goal is None and e.cost is None and not e.found
     assert e.expansions == 1
     # a state that is already past the threshold still counts as found
-    g = find_preferred_goal((0, 1, 2), empty, toy_forest, toy_table, toy_params)
+    g = find_preferred_goal((0, 1, 2), SuccessorTable(empty, toy_forest, toy_table, toy_params))
     assert g.found and g.cost == 0.0
 
 
 def test_budget_stop(toy_forest, toy_table, unit_library):
     params = SearchParams(target=1, z=0.5, alpha=0.0, node_budget=3)
-    e = find_preferred_goal((0, 1, 1), unit_library, toy_forest, toy_table, params)
+    e = find_preferred_goal((0, 1, 1), SuccessorTable(unit_library, toy_forest, toy_table, params))
     assert e.status == BUDGET_STOP
     assert e.goal == (0, 1, 2) and e.cost == 1.0
     assert e.expansions == 3
@@ -191,7 +190,7 @@ def test_budget_stop(toy_forest, toy_table, unit_library):
 
 def test_patience_gives_up_before_any_goal(toy_forest, toy_table, unit_library):
     params = SearchParams(target=1, z=0.5, alpha=0.0, patience=1)
-    e = find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, params)
+    e = find_preferred_goal((0, 0, 0), SuccessorTable(unit_library, toy_forest, toy_table, params))
     # cut off, not exhausted: no_goal would claim that no goal is reachable
     assert e.status == PATIENCE_STOP and e.expansions == 1
     assert e.goal is None and e.cost is None and not e.found
@@ -202,8 +201,8 @@ def test_caps_count_the_expansions_done():
     s = (0, 0, 0, 0)
 
     def search(**caps):
-        return find_preferred_goal(s, library, forest, table,
-                                   SearchParams(target=1, alpha=0.0, **caps))
+        params = SearchParams(target=1, alpha=0.0, **caps)
+        return find_preferred_goal(s, SuccessorTable(library, forest, table, params))
 
     # the first goal pops after 48 expansions; popping it expands nothing
     assert search(node_budget=47).goal is None
@@ -222,9 +221,10 @@ def test_patience_stop_after_goal():
     forest, table = random_soft_forest(0)
     lib = default_action_library(table, CostModel((1.0,) * len(table.features)))
     eager = SearchParams(target=1, z=0.5, alpha=0.0, patience=1)
-    e = find_preferred_goal((0, 0, 0, 2), lib, forest, table, eager)
+    e = find_preferred_goal((0, 0, 0, 2), SuccessorTable(lib, forest, table, eager))
     assert e.status == PATIENCE_STOP and e.found
-    full = find_preferred_goal((0, 0, 0, 2), lib, forest, table, SearchParams(target=1, alpha=0.0))
+    full = find_preferred_goal(
+        (0, 0, 0, 2), SuccessorTable(lib, forest, table, SearchParams(target=1, alpha=0.0)))
     assert full.status == PROVED_EXHAUSTED
     # alpha=0 pops goals in cost order, so the early stop is already exact
     assert e.cost == full.cost
@@ -235,8 +235,8 @@ def test_exhausted_search_is_alpha_independent(toy_forest, toy_table, unit_libra
     auto = SearchParams(target=1, z=0.5)
     dijkstra = SearchParams(target=1, z=0.5, alpha=0.0)
     for s in enumerate_states(toy_table):
-        a = find_preferred_goal(s, unit_library, toy_forest, toy_table, auto)
-        d = find_preferred_goal(s, unit_library, toy_forest, toy_table, dijkstra)
+        a = find_preferred_goal(s, SuccessorTable(unit_library, toy_forest, toy_table, auto))
+        d = find_preferred_goal(s, SuccessorTable(unit_library, toy_forest, toy_table, dijkstra))
         assert a.status == PROVED_EXHAUSTED and d.status == PROVED_EXHAUSTED
         assert (a.goal, a.cost) == (d.goal, d.cost)
     # on the benchmark's baseline model the default alpha is inconsistent:
@@ -244,8 +244,8 @@ def test_exhausted_search_is_alpha_independent(toy_forest, toy_table, unit_libra
     # node counts are pinned: successor generation must not change them
     forest, table, library = baseline_model()
     for s, optimum in (((0, 4, 5, 3), 240.0), ((1, 4, 5, 3), 192.0)):
-        a = find_preferred_goal(s, library, forest, table, auto)
-        d = find_preferred_goal(s, library, forest, table, dijkstra)
+        a = find_preferred_goal(s, SuccessorTable(library, forest, table, auto))
+        d = find_preferred_goal(s, SuccessorTable(library, forest, table, dijkstra))
         assert oracle_plan(s, library, forest, table, auto).plan.cost == optimum
         assert a.status == PROVED_EXHAUSTED and d.status == PROVED_EXHAUSTED
         assert a.cost == d.cost == optimum
@@ -259,7 +259,8 @@ def test_exhausted_search_is_alpha_independent(toy_forest, toy_table, unit_libra
 
 def test_bad_state_rejected(toy_forest, toy_table, unit_library, toy_params):
     with pytest.raises(StateError):
-        find_preferred_goal((0, 0, 9), unit_library, toy_forest, toy_table, toy_params)
+        find_preferred_goal(
+            (0, 0, 9), SuccessorTable(unit_library, toy_forest, toy_table, toy_params))
 
 
 # ---------------------------------------------------------------------------
@@ -375,34 +376,28 @@ def test_preprocess_generates_each_successor_row_once(
     assert db == toy_db
     assert len(expanded) == len(set(expanded))
     assert sum(e.expansions for e in db.entries.values()) > len(expanded)
-    # a lone search is a batch of one: its table goes with it, so a second
-    # search regenerates every row
+    # a search on a table of its own regenerates every row a second time
     del expanded[:]
     for _ in range(2):
-        find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params)
+        find_preferred_goal(
+            (0, 0, 0), SuccessorTable(unit_library, toy_forest, toy_table, toy_params))
     assert len(expanded) == 2 * len(set(expanded))
 
 
 def test_successor_table_is_bound_to_its_library(toy_forest, toy_table, unit_library, toy_params):
-    successors = SuccessorTable(unit_library, StateEvaluator(toy_forest, toy_table, 1))
-    other = ActionLibrary(actions=unit_library.actions[:2])
-    with pytest.raises(SearchError, match="another action library"):
-        find_preferred_goal((0, 0, 0), other, toy_forest, toy_table, toy_params,
-                            successors=successors)
-    # shares of class 0 would make the search prove a goal of the wrong class
-    other_target = SuccessorTable(unit_library, StateEvaluator(toy_forest, toy_table, 0))
-    with pytest.raises(SearchError, match="another forest, table or target"):
-        find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params,
-                            successors=other_target)
-    e = find_preferred_goal((0, 0, 0), unit_library, toy_forest, toy_table, toy_params,
-                            successors=successors)
+    successors = SuccessorTable(unit_library, toy_forest, toy_table, toy_params)
+    # the table is the search's one view of the model
+    assert successors.library is unit_library and successors.params is toy_params
+    ev = successors.evaluator
+    assert (ev.forest, ev.table, ev.target) == (toy_forest, toy_table, toy_params.target)
+    e = find_preferred_goal((0, 0, 0), successors)
     assert (e.goal, e.cost) == ((0, 1, 2), 3.0)
 
 
 def test_successor_table_numbers_states_by_rank():
     forest, table, library = baseline_model()
-    evaluator = StateEvaluator(forest, table, 1)
-    successors = SuccessorTable(library, evaluator)
+    successors = SuccessorTable(library, forest, table, SearchParams(target=1))
+    evaluator = successors.evaluator
     states = list(enumerate_states(table))
     ranks = [successors.rank(s) for s in states]
     assert ranks == list(range(table.state_count))
@@ -464,7 +459,7 @@ def test_capped_search_entries_pinned_on_baseline(cap, limit, alpha):
 def assert_same_as_lone_searches(db, library, forest, table, params):
     """Every entry equals a lone search's, its witness path included."""
     for s, got in db.entries.items():
-        lone = find_preferred_goal(s, library, forest, table, params)
+        lone = find_preferred_goal(s, SuccessorTable(library, forest, table, params))
         assert (got.goal, got.cost, got.status, got.expansions) == (
             lone.goal, lone.cost, lone.status, lone.expansions
         ), s
@@ -512,26 +507,11 @@ def test_preprocess_matches_lone_searches_with_mechanical_actions(
 # prevailing conditions and mechanical writes, on worlds with a hard feature
 
 
-def _small_world(kind, seed, tmp_path):
-    """(forest, table, library, target) of one seeded world; its catalog is
-    written as JSON and read back through ``load_action_spec``."""
-    if kind == "soft":
-        forest, table = random_soft_forest(seed, hard_chance=1.0)
-        target = 1
-    else:
-        forest, table = random_weighted_forest(seed)
-        target = "hi"
-    rng = random.Random(seed)
-    spec = tmp_path / f"{kind}-{seed}.json"
-    spec.write_text(random_action_spec(rng, table, rng.randint(4, 10)), encoding="utf-8")
-    return forest, table, load_action_spec(spec, table), target
-
-
 @pytest.mark.parametrize("kind", ["soft", "weighted"])
 def test_exhausted_entries_match_the_oracle_with_multi_feature_actions(kind, tmp_path):
     proved = multi = 0
     for seed in range(30):
-        forest, table, library, target = _small_world(kind, seed, tmp_path)
+        forest, table, library, target, _ = small_world(kind, seed, tmp_path)
         states = list(enumerate_states(table))
         base = SearchParams(target=target, z=0.5)
         evaluator = StateEvaluator(forest, table, target)
@@ -571,16 +551,11 @@ def test_sweep_plans_match_the_oracle_with_multi_feature_actions(kind, tmp_path)
 
     planned = multi = 0
     for seed in range(30):
-        forest, table, library, target = _small_world(kind, seed, tmp_path)
+        forest, table, library, target, _ = small_world(kind, seed, tmp_path)
         params = SearchParams(target=target, z=0.5)
         evaluator = StateEvaluator(forest, table, target)
-        oracle = {s: oracle_plan(s, library, forest, table, params, evaluator=evaluator)
-                  for s in enumerate_states(table)}
-        entries = {s: PreferredGoalEntry(initial=s, goal=res.plan.goal, cost=res.plan.cost,
-                                         expansions=res.expansions, status=PROVED_EXHAUSTED)
-                   for s, res in oracle.items() if res.solved}
-        db = GoalDatabase(fingerprint=fingerprint(forest), params=params, entries=entries)
-        starts = sorted(s for s, e in entries.items() if e.cost > 0)
+        oracle, db = oracle_database(forest, table, library, params)
+        starts = sorted(s for s, e in db.entries.items() if e.cost > 0)
         for s in random.Random(seed).sample(starts, min(3, len(starts))):
             where = (kind, seed, s)
             out = plan_actions(forest, table, library, db, state=s,

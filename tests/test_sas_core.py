@@ -72,8 +72,45 @@ def test_transition_mutex(t1, t2, mutex):
     assert transition_mutex(b, a) is mutex
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5, 0, 1), "variable index must be an int, got 1.5"),
+        ((True, 0, 1), "variable index must be an int, got True"),
+        ((-1, 0, 1), "variable index must be >= 0, got -1"),
+        ((0, 0, 1.0), "target value must be an int, got 1.0"),
+        ((0, 0, False), "target value must be an int, got False"),
+        ((0, 0, -1), "target value must be >= 0, got -1"),
+        ((0, 0.5, 1), "source value must be an int, got 0.5"),
+        ((0, "1", 1), "source value must be an int, got '1'"),
+        ((0, -1, 1), "source value must be >= 0, got -1"),
+    ],
+)
+def test_transition_rejects(args, message):
+    with pytest.raises(ActionError) as exc:
+        Transition(*args)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # actions
+
+
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        ("1", "cost must be a number, got '1'"),
+        (None, "cost must be a number, got None"),
+        (True, "cost must be a number, got True"),
+        (0.0, "cost must be finite and > 0, got 0.0"),
+        (-2, "cost must be finite and > 0, got -2"),
+        (math.nan, "cost must be finite and > 0, got nan"),
+    ],
+)
+def test_action_cost_rejects(cost, message):
+    with pytest.raises(ActionError) as exc:
+        Action(id="a", transitions=(Transition(0, 0, 1),), cost=cost)
+    assert str(exc.value) == f"action 'a': {message}"
 
 
 def test_action_validation():
