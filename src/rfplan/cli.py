@@ -376,24 +376,15 @@ def _data_states(table, data_path, schema_path, fmt):
     return [to_state(table, x) for x in ingest(data_path, fmt, load_schema(schema_path)).rows]
 
 
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
-
-
 def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, sort_keys=True, default=_jsonable))
+    click.echo(json.dumps(payload, sort_keys=True))
 
 
 def _show_plan(res, s_init, forest, table, target, as_json, attempts=None, **extra) -> None:
     """Print a plan, greedy or oracle result; ``attempts`` are plan's makespans."""
     plan = res.plan
     if as_json:
-        doc = {"status": res.status, "initial": list(s_init), "target": _jsonable(target),
-               **extra}
+        doc = {"status": res.status, "initial": list(s_init), "target": target, **extra}
         if attempts is not None:
             doc["attempts"] = [{"L": a.L, "status": a.status, "cost": a.cost, "units": a.units}
                                for a in attempts]
@@ -760,13 +751,11 @@ def bench_cmd(model_path, target_text, data_path, schema_path, fmt, z, alpha, de
             "model_fingerprint": fingerprint(forest),
         })
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(settings_doc, sort_keys=True, default=_jsonable) + "\n")
+            fh.write(json.dumps(settings_doc, sort_keys=True) + "\n")
             for report in reports:
                 for row in report.instances:
-                    fh.write(json.dumps(row.to_dict(), sort_keys=True,
-                                        default=_jsonable) + "\n")
-                fh.write(json.dumps(report.to_dict(), sort_keys=True,
-                                    default=_jsonable) + "\n")
+                    fh.write(json.dumps(row.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         click.echo(f"report written to {json_path}", err=True)
 
 

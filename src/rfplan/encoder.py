@@ -2,9 +2,9 @@
 
 The task: from the discretized start state, reach any of the goal states
 collected from the k nearest stored neighbors.  ``build_sas`` sets up one
-query whole: it pairs the goal database with the model, evaluates states
-with one ``StateEvaluator``, and gives a start that already reaches the
-vote threshold a task whose one goal is the start.
+query whole: it pairs the goal database with the model, reads each
+state's share with ``state_proba``, and gives a start that already
+reaches the vote threshold a task whose one goal is the start.
 
 At makespan L the encoding has one variable per goal state, per (action,
 step), and per step and transition of a variable's graph: its prevailing
@@ -87,7 +87,7 @@ from typing import Callable, Mapping
 
 from . import maxsat
 from .discretize import (
-    PartitionTable, State, StateEvaluator, check_indices, check_state, to_state,
+    PartitionTable, State, check_indices, check_state, state_proba, to_state,
 )
 from .forest import RandomForest, Vector, check_count, splits
 from .knn import k_nearest
@@ -95,7 +95,6 @@ from .maxsat import SolveResult, WcnfInstance
 from .offline import GoalDatabase, SuccessorTable, check_pairing, find_preferred_goal
 from .sas_core import (
     Action,
-    ActionError,
     ActionLibrary,
     Plan,
     Transition,
@@ -370,23 +369,24 @@ def _reachability_units(sas: SasProblem, varmap: VarMap) -> tuple[tuple[int], ..
 
 
 def decode(assignment: tuple[bool, ...], varmap: VarMap, sas: SasProblem) -> Plan:
-    """Read the non-empty per-step action sets out of a model and simulate
-    them; EncodingBug if they do not execute."""
+    """Read a model's non-empty per-step action sets and the goal whose goal
+    variable it sets; EncodingBug unless it sets exactly one.  Nothing is
+    simulated: ``check_plan`` replays the plan against that goal."""
+    goals = [g for g, v in varmap.goals.items() if assignment[v]]
+    if len(goals) != 1:
+        raise EncodingBug(f"model sets {len(goals)} goal variables, not exactly one")
     steps: list[list[Action]] = [[] for _ in range(varmap.L)]
     for (t, action_id), v in varmap.acts.items():
         if assignment[v]:
             steps[t - 1].append(sas.library.by_id(action_id))
     kept = tuple(tuple(step) for step in steps if step)
-    try:
-        final = simulate_plan(sas.initial, kept)
-    except ActionError as exc:
-        raise EncodingBug(f"plan does not execute: {exc}") from exc
     cost = sum(a.cost for step in kept for a in step)
-    return Plan(steps=kept, cost=cost, goal=final)
+    return Plan(steps=kept, cost=cost, goal=goals[0])
 
 
 def check_plan(plan: Plan, sas: SasProblem) -> None:
-    """Raise EncodingBug unless the plan executes and reaches a goal."""
+    """Raise EncodingBug unless the plan executes and ends in its recorded
+    goal, which is a goal of ``sas``: the one simulation of a decoded plan."""
     for step in plan.steps:
         for a in step:
             if a not in sas.library:
@@ -414,18 +414,18 @@ def build_sas(
 ) -> SasProblem:
     """Goal states from the k nearest stored neighbors, as one SAS+ task.
 
-    The whole set-up of one query: ``db`` must pair with ``forest``, and one
-    ``StateEvaluator`` serves the query.  A start that already reaches the
-    vote threshold is the task's one goal.  Else neighbors are ranked with
-    each feature weighed by how often the forest splits on it (every
-    feature 1 when it never splits); when none is usable, the offline search
-    runs for this one state (slow path).  Every goal is re-checked against
-    the vote threshold.
+    The whole set-up of one query: ``db`` must pair with ``forest``, and
+    ``state_proba`` reads each share the query needs.  A start that already
+    reaches the vote threshold is the task's one goal.  Else neighbors are
+    ranked with each feature weighed by how often the forest splits on it
+    (every feature 1 when it never splits); when none is usable, the offline
+    search runs for this one state (slow path).  Every goal is re-checked
+    against the vote threshold.
     """
     check_pairing(db, forest)
     s_init = check_state(table, s_init)
-    evaluator = StateEvaluator(forest, table, db.params.target)
-    if evaluator.proba(s_init) >= db.params.z:
+    target, z = db.params.target, db.params.z
+    if state_proba(forest, table, s_init, target) >= z:
         return SasProblem(sizes=table.sizes, library=library, initial=s_init, goals=(s_init,))
     weights = [0] * len(table.features)
     for node in splits(forest):
@@ -441,7 +441,7 @@ def build_sas(
     if not goals:
         raise NoGoalsError(f"no goal states available for {s_init}: no usable stored neighbor")
     for g in goals:
-        if evaluator.proba(g) < db.params.z:
+        if state_proba(forest, table, g, target) < z:
             raise PlanningError(
                 f"stored goal {g} does not reach the vote threshold; "
                 "the goal database does not match this model"

@@ -28,11 +28,12 @@ the entry's goal.
 one per worker process with ``workers > 1`` (at most one per usable
 CPU); each batch builds one state table (``SuccessorTable``) and
 searches its states in order.  The table is the search's one view of the
-model: it holds the action library, the search parameters and an
-evaluator of the target's share, maps ranks to states and shares, and
-holds one row per expanded state: its actions, successor ranks and action
-costs.  A state's row is built once per batch, however many searches
-expand it, and the table is freed with its batch.
+model: it holds the action library, the search parameters, the heuristic
+scale alpha (resolved once, when the table is built) and an evaluator of
+the target's share, maps ranks to states and shares, and holds one row
+per expanded state: its actions, successor ranks and action costs.  A
+state's row is built once per batch, however many searches expand it,
+and the table is freed with its batch.
 
 Results are stored in a goal database keyed by start state and stamped
 with the model fingerprint so stale pairings are rejected.
@@ -99,8 +100,9 @@ def check_alpha(name: str, alpha: Any, error: type[Exception]) -> float | str:
 class SearchParams:
     """Offline search knobs.
 
-    ``alpha`` scales the heuristic and may be the string ``"auto"``,
-    which resolves to the mean action cost of the library in use.  Any
+    ``alpha`` scales the heuristic and may be the string ``"auto"``: the
+    state table (``SuccessorTable``) reads it as the mean cost of its
+    library's actions, or 0.0 for an empty catalog.  Any
     alpha is safe for the ``proved_exhausted`` status, since expanded
     states reopen; a smaller alpha only makes the search less directed.
     ``patience`` is the number of expansions tolerated past the last goal
@@ -130,18 +132,6 @@ class SearchParams:
         """Read a search params record: every field, each checked by the constructor."""
         check_record(doc, "", SearchError, {f.name: object for f in dataclasses.fields(cls)})
         return cls(**doc)
-
-
-def resolve_alpha(params: SearchParams, library: ActionLibrary) -> float:
-    """Numeric alpha: 'auto' becomes the library's mean action cost."""
-    if params.alpha == AUTO:
-        return library.mean_cost()
-    return float(params.alpha)
-
-
-def heuristic(p: float, z: float, alpha: float) -> float:
-    """Optimistic remaining cost for a state with target share ``p``."""
-    return alpha * (z - p) if p < z else 0.0
 
 
 @dataclass(frozen=True)
@@ -185,8 +175,12 @@ class PreferredGoalEntry:
 
 class SuccessorTable:
     """The state table shared by the searches of one ``preprocess`` batch:
-    the action library, the search parameters and an evaluator of the
-    target's share (``StateEvaluator(forest, table, params.target)``).
+    the action library, the search parameters, the heuristic scale
+    ``alpha`` and an evaluator of the target's share
+    (``StateEvaluator(forest, table, params.target)``).  ``alpha`` is
+    ``params.alpha``, or for ``"auto"`` the mean cost of
+    ``library.actions`` (0.0 when there are none); the searches read it
+    from here.
 
     A state is numbered by its row-major rank in the partition grid,
     ``Σ s[i]·strides[i]`` (``PartitionTable.strides``).  Rank order is the
@@ -210,6 +204,10 @@ class SuccessorTable:
                  params: SearchParams):
         self.library = library
         self.params = params
+        self.alpha = params.alpha
+        if self.alpha == AUTO:
+            costs = [a.cost for a in library.actions]
+            self.alpha = sum(costs) / len(costs) if costs else 0.0
         self.evaluator = StateEvaluator(forest, table, params.target)
         self.state: dict[int, State] = {}
         self.share: dict[int, float] = {}
@@ -240,8 +238,8 @@ class SuccessorTable:
 
 def find_preferred_goal(s_init: State, successors: SuccessorTable) -> PreferredGoalEntry:
     """Best-first anytime search from one start state, on the library,
-    parameters and shares of ``successors``.  Search entries are keyed by
-    rank.
+    parameters, heuristic scale and shares of ``successors``.  Search
+    entries are keyed by rank.
 
     A goal successor whose cost reaches the best goal's is not pushed, and
     its cost label and parent link are not written.  It could never be
@@ -253,7 +251,7 @@ def find_preferred_goal(s_init: State, successors: SuccessorTable) -> PreferredG
     """
     s_init = check_state(successors.evaluator.table, s_init)
     params = successors.params
-    alpha = resolve_alpha(params, successors.library)
+    alpha = successors.alpha
     z = params.z
     share = successors.share
     row = successors.row
@@ -267,7 +265,8 @@ def find_preferred_goal(s_init: State, successors: SuccessorTable) -> PreferredG
     r_init = successors.rank(s_init)
     best_g: dict[int, float] = {r_init: 0.0}
     parent: dict[int, tuple[int, Action]] = {}
-    heap: list[tuple[float, float, int]] = [(heuristic(share[r_init], z, alpha), 0.0, r_init)]
+    # the start entry is alone on the heap, so its key is never compared
+    heap: list[tuple[float, float, int]] = [(0.0, 0.0, r_init)]
     status = PROVED_EXHAUSTED
 
     def path_to(r: int) -> tuple[Action, ...]:
@@ -307,7 +306,6 @@ def find_preferred_goal(s_init: State, successors: SuccessorTable) -> PreferredG
                     continue  # a goal no cheaper than the best one is never recorded
                 best_g[r2] = g2
                 parent[r2] = (r, action)
-                # heuristic(p2, z, alpha), inlined
                 push(heap, (g2 + (alpha * (z - p2) if p2 < z else 0.0), g2, r2))
 
     if best_goal is None:

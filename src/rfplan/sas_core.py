@@ -208,11 +208,6 @@ class ActionLibrary:
     def by_id(self, action_id: str) -> Action:
         return self._by_id[action_id]
 
-    def mean_cost(self) -> float:
-        if not self.actions:
-            return 0.0
-        return sum(a.cost for a in self.actions) / len(self.actions)
-
 
 def default_action_library(table: PartitionTable, cost: CostModel) -> ActionLibrary:
     """One single-transition action per soft feature and ordered value pair.

@@ -29,8 +29,9 @@ from rfplan.encoder import (
     encode,
     plan_actions,
 )
+from rfplan.forest import ModelError
 from rfplan.maxsat import HARD_UNSAT, WcnfInstance, solve
-from rfplan.offline import GoalDatabase, SearchError
+from rfplan.offline import GoalDatabase, SearchError, SearchParams
 from rfplan.sas_core import (
     WILDCARD,
     Action,
@@ -449,11 +450,29 @@ def test_decode_drops_empty_steps():
     model = [False] * (varmap.nvars + 1)
     for key in ((2, "A"), (2, "C")):
         model[varmap.acts[key]] = True
+    model[varmap.goals[(1, 1, 1)]] = True
     plan = decode(tuple(model), varmap, sas)
     assert plan.action_ids() == [["A", "C"]]
     assert (plan.cost, plan.goal) == (6.0, (1, 1, 1))
     solved = _solve_at(sas, 2)
     assert solved.action_ids() == [["A", "C"]] and solved.cost == 6.0
+
+
+def test_decoded_goal_is_the_models_goal_variable():
+    # A and C end in (1, 1, 1), but the model's goal variable names (1, 0, 1)
+    sas = dataclasses.replace(_shared_write_task(), goals=((1, 0, 1), (1, 1, 1)))
+    _, varmap = encode(sas, 1)
+    model = [False] * (varmap.nvars + 1)
+    for key in ((1, "A"), (1, "C")):
+        model[varmap.acts[key]] = True
+    model[varmap.goals[(1, 0, 1)]] = True
+    plan = decode(tuple(model), varmap, sas)
+    assert plan.goal == (1, 0, 1)
+    with pytest.raises(EncodingBug, match=r"ends in \(1, 1, 1\), not its recorded goal"):
+        check_plan(plan, sas)
+    model[varmap.goals[(1, 1, 1)]] = True
+    with pytest.raises(EncodingBug, match="model sets 2 goal variables, not exactly one"):
+        decode(tuple(model), varmap, sas)
 
 
 def test_mechanical_only_move_is_planned():
@@ -725,6 +744,12 @@ def test_build_sas_rejects_tampered_goal(toy_db, toy_params, toy_table, unit_lib
         build_sas((0, 0, 1), bad, 1, toy_forest, toy_table, unit_library)
 
 
+def test_build_sas_rejects_an_unknown_target(toy_db, toy_table, unit_library, toy_forest):
+    other = dataclasses.replace(toy_db, params=SearchParams(target="no such class"))
+    with pytest.raises(ModelError, match="unknown class 'no such class'"):
+        build_sas((0, 0, 1), other, 3, toy_forest, toy_table, unit_library)
+
+
 # ---------------------------------------------------------------------------
 # the full online pipeline
 
@@ -870,16 +895,18 @@ def test_plan_actions_rejects_corrupt_incumbent(toy_forest, toy_table, unit_libr
     def nothing_fires(instance):
         return (False,) * (instance.nvars + 1)
 
-    with pytest.raises(EncodingBug, match="not a goal state"):
+    with pytest.raises(EncodingBug, match="model sets 0 goal variables"):
         plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0),
                      solver=_reports_timeout(model=nothing_fires))
 
     # balance:1->2 at step 1 does not apply to the start's balance 0
     sas = SasProblem(toy_table.sizes, unit_library, (0, 0, 0), ((0, 1, 2),))
-    stuck = encode(sas, 1)[1].acts[(1, "balance:1->2")]  # goal variables come after
+    varmap = encode(sas, 1)[1]
+    stuck = varmap.acts[(1, "balance:1->2")]
+    goal = varmap.goals[(0, 1, 2)]  # the first goal variable, after the step variables
 
     def fires_stuck(instance):
-        return tuple(v == stuck for v in range(instance.nvars + 1))
+        return tuple(v in (stuck, goal) for v in range(instance.nvars + 1))
 
     with pytest.raises(EncodingBug, match="does not execute"):
         plan_actions(toy_forest, toy_table, unit_library, toy_db, state=(0, 0, 0), l_max=1,

@@ -31,9 +31,7 @@ from rfplan.offline import (
     db_persist,
     db_restore,
     find_preferred_goal,
-    heuristic,
     preprocess,
-    resolve_alpha,
 )
 from rfplan.sas_core import (
     WILDCARD,
@@ -49,7 +47,7 @@ from rfplan.sas_core import (
 
 
 # ---------------------------------------------------------------------------
-# parameters and heuristic
+# parameters and the heuristic scale
 
 
 def test_params_defaults_and_roundtrip():
@@ -89,16 +87,14 @@ def test_params_from_dict_missing_key():
         SearchParams.from_dict({"target": 1, "z": 0.5})
 
 
-def test_resolve_alpha(unit_library):
-    assert resolve_alpha(SearchParams(target=1), unit_library) == 1.75
-    assert resolve_alpha(SearchParams(target=1, alpha=2.5), unit_library) == 2.5
+def test_successor_table_alpha(toy_forest, toy_table, unit_library):
+    def alpha(library, **kwargs):
+        params = SearchParams(target=1, **kwargs)
+        return SuccessorTable(library, toy_forest, toy_table, params).alpha
 
-
-def test_heuristic_shape():
-    assert heuristic(0.2, 0.5, 2.0) == pytest.approx(0.6)
-    assert heuristic(0.5, 0.5, 2.0) == 0.0
-    assert heuristic(0.9, 0.5, 2.0) == 0.0
-    assert heuristic(0.2, 0.5, 0.0) == 0.0
+    assert alpha(unit_library) == 1.75  # "auto": the catalog's mean action cost
+    assert alpha(unit_library, alpha=2.5) == 2.5
+    assert alpha(ActionLibrary(actions=())) == 0.0
 
 
 # ---------------------------------------------------------------------------

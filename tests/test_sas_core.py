@@ -194,7 +194,6 @@ def test_default_library_toy(toy_table, unit_library):
     assert "gender" not in "".join(ids), "hard features must get no actions"
     assert unit_library.by_id("balance:0->2").cost == 4.0
     assert unit_library.by_id("visits:1->0").cost == 1.0
-    assert unit_library.mean_cost() == 1.75
     for a in unit_library:
         assert len(a.transitions) == 1
         t = a.transitions[0]
