@@ -14,7 +14,7 @@ import random
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .baselines import greedy_plan, oracle_plan, OracleCapExceeded
 from .discretize import PartitionTable, State, StateEvaluator, enumerate_states
@@ -200,11 +200,11 @@ def run_bench(
     """Run the planner for each preprocessing fraction, greedy and the oracle
     once per instance, and collect reports.
 
-    A state space above ``settings.state_cap`` raises ``StateError``.
+    ``fractions`` follow ``parse_fractions``' rule, checked before any
+    run, else ``BenchError``.  A state space above ``settings.state_cap``
+    raises ``StateError``.
     """
-    for r in fractions:
-        if not 1 <= r <= 100:
-            raise BenchError(f"fractions must be in 1..100, got {r}")
+    fractions = _check_fractions(fractions)
     say = on_event or (lambda msg: None)
     params = settings.params
     evaluator = StateEvaluator(forest, table, params.target)
@@ -293,9 +293,18 @@ def parse_fractions(text: str) -> tuple[int, ...]:
             values = [parse_int(p) for p in parts]
         except ValueError:
             raise BenchError(f"fractions must be integers: {text!r}") from None
+    return _check_fractions(values)
+
+
+def _check_fractions(values: Iterable[Any]) -> tuple[int, ...]:
+    """``values`` as a tuple when each is an int, not a bool, in 1..100, and
+    none repeats; else ``BenchError``.  The one rule for a sweep's fractions."""
+    values = tuple(values)
     for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise BenchError(f"fractions must be integers, got {v!r}")
         if not 1 <= v <= 100:
             raise BenchError(f"fractions must be in 1..100, got {v}")
     if len(set(values)) != len(values):
-        raise BenchError(f"duplicate fractions: {text!r}")
-    return tuple(values)
+        raise BenchError(f"duplicate fractions: {', '.join(map(str, values))}")
+    return values

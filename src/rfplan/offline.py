@@ -18,22 +18,26 @@ when ``patience`` expansions have passed without a cheaper goal; or when
 its stop status, with or without a goal.  Re-expansions count as
 expansions.
 
-The search works on integer state ranks: a state's row-major rank in the
-partition grid (``PartitionTable.strides``).  Rank order is the tuples'
-lexicographic order, so frontier entries ``(f, g, rank)`` pop in the
-order ``(f, g, state)`` would, and a rank becomes a tuple again only for
-the entry's goal.
+The search works on dense integer state ids, given in the order the
+batch's state table (``SuccessorTable``) first sees each state.  Frontier
+entries are ``(f, g, rank, id)``, where the rank is the state's row-major
+number in the partition grid (``PartitionTable.strides``): rank order is
+the tuples' lexicographic order and ranks are unique, so entries pop in
+the order ``(f, g, state)`` would and the id is never compared.  An id
+becomes a tuple again only for the entry's goal.
 
 ``preprocess`` searches its states in batches, one batch in process or
 one per worker process with ``workers > 1`` (at most one per usable
-CPU); each batch builds one state table (``SuccessorTable``) and
-searches its states in order.  The table is the search's one view of the
-model: it holds the action library, the search parameters, the heuristic
-scale alpha (resolved once, when the table is built) and an evaluator of
-the target's share, maps ranks to states and shares, and holds one row
-per expanded state: its actions, successor ranks and action costs.  A
-state's row is built once per batch, however many searches expand it,
-and the table is freed with its batch.
+CPU); each batch builds one state table and searches its states in
+order.  The table is the search's one view of the model: it holds the
+action library, the search parameters, the heuristic scale alpha
+(resolved once, when the table is built), an evaluator of the target's
+share, and one list entry per id of all the search reads per state, its
+cost labels included.  A search resets every cost label it set before it
+returns, so the next search on the table starts from clean labels.  A
+state's goal flag and heuristic term are computed once per batch, and
+its row once, however many searches expand it; the table is freed with
+its batch.
 
 Results are stored in a goal database keyed by start state and stamped
 with the model fingerprint so stale pairings are rejected.
@@ -182,22 +186,31 @@ class SuccessorTable:
     ``library.actions`` (0.0 when there are none); the searches read it
     from here.
 
-    A state is numbered by its row-major rank in the partition grid,
-    ``Σ s[i]·strides[i]`` (``PartitionTable.strides``).  Rank order is the
-    tuples' lexicographic order, so search entries keyed by rank pop in
-    the order entries keyed by the state would.  Ranks are interned, one
-    int object per state.  The table holds:
+    A state gets a dense id, 0, 1, 2, …, in the order the table first sees
+    it; one state has one id whatever tuple object names it.  The table
+    holds one list entry per id:
 
-    - ``state``: rank -> state, for every state it has ranked;
-    - ``share``: rank -> the state's target share, read through the
+    - ``rank``: the state's row-major rank in the partition grid,
+      ``Σ s[i]·strides[i]`` (``PartitionTable.strides``).  Rank order is
+      the tuples' lexicographic order, so search entries that break ties
+      by rank pop in the order entries keyed by the state would;
+    - ``state``: the state tuple;
+    - ``goal``: whether its target share reaches z, and ``h``: its
+      heuristic term ``alpha * (z - share)``, 0.0 for a goal.  Both are
+      set when the id is given; the share is still read through the
       batch's ``StateEvaluator`` each time a row lists the state;
-    - one row per expanded state, from its first expansion's
-      ``neighbors(s, library)``: its actions, successor ranks and action
-      costs, as three parallel tuples in id order.  Later expansions, in
-      this search or another, reuse the row.
+    - ``rows``: None until the state is first expanded, then the row of
+      ``neighbors(s, library)``: its successor ids, action costs and
+      actions, as three parallel tuples in ``neighbors`` order.  Later
+      expansions, in this search or another, reuse the row;
+    - ``g`` and ``parent``: the running search's cost label (``inf`` when
+      unlabelled) and parent id.  A search sets them, and resets every
+      cost label it set before it returns, so each search starts with
+      every label at ``inf``; a parent id is read only for states labelled
+      in the running search.
 
-    The table grows by one row per state expanded through it and lives as
-    long as its batch.
+    The table grows by one id per state seen through it and lives as long
+    as its batch.
     """
 
     def __init__(self, library: ActionLibrary, forest: RandomForest, table: PartitionTable,
@@ -209,52 +222,71 @@ class SuccessorTable:
             costs = [a.cost for a in library.actions]
             self.alpha = sum(costs) / len(costs) if costs else 0.0
         self.evaluator = StateEvaluator(forest, table, params.target)
-        self.state: dict[int, State] = {}
-        self.share: dict[int, float] = {}
+        self.rank: list[int] = []
+        self.state: list[State] = []
+        self.goal: list[bool] = []
+        self.h: list[float] = []
+        self.rows: list[tuple[tuple[int, ...], tuple[float, ...], tuple[Action, ...]] | None] = []
+        self.g: list[float] = []
+        self.parent: list[int] = []
         self._strides = table.strides
-        self._interned: dict[int, int] = {}
-        self._rows: dict[int, tuple[tuple[Action, ...], tuple[int, ...], tuple[float, ...]]] = {}
+        self._ids: dict[int, int] = {}
 
-    def rank(self, s: State) -> int:
-        """The interned rank of ``s``; records ``s`` and reads its share."""
+    def id_of(self, s: State) -> int:
+        """The id of ``s``, given on first sight; reads its share each call."""
         r = sum(map(operator.mul, s, self._strides))
-        r = self._interned.setdefault(r, r)
-        self.state.setdefault(r, s)
-        self.share[r] = self.evaluator.proba(s)
-        return r
+        p = self.evaluator.proba(s)
+        i = self._ids.get(r)
+        if i is None:
+            i = self._ids[r] = len(self.rank)
+            z = self.params.z
+            self.rank.append(r)
+            self.state.append(s)
+            self.goal.append(p >= z)
+            self.h.append(0.0 if p >= z else self.alpha * (z - p))
+            self.rows.append(None)
+            self.g.append(math.inf)
+            self.parent.append(-1)
+        return i
 
-    def row(self, r: int) -> tuple[tuple[Action, ...], tuple[int, ...], tuple[float, ...]]:
-        """``(actions, successor ranks, costs)`` of the state ranked ``r``."""
-        row = self._rows.get(r)
+    def row(self, i: int) -> tuple[tuple[int, ...], tuple[float, ...], tuple[Action, ...]]:
+        """``(successor ids, costs, actions)`` of the state with id ``i``."""
+        row = self.rows[i]
         if row is None:
-            found = neighbors(self.state[r], self.library)
-            row = self._rows[r] = (
-                tuple(a for a, _, _ in found),
-                tuple(self.rank(s2) for _, s2, _ in found),
+            found = neighbors(self.state[i], self.library)
+            row = self.rows[i] = (
+                tuple(self.id_of(s2) for _, s2, _ in found),
                 tuple(w for _, _, w in found),
+                tuple(a for a, _, _ in found),
             )
         return row
 
 
 def find_preferred_goal(s_init: State, successors: SuccessorTable) -> PreferredGoalEntry:
     """Best-first anytime search from one start state, on the library,
-    parameters, heuristic scale and shares of ``successors``.  Search
-    entries are keyed by rank.
+    parameters, goal flags, heuristic terms and labels of ``successors``.
+
+    Frontier entries are ``(f, g, rank, id)``: ranks are unique, so the id
+    is never compared and entries pop in the order ``(f, g, state)`` would.
+    Cost labels and parent ids live in the table's id-indexed lists; every
+    label the search sets is reset to ``inf`` before it returns, whether it
+    finishes, stops at a cap or raises.  A parent link is an id alone: the
+    witness action from a parent to its child is the first cheapest one in
+    the parent's row, which is the one the relax loop kept, since it
+    relabels a child only on a strictly lower cost.
 
     A goal successor whose cost reaches the best goal's is not pushed, and
     its cost label and parent link are not written.  It could never be
     recorded, and any later route to it that its label would have blocked
-    costs at least as much and is skipped too.  Keys ``(f, g, rank)`` are
-    unique, so every other entry pops in the same order, and the entry, its
-    expansions and its witness path are those of a search that queues
-    every goal.
+    costs at least as much and is skipped too.  Keys are unique, so every
+    other entry pops in the same order, and the entry, its expansions and
+    its witness path are those of a search that queues every goal.
     """
     s_init = check_state(successors.evaluator.table, s_init)
     params = successors.params
-    alpha = successors.alpha
-    z = params.z
-    share = successors.share
-    row = successors.row
+    patience, node_budget = params.patience, params.node_budget
+    rank, goal, h, rows = successors.rank, successors.goal, successors.h, successors.rows
+    g_of, parent = successors.g, successors.parent
 
     best_goal: int | None = None
     best_cost = math.inf
@@ -262,51 +294,60 @@ def find_preferred_goal(s_init: State, successors: SuccessorTable) -> PreferredG
     expansions = 0
     expansions_at_goal = 0
 
-    r_init = successors.rank(s_init)
-    best_g: dict[int, float] = {r_init: 0.0}
-    parent: dict[int, tuple[int, Action]] = {}
+    i_init = successors.id_of(s_init)
+    g_of[i_init] = 0.0
+    labelled = [i_init]
     # the start entry is alone on the heap, so its key is never compared
-    heap: list[tuple[float, float, int]] = [(0.0, 0.0, r_init)]
+    heap: list[tuple[float, float, int, int]] = [(0.0, 0.0, rank[i_init], i_init)]
     status = PROVED_EXHAUSTED
 
-    def path_to(r: int) -> tuple[Action, ...]:
+    def path_to(i: int) -> tuple[Action, ...]:
         steps: list[Action] = []
-        while r != r_init:
-            r, action = parent[r]
-            steps.append(action)
+        while i != i_init:
+            p = parent[i]
+            succ, costs, actions = rows[p]
+            _, k = min((w, k) for k, (i2, w) in enumerate(zip(succ, costs)) if i2 == i)
+            steps.append(actions[k])
+            i = p
         steps.reverse()
         return tuple(steps)
 
-    # local names for the loop that runs once per edge
-    g_of, inf, push, pop = best_g.get, math.inf, heapq.heappush, heapq.heappop
-    while heap:
-        f, g, r = pop(heap)
-        if g > best_g[r]:
-            continue  # stale: a cheaper route to r was pushed since
-        if share[r] >= z:
-            if g < best_cost:
-                # an ancestor reopened after r was pushed may have a cheaper
-                # parent link now, so the path can cost less than g
-                best_goal, best_path = r, path_to(r)
-                best_cost = sum((a.cost for a in best_path), 0.0)
-                expansions_at_goal = expansions
-            continue  # goal states are recorded, never expanded
-        if expansions - expansions_at_goal >= params.patience:
-            status = PATIENCE_STOP
-            break
-        if expansions >= params.node_budget:
-            status = BUDGET_STOP
-            break
-        expansions += 1
-        for action, r2, w in zip(*row(r)):
-            g2 = g + w
-            if g2 < g_of(r2, inf):
-                p2 = share[r2]
-                if p2 >= z and g2 >= best_cost:
-                    continue  # a goal no cheaper than the best one is never recorded
-                best_g[r2] = g2
-                parent[r2] = (r, action)
-                push(heap, (g2 + (alpha * (z - p2) if p2 < z else 0.0), g2, r2))
+    inf, push, pop, row = math.inf, heapq.heappush, heapq.heappop, successors.row
+    try:
+        while heap:
+            _, g, _, i = pop(heap)
+            if g > g_of[i]:
+                continue  # stale: a cheaper route to i was pushed since
+            if goal[i]:
+                if g < best_cost:
+                    # an ancestor reopened after i was pushed may have a cheaper
+                    # parent link now, so the path can cost less than g
+                    best_goal, best_path = i, path_to(i)
+                    best_cost = sum((a.cost for a in best_path), 0.0)
+                    expansions_at_goal = expansions
+                continue  # goal states are recorded, never expanded
+            if expansions - expansions_at_goal >= patience:
+                status = PATIENCE_STOP
+                break
+            if expansions >= node_budget:
+                status = BUDGET_STOP
+                break
+            expansions += 1
+            succ, costs, _ = rows[i] or row(i)
+            for i2, w in zip(succ, costs):
+                g2 = g + w
+                old = g_of[i2]
+                if g2 < old:
+                    if goal[i2] and g2 >= best_cost:
+                        continue  # a goal no cheaper than the best one is never recorded
+                    if old == inf:
+                        labelled.append(i2)
+                    g_of[i2] = g2
+                    parent[i2] = i
+                    push(heap, (g2 + h[i2], g2, rank[i2], i2))
+    finally:
+        for i in labelled:
+            g_of[i] = inf
 
     if best_goal is None:
         # only an emptied frontier proves that no goal is reachable

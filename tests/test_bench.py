@@ -93,6 +93,25 @@ def test_run_bench_fraction_sweep(toy_forest, toy_table, unit_library, toy_param
 
 
 @pytest.mark.parametrize(
+    "fractions,needle",
+    [
+        ((50.5,), "fractions must be integers, got 50.5"),
+        ((True,), "fractions must be integers, got True"),
+        ((50, 50), "duplicate fractions: 50, 50"),
+        ((0,), "fractions must be in 1..100, got 0"),
+    ],
+    ids=["float", "bool", "duplicate", "zero"],
+)
+def test_run_bench_rejects_fractions(toy_forest, toy_table, unit_library, toy_params,
+                                     fractions, needle):
+    # the rule parse_fractions applies to --sweep
+    settings = BenchSettings(params=toy_params, l_max=2, n_instances=3)
+    with pytest.raises(BenchError) as err:
+        run_bench(toy_forest, toy_table, unit_library, settings, fractions=fractions)
+    assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
     "field,value,needle",
     [
         ("k", 0, "k must be >= 1, got 0"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import dataclasses
 import math
 import os
 import random
@@ -155,6 +156,24 @@ def test_preferred_goals_toy(toy_forest, toy_table, unit_library, toy_params):
             state = simulate_step(state, (action,))
             total += action.cost
         assert state == e.goal and total == e.cost
+
+
+def test_witness_is_the_first_cheapest_action_of_each_step(toy_forest, toy_table, unit_library):
+    # every move can also be made by a dearer action listed before the
+    # catalog's own and by an equal-cost twin listed after it; a parent's
+    # row gives the first cheapest action to the child, the one the relax
+    # loop keeps, since it relabels a state only on a strictly lower cost
+    dear = tuple(dataclasses.replace(a, id="a-" + a.id, cost=a.cost + 1)
+                 for a in unit_library.actions)
+    twin = tuple(dataclasses.replace(a, id=a.id + "~twin") for a in unit_library.actions)
+    library = ActionLibrary(actions=dear + unit_library.actions + twin)
+    params = SearchParams(target=1, z=0.5, alpha=0.0)
+    for s in [(0, 0, 0), (1, 0, 0), (0, 0, 1)]:
+        want = find_preferred_goal(s, SuccessorTable(unit_library, toy_forest, toy_table, params))
+        got = find_preferred_goal(s, SuccessorTable(library, toy_forest, toy_table, params))
+        assert got.path and set(got.path) <= set(unit_library.actions)
+        assert (got.goal, got.cost, got.expansions, got.path) == (
+            want.goal, want.cost, want.expansions, want.path)
 
 
 def test_already_goal_state(toy_forest, toy_table, unit_library, toy_params):
@@ -390,24 +409,67 @@ def test_successor_table_is_bound_to_its_library(toy_forest, toy_table, unit_lib
     assert (e.goal, e.cost) == ((0, 1, 2), 3.0)
 
 
-def test_successor_table_numbers_states_by_rank():
+def test_successor_table_numbers_states_by_id():
     forest, table, library = baseline_model()
-    successors = SuccessorTable(library, forest, table, SearchParams(target=1))
+    params = SearchParams(target=1)
+    successors = SuccessorTable(library, forest, table, params)
+    alpha, z = successors.alpha, params.z
     evaluator = successors.evaluator
-    states = list(enumerate_states(table))
-    ranks = [successors.rank(s) for s in states]
-    assert ranks == list(range(table.state_count))
-    for s, r in zip(states, ranks):
-        assert successors.state[r] == s
-        assert successors.share[r] == evaluator.proba(s)
-        # interned: ranking a fresh copy of the state gives the same int object
-        assert successors.rank(tuple(list(s))) is r
+    proba, read = evaluator.proba, []
+    evaluator.proba = lambda s: read.append(s) or proba(s)
+    # a row's successors get the next free ids, in neighbors order
     s = (1, 4, 5, 3)
-    actions, succ, costs = successors.row(successors.rank(s))
-    assert [(a, successors.state[r2], w) for a, r2, w in zip(actions, succ, costs)] == (
-        neighbors(s, library)
-    )
-    assert all(r2 is ranks[r2] for r2 in succ)
+    assert successors.id_of(s) == 0
+    found = neighbors(s, library)
+    succ, costs, actions = successors.row(0)
+    assert list(zip(actions, [successors.state[i] for i in succ], costs)) == found
+    assert sorted(set(succ)) == list(range(1, len(set(succ)) + 1))
+    # each listed successor's share is read through the evaluator, once per listing
+    assert read == [s] + [s2 for _, s2, _ in found]
+    assert successors.row(0) is successors.rows[0] and len(read) == 1 + len(found)
+    # every other state gets the next id on first sight, in shuffled order
+    states = list(enumerate_states(table))
+    order = random.Random(0).sample(states, len(states))
+    seen = len(successors.rank)
+    ids = [successors.id_of(s) for s in order]
+    fresh = [i for i in ids if i >= seen]
+    assert fresh == list(range(seen, table.state_count))
+    assert len(successors.rank) == table.state_count
+    for s, i in zip(order, ids):
+        assert successors.state[i] == s
+        assert successors.rank[i] == sum(v * stride for v, stride in zip(s, table.strides))
+        # one id whatever tuple object names the state
+        assert successors.id_of(tuple(list(s))) == i
+        p = proba(s)
+        assert successors.goal[i] == (p >= z)
+        assert successors.h[i] == (0.0 if p >= z else alpha * (z - p))
+        assert successors.g[i] == math.inf
+    # ranks are the row-major grid numbers, so their order is the tuples' order
+    assert sorted(successors.rank) == list(range(table.state_count))
+    assert sorted(states, key=lambda s: successors.rank[successors.id_of(s)]) == states
+
+
+def test_reused_table_searches_as_a_fresh_one():
+    # a search cut off by a cap leaves labels on its frontier; the table
+    # resets them, so a later search on it matches one on a fresh table
+    forest, table, library = baseline_model()
+    params = SearchParams(target=1, z=0.5, alpha=AUTO)
+    states = baseline_search_sample(forest, table, params)
+    runs = [(states[0], dataclasses.replace(params, node_budget=30)),
+            (states[1], dataclasses.replace(params, patience=20))]
+    runs += [(s, params) for s in random.Random(1).sample(states, len(states))]
+    successors = SuccessorTable(library, forest, table, params)
+    statuses = []
+    for s, run_params in runs:
+        # a search reads its caps from the table; the table's goal flags and
+        # heuristic terms rest on the target, z and alpha alone
+        successors.params = run_params
+        got = find_preferred_goal(s, successors)
+        want = find_preferred_goal(s, SuccessorTable(library, forest, table, run_params))
+        assert got == want and got.path == want.path, s
+        statuses.append(got.status)
+    assert statuses == [BUDGET_STOP, PATIENCE_STOP] + [PROVED_EXHAUSTED] * len(states)
+    assert set(successors.g) == {math.inf}
 
 
 # the searches of the 40 baseline non-goal states that random.Random(0) draws
